@@ -43,7 +43,7 @@ from .geodesics import (
 from .group import GroupElement
 from .integrator import IntegratorConfig, compare_states, integrate
 from .presets import PRESET_NAMES, make_preset
-from .serialize import fmt_float, json_dump, json_dumps
+from .serialize import fmt_float, json_dump, json_dumps, write_trajectory_csv
 from .verification import FLIPPABLE, run_suite
 
 
@@ -167,18 +167,15 @@ def build_initial_data(cfg: RunConfig) -> InitialData:
     return InitialData(u0, rho0)
 
 
-def _write_exact_trajectory(path, data: InitialData, times) -> None:
-    x = data.grid.x
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,x,u,rho\n")
-        for t in times:
-            u, rho = exact_solution(data, float(t))
-            ts = fmt_float(float(t))
-            for j in range(data.grid.n):
-                fh.write(
-                    f"{ts},{fmt_float(x[j])},"
-                    f"{fmt_float(u.values[j])},{fmt_float(rho.values[j])}\n"
-                )
+def _write_exact_trajectory(path, times, states) -> None:
+    """Write the exact states (u, rho) at ``times`` as a t,x,u,rho CSV."""
+    write_trajectory_csv(
+        path,
+        times,
+        states[0][0].grid.x,
+        [u.values for u, _ in states],
+        [rho.values for _, rho in states],
+    )
 
 
 def cmd_solve(args) -> int:
@@ -212,14 +209,13 @@ def cmd_solve(args) -> int:
         return 3
 
     traj.to_csv(outdir / "integrator_trajectory.csv")
-    _write_exact_trajectory(outdir / "exact_trajectory.csv", data, traj.times)
+    times = [float(t) for t in traj.times]
+    exact = [exact_solution(data, t) for t in times]
+    _write_exact_trajectory(outdir / "exact_trajectory.csv", times, exact)
 
-    times, rel_u, rel_rho = [], [], []
-    for i, t in enumerate(traj.times):
-        ue, rhoe = exact_solution(data, float(t))
-        un, rhon = traj.state(i)
-        eu, er = compare_states(un, rhon, ue, rhoe)
-        times.append(float(t))
+    rel_u, rel_rho = [], []
+    for i, (ue, rhoe) in enumerate(exact):
+        eu, er = compare_states(*traj.state(i), ue, rhoe)
         rel_u.append(eu)
         rel_rho.append(er)
     comparison = {
@@ -330,11 +326,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_data_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=PRESET_NAMES, help="named initial data")
-    p.add_argument("--u0x-cos", dest="u0x_cos", help="cosine coefficients of u0x")
-    p.add_argument("--u0x-sin", dest="u0x_sin", help="sine coefficients of u0x")
+    lists = (
+        ("--u0x-cos", "u0x_cos", "cosine coefficients of u0x"),
+        ("--u0x-sin", "u0x_sin", "sine coefficients of u0x"),
+        ("--rho0-cos", "rho0_cos", "cosine coefficients of rho0"),
+        ("--rho0-sin", "rho0_sin", "sine coefficients of rho0"),
+    )
+    for flag, dest, what in lists:
+        p.add_argument(
+            flag,
+            dest=dest,
+            help=f"{what}, comma-separated; write {flag}=-0.3,0.1 "
+            "when the list starts with a minus sign",
+        )
     p.add_argument("--rho0-mean", dest="rho0_mean", type=float, help="mean of rho0")
-    p.add_argument("--rho0-cos", dest="rho0_cos", help="cosine coefficients of rho0")
-    p.add_argument("--rho0-sin", dest="rho0_sin", help="sine coefficients of rho0")
 
 
 def make_parser() -> argparse.ArgumentParser:

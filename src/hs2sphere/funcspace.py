@@ -11,27 +11,73 @@ phi(x + 1) = phi(x) + 1, so its periodic part h(x) = phi(x) - x can be
 interpolated trigonometrically while the identity part is carried exactly.
 A :class:`PeriodicFunction` may therefore hold either genuinely periodic
 samples or lift samples; operations that expect a lift say so.
+
+Every Fourier multiplier lives in one cache, :class:`SpectralMultipliers`,
+built once per grid size and shared read-only by every grid of that size
+as ``PeriodicGrid.spectral``: the derivative multiplier, the antiderivative
+and A^{-1} divisors, the A^{-1} d/dx multiplier of the RK4 solver and the
+2/3 dealiasing mask.
 """
 
 from __future__ import annotations
 
 import csv
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NonZeroMeanError, NotMonotoneError
-from .serialize import fmt_float, json_dump, json_dumps
+from .serialize import fmt_float, json_dump
 
 DEFAULT_N = 256
 MEAN_TOL = 1e-10
 ROOT_TOL = 1e-12
 
 
+class SpectralMultipliers:
+    """Fourier multipliers of one grid size in FFT order; arrays read-only.
+
+    ``deriv`` is 2 pi i k with the Nyquist mode dropped; ``antideriv_div``
+    (2 pi i k) and ``inv_a_div`` (4 pi^2 k^2) are divisors with the mean
+    mode set to 1; ``ainv_dx`` is i / (2 pi k), zero at the mean and
+    Nyquist modes; ``mask`` keeps the modes |k| <= n // 3.
+    """
+
+    __slots__ = ("deriv", "antideriv_div", "inv_a_div", "ainv_dx", "mask")
+
+    def __init__(self, n: int):
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        self.antideriv_div = 2j * np.pi * k
+        self.antideriv_div[0] = 1.0
+        self.deriv = 2j * np.pi * k
+        self.deriv[n // 2] = 0.0
+        self.inv_a_div = 4.0 * np.pi**2 * k**2
+        self.inv_a_div[0] = 1.0
+        self.ainv_dx = np.zeros(n, dtype=np.complex128)
+        nz = k != 0.0
+        self.ainv_dx[nz] = 1j / (2.0 * np.pi * k[nz])
+        self.ainv_dx[n // 2] = 0.0
+        self.mask = (np.abs(k) <= n // 3).astype(float)
+        for name in self.__slots__:
+            getattr(self, name).flags.writeable = False
+
+    @staticmethod
+    def apply(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+        """ifft(fft(values) * mult), complex."""
+        return np.fft.ifft(np.fft.fft(values) * mult)
+
+
+@lru_cache(maxsize=None)
+def _multipliers(n: int) -> SpectralMultipliers:
+    """The shared multiplier set of grid size n, kept for the process."""
+    return SpectralMultipliers(n)
+
+
 class PeriodicGrid:
     """Uniform grid on [0, 1) with an even number of nodes n >= 8."""
 
-    __slots__ = ("n", "x")
+    __slots__ = ("n", "x", "spectral")
 
     def __init__(self, n: int = DEFAULT_N):
         n = int(n)
@@ -41,6 +87,7 @@ class PeriodicGrid:
         x = np.arange(n, dtype=float) / n
         x.flags.writeable = False
         self.x = x
+        self.spectral = _multipliers(n)
 
     def __eq__(self, other):
         return isinstance(other, PeriodicGrid) and other.n == self.n
@@ -50,11 +97,6 @@ class PeriodicGrid:
 
     def __repr__(self):
         return f"PeriodicGrid(n={self.n})"
-
-    @property
-    def modes(self) -> np.ndarray:
-        """Integer Fourier mode numbers in FFT order."""
-        return np.fft.fftfreq(self.n, d=1.0 / self.n)
 
 
 class PeriodicFunction:
@@ -205,9 +247,6 @@ class PeriodicFunction:
     def to_json(self, path) -> None:
         json_dump(self.to_json_obj(), path)
 
-    def to_json_str(self) -> str:
-        return json_dumps(self.to_json_obj())
-
     @classmethod
     def from_json_obj(cls, obj) -> "PeriodicFunction":
         grid = PeriodicGrid(int(obj["n"]))
@@ -231,12 +270,8 @@ def derivative(f: PeriodicFunction) -> PeriodicFunction:
     The Nyquist mode is dropped, the standard convention that keeps the
     derivative of a real function real.
     """
-    n = f.grid.n
-    fhat = np.fft.fft(f.values)
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    mult = 2j * np.pi * k
-    mult[n // 2] = 0.0
-    out = np.fft.ifft(fhat * mult)
+    sp = f.grid.spectral
+    out = sp.apply(f.values, sp.deriv)
     if not f.is_complex:
         out = out.real
     return PeriodicFunction(f.grid, out)
@@ -254,13 +289,9 @@ def antiderivative_from_zero(f: PeriodicFunction) -> PeriodicFunction:
     The zero-mean part is integrated spectrally; the mean contributes the
     linear term mean(f) * x, so the result is a lift unless mean(f) = 0.
     """
-    n = f.grid.n
     fhat = np.fft.fft(f.values)
-    mean = fhat[0] / n
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    denom = 2j * np.pi * k
-    denom[0] = 1.0
-    coeff = fhat / denom
+    mean = fhat[0] / f.grid.n
+    coeff = fhat / f.grid.spectral.antideriv_div
     coeff[0] = 0.0
     p = np.fft.ifft(coeff)
     out = p - p[0] + mean * f.grid.x
@@ -282,25 +313,13 @@ def inverse_A(f: PeriodicFunction, mean_tol: float = MEAN_TOL) -> PeriodicFuncti
     mean = np.mean(f.values)
     if abs(mean) > mean_tol:
         raise NonZeroMeanError(f"inverse_A needs zero-mean input, mean={mean!r}")
-    n = f.grid.n
-    fhat = np.fft.fft(f.values)
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    denom = 4.0 * np.pi**2 * k**2
-    denom[0] = 1.0
-    coeff = fhat / denom
+    coeff = np.fft.fft(f.values) / f.grid.spectral.inv_a_div
     coeff[0] = 0.0
     g = np.fft.ifft(coeff)
     g = g - g[0]
     if not f.is_complex:
         g = g.real
     return PeriodicFunction(f.grid, g)
-
-
-def l2_inner(f: PeriodicFunction, g: PeriodicFunction):
-    """L2 pairing integral(f * conj(g)); complex unless both inputs real."""
-    vals = f.values * np.conj(g.values)
-    m = np.mean(vals)
-    return float(m.real) if not (f.is_complex or g.is_complex) else complex(m)
 
 
 # ---------------------------------------------------------------------------

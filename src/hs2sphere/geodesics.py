@@ -255,6 +255,11 @@ def exact_geodesic(d: InitialData, t: float) -> GroupElement:
     angle.  Before blow-up no branch cut is crossed.
     """
     c, _ = _check_time(d, t)
+    return _geodesic(d, t, c)
+
+
+def _geodesic(d: InitialData, t: float, c: float) -> GroupElement:
+    """:func:`exact_geodesic` for a time already checked against blow-up."""
     grid = d.grid
     u0x = fs.derivative(d.u0).values
     u = u0x / (2.0 * c)
@@ -285,7 +290,7 @@ def exact_solution(
     f, ft = _sphere_path(d, t, c)
     w = 2.0 * ft / f
 
-    phi = exact_geodesic(d, t).phi
+    phi = _geodesic(d, t, c).phi
     phi_inv = fs.invert_diffeo(phi)
     phi_t = fs.antiderivative_from_zero(
         PeriodicFunction(grid, 2.0 * (np.conj(f) * ft).real)

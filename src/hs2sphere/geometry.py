@@ -208,17 +208,6 @@ def bracket_K(u: KTangent, v: KTangent) -> KTangent:
     return KTangent(first, second)
 
 
-def bracket_G(u: TangentVector, v: TangentVector) -> TangentVector:
-    """Same bracket without the class projection."""
-    u1x, v1x = _u1x(u), _u1x(v)
-    u2x = fs.derivative(u.u2).values
-    v2x = fs.derivative(v.u2).values
-    grid = u.grid
-    first = PeriodicFunction(grid, v1x * u.u1.values - u1x * v.u1.values)
-    second = PeriodicFunction(grid, v2x * u.u1.values - u2x * v.u1.values)
-    return TangentVector(first, second)
-
-
 def nijenhuis_terms(
     u: KTangent, v: KTangent
 ) -> tuple[KTangent, KTangent, KTangent, KTangent]:

@@ -124,9 +124,6 @@ class GroupElement:
         )
         return max(dphi, dalpha)
 
-    def allclose(self, other: "GroupElement", tol: float = 1e-9) -> bool:
-        return self.distance(other) < tol
-
     def __repr__(self):
         return f"GroupElement(n={self.grid.n}, winding={self.winding})"
 

@@ -28,7 +28,6 @@ from .errors import (
 from .funcspace import PeriodicFunction, PeriodicGrid
 from .geometry import (
     KTangent,
-    bracket_G,
     curvature_G,
     curvature_G_local,
     curvature_K_closed,
@@ -201,13 +200,6 @@ def oneill_check(
     lhs = curvature_K_closed(u, v)
     residual = abs(lhs - rhs) / max(1.0, abs(lhs))
     return lhs, rhs, residual
-
-
-def vertical_bracket_G(
-    u: TangentVector, v: TangentVector, at: GroupElement
-) -> TangentVector:
-    """Vertical part of the bracket of horizontal lifts at a base point."""
-    return vertical_G(bracket_G(u, v), at)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepBlowupError
-from .funcspace import PeriodicFunction, PeriodicGrid
+from .funcspace import PeriodicFunction, PeriodicGrid, SpectralMultipliers
 from .geodesics import InitialData
-from .serialize import fmt_float
+from .serialize import write_trajectory_csv
 
 UX_LIMIT = 1e6
 
@@ -66,60 +66,30 @@ class Trajectory:
             PeriodicFunction(self.grid, self.rho[i]),
         )
 
-    def final_state(self) -> InitialData:
-        u, rho = self.state(len(self.times) - 1)
-        return InitialData(u, rho)
-
     def to_csv(self, path) -> None:
         """Long-format CSV with columns t, x, u, rho."""
-        x = self.grid.x
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("t,x,u,rho\n")
-            for i, t in enumerate(self.times):
-                ts = fmt_float(float(t))
-                for j in range(self.grid.n):
-                    fh.write(
-                        f"{ts},{fmt_float(x[j])},"
-                        f"{fmt_float(self.u[i, j])},{fmt_float(self.rho[i, j])}\n"
-                    )
+        write_trajectory_csv(path, self.times, self.grid.x, self.u, self.rho)
 
 
-class _Spectral:
-    """Precomputed Fourier multipliers for one grid size."""
-
-    def __init__(self, n: int, dealias: bool):
-        k = np.fft.fftfreq(n, d=1.0 / n)
-        self.deriv = 2j * np.pi * k
-        self.deriv[n // 2] = 0.0
-        # A^{-1} d/dx: multiplier (2 pi i k) / (4 pi^2 k^2) = i / (2 pi k)
-        self.ainv_dx = np.zeros(n, dtype=np.complex128)
-        nz = k != 0.0
-        self.ainv_dx[nz] = 1j / (2.0 * np.pi * k[nz])
-        self.ainv_dx[n // 2] = 0.0
-        self.mask = None
-        if dealias:
-            self.mask = (np.abs(k) <= n // 3).astype(float)
-
-    def dx(self, v: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(np.fft.fft(v) * self.deriv).real
-
-    def ainvdx_pinned(self, v: np.ndarray) -> np.ndarray:
-        out = np.fft.ifft(np.fft.fft(v) * self.ainv_dx).real
-        return out - out[0]
-
-    def clean(self, v: np.ndarray) -> np.ndarray:
-        if self.mask is None:
-            return v
-        return np.fft.ifft(np.fft.fft(v) * self.mask).real
+def _dx(v: np.ndarray, sp: SpectralMultipliers) -> np.ndarray:
+    return sp.apply(v, sp.deriv).real
 
 
-def _rhs_arrays(u, rho, op: _Spectral, restricted: bool):
+def _ainvdx_pinned(v: np.ndarray, sp: SpectralMultipliers) -> np.ndarray:
+    out = sp.apply(v, sp.ainv_dx).real
+    return out - out[0]
+
+
+def _rhs_arrays(u, rho, sp: SpectralMultipliers, dealias: bool, restricted: bool):
+    def clean(v):
+        return sp.apply(v, sp.mask).real if dealias else v
+
     if restricted:
         rho = rho - np.mean(rho)
-    ux = op.dx(u)
-    quad = op.clean(ux * ux + rho * rho)
-    ut = -op.clean(u * ux) - 0.5 * op.ainvdx_pinned(quad)
-    rhot = -op.dx(op.clean(rho * u))
+    ux = _dx(u, sp)
+    quad = clean(ux * ux + rho * rho)
+    ut = -clean(u * ux) - 0.5 * _ainvdx_pinned(quad, sp)
+    rhot = -_dx(clean(rho * u), sp)
     if restricted:
         rhot = rhot - np.mean(rhot)
     return ut, rhot, float(np.max(np.abs(ux)))
@@ -129,8 +99,7 @@ def rhs(
     u: PeriodicFunction, rho: PeriodicFunction, dealias: bool = True
 ) -> tuple[PeriodicFunction, PeriodicFunction]:
     """Right side of the weak-form system; preserves u_t(0) = 0."""
-    op = _Spectral(u.grid.n, dealias)
-    ut, rhot, _ = _rhs_arrays(u.values, rho.values, op, restricted=False)
+    ut, rhot, _ = _rhs_arrays(u.values, rho.values, u.grid.spectral, dealias, False)
     return PeriodicFunction(u.grid, ut), PeriodicFunction(u.grid, rhot)
 
 
@@ -138,8 +107,7 @@ def rhs_restricted(
     u: PeriodicFunction, rho: PeriodicFunction, dealias: bool = True
 ) -> tuple[PeriodicFunction, PeriodicFunction]:
     """Zero-mean-restricted right side; second output is exactly mean-free."""
-    op = _Spectral(u.grid.n, dealias)
-    ut, rhot, _ = _rhs_arrays(u.values, rho.values, op, restricted=True)
+    ut, rhot, _ = _rhs_arrays(u.values, rho.values, u.grid.spectral, dealias, True)
     return PeriodicFunction(u.grid, ut), PeriodicFunction(u.grid, rhot)
 
 
@@ -148,8 +116,8 @@ def _riccati(w: np.ndarray, csq: float) -> np.ndarray:
     return -2.0 * csq - 0.5 * w * w
 
 
-def _energy(u, rho, op: _Spectral) -> float:
-    ux = op.dx(u)
+def _energy(u, rho, sp: SpectralMultipliers) -> float:
+    ux = _dx(u, sp)
     return 0.25 * float(np.mean(ux * ux + rho * rho))
 
 
@@ -195,7 +163,10 @@ def integrate(
     restricted energy (1/4) mean(u_x^2 + rho'^2).
     """
     grid = d.grid
-    op = _Spectral(grid.n, cfg.dealias)
+    sp = grid.spectral
+
+    def rhs_step(u, rho):
+        return _rhs_arrays(u, rho, sp, cfg.dealias, restricted)
 
     n_steps = int(round(cfg.t_end / cfg.dt))
     if n_steps < 1 or abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
@@ -206,10 +177,10 @@ def integrate(
     rho = d.rho0.values.copy()
     if restricted:
         rho = rho - np.mean(rho)
-    w = op.dx(u) + 1j * rho
+    w = _dx(u, sp) + 1j * rho
 
     rec_t, rec_u, rec_rho = [0.0], [u.copy()], [rho.copy()]
-    en_t, en, means = [0.0], [_energy(u, rho, op)], [float(np.mean(rho))]
+    en_t, en, means = [0.0], [_energy(u, rho, sp)], [float(np.mean(rho))]
 
     def build(halted_at: float | None = None) -> Trajectory:
         return Trajectory(
@@ -226,7 +197,7 @@ def integrate(
 
     t = 0.0
     for step in range(1, n_steps + 1):
-        k1u, k1r, sup_ux = _rhs_arrays(u, rho, op, restricted)
+        k1u, k1r, sup_ux = rhs_step(u, rho)
         sup_w = float(np.max(np.abs(w.real)))
         for reading, value in (("grid sup|u_x|", sup_ux), ("label sup|Re w|", sup_w)):
             if value > ux_limit or not np.isfinite(value):
@@ -235,9 +206,9 @@ def integrate(
                     trajectory=build(t),
                     halt_time=t,
                 )
-        k2u, k2r, _ = _rhs_arrays(u + 0.5 * dt * k1u, rho + 0.5 * dt * k1r, op, restricted)
-        k3u, k3r, _ = _rhs_arrays(u + 0.5 * dt * k2u, rho + 0.5 * dt * k2r, op, restricted)
-        k4u, k4r, _ = _rhs_arrays(u + dt * k3u, rho + dt * k3r, op, restricted)
+        k2u, k2r, _ = rhs_step(u + 0.5 * dt * k1u, rho + 0.5 * dt * k1r)
+        k3u, k3r, _ = rhs_step(u + 0.5 * dt * k2u, rho + 0.5 * dt * k2r)
+        k4u, k4r, _ = rhs_step(u + dt * k3u, rho + dt * k3r)
         u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         rho = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         csq = en[-1]
@@ -258,7 +229,7 @@ def integrate(
                 halt_time=en_t[-1],
             )
         en_t.append(t)
-        en.append(_energy(u, rho, op))
+        en.append(_energy(u, rho, sp))
         means.append(float(np.mean(rho)))
         if step % cfg.record_every == 0 or step == n_steps:
             rec_t.append(t)

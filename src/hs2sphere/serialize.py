@@ -72,3 +72,17 @@ def json_dump(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json_dumps(obj))
         fh.write("\n")
+
+
+def write_trajectory_csv(path, times, x, u, rho) -> None:
+    """Long-format CSV with columns t, x, u, rho: row j of state i holds
+
+    times[i], x[j], u[i][j] and rho[i][j], all in :func:`fmt_float` format.
+    """
+    xs = [fmt_float(v) for v in x]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("t,x,u,rho\n")
+        for t, u_row, rho_row in zip(times, u, rho):
+            ts = fmt_float(float(t))
+            for xj, uj, rj in zip(xs, u_row, rho_row):
+                fh.write(f"{ts},{xj},{fmt_float(uj)},{fmt_float(rj)}\n")

@@ -1,0 +1,51 @@
+"""The benchmark tracer (perfbench/tracer.py) rebinds library names from
+outside; these tests fail when a refactor removes or reshapes one of them,
+which would otherwise only surface in ``perfbench/run.py --trace 1``.
+"""
+
+from pathlib import Path
+
+from hs2sphere import cli, funcspace, geodesics, integrator, verification
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _bindings() -> dict:
+    out = {
+        "funcspace.brentq": funcspace.brentq,
+        "funcspace.invert_diffeo": funcspace.invert_diffeo,
+        "geodesics.brentq": geodesics.brentq,
+        "geodesics.minimize_scalar": geodesics.minimize_scalar,
+        "geodesics.blowup_time": geodesics.blowup_time,
+        "cli.exact_solution": cli.exact_solution,
+        "cli._write_exact_trajectory": cli._write_exact_trajectory,
+        "cli.json_dump": cli.json_dump,
+        "Trajectory.to_csv": integrator.Trajectory.to_csv,
+    }
+    for name, entry in verification.IDENTITIES.items():
+        out[f"verification.IDENTITIES[{name}]"] = entry
+    return out
+
+
+def test_tracer_rebinds_and_restores_library_names(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    before = _bindings()
+    t = tracer.Tracer()
+    try:
+        t.install()
+        during = _bindings()
+        assert [k for k in before if during[k] is before[k]] == []
+        report = verification.run_suite(n=64, samples=1)
+    finally:
+        t.uninstall()
+    after = _bindings()
+    assert [k for k in before if after[k] is not before[k]] == []
+
+    # run_suite reads IDENTITIES at call time and calls each entry once per
+    # sample, so the tracer sees one span per identity and sample.
+    calls = t.job_summary()[None]["calls"]
+    names = [r["identity"] for r in report["results"]]
+    assert names == list(verification.IDENTITIES)
+    assert all(calls[f"verification.{name}"] == 1 for name in names)

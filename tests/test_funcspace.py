@@ -216,3 +216,12 @@ def test_json_round_trip_bit_exact(grid, rng, tmp_path):
     z = PeriodicFunction(grid, rng.normal(size=grid.n) * 1j + rng.normal(size=grid.n))
     back2 = PeriodicFunction.from_json_obj(z.to_json_obj())
     assert np.array_equal(back2.values, z.values)
+
+
+def test_multiplier_cache_is_shared_and_read_only():
+    a, b = PeriodicGrid(64), PeriodicGrid(64)
+    assert a.spectral is b.spectral
+    assert PeriodicGrid(32).spectral is not a.spectral
+    for name in fs.SpectralMultipliers.__slots__:
+        with pytest.raises(ValueError):
+            getattr(a.spectral, name)[1] = 0.0
