@@ -17,15 +17,21 @@ built once per grid size and shared read-only by every grid of that size
 as ``PeriodicGrid.spectral``: the derivative multiplier, the antiderivative
 and A^{-1} divisors, the A^{-1} d/dx multiplier of the RK4 solver and the
 2/3 dealiasing mask.
+
+Off-grid evaluation of trigonometric interpolants goes through one block
+kernel (baby-step/giant-step split of the modes, O(points + n)
+memory); :func:`invert_diffeo` uses the same kernel for a vectorised,
+bisection-safeguarded Newton iteration over all nodes at once.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # noqa: F401  (rebound by perfbench/tracer.py)
 
 from .errors import NonZeroMeanError, NotMonotoneError
 from .serialize import fmt_float, json_dump
@@ -33,6 +39,7 @@ from .serialize import fmt_float, json_dump
 DEFAULT_N = 256
 MEAN_TOL = 1e-10
 ROOT_TOL = 1e-12
+_CHUNK_BYTES = 4 * 2**20
 
 
 class SpectralMultipliers:
@@ -327,34 +334,93 @@ def inverse_A(f: PeriodicFunction, mean_tol: float = MEAN_TOL) -> PeriodicFuncti
 # ---------------------------------------------------------------------------
 
 
+def _trig_coefficients(values: np.ndarray) -> np.ndarray:
+    """Coefficients c_k, k = -n/2..n/2, of the trigonometric interpolant.
+
+    The Nyquist coefficient is split symmetrically between k = -n/2 and
+    k = n/2, so real samples give the unique real interpolant containing
+    cos(pi*n*x).
+    """
+    n = values.size
+    half = n // 2
+    c = np.fft.fft(values) / n
+    out = np.empty(n + 1, dtype=np.complex128)
+    out[half:-1] = c[:half]
+    out[:half] = c[half:]
+    out[0] *= 0.5
+    out[-1] = out[0]
+    return out
+
+
+def _powers(first: np.ndarray, ratio: np.ndarray, count: int) -> np.ndarray:
+    """Rows first * ratio**j, j = 0..count-1, by a running product."""
+    out = np.empty((first.size, count), dtype=np.complex128)
+    out[:, 0] = first
+    out[:, 1:] = ratio[:, None]
+    return np.cumprod(out, axis=1, out=out)
+
+
+def _trig_eval(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[r, k] z_p**(k - n/2), z_p = exp(2 pi i y_p), all r and p.
+
+    Each exponent k - n/2 = (q B - n/2) + m is split into a baby step
+    m < B and a giant step q with B = isqrt(n).  Per point the B baby
+    powers and the (n+1)/B giant powers come from running products of
+    z_p, the baby sums are one matrix product per chunk of points and the
+    giant sums one batched product.  Chunks keep the working arrays near
+    _CHUNK_BYTES whatever the number of points, so memory is O(points + n)
+    with no points-by-modes matrix.  Returns complex samples of shape
+    (rows, points).
+    """
+    rows, m = coeffs.shape
+    n = m - 1
+    b = math.isqrt(n)
+    q = -(-m // b)
+    blocks = np.zeros((rows, q * b), dtype=np.complex128)
+    blocks[:, :m] = coeffs
+    blocks = blocks.reshape(rows * q, b).T
+    y = np.mod(points, 1.0)
+    out = np.empty((rows, y.size), dtype=np.complex128)
+    chunk = max(1, _CHUNK_BYTES // (16 * (b + q * (rows + 1))))
+    for s in range(0, y.size, chunk):
+        ys = y[s : s + chunk]
+        z = np.exp(2j * np.pi * ys)
+        baby = _powers(np.ones_like(z), z, b)
+        giant = _powers(np.exp(-1j * np.pi * n * ys), baby[:, -1] * z, q)
+        partial = (baby @ blocks).reshape(-1, rows, q)
+        out[:, s : s + chunk] = (partial @ giant[:, :, None])[:, :, 0].T
+    return out
+
+
+def interpolant(f: PeriodicFunction):
+    """The trigonometric interpolant of f as a function of arbitrary points.
+
+    The coefficients are computed once; each call of the returned function
+    evaluates them through the block kernel.  Values at grid-coincident
+    points snap to the exact samples, and real f gives real values.
+    """
+    n = f.grid.n
+    coeffs = _trig_coefficients(f.values)[None, :]
+
+    def evaluate(points) -> np.ndarray:
+        points = np.asarray(points, dtype=float).ravel()
+        out = _trig_eval(coeffs, points)[0]
+        grid_pos = np.mod(points, 1.0) * n
+        idx = np.rint(grid_pos)
+        on_grid = np.abs(grid_pos - idx) < 1e-12
+        if np.any(on_grid):
+            out[on_grid] = f.values[idx[on_grid].astype(int) % n]
+        return out if f.is_complex else out.real
+
+    return evaluate
+
+
 def trig_interpolate(f: PeriodicFunction, points) -> np.ndarray:
     """Evaluate the trigonometric interpolant of f at arbitrary points.
 
-    The Nyquist coefficient is split symmetrically so real samples give the
-    unique real interpolant containing cos(pi*n*x).
+    One-shot form of :func:`interpolant`.
     """
-    points = np.atleast_1d(np.asarray(points, dtype=float))
-    n = f.grid.n
-    c = np.fft.fft(f.values) / n
-    half = n // 2
-    k_ext = np.arange(-half, half + 1)
-    c_ext = np.empty(n + 1, dtype=np.complex128)
-    c_ext[half] = c[0]
-    c_ext[half + 1 : 2 * half] = c[1:half]
-    c_ext[:half] = c[half:]
-    c_ext[0] = 0.5 * c[half]
-    c_ext[-1] = 0.5 * c[half]
-    pts = np.mod(points, 1.0)
-    phase = np.exp(2j * np.pi * np.outer(pts, k_ext))
-    out = phase @ c_ext
-    # snap values at grid-coincident points to the exact samples
-    idx = np.rint(pts * n)
-    on_grid = np.abs(pts * n - idx) < 1e-12
-    if np.any(on_grid):
-        out[on_grid] = f.values[idx[on_grid].astype(int) % n]
-    if not f.is_complex:
-        out = out.real
-    return out
+    return interpolant(f)(points)
 
 
 def _lift_parts(phi: PeriodicFunction) -> np.ndarray:
@@ -398,30 +464,70 @@ def compose_lift(
     return PeriodicFunction(g.grid, vals)
 
 
+def _newton_bisect(residual, lo, hi, y, tol: float) -> np.ndarray:
+    """Roots of increasing functions, one per entry, in brackets [lo, hi].
+
+    ``residual(idx, y)`` returns the values and derivatives of the
+    functions with indices ``idx`` at ``y``; every call serves all entries
+    not yet done.  Each evaluation shrinks the bracket.  A Newton step is
+    taken when it lands in the closed bracket and is no longer than a
+    budget that starts at half the bracket and halves every iteration;
+    otherwise the entry bisects.  Newton steps fall below ``tol`` once the
+    budget does, and a bisection halves the bracket, so every entry
+    finishes within about 2 log2(width / tol) iterations.  An entry is
+    done when its step or its bracket is at most ``tol``.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    y = np.clip(y, lo, hi)
+    budget = 0.5 * (hi - lo)
+    todo = np.arange(y.size)
+    while todo.size:
+        yt, lt, ht, bt = y[todo], lo[todo], hi[todo], budget[todo]
+        f, df = residual(todo, yt)
+        lt = np.where(f < 0.0, yt, lt)
+        ht = np.where(f > 0.0, yt, ht)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / df
+        newton = yt - step
+        take = (lt <= newton) & (newton <= ht) & (np.abs(step) <= bt)
+        y[todo] = np.where(take, newton, 0.5 * (lt + ht))
+        lo[todo], hi[todo], budget[todo] = lt, ht, 0.5 * bt
+        done = (take & (np.abs(step) <= tol)) | (ht - lt <= tol)
+        todo = todo[~done]
+    return y
+
+
 def invert_diffeo(
     phi: PeriodicFunction, root_tol: float = ROOT_TOL
 ) -> PeriodicFunction:
     """Invert an increasing lift with phi(0) = 0, phi(1) = 1.
 
-    Solves phi(y) = x_j for every node by bracketed root-finding on the
-    trigonometric interpolant of the periodic part; the bracket
-    [x - max(h), x - min(h)] always contains the root.
+    Solves y + h(y) = x_j for all nodes at once, h the trigonometric
+    interpolant of the periodic part, by Newton's method safeguarded with
+    bisection (:func:`_newton_bisect`), starting from the linear
+    interpolant of the sampled inverse.  h and h' come from one kernel
+    call per iteration on coefficients computed once.  The bracket
+    [x - max(h), x - min(h)], widened by 1e-3, always contains the root.
     """
     if abs(phi.values[0]) > 1e-9:
         raise ValueError(f"diffeomorphism must fix 0, phi(0)={phi.values[0]!r}")
     _check_increasing(phi)
     grid = phi.grid
-    h = PeriodicFunction(grid, _lift_parts(phi))
+    h = _lift_parts(phi)
+    c = _trig_coefficients(h)
+    k = np.arange(-(grid.n // 2), grid.n // 2 + 1)
+    rows = np.stack([c, 2j * np.pi * k * c])
+    x = grid.x[1:]
 
-    def lifted(y: float) -> float:
-        return y + float(trig_interpolate(h, y)[0])
+    def residual(idx, y):
+        hv, dh = _trig_eval(rows, y).real
+        return y + hv - x[idx], 1.0 + dh
 
-    hmax = float(np.max(h.values)) + 1e-3
-    hmin = float(np.min(h.values)) - 1e-3
-    out = np.empty(grid.n)
-    out[0] = 0.0
-    for j in range(1, grid.n):
-        x = grid.x[j]
-        lo, hi = x - hmax, x - hmin
-        out[j] = brentq(lambda y: lifted(y) - x, lo, hi, xtol=root_tol)
-    return PeriodicFunction(grid, out)
+    y = _newton_bisect(
+        residual,
+        x - (np.max(h) + 1e-3),
+        x - (np.min(h) - 1e-3),
+        np.interp(x, np.append(phi.values, 1.0), np.append(grid.x, 1.0)),
+        root_tol,
+    )
+    return PeriodicFunction(grid, np.concatenate(([0.0], y)))

@@ -127,9 +127,10 @@ def _rho_roots(rho0: PeriodicFunction) -> list[float]:
     vals = rho0.values
     n = rho0.grid.n
     x = rho0.grid.x
+    rho0_at = fs.interpolant(rho0)
 
     def interp(pt: float) -> float:
-        return float(fs.trig_interpolate(rho0, pt)[0])
+        return float(rho0_at(pt)[0])
 
     roots: list[float] = []
 
@@ -174,9 +175,10 @@ def blowup_time(d: InitialData) -> BlowupReport:
     """
     c = speed(d)
     u0x = fs.derivative(d.u0)
+    u0x_at = fs.interpolant(u0x)
 
     if d.rho0.max_abs() < NODE_ZERO_TOL:
-        tstar = lambda p: _first_zero_time(float(fs.trig_interpolate(u0x, p)[0]), c)
+        tstar = lambda p: _first_zero_time(float(u0x_at(p)[0]), c)
         times_on_grid = np.array([_first_zero_time(v, c) for v in u0x.values])
         j = int(np.argmin(times_on_grid))
         lo = d.grid.x[j] - 1.0 / d.grid.n
@@ -192,10 +194,9 @@ def blowup_time(d: InitialData) -> BlowupReport:
     roots = _rho_roots(d.rho0)
     if not roots:
         return BlowupReport(False, math.inf, [], c)
-    witnesses = []
-    for r in roots:
-        u0x_r = float(fs.trig_interpolate(u0x, r)[0])
-        witnesses.append((r, _first_zero_time(u0x_r, c)))
+    witnesses = [
+        (r, _first_zero_time(float(v), c)) for r, v in zip(roots, u0x_at(roots))
+    ]
     T = min(t for (_, t) in witnesses)
     return BlowupReport(True, T, witnesses, c)
 

@@ -155,6 +155,12 @@ def integrate(
     run's energy log; it never feeds back into u or rho.  The u(0) = 0 pin
     adds a spatial constant to u_t and leaves the law unchanged.
 
+    Near the pole the RK4 iterate of w lags the true w, so a fixed limit
+    alone would halt after the breakdown time.  From Re w < 0, the pole of
+    D_t w = -w^2 / 2 lies 2 / |w| ahead and the -2 c^2 term only brings it
+    closer, so the run also halts before a step with
+    0.5 dt sup|Re w| >= 1, which could reach the pole.
+
     With ``restricted=True`` rho is replaced by its mean-free part
     rho' = rho - mean(rho).  The restricted flow is the 2HS flow of
     (u, rho'): u_t sees rho' only, and rho'_t = -(rho' u)_x because the mean
@@ -206,6 +212,13 @@ def integrate(
                     trajectory=build(t),
                     halt_time=t,
                 )
+        if 0.5 * dt * sup_w >= 1.0:
+            raise StepBlowupError(
+                f"label sup|Re w| = {sup_w!r} puts the Riccati pole within "
+                f"dt = {dt!r} of t = {t!r}",
+                trajectory=build(t),
+                halt_time=t,
+            )
         k2u, k2r, _ = rhs_step(u + 0.5 * dt * k1u, rho + 0.5 * dt * k1r)
         k3u, k3r, _ = rhs_step(u + 0.5 * dt * k2u, rho + 0.5 * dt * k2r)
         k4u, k4r, _ = rhs_step(u + dt * k3u, rho + dt * k3r)

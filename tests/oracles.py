@@ -3,12 +3,13 @@
 Everything here deliberately avoids the code paths under test: finite
 differences instead of spectral derivatives, cubic splines on refined
 grids instead of trigonometric interpolation, dense parameter scans
-instead of closed-form root finding.
+instead of closed-form root finding, the dense phase matrix instead of
+block evaluation, and per-node scalar brentq instead of vectorised Newton.
 """
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 
 def centered_difference(values: np.ndarray, dx: float) -> np.ndarray:
@@ -22,6 +23,53 @@ def refined_grid_composition(f_callable, phi_values: np.ndarray, n_fine: int):
     samples = f_callable(x_fine)
     spline = CubicSpline(x_fine, samples, bc_type="periodic")
     return spline(np.mod(phi_values, 1.0))
+
+
+def _dense_coefficients(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Modes k = -n/2..n/2 and coefficients with the Nyquist term split."""
+    n = values.size
+    c = np.fft.fft(values) / n
+    half = n // 2
+    c_ext = np.empty(n + 1, dtype=np.complex128)
+    c_ext[half] = c[0]
+    c_ext[half + 1 : 2 * half] = c[1:half]
+    c_ext[:half] = c[half:]
+    c_ext[0] = 0.5 * c[half]
+    c_ext[-1] = 0.5 * c[half]
+    return np.arange(-half, half + 1), c_ext
+
+
+def dense_trig_interpolate(values: np.ndarray, points) -> np.ndarray:
+    """Trigonometric interpolant of grid samples through the dense
+    (points x (n+1)) phase matrix, snapping grid-coincident points to the
+    samples; the reference formula for the library's block evaluation."""
+    n = values.size
+    k, c_ext = _dense_coefficients(values)
+    pts = np.mod(np.atleast_1d(np.asarray(points, dtype=float)), 1.0)
+    out = np.exp(2j * np.pi * np.outer(pts, k)) @ c_ext
+    idx = np.rint(pts * n)
+    on_grid = np.abs(pts * n - idx) < 1e-12
+    out[on_grid] = values[idx[on_grid].astype(int) % n]
+    return out if np.iscomplexobj(values) else out.real
+
+
+def brentq_inverse(phi_values: np.ndarray, xtol: float = 1e-12) -> np.ndarray:
+    """Inverse of an increasing lift at the grid nodes, one scalar brentq
+    per node on the dense interpolant of the periodic part h = phi - x,
+    inside the bracket [x - max h - 1e-3, x - min h + 1e-3]."""
+    n = phi_values.size
+    x = np.arange(n) / n
+    k, c_ext = _dense_coefficients(phi_values - x)
+
+    def lifted(y, target):
+        return y + float(np.real(np.exp(2j * np.pi * k * y) @ c_ext)) - target
+
+    hmax = np.max(phi_values - x) + 1e-3
+    hmin = np.min(phi_values - x) - 1e-3
+    out = np.zeros(n)
+    for j in range(1, n):
+        out[j] = brentq(lifted, x[j] - hmax, x[j] - hmin, args=(x[j],), xtol=xtol)
+    return out
 
 
 def sphere_path_values(u0x, rho0, c: float, t) -> np.ndarray:

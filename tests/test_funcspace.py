@@ -1,11 +1,21 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hs2sphere.funcspace as fs
 from hs2sphere.errors import NonZeroMeanError, NotMonotoneError
 from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
 
-from oracles import centered_difference, refined_grid_composition
+from oracles import (
+    brentq_inverse,
+    centered_difference,
+    dense_trig_interpolate,
+    refined_grid_composition,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -185,6 +195,97 @@ def test_invert_diffeo_round_trip(grid):
     rt2 = fs.compose_lift(inv, phi, 1.0)
     assert np.max(np.abs(rt1.values - grid.x)) < 1e-9
     assert np.max(np.abs(rt2.values - grid.x)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_trig_interpolate_matches_dense_formula(n, kind, rng):
+    g = PeriodicGrid(n)
+    vals = rng.normal(size=n)
+    if kind == "complex":
+        vals = vals + 1j * rng.normal(size=n)
+    f = PeriodicFunction(g, vals)
+    off = rng.uniform(-1.5, 2.5, size=300)
+    near = g.x[::3] + 5e-13 / n * rng.uniform(-1.0, 1.0, size=g.x[::3].size)
+    pts = np.concatenate([off, g.x, g.x + 1.0, near])
+    ours = fs.trig_interpolate(f, pts)
+    assert ours.dtype == vals.dtype and ours.shape == pts.shape
+    ref = dense_trig_interpolate(vals, pts)
+    assert np.max(np.abs(ours - ref)) < 2e-15 * n * np.max(np.abs(vals))
+    # grid-coincident points, one period over or within 1e-12 / n, snap
+    snapped = np.concatenate([vals, vals, vals[::3]])
+    assert np.array_equal(ours[off.size :], snapped)
+
+    # the Nyquist coefficient is split: samples (-1)^j give cos(pi n x)
+    nyq = PeriodicFunction(g, np.cos(np.pi * n * g.x))
+    nyq_off = fs.trig_interpolate(nyq, off)
+    assert np.max(np.abs(nyq_off - np.cos(np.pi * n * off))) < 1e-12
+
+
+def test_trig_interpolate_memory_is_bounded():
+    g = PeriodicGrid(4096)
+    f = PeriodicFunction(g, np.exp(np.sin(2 * np.pi * g.x)) + 0j)
+    pts = np.random.default_rng(3).uniform(size=4096)
+    tracemalloc.start()
+    try:
+        fs.trig_interpolate(f, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_newton_bisect_safeguard_and_iteration_bound():
+    # Newton on arctan diverges from |y - r| > 1.39: every start below is
+    # that far from its root, so only the bisection safeguard converges.
+    roots = np.linspace(-3.0, 3.0, 25)
+    calls = []
+
+    def residual(idx, y):
+        calls.append(idx.size)
+        d = y - roots[idx]
+        return np.arctan(d), 1.0 / (1.0 + d * d)
+
+    lo, hi = np.full(25, -10.0), np.full(25, 10.0)
+    y = fs._newton_bisect(residual, lo, hi, roots + 5.0, 1e-12)
+    assert np.max(np.abs(y - roots)) <= 1e-12
+    assert len(calls) <= 2 * math.ceil(math.log2(20.0 / 1e-12)) + 2
+
+
+@st.composite
+def band_limited_lifts(draw):
+    """Lifts x + H(x) with H' band-limited and min phi_x = m on the circle."""
+    n = draw(st.sampled_from([64, 256, 1024]))
+    modes = draw(st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        min_size=1, max_size=8,
+    ))
+    m = draw(st.sampled_from([1e-3, 0.1, 0.7]))
+    a, b = np.array(modes).T
+    k = np.arange(1, len(modes) + 1)
+
+    def hx(x):
+        ph = 2.0 * np.pi * np.outer(x, k)
+        return np.cos(ph) @ a + np.sin(ph) @ b
+
+    lowest = float(np.min(hx(np.arange(2**14) / 2**14)))
+    if lowest > -1e-3:  # a nearly flat draw stays a near-identity lift
+        lowest = -1.0
+    g = PeriodicGrid(n)
+    slope = PeriodicFunction(g, 1.0 + (1.0 - m) * hx(g.x) / -lowest)
+    return fs.antiderivative_from_zero(slope)
+
+
+@settings(max_examples=12, deadline=None)
+@given(band_limited_lifts())
+def test_invert_diffeo_properties(phi):
+    inv = fs.invert_diffeo(phi).values
+    x = phi.grid.x
+    assert np.all(np.diff(inv) > 0.0)
+    periodic = phi.values - x
+    round_trip = inv + dense_trig_interpolate(periodic, inv)
+    assert np.max(np.abs(round_trip - x)) < 1e-11
+    assert np.max(np.abs(inv - brentq_inverse(phi.values))) < 1e-11
 
 
 def test_invert_diffeo_rejects_degenerate(grid):

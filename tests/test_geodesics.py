@@ -352,3 +352,28 @@ def test_connect_none_and_unique(grid, rng):
     res = connect(a2, b)
     assert res.kind == "unique_short"
     assert res.log.r0 < math.pi
+
+
+def test_exact_solution_refines_in_n():
+    # |f| stays near 1, so u and rho are resolved at n = 128 already: the
+    # nodes shared by all grids agree and the energy is conserved
+    def u0x(x):
+        return 0.6 * np.sin(TWO_PI * x) + 0.2 * np.cos(2 * TWO_PI * x)
+
+    def rho0(x):
+        return 1.2 + 0.4 * np.cos(TWO_PI * x) + 0.3 * np.sin(3 * TWO_PI * x)
+
+    t = 0.8
+    coarse = None
+    for n in (128, 256, 512, 1024):
+        d = InitialData.from_u0x(fs.PeriodicGrid(n), u0x, rho0)
+        u, rho = exact_solution(d, t)
+        ux = fs.derivative(u)
+        energy = 0.25 * fs.integrate(ux * ux + rho * rho)
+        assert abs(energy - speed(d) ** 2) < 1e-10
+        shared = (u.values[:: n // 128], rho.values[:: n // 128])
+        if coarse is None:
+            coarse = shared
+        else:
+            assert np.max(np.abs(shared[0] - coarse[0])) < 1e-10
+            assert np.max(np.abs(shared[1] - coarse[1])) < 1e-10

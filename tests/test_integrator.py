@@ -162,6 +162,19 @@ def test_halt_on_gradient_limit(grid):
     assert err.trajectory.times[-1] <= err.halt_time + 1e-12
 
 
+def test_default_guard_halts_before_blowup(grid):
+    # with the default limit, the label reading alone would let RK4 step
+    # past the breakdown time; the Riccati-pole trip halts before it
+    d = InitialData.from_u0x(
+        grid, lambda x: np.cos(TWO_PI * x), lambda x: np.zeros_like(x)
+    )
+    T = blowup_time(d).T
+    cfg = IntegratorConfig(dt=5e-4, t_end=T + 0.2, record_every=10**9)
+    with pytest.raises(StepBlowupError) as exc_info:
+        integrate(d, cfg)
+    assert 0.0 < exc_info.value.halt_time < T
+
+
 def test_restricted_halt_before_blowup(grid):
     # rho0 > 0, yet its mean-free part vanishes where u0_x = 0: the
     # restricted flow breaks down at the blow-up time of the projected data
