@@ -21,23 +21,23 @@ rng = np.random.default_rng(4)
 
 u = rf.k_tangent(grid, rng)
 v = rf.k_tangent(grid, rng)
-u = u * (1.0 / gm.norm_K(u))
+u = u * (1.0 / gm.norm(u))
 
 print("Kahler identities on a random pair:")
-print(f"  |J^2 u + u|                 = {gm.norm_K(gm.kahler_J(gm.kahler_J(u)) + u):.3e}")
-print(f"  |omega(u,v) - g(Ju, v)|     = {abs(gm.symplectic_omega(u, v) - gm.metric_K(gm.kahler_J(u), v)):.3e}")
-print(f"  |g(Ju, Jv) - g(u, v)|       = {abs(gm.metric_K(gm.kahler_J(u), gm.kahler_J(v)) - gm.metric_K(u, v)):.3e}")
+print(f"  |J^2 u + u|                 = {gm.norm(gm.kahler_J(gm.kahler_J(u)) + u):.3e}")
+print(f"  |omega(u,v) - g(Ju, v)|     = {abs(gm.symplectic_omega(u, v) - gm.metric(gm.kahler_J(u), v)):.3e}")
+print(f"  |g(Ju, Jv) - g(u, v)|       = {abs(gm.metric(gm.kahler_J(u), gm.kahler_J(v)) - gm.metric(u, v)):.3e}")
 print(f"  |(nabla J)(u, v)|           = {gm.nabla_J_residual(u, v):.3e}")
 terms = gm.nijenhuis_terms(u, v)
 print(
     "  Nijenhuis: summand norms "
-    + ", ".join(f"{gm.norm_K(t):.3f}" for t in terms)
-    + f" cancel to {gm.norm_K(gm.nijenhuis(u, v)):.3e}"
+    + ", ".join(f"{gm.norm(t):.3f}" for t in terms)
+    + f" cancel to {gm.norm(gm.nijenhuis(u, v)):.3e}"
 )
 
 print("\ncurvature:")
 print(f"  closed form <R(u,v)v,u>     = {gm.curvature_K_closed(u, v):.12f}")
-print(f"  Christoffel-only expression = {gm.curvature_K_local(u, v):.12f}")
+print(f"  Christoffel-only expression = {gm.curvature_local(u, v):.12f}")
 secs = []
 for _ in range(200):
     a = rf.k_tangent(grid, rng)

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import funcspace as fs
-from .errors import HS2Error, StepBlowupError
+from .errors import ConfigError, HS2Error, StepBlowupError
 from .funcspace import PeriodicFunction, PeriodicGrid
 from .geodesics import (
     InitialData,
@@ -45,10 +45,6 @@ from .integrator import IntegratorConfig, compare_states, integrate
 from .presets import PRESET_NAMES, make_preset
 from .serialize import fmt_float, json_dump, json_dumps, write_trajectory_csv
 from .verification import FLIPPABLE, run_suite
-
-
-class ConfigError(Exception):
-    pass
 
 
 @dataclass

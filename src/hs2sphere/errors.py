@@ -10,6 +10,10 @@ class HS2Error(Exception):
     """Base class for all library-specific errors."""
 
 
+class ConfigError(HS2Error, ValueError):
+    """Malformed configuration: a bad flag, config file line or input file."""
+
+
 class NonZeroMeanError(HS2Error, ValueError):
     """Input to the inverse Laplacian has a mean above tolerance."""
 

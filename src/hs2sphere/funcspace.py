@@ -209,9 +209,6 @@ class PeriodicFunction:
     def derivative(self) -> "PeriodicFunction":
         return derivative(self)
 
-    def integral(self):
-        return integrate(self)
-
     # -- serialization ---------------------------------------------------
 
     def to_csv(self, path) -> None:

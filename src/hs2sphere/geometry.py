@@ -1,4 +1,4 @@
-"""Connection, Kahler structure, and curvature on the quotient space.
+"""Connection, Kahler structure, and curvature on the group and its quotient.
 
 All identity verifications are carried out at the group identity with
 right-invariant extensions, which is where every formula is simplest:
@@ -9,10 +9,15 @@ for right-invariant fields X, Y with values u, v at the identity,
 and scalar invariants like <Y, Z> are constant along the group, so their
 derivatives vanish.
 
-Two metrics appear: the full one, (1/4) integral(u1x v1x + u2 v2), and
-the mean-free one where second components enter through their zero-mean
-projections.  Tangent classes on the quotient are represented by their
-zero-mean member, which every formula below produces automatically.
+One code path serves the group and its quotient by constant phase
+shifts.  The functions below take :class:`~hs2sphere.group.TangentVector`
+for the group, with the metric (1/4) integral(u1x v1x + u2 v2), or
+:class:`KTangent` for the quotient, and build their results with the type
+of their first argument.  A quotient tangent class is stored by its
+zero-mean representative, its horizontal lift, and the ``KTangent``
+constructor is that projection: it is the only point where the two
+geometries differ.  The quotient connection is then the horizontal part
+of the full one (O'Neill).
 """
 
 from __future__ import annotations
@@ -25,41 +30,13 @@ from .funcspace import PeriodicFunction, PeriodicGrid
 from .group import GroupElement, TangentVector
 
 
-class KTangent:
+class KTangent(TangentVector):
     """Tangent class (u1, [u2]) stored by its zero-mean representative."""
 
-    __slots__ = ("u1", "u2")
+    __slots__ = ()
 
     def __init__(self, u1: PeriodicFunction, u2: PeriodicFunction):
-        if u1.is_complex or u2.is_complex:
-            raise ValueError("components must be real")
-        if u1.grid != u2.grid:
-            raise ValueError("components live on different grids")
-        if abs(u1.values[0]) > 1e-10:
-            raise ValueError(f"u1 must vanish at 0, got {u1.values[0]!r}")
-        self.u1 = u1
-        self.u2 = fs.mean_projection(u2)
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.u1.grid
-
-    def __add__(self, other: "KTangent") -> "KTangent":
-        return KTangent(self.u1 + other.u1, self.u2 + other.u2)
-
-    def __sub__(self, other: "KTangent") -> "KTangent":
-        return KTangent(self.u1 - other.u1, self.u2 - other.u2)
-
-    def __mul__(self, scalar: float) -> "KTangent":
-        return KTangent(self.u1 * scalar, self.u2 * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "KTangent":
-        return KTangent(-self.u1, -self.u2)
-
-    def __repr__(self):
-        return f"KTangent(n={self.grid.n})"
+        super().__init__(u1, fs.mean_projection(u2))
 
 
 def _u1x(t) -> np.ndarray:
@@ -80,22 +57,15 @@ def _inv_a_dx(grid: PeriodicGrid, vals: np.ndarray) -> PeriodicFunction:
 # ---------------------------------------------------------------------------
 
 
-def metric_G(u: TangentVector, v: TangentVector) -> float:
-    """Full metric at the identity: (1/4) integral(u1x v1x + u2 v2)."""
+def metric(u, v) -> float:
+    """Metric at the identity: (1/4) integral(u1x v1x + u2 v2)."""
     return 0.25 * float(
         np.mean(_u1x(u) * _u1x(v) + u.u2.values * v.u2.values)
     )
 
 
-def metric_K(u, v) -> float:
-    """Quotient metric: second components enter mean-free."""
-    return 0.25 * float(
-        np.mean(_u1x(u) * _u1x(v) + _pi(u.u2.values) * _pi(v.u2.values))
-    )
-
-
-def norm_K(u) -> float:
-    return float(np.sqrt(max(metric_K(u, u), 0.0)))
+def norm(u) -> float:
+    return float(np.sqrt(max(metric(u, u), 0.0)))
 
 
 def metric_K_at(at: GroupElement, U, V) -> float:
@@ -123,7 +93,7 @@ def symplectic_omega(u, v) -> float:
 # ---------------------------------------------------------------------------
 
 
-def christoffel_G(u: TangentVector, v: TangentVector) -> TangentVector:
+def christoffel(u, v):
     """Gamma(u, v) = -(1/2)(A^{-1} d/dx(u1x v1x + u2 v2), u1x v2 + v1x u2)."""
     grid = u.grid
     u1x, v1x = _u1x(u), _u1x(v)
@@ -131,17 +101,7 @@ def christoffel_G(u: TangentVector, v: TangentVector) -> TangentVector:
     second = PeriodicFunction(
         grid, -0.5 * (u1x * v.u2.values + v1x * u.u2.values)
     )
-    return TangentVector(first, second)
-
-
-def christoffel_K(u: KTangent, v: KTangent) -> KTangent:
-    """Mean-free Christoffel map; the class output is re-projected."""
-    grid = u.grid
-    u1x, v1x = _u1x(u), _u1x(v)
-    pu2, pv2 = _pi(u.u2.values), _pi(v.u2.values)
-    first = _inv_a_dx(grid, u1x * v1x + pu2 * pv2) * (-0.5)
-    second = PeriodicFunction(grid, -0.5 * (u1x * pv2 + v1x * pu2))
-    return KTangent(first, second)
+    return type(u)(first, second)
 
 
 # ---------------------------------------------------------------------------
@@ -176,20 +136,20 @@ def kahler_J(U, at: GroupElement | None = None):
 def dJ_direction(u: KTangent, v: KTangent) -> KTangent:
     """Chart derivative of J at the identity along u, applied to v.
 
-    (DJ . u)(v) = (A^{-1} d/dx(pi(v2) u1x), -[v1x u1x]).
+    (DJ . u)(v) = (A^{-1} d/dx(v2 u1x), -[v1x u1x]).
     """
     grid = u.grid
-    first = _inv_a_dx(grid, _pi(v.u2.values) * _u1x(u))
+    first = _inv_a_dx(grid, v.u2.values * _u1x(u))
     second = PeriodicFunction(grid, -_u1x(v) * _u1x(u))
     return KTangent(first, second)
 
 
 def nabla_J_residual(u: KTangent, v: KTangent) -> float:
     """Norm of (DJ.u)(v) - Gamma(Jv, u) + J Gamma(v, u); zero when J is parallel."""
-    total = dJ_direction(u, v) - christoffel_K(kahler_J(v), u) + kahler_J(
-        christoffel_K(v, u)
+    total = dJ_direction(u, v) - christoffel(kahler_J(v), u) + kahler_J(
+        christoffel(v, u)
     )
-    return norm_K(total)
+    return norm(total)
 
 
 # ---------------------------------------------------------------------------
@@ -232,67 +192,54 @@ def nijenhuis(u: KTangent, v: KTangent) -> KTangent:
 # ---------------------------------------------------------------------------
 
 
-def curvature_G(u: TangentVector, v: TangentVector) -> float:
-    """<R(u,v)v, u> on the full group: the constant-curvature-1 contraction."""
-    return metric_G(u, u) * metric_G(v, v) - metric_G(u, v) ** 2
+def curvature_G(u, v) -> float:
+    """Gram determinant |u|^2 |v|^2 - <u,v>^2: <R(u,v)v, u> on the full group."""
+    return metric(u, u) * metric(v, v) - metric(u, v) ** 2
 
 
 def curvature_K_closed(u: KTangent, v: KTangent) -> float:
     """<R(u,v)v, u> = |u|^2 |v|^2 - <u,v>^2 + 3 omega(u,v)^2."""
-    return (
-        metric_K(u, u) * metric_K(v, v)
-        - metric_K(u, v) ** 2
-        + 3.0 * symplectic_omega(u, v) ** 2
-    )
+    return curvature_G(u, v) + 3.0 * symplectic_omega(u, v) ** 2
 
 
-def _mul_pair(make, w, a: np.ndarray):
+def _mul_pair(w, a: np.ndarray):
     """(w1x a, w2x a): ingredient of the local curvature expression."""
-    grid = w.u1.grid
+    grid = w.grid
     w2x = fs.derivative(w.u2).values
-    return make(
+    return type(w)(
         PeriodicFunction(grid, _u1x(w) * a),
         PeriodicFunction(grid, w2x * a),
     )
 
 
-def _curvature_local(u, v, gamma, met, make) -> float:
+def curvature_local(u, v) -> float:
     """Five-term Christoffel expression for <R(u,v)v, u>.
 
-    Valid at the identity for right-invariant extensions; ``gamma`` and
-    ``met`` select which of the two geometries is meant.
+    Valid at the identity for right-invariant extensions.  On
+    :class:`KTangent` it cross-checks :func:`curvature_K_closed`; on the
+    full group the value is the Gram determinant :func:`curvature_G`.
     """
-    guv = gamma(u, v)
-    guu = gamma(u, u)
-    gvv = gamma(v, v)
-    term1 = met(guv, guv) - met(guu, gvv)
-    d_u_v1 = _mul_pair(make, u, v.u1.values)
-    d_u_u1 = _mul_pair(make, u, u.u1.values)
-    term2 = -met(d_u_v1, guv) + met(d_u_u1, gvv)
-    d_v_v1 = _mul_pair(make, v, v.u1.values)
-    d_v_u1 = _mul_pair(make, v, u.u1.values)
+    guv = christoffel(u, v)
+    guu = christoffel(u, u)
+    gvv = christoffel(v, v)
+    term1 = metric(guv, guv) - metric(guu, gvv)
+    d_u_v1 = _mul_pair(u, v.u1.values)
+    d_u_u1 = _mul_pair(u, u.u1.values)
+    term2 = -metric(d_u_v1, guv) + metric(d_u_u1, gvv)
+    d_v_v1 = _mul_pair(v, v.u1.values)
+    d_v_u1 = _mul_pair(v, u.u1.values)
     combo = (
-        -1.0 * gamma(d_v_v1, u)
-        - 1.0 * gamma(v, d_u_v1)
-        + 2.0 * gamma(d_v_u1, v)
+        -1.0 * christoffel(d_v_v1, u)
+        - 1.0 * christoffel(v, d_u_v1)
+        + 2.0 * christoffel(d_v_u1, v)
     )
-    term3 = met(combo, u)
+    term3 = metric(combo, u)
     return term1 + term2 + term3
-
-
-def curvature_K_local(u: KTangent, v: KTangent) -> float:
-    """Curvature through the Christoffel map only; cross-checks the closed form."""
-    return _curvature_local(u, v, christoffel_K, metric_K, KTangent)
-
-
-def curvature_G_local(u: TangentVector, v: TangentVector) -> float:
-    """Same local expression on the full group; the value is the Gram determinant."""
-    return _curvature_local(u, v, christoffel_G, metric_G, TangentVector)
 
 
 def sectional_curvature(u: KTangent, v: KTangent) -> float:
     """sec(u, v) in [1, 4]; equals 4 exactly on J-invariant planes."""
-    gram = metric_K(u, u) * metric_K(v, v) - metric_K(u, v) ** 2
+    gram = curvature_G(u, v)
     if gram < 1e-12:
         raise DegeneratePlaneError("u, v do not span a plane")
     return curvature_K_closed(u, v) / gram
@@ -303,37 +250,24 @@ def sectional_curvature(u: KTangent, v: KTangent) -> float:
 # ---------------------------------------------------------------------------
 
 
-def nabla_rightinvariant_K(v: KTangent, u: KTangent) -> KTangent:
+def nabla_rightinvariant(v, u):
     """nabla_X Y at the identity for right-invariant X, Y with values u, v."""
-    return _mul_pair(KTangent, v, u.u1.values) - christoffel_K(v, u)
+    return _mul_pair(v, u.u1.values) - christoffel(v, u)
 
 
-def nabla_rightinvariant_G(v: TangentVector, u: TangentVector) -> TangentVector:
-    return _mul_pair(TangentVector, v, u.u1.values) - christoffel_G(v, u)
-
-
-def metric_compat_residual_K(u: KTangent, v: KTangent, w: KTangent) -> float:
+def metric_compat_residual(u, v, w) -> float:
     """|<nabla_X Y, Z> + <Y, nabla_X Z>| for right-invariant fields (X<Y,Z> = 0)."""
     return abs(
-        metric_K(nabla_rightinvariant_K(v, u), w)
-        + metric_K(v, nabla_rightinvariant_K(w, u))
-    )
-
-
-def metric_compat_residual_G(
-    u: TangentVector, v: TangentVector, w: TangentVector
-) -> float:
-    return abs(
-        metric_G(nabla_rightinvariant_G(v, u), w)
-        + metric_G(v, nabla_rightinvariant_G(w, u))
+        metric(nabla_rightinvariant(v, u), w)
+        + metric(v, nabla_rightinvariant(w, u))
     )
 
 
 def omega_compat_residual(u: KTangent, v: KTangent, w: KTangent) -> float:
     """|omega(nabla_X Y, Z) + omega(Y, nabla_X Z)|; zero when omega is parallel."""
     return abs(
-        symplectic_omega(nabla_rightinvariant_K(v, u), w)
-        + symplectic_omega(v, nabla_rightinvariant_K(w, u))
+        symplectic_omega(nabla_rightinvariant(v, u), w)
+        + symplectic_omega(v, nabla_rightinvariant(w, u))
     )
 
 

@@ -54,24 +54,22 @@ class TangentVector:
     def grid(self) -> PeriodicGrid:
         return self.u1.grid
 
-    @classmethod
-    def zero(cls, grid: PeriodicGrid) -> "TangentVector":
-        z = PeriodicFunction.zeros(grid)
-        return cls(z, z)
-
     def __add__(self, other: "TangentVector") -> "TangentVector":
-        return TangentVector(self.u1 + other.u1, self.u2 + other.u2)
+        return type(self)(self.u1 + other.u1, self.u2 + other.u2)
 
     def __sub__(self, other: "TangentVector") -> "TangentVector":
-        return TangentVector(self.u1 - other.u1, self.u2 - other.u2)
+        return type(self)(self.u1 - other.u1, self.u2 - other.u2)
 
     def __mul__(self, scalar: float) -> "TangentVector":
-        return TangentVector(self.u1 * scalar, self.u2 * scalar)
+        return type(self)(self.u1 * scalar, self.u2 * scalar)
 
     __rmul__ = __mul__
 
+    def __neg__(self) -> "TangentVector":
+        return type(self)(-self.u1, -self.u2)
+
     def __repr__(self):
-        return f"TangentVector(n={self.grid.n})"
+        return f"{type(self).__name__}(n={self.grid.n})"
 
 
 class GroupElement:
@@ -125,7 +123,7 @@ class GroupElement:
         return max(dphi, dalpha)
 
     def __repr__(self):
-        return f"GroupElement(n={self.grid.n}, winding={self.winding})"
+        return f"{type(self).__name__}(n={self.grid.n}, winding={self.winding})"
 
     def to_json_obj(self) -> dict:
         return {

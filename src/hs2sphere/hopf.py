@@ -26,39 +26,22 @@ from .errors import (
     ZeroAtChartPointError,
 )
 from .funcspace import PeriodicFunction, PeriodicGrid
-from .geometry import (
-    KTangent,
-    curvature_G,
-    curvature_G_local,
-    curvature_K_closed,
-)
+from .geometry import KTangent, curvature_G, curvature_K_closed, curvature_local
 from .group import GroupElement, TangentVector
 from .sphere import SpherePoint, SphereTangent
 
 
-@dataclass(frozen=True)
-class KPoint:
+class KPoint(GroupElement):
     """Group element modulo constant phase: canonical lift has alpha(0) = 0."""
 
-    phi: PeriodicFunction
-    alpha: PeriodicFunction
-    winding: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if abs(self.alpha.values[0]) > 1e-12:
+    def __init__(
+        self, phi: PeriodicFunction, alpha: PeriodicFunction, winding: int = 0
+    ):
+        if abs(alpha.values[0]) > 1e-12:
             raise ValueError("canonical representative needs alpha(0) = 0")
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.phi.grid
-
-    def to_group_element(self) -> GroupElement:
-        return GroupElement(self.phi, self.alpha, self.winding)
-
-    def distance(self, other: "KPoint") -> float:
-        dphi = float(np.max(np.abs(self.phi.values - other.phi.values)))
-        dalpha = float(np.max(np.abs(self.alpha.values - other.alpha.values)))
-        return max(dphi, dalpha)
+        super().__init__(phi, alpha, winding)
 
 
 @dataclass(frozen=True)
@@ -101,8 +84,7 @@ def project_q(f: SpherePoint, base_tol: float = 1e-10) -> CPPoint:
 
 def psi_map(kp: KPoint) -> CPPoint:
     """Quotient isometry: class of sqrt(phi_x) exp(i alpha / 2)."""
-    elem = kp.to_group_element()
-    phix = elem.phi_x.values
+    phix = kp.phi_x.values
     vals = np.sqrt(phix) * np.exp(0.5j * kp.alpha.values)
     return project_q(SpherePoint(PeriodicFunction(kp.grid, vals)))
 
@@ -130,10 +112,8 @@ def vertical_sphere(X: SphereTangent) -> SphereTangent:
 
 
 def horizontal_sphere(X: SphereTangent) -> SphereTangent:
-    """Orthogonal projection onto the horizontal space: X + i g Im integral(g conj(X))."""
-    g = X.base.values
-    coeff = float(np.mean((g * np.conj(X.values)).imag))
-    vals = X.values + 1j * g * coeff
+    """Orthogonal projection onto the horizontal space: X minus its vertical part."""
+    vals = X.values - vertical_sphere(X).values
     return SphereTangent(PeriodicFunction(X.base.grid, vals), X.base)
 
 
@@ -148,10 +128,8 @@ def vertical_G(U: TangentVector, at: GroupElement) -> TangentVector:
 
 
 def horizontal_G(U: TangentVector, at: GroupElement) -> TangentVector:
-    """Horizontal part (U1, U2 - integral(U2 phi_x))."""
-    phix = at.phi_x.values
-    c = float(np.mean(U.u2.values * phix))
-    return TangentVector(U.u1, U.u2 - c)
+    """Horizontal part (U1, U2 - integral(U2 phi_x)): U minus its vertical part."""
+    return U - vertical_G(U, at)
 
 
 def fubini_study(X: SphereTangent, Y: SphereTangent) -> float:
@@ -191,7 +169,7 @@ def oneill_check(
     if g_route == "closed":
         g_term = curvature_G(uh, vh)
     elif g_route == "local":
-        g_term = curvature_G_local(uh, vh)
+        g_term = curvature_local(uh, vh)
     else:
         raise ValueError(f"unknown g_route {g_route!r}")
     m = vertical_bracket_integral(u, v)

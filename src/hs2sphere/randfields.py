@@ -28,15 +28,23 @@ def band_limited(
     decay: float = DEFAULT_DECAY,
     amplitude: float = 1.0,
 ) -> PeriodicFunction:
-    """Zero-mean random trigonometric polynomial with decaying coefficients."""
+    """Zero-mean random trigonometric polynomial with decaying coefficients.
+
+    The samples of sum_k a_k cos(2 pi k x) + b_k sin(2 pi k x), k = 1 ..
+    max_mode < n/2, are one inverse real FFT of the spectrum
+    (n/2)(a_k - i b_k).
+    """
+    n = grid.n
     if max_mode is None:
-        max_mode = grid.n // 4 - 1
+        max_mode = n // 4 - 1
+    if max_mode >= n / 2:
+        raise ValueError(f"max_mode {max_mode} must lie below n/2 = {n / 2}")
     k = np.arange(1, max_mode + 1)
     a = rng.normal(size=max_mode) / k**decay
     b = rng.normal(size=max_mode) / k**decay
-    phases = 2.0 * np.pi * np.outer(k, grid.x)
-    vals = amplitude * (a @ np.cos(phases) + b @ np.sin(phases))
-    return PeriodicFunction(grid, vals)
+    spec = np.zeros(n // 2 + 1, dtype=complex)
+    spec[1 : max_mode + 1] = 0.5 * n * (a - 1j * b)
+    return PeriodicFunction(grid, amplitude * np.fft.irfft(spec, n))
 
 
 def u1_field(

@@ -87,14 +87,14 @@ def _curvature_G_local(grid, rng, flip):
     gram = gm.curvature_G(u, v)
     if gram < 1e-12:
         return 0.0
-    return abs(gm.curvature_G_local(u, v) / gram - 1.0)
+    return abs(gm.curvature_local(u, v) / gram - 1.0)
 
 
 def _curvature_K_local(grid, rng, flip):
     u = rf.k_tangent(grid, rng)
     v = rf.k_tangent(grid, rng)
     closed = gm.curvature_K_closed(u, v)
-    local = gm.curvature_K_local(u, v)
+    local = gm.curvature_local(u, v)
     return abs(closed - local) / max(1.0, abs(closed))
 
 
@@ -107,7 +107,7 @@ def _pinching(grid, rng, flip):
 
 def _J_plane(grid, rng, flip):
     u = rf.k_tangent(grid, rng)
-    u = u * (1.0 / gm.norm_K(u))
+    u = u * (1.0 / gm.norm(u))
     return abs(gm.sectional_curvature(u, gm.kahler_J(u)) - 4.0)
 
 
@@ -122,30 +122,30 @@ def _j_squared(grid, rng, flip):
     dev2 = float(np.max(np.abs(diff2 - np.mean(diff2 * phix))))
     u = rf.k_tangent(grid, rng)
     dev = gm.kahler_J(gm.kahler_J(u)) + sign * u
-    return _worst(dev1, dev2, gm.norm_K(dev))
+    return _worst(dev1, dev2, gm.norm(dev))
 
 
 def _omega_compat(grid, rng, flip):
     sign = -1.0 if flip else 1.0
     u = rf.k_tangent(grid, rng)
     v = rf.k_tangent(grid, rng)
-    return abs(gm.symplectic_omega(u, v) - sign * gm.metric_K(gm.kahler_J(u), v))
+    return abs(gm.symplectic_omega(u, v) - sign * gm.metric(gm.kahler_J(u), v))
 
 
 def _hermitian(grid, rng, flip):
     u = rf.k_tangent(grid, rng)
     v = rf.k_tangent(grid, rng)
-    return abs(gm.metric_K(gm.kahler_J(u), gm.kahler_J(v)) - gm.metric_K(u, v))
+    return abs(gm.metric(gm.kahler_J(u), gm.kahler_J(v)) - gm.metric(u, v))
 
 
 def _nabla_metric_G(grid, rng, flip):
     u, v, w = (rf.g_tangent(grid, rng) for _ in range(3))
-    return gm.metric_compat_residual_G(u, v, w)
+    return gm.metric_compat_residual(u, v, w)
 
 
 def _nabla_metric_K(grid, rng, flip):
     u, v, w = (rf.k_tangent(grid, rng) for _ in range(3))
-    return gm.metric_compat_residual_K(u, v, w)
+    return gm.metric_compat_residual(u, v, w)
 
 
 def _nabla_omega(grid, rng, flip):
@@ -160,7 +160,7 @@ def _nabla_J(grid, rng, flip):
 
 def _nijenhuis(grid, rng, flip):
     u, v = rf.k_tangent(grid, rng), rf.k_tangent(grid, rng)
-    return gm.norm_K(gm.nijenhuis(u, v))
+    return gm.norm(gm.nijenhuis(u, v))
 
 
 def _nijenhuis_summands(grid, rng, flip):
@@ -171,13 +171,13 @@ def _nijenhuis_summands(grid, rng, flip):
     """
     u, v = rf.k_tangent(grid, rng), rf.k_tangent(grid, rng)
     terms = gm.nijenhuis_terms(u, v)
-    return _worst(0.0, 1e-2 - _worst(*(gm.norm_K(t) for t in terms)))
+    return _worst(0.0, 1e-2 - _worst(*(gm.norm(t) for t in terms)))
 
 
 def _bracket_antisymmetry(grid, rng, flip):
     u, v = rf.k_tangent(grid, rng), rf.k_tangent(grid, rng)
     dev = gm.bracket_K(u, v) + gm.bracket_K(v, u)
-    return _worst(gm.norm_K(dev), gm.norm_K(gm.bracket_K(u, u)))
+    return _worst(gm.norm(dev), gm.norm(gm.bracket_K(u, u)))
 
 
 def _jacobi(grid, rng, flip):

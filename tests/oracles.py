@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: finite
 differences instead of spectral derivatives, cubic splines on refined
 grids instead of trigonometric interpolation, dense parameter scans
 instead of closed-form root finding, the dense phase matrix instead of
-block evaluation, and per-node scalar brentq instead of vectorised Newton.
+block evaluation or an inverse FFT, and per-node scalar brentq instead of
+vectorised Newton.
 """
 
 import numpy as np
@@ -51,6 +52,19 @@ def dense_trig_interpolate(values: np.ndarray, points) -> np.ndarray:
     on_grid = np.abs(pts * n - idx) < 1e-12
     out[on_grid] = values[idx[on_grid].astype(int) % n]
     return out if np.iscomplexobj(values) else out.real
+
+
+def dense_band_limited(
+    n: int, rng, max_mode: int, decay: float = 3.0, amplitude: float = 1.0
+) -> np.ndarray:
+    """Samples of amplitude * sum_k a_k cos(2 pi k x) + b_k sin(2 pi k x)
+    through dense (max_mode x n) cos and sin matrices, drawing a then b
+    from ``rng`` as the library does."""
+    k = np.arange(1, max_mode + 1)
+    a = rng.normal(size=max_mode) / k**decay
+    b = rng.normal(size=max_mode) / k**decay
+    phases = 2.0 * np.pi * np.outer(k, np.arange(n) / n)
+    return amplitude * (a @ np.cos(phases) + b @ np.sin(phases))
 
 
 def brentq_inverse(phi_values: np.ndarray, xtol: float = 1e-12) -> np.ndarray:

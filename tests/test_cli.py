@@ -3,6 +3,7 @@ import json
 import numpy as np
 
 from hs2sphere.cli import main
+from hs2sphere.errors import ConfigError, HS2Error
 from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
 from hs2sphere.geodesics import InitialData, exact_geodesic
 from hs2sphere.group import GroupElement, multiply
@@ -130,6 +131,11 @@ def test_config_error_exit_code(tmp_path):
     bad.write_text("nonsense_key = 1\n")
     assert main(["solve", "--config", str(bad)]) == 2
     assert main(["blowup", "--outdir", str(tmp_path)]) == 2  # no data given
+
+
+def test_config_error_is_library_error():
+    assert issubclass(ConfigError, HS2Error)
+    assert issubclass(ConfigError, ValueError)
 
 
 def test_verify_cli_deterministic(tmp_path):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hs2sphere.funcspace as fs
 import hs2sphere.geometry as gm
 import hs2sphere.randfields as rf
 from hs2sphere.errors import DegeneratePlaneError
-from hs2sphere.funcspace import PeriodicFunction
+from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
 from hs2sphere.geodesics import InitialData, exact_solution
 from hs2sphere.geometry import KTangent
 from hs2sphere.group import TangentVector
@@ -18,7 +20,7 @@ def test_christoffel_G_flat_directions(grid):
     u = TangentVector(
         PeriodicFunction.zeros(grid), PeriodicFunction.constant(grid, 2.0)
     )
-    g = gm.christoffel_G(u, u)
+    g = gm.christoffel(u, u)
     assert g.u1.max_abs() < 1e-14
     assert g.u2.max_abs() < 1e-14
 
@@ -26,12 +28,12 @@ def test_christoffel_G_flat_directions(grid):
 def test_christoffel_symmetry(grid, rng):
     for _ in range(5):
         u, v = rf.g_tangent(grid, rng), rf.g_tangent(grid, rng)
-        a = gm.christoffel_G(u, v)
-        b = gm.christoffel_G(v, u)
+        a = gm.christoffel(u, v)
+        b = gm.christoffel(v, u)
         assert np.max(np.abs(a.u1.values - b.u1.values)) == 0.0
         assert np.max(np.abs(a.u2.values - b.u2.values)) == 0.0
         uk, vk = rf.k_tangent(grid, rng), rf.k_tangent(grid, rng)
-        ak, bk = gm.christoffel_K(uk, vk), gm.christoffel_K(vk, uk)
+        ak, bk = gm.christoffel(uk, vk), gm.christoffel(vk, uk)
         assert np.max(np.abs(ak.u1.values - bk.u1.values)) == 0.0
         assert np.max(np.abs(ak.u2.values - bk.u2.values)) == 0.0
 
@@ -40,8 +42,8 @@ def test_christoffel_K_reduces_to_G_for_zero_mean(grid, rng):
     uk, vk = rf.k_tangent(grid, rng), rf.k_tangent(grid, rng)
     ug = TangentVector(uk.u1, uk.u2)
     vg = TangentVector(vk.u1, vk.u2)
-    a = gm.christoffel_K(uk, vk)
-    b = gm.christoffel_G(ug, vg)
+    a = gm.christoffel(uk, vk)
+    b = gm.christoffel(ug, vg)
     assert np.max(np.abs(a.u1.values - b.u1.values)) < 1e-15
     # class representative of the second slot matches up to its mean
     diff = a.u2.values - (b.u2.values - np.mean(b.u2.values))
@@ -51,7 +53,7 @@ def test_christoffel_K_reduces_to_G_for_zero_mean(grid, rng):
 def test_metric_compatibility_G(grid, rng):
     for _ in range(10):
         u, v, w = (rf.g_tangent(grid, rng) for _ in range(3))
-        assert gm.metric_compat_residual_G(u, v, w) < 1e-9
+        assert gm.metric_compat_residual(u, v, w) < 1e-9
 
 
 def test_restricted_geodesic_equation_residual(grid):
@@ -85,7 +87,7 @@ def test_J_squared_at_identity_and_base(grid, rng):
     for _ in range(10):
         u = rf.k_tangent(grid, rng)
         dev = gm.kahler_J(gm.kahler_J(u)) + u
-        assert gm.norm_K(dev) < 1e-10
+        assert gm.norm(dev) < 1e-10
         a = rf.group_element(grid, rng)
         U = rf.g_tangent(grid, rng)
         JJ = gm.kahler_J(gm.kahler_J(U, at=a), at=a)
@@ -120,21 +122,21 @@ def test_omega_properties(grid, rng):
             gm.symplectic_omega(u, v) + gm.symplectic_omega(v, u)
         ) < 1e-16
         assert abs(
-            gm.symplectic_omega(u, v) - gm.metric_K(gm.kahler_J(u), v)
+            gm.symplectic_omega(u, v) - gm.metric(gm.kahler_J(u), v)
         ) < 1e-10
         assert abs(
-            gm.metric_K(gm.kahler_J(u), gm.kahler_J(v)) - gm.metric_K(u, v)
+            gm.metric(gm.kahler_J(u), gm.kahler_J(v)) - gm.metric(u, v)
         ) < 1e-10
         # omega(u, Ju) = |u|^2 certifies nondegeneracy on the sampled span
         assert gm.symplectic_omega(u, gm.kahler_J(u)) == pytest.approx(
-            gm.metric_K(u, u), abs=1e-12
+            gm.metric(u, u), abs=1e-12
         )
 
 
 def test_nabla_identities(grid, rng):
     for _ in range(10):
         u, v, w = (rf.k_tangent(grid, rng) for _ in range(3))
-        assert gm.metric_compat_residual_K(u, v, w) < 1e-9
+        assert gm.metric_compat_residual(u, v, w) < 1e-9
         assert gm.omega_compat_residual(u, v, w) < 1e-9
         assert gm.nabla_J_residual(u, v) < 1e-9
 
@@ -143,9 +145,9 @@ def test_bracket_properties(grid, rng):
     for _ in range(5):
         u, v = rf.k_tangent(grid, rng), rf.k_tangent(grid, rng)
         z = gm.bracket_K(u, u)
-        assert gm.norm_K(z) < 1e-15
+        assert gm.norm(z) < 1e-15
         s = gm.bracket_K(u, v) + gm.bracket_K(v, u)
-        assert gm.norm_K(s) < 1e-15
+        assert gm.norm(s) < 1e-15
 
 
 def test_bracket_jacobi(grid, rng):
@@ -158,17 +160,17 @@ def test_nijenhuis_vanishes_nontrivially(grid, rng):
     for _ in range(10):
         u, v = rf.k_tangent(grid, rng), rf.k_tangent(grid, rng)
         terms = gm.nijenhuis_terms(u, v)
-        assert max(gm.norm_K(t) for t in terms) > 1e-2
-        assert gm.norm_K(gm.nijenhuis(u, v)) < 1e-8
+        assert max(gm.norm(t) for t in terms) > 1e-2
+        assert gm.norm(gm.nijenhuis(u, v)) < 1e-8
         z = gm.nijenhuis(u, u)
-        assert gm.norm_K(z) < 1e-15
+        assert gm.norm(z) < 1e-15
 
 
 def test_curvature_G_constant_one(grid, rng):
     for _ in range(20):
         u, v = rf.g_tangent(grid, rng), rf.g_tangent(grid, rng)
         gram = gm.curvature_G(u, v)
-        local = gm.curvature_G_local(u, v)
+        local = gm.curvature_local(u, v)
         assert abs(local / gram - 1.0) < 1e-8
     z = gm.curvature_G(u, u)
     assert abs(z) < 1e-14
@@ -178,19 +180,19 @@ def test_curvature_K_local_matches_closed(grid, rng):
     for _ in range(20):
         u, v = rf.k_tangent(grid, rng), rf.k_tangent(grid, rng)
         closed = gm.curvature_K_closed(u, v)
-        local = gm.curvature_K_local(u, v)
+        local = gm.curvature_local(u, v)
         assert abs(closed - local) / max(1.0, abs(closed)) < 1e-8
-    assert abs(gm.curvature_K_local(u, u)) < 1e-10
+    assert abs(gm.curvature_local(u, u)) < 1e-10
 
 
 def test_curvature_J_plane(grid, rng):
     u = rf.k_tangent(grid, rng)
-    u = u * (1.0 / gm.norm_K(u))
+    u = u * (1.0 / gm.norm(u))
     Ju = gm.kahler_J(u)
     # orthonormal pair with omega = +-1: curvature contraction is 4
-    assert gm.metric_K(u, Ju) == pytest.approx(0.0, abs=1e-14)
+    assert gm.metric(u, Ju) == pytest.approx(0.0, abs=1e-14)
     assert gm.curvature_K_closed(u, Ju) == pytest.approx(4.0, abs=1e-10)
-    assert gm.curvature_K_local(u, Ju) == pytest.approx(4.0, abs=1e-8)
+    assert gm.curvature_local(u, Ju) == pytest.approx(4.0, abs=1e-8)
     assert gm.sectional_curvature(u, Ju) == pytest.approx(4.0, abs=1e-8)
 
 
@@ -223,3 +225,54 @@ def test_sectional_rejects_degenerate(grid, rng):
     u = rf.k_tangent(grid, rng)
     with pytest.raises(DegeneratePlaneError):
         gm.sectional_curvature(u, u * 2.0)
+
+
+@st.composite
+def unit_tangent_pairs(draw, cls):
+    """Two unit tangents of type ``cls`` at n in {32, 64, 128}.
+
+    u1x and u2 are band-limited below n/4 with coefficients decaying like
+    k^-3, as in ``randfields``; u2 also gets a constant, which a
+    :class:`KTangent` projects away.
+    """
+    n = draw(st.sampled_from([32, 64, 128]))
+    grid = PeriodicGrid(n)
+    coeff = st.floats(-1.0, 1.0)
+
+    def field():
+        modes = draw(st.lists(
+            st.tuples(coeff, coeff), min_size=1, max_size=n // 4 - 1
+        ))
+        a, b = np.array(modes).T
+        k = np.arange(1, len(modes) + 1)
+        phases = TWO_PI * np.outer(k, grid.x)
+        vals = (a / k**3) @ np.cos(phases) + (b / k**3) @ np.sin(phases)
+        return PeriodicFunction(grid, vals)
+
+    def unit():
+        t = cls(fs.antiderivative_from_zero(field()), field() + draw(coeff))
+        size = gm.norm(t)
+        assume(size > 1e-6)
+        return t * (1.0 / size)
+
+    return unit(), unit()
+
+
+@settings(max_examples=50, deadline=None)
+@given(unit_tangent_pairs(KTangent))
+def test_quotient_curvature_properties(pair):
+    u, v = pair
+    assume(gm.curvature_G(u, v) > 1e-4)
+    sec = gm.sectional_curvature(u, v)
+    assert 1.0 - 1e-8 <= sec <= 4.0 + 1e-8
+    closed = gm.curvature_K_closed(u, v)
+    assert abs(gm.curvature_local(u, v) - closed) <= 1e-8 * closed
+
+
+@settings(max_examples=50, deadline=None)
+@given(unit_tangent_pairs(TangentVector))
+def test_group_curvature_is_gram_determinant(pair):
+    u, v = pair
+    gram = gm.curvature_G(u, v)
+    assume(gram > 1e-4)
+    assert abs(gm.curvature_local(u, v) - gram) <= 1e-8 * gram
