@@ -23,6 +23,7 @@ existence time, 10 finite-time blow-up detected.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -132,6 +133,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             f"unknown preset {cfg.preset!r}; choose from {PRESET_NAMES}"
         )
+    for name, ok, rule in (
+        ("n", cfg.n >= 8 and cfg.n % 2 == 0, "even and >= 8"),
+        ("dt", 0.0 < cfg.dt < math.inf, "positive and finite"),
+        ("t_end", 0.0 < cfg.t_end < math.inf, "positive and finite"),
+        ("record_every", cfg.record_every >= 0, ">= 0"),
+        ("samples", cfg.samples >= 1, ">= 1"),
+    ):
+        if not ok:
+            raise ConfigError(f"{name} must be {rule}, got {getattr(cfg, name)!r}")
     return cfg
 
 

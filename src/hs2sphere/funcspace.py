@@ -21,7 +21,9 @@ and A^{-1} divisors, the A^{-1} d/dx multiplier of the RK4 solver and the
 Off-grid evaluation of trigonometric interpolants goes through one block
 kernel (baby-step/giant-step split of the modes, O(points + n)
 memory); :func:`invert_diffeo` uses the same kernel for a vectorised,
-bisection-safeguarded Newton iteration over all nodes at once.
+bisection-safeguarded Newton iteration over all nodes at once, and
+:func:`interpolant_roots` uses both for the scalar roots of the exact
+solver.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq  # noqa: F401  (rebound by perfbench/tracer.py)
 
 from .errors import NonZeroMeanError, NotMonotoneError
 from .serialize import fmt_float, json_dump
@@ -461,28 +462,32 @@ def compose_lift(
     return PeriodicFunction(g.grid, vals)
 
 
-def _newton_bisect(residual, lo, hi, y, tol: float) -> np.ndarray:
-    """Roots of increasing functions, one per entry, in brackets [lo, hi].
+def _newton_bisect(residual, lo, hi, y, tol: float, sign=1.0) -> np.ndarray:
+    """Roots of monotone functions, one per entry, in brackets [lo, hi].
 
     ``residual(idx, y)`` returns the values and derivatives of the
     functions with indices ``idx`` at ``y``; every call serves all entries
-    not yet done.  Each evaluation shrinks the bracket.  A Newton step is
-    taken when it lands in the closed bracket and is no longer than a
-    budget that starts at half the bracket and halves every iteration;
-    otherwise the entry bisects.  Newton steps fall below ``tol`` once the
-    budget does, and a bisection halves the bracket, so every entry
-    finishes within about 2 log2(width / tol) iterations.  An entry is
-    done when its step or its bracket is at most ``tol``.
+    not yet done.  ``sign`` is +1 for an entry whose function increases
+    through its bracket and -1 for one that decreases, so that sign * f
+    is negative below the root.  Each evaluation shrinks the bracket.  A
+    Newton step is taken when it lands in the closed bracket and is no
+    longer than a budget that starts at half the bracket and halves every
+    iteration; otherwise the entry bisects.  Newton steps fall below
+    ``tol`` once the budget does, and a bisection halves the bracket, so
+    every entry finishes within about 2 log2(width / tol) iterations.  An
+    entry is done when its step or its bracket is at most ``tol``.
     """
     lo, hi = lo.copy(), hi.copy()
     y = np.clip(y, lo, hi)
+    sign = np.broadcast_to(sign, y.shape)
     budget = 0.5 * (hi - lo)
     todo = np.arange(y.size)
     while todo.size:
         yt, lt, ht, bt = y[todo], lo[todo], hi[todo], budget[todo]
         f, df = residual(todo, yt)
-        lt = np.where(f < 0.0, yt, lt)
-        ht = np.where(f > 0.0, yt, ht)
+        up = sign[todo] * f
+        lt = np.where(up < 0.0, yt, lt)
+        ht = np.where(up > 0.0, yt, ht)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = f / df
         newton = yt - step
@@ -492,6 +497,36 @@ def _newton_bisect(residual, lo, hi, y, tol: float) -> np.ndarray:
         done = (take & (np.abs(step) <= tol)) | (ht - lt <= tol)
         todo = todo[~done]
     return y
+
+
+def _derivative_rows(values: np.ndarray, order: int) -> np.ndarray:
+    """Interpolant coefficients of the order-th derivative and the next."""
+    c = _trig_coefficients(values)
+    ik = 2j * np.pi * np.arange(-(values.size // 2), values.size // 2 + 1)
+    for _ in range(order):
+        c = ik * c
+    return np.stack([c, ik * c])
+
+
+def interpolant_roots(f: PeriodicFunction, lo, hi, sign, order: int = 0) -> np.ndarray:
+    """Roots of the order-th derivative of the interpolant of real f.
+
+    One root per bracket [lo, hi], to ROOT_TOL; ``sign`` is +1 where that
+    derivative increases through its bracket and -1 where it decreases.
+    All brackets share one :func:`_newton_bisect` solve from their
+    midpoints; the derivative and the next one come from one kernel call
+    per iteration.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.size == 0:
+        return lo
+    rows = _derivative_rows(f.values, order)
+
+    def residual(idx, y):
+        return _trig_eval(rows, y).real
+
+    return _newton_bisect(residual, lo, hi, 0.5 * (lo + hi), ROOT_TOL, sign)
 
 
 def invert_diffeo(
@@ -511,9 +546,7 @@ def invert_diffeo(
     _check_increasing(phi)
     grid = phi.grid
     h = _lift_parts(phi)
-    c = _trig_coefficients(h)
-    k = np.arange(-(grid.n // 2), grid.n // 2 + 1)
-    rows = np.stack([c, 2j * np.pi * k * c])
+    rows = _derivative_rows(h, 0)
     x = grid.x[1:]
 
     def residual(idx, y):
@@ -528,3 +561,15 @@ def invert_diffeo(
         root_tol,
     )
     return PeriodicFunction(grid, np.concatenate(([0.0], y)))
+
+
+def __getattr__(name: str):
+    # ``brentq`` is read only by perfbench/tracer.py, which rebinds it to
+    # count objective evaluations; importing scipy here, on first read,
+    # keeps it out of the runtime.  The benchmark rework of ROADMAP item 1
+    # replaces that counter and retires this hook.
+    if name == "brentq":
+        from scipy.optimize import brentq
+
+        return brentq
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

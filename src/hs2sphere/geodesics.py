@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from . import funcspace as fs
 from .errors import (
@@ -120,75 +119,69 @@ def _first_zero_time(u0x_at_root: float, c: float) -> float:
 def _rho_roots(rho0: PeriodicFunction) -> list[float]:
     """All zeros of the trigonometric interpolant of rho0 in [0, 1).
 
-    Sign changes are bracketed and bisected; tangential zeros (touching
-    without sign change) are found by minimizing rho0^2 near grid minima
-    of |rho0| and accepted below the touch tolerance.
+    Node values below NODE_ZERO_TOL are zeros.  Between neighbouring
+    nonzero nodes of one sign s, one of them below 1e-3 max |rho0|, where
+    s rho0' goes from - to +, the root of rho0' is the extremum of rho0
+    towards zero: a tangential zero when |rho0| there is below
+    TOUCH_ZERO_TOL, a dip through zero with one simple root on each side
+    when s rho0 there is below -TOUCH_ZERO_TOL.  Every other simple root
+    is bracketed by a sign change between neighbouring nodes.  The extrema
+    are one vectorised solve (:func:`funcspace.interpolant_roots`) and the
+    simple roots another.
     """
     vals = rho0.values
-    n = rho0.grid.n
     x = rho0.grid.x
-    rho0_at = fs.interpolant(rho0)
+    h = 1.0 / rho0.grid.n
+    nxt = np.roll(vals, -1)
+    zero = np.abs(vals) < NODE_ZERO_TOL
+    s = np.where(zero, 0.0, np.sign(vals))
+    i = np.nonzero(vals * nxt < 0.0)[0]
+    lo, hi, up, touch = x[i], x[i] + h, np.sign(nxt[i]), x[:0]
 
-    def interp(pt: float) -> float:
-        return float(rho0_at(pt)[0])
+    small = np.minimum(np.abs(vals), np.abs(nxt)) <= 1e-3 * np.max(np.abs(vals))
+    j = np.nonzero(small & (s != 0.0) & (s == np.roll(s, -1)))[0]
+    if j.size:
+        d = fs.derivative(rho0).values
+        j = j[(s[j] * d[j] < 0.0) & (s[j] * np.roll(d, -1)[j] >= 0.0)]
+        ext = fs.interpolant_roots(rho0, x[j], x[j] + h, s[j], order=1)
+        depth = s[j] * fs.interpolant(rho0)(ext)
+        touch = ext[np.abs(depth) < TOUCH_ZERO_TOL]
+        cross = depth <= -TOUCH_ZERO_TOL
+        j, ext, dip = j[cross], ext[cross], s[j[cross]]
+        lo = np.concatenate([lo, x[j], ext])
+        hi = np.concatenate([hi, ext, x[j] + h])
+        up = np.concatenate([up, -dip, dip])
+    simple = fs.interpolant_roots(rho0, lo, hi, up)
 
     roots: list[float] = []
-
-    def add_root(r: float) -> None:
-        r = r % 1.0
-        for existing in roots:
-            if abs(r - existing) < 1e-9 or abs(abs(r - existing) - 1.0) < 1e-9:
-                return
-        roots.append(r)
-
-    node_zero = np.abs(vals) < NODE_ZERO_TOL
-    for j in np.nonzero(node_zero)[0]:
-        add_root(x[j])
-
-    nxt = np.roll(vals, -1)
-    for j in np.nonzero((vals * nxt < 0.0))[0]:
-        lo, hi = x[j], x[j] + 1.0 / n
-        add_root(brentq(interp, lo, hi, xtol=1e-12))
-
-    absv = np.abs(vals)
-    local_min = (absv <= np.roll(absv, 1)) & (absv <= np.roll(absv, -1))
-    for j in np.nonzero(local_min & ~node_zero)[0]:
-        if absv[j] > 1e-3 * np.max(absv):
-            continue
-        lo, hi = x[j] - 1.0 / n, x[j] + 1.0 / n
-        res = minimize_scalar(
-            lambda p: interp(p) ** 2, bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-13},
-        )
-        if abs(interp(res.x)) < TOUCH_ZERO_TOL:
-            add_root(res.x)
-
+    for r in np.mod(np.concatenate([x[zero], simple, touch]), 1.0):
+        if all(min(abs(r - e), 1.0 - abs(r - e)) >= 1e-9 for e in roots):
+            roots.append(float(r))
     return sorted(roots)
 
 
 def blowup_time(d: InitialData) -> BlowupReport:
     """Maximal existence time: infinite iff rho0 is nowhere zero.
 
-    When rho0 vanishes identically every point competes, and the minimum
-    of the first-zero time over the circle is refined off-grid; otherwise
-    each isolated root of rho0 contributes one witness.
+    When rho0 vanishes identically every point competes.  The first-zero
+    time increases with u0x, so the witness is the minimum of u0x: the
+    root of u0xx within one node of the least node value, kept unless
+    that node is earlier.  Otherwise each isolated root of rho0
+    contributes one witness.
     """
     c = speed(d)
     u0x = fs.derivative(d.u0)
     u0x_at = fs.interpolant(u0x)
 
     if d.rho0.max_abs() < NODE_ZERO_TOL:
-        tstar = lambda p: _first_zero_time(float(u0x_at(p)[0]), c)
-        times_on_grid = np.array([_first_zero_time(v, c) for v in u0x.values])
-        j = int(np.argmin(times_on_grid))
-        lo = d.grid.x[j] - 1.0 / d.grid.n
-        hi = d.grid.x[j] + 1.0 / d.grid.n
-        res = minimize_scalar(
-            tstar, bounds=(lo, hi), method="bounded", options={"xatol": 1e-13}
-        )
-        xbest, tbest = float(res.x % 1.0), float(res.fun)
-        if times_on_grid[j] < tbest:
-            xbest, tbest = float(d.grid.x[j]), float(times_on_grid[j])
+        x, h = d.grid.x, 1.0 / d.grid.n
+        j = int(np.argmin(u0x.values))
+        xmin = fs.interpolant_roots(u0x, [x[j] - h], [x[j] + h], 1.0, order=1)
+        xbest = float(xmin[0] % 1.0)
+        tbest = _first_zero_time(float(u0x_at(xbest)[0]), c)
+        tnode = _first_zero_time(float(u0x.values[j]), c)
+        if tnode < tbest:
+            xbest, tbest = float(x[j]), tnode
         return BlowupReport(True, tbest, [(xbest, tbest)], c)
 
     roots = _rho_roots(d.rho0)
@@ -410,3 +403,16 @@ def connect(a: GroupElement, b: GroupElement, tol: float = 1e-9) -> ConnectResul
     result = log_map(g)
     kinds = {"empty": "none", "single": "unique_short", "family": "periodic_family"}
     return ConnectResult(kinds[result.kind], result)
+
+
+def __getattr__(name: str):
+    # ``brentq`` and ``minimize_scalar`` are read only by
+    # perfbench/tracer.py, which rebinds them to count root-solver calls;
+    # importing scipy here, on first read, keeps it out of the runtime.
+    # The benchmark rework of ROADMAP item 1 replaces that counter and
+    # retires this hook.
+    if name in ("brentq", "minimize_scalar"):
+        import scipy.optimize
+
+        return getattr(scipy.optimize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,8 +4,8 @@ Everything here deliberately avoids the code paths under test: finite
 differences instead of spectral derivatives, cubic splines on refined
 grids instead of trigonometric interpolation, dense parameter scans
 instead of closed-form root finding, the dense phase matrix instead of
-block evaluation or an inverse FFT, and per-node scalar brentq instead of
-vectorised Newton.
+block evaluation or an inverse FFT, and scalar brentq and
+minimize_scalar calls instead of vectorised Newton.
 """
 
 import numpy as np
@@ -155,3 +155,58 @@ def great_circle_min_modulus(
         options={"xatol": 1e-13},
     )
     return min(best, float(np.sqrt(max(res.fun, 0.0))))
+
+
+def scalar_rho_roots(values: np.ndarray) -> list[float]:
+    """Zeros in [0, 1) of the dense interpolant of rho0 samples, one scalar
+    call each: node values below 1e-12, a brentq root per sign change
+    between neighbouring nodes, and a bounded minimize_scalar of rho0^2
+    within one node of each grid local minimum of |rho0| below 1e-3 max
+    |rho0| whose two neighbours have its sign, kept when |rho0| there is
+    below 1e-10.  Roots closer than 1e-9 (on the circle) to an earlier one
+    are dropped."""
+    n = values.size
+    x = np.arange(n) / n
+
+    def rho(p):
+        return float(dense_trig_interpolate(values, p)[0])
+
+    prev, nxt = np.roll(values, 1), np.roll(values, -1)
+    found = list(x[np.abs(values) < 1e-12])
+    for j in np.nonzero(values * nxt < 0.0)[0]:
+        found.append(brentq(rho, x[j], x[j] + 1.0 / n, xtol=1e-12))
+    absv = np.abs(values)
+    local_min = (absv <= np.abs(prev)) & (absv <= np.abs(nxt))
+    one_sign = (values * prev > 0.0) & (values * nxt > 0.0)
+    for j in np.nonzero(local_min & one_sign & (absv >= 1e-12))[0]:
+        if absv[j] > 1e-3 * np.max(absv):
+            continue
+        res = minimize_scalar(lambda p: rho(p) ** 2, method="bounded",
+                              bounds=(x[j] - 1.0 / n, x[j] + 1.0 / n),
+                              options={"xatol": 1e-13})
+        if abs(rho(res.x)) < 1e-10:
+            found.append(res.x)
+    roots: list[float] = []
+    for r in np.mod(found, 1.0):
+        if all(min(abs(r - e), 1.0 - abs(r - e)) >= 1e-9 for e in roots):
+            roots.append(float(r))
+    return sorted(roots)
+
+
+def scalar_first_zero(u0x_values: np.ndarray, c: float) -> tuple[float, float]:
+    """(x, t) minimising the first zero time t*(x) = arccot(-u0x / 2c) / c
+    of rho0 = 0 data: a bounded minimize_scalar of t* on the dense
+    interpolant of u0x within one node of the grid minimum, or that node
+    when it is earlier."""
+    n = u0x_values.size
+
+    def tstar(p):
+        v = float(dense_trig_interpolate(u0x_values, p)[0])
+        return np.arctan2(1.0, -v / (2.0 * c)) / c
+
+    j = int(np.argmin(u0x_values))
+    res = minimize_scalar(tstar, method="bounded",
+                          bounds=((j - 1) / n, (j + 1) / n),
+                          options={"xatol": 1e-13})
+    node = (j / n, tstar(j / n))
+    return node if node[1] < res.fun else (float(res.x % 1.0), float(res.fun))

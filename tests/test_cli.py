@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hs2sphere.cli import main
 from hs2sphere.errors import ConfigError, HS2Error
@@ -131,6 +132,25 @@ def test_config_error_exit_code(tmp_path):
     bad.write_text("nonsense_key = 1\n")
     assert main(["solve", "--config", str(bad)]) == 2
     assert main(["blowup", "--outdir", str(tmp_path)]) == 2  # no data given
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--preset", "stationary", "--n", "7"],
+        ["solve", "--preset", "stationary", "--n", "6"],
+        ["solve", "--preset", "stationary", "--dt", "0"],
+        ["solve", "--preset", "stationary", "--dt", "nan"],
+        ["solve", "--preset", "stationary", "--t-end", "-1"],
+        ["solve", "--preset", "stationary", "--t-end", "inf"],
+        ["solve", "--preset", "stationary", "--record-every", "-1"],
+        ["verify", "--samples", "0"],
+    ],
+    ids=" ".join,
+)
+def test_bad_values_are_config_errors(tmp_path, capsys, argv):
+    assert main([*argv, "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
 
 
 def test_config_error_is_library_error():

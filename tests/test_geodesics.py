@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hs2sphere.funcspace as fs
 import hs2sphere.randfields as rf
@@ -10,9 +12,11 @@ from hs2sphere.errors import (
     BeyondBlowupError,
     ZeroDataError,
 )
-from hs2sphere.funcspace import PeriodicFunction
+from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
 from hs2sphere.geodesics import (
+    NODE_ZERO_TOL,
     InitialData,
+    _rho_roots,
     blowup_time,
     classify_existence,
     connect,
@@ -24,7 +28,13 @@ from hs2sphere.geodesics import (
 )
 from hs2sphere.group import GroupElement, multiply
 
-from oracles import first_zero_time_scan, sphere_path_values
+from oracles import (
+    dense_trig_interpolate,
+    first_zero_time_scan,
+    scalar_first_zero,
+    scalar_rho_roots,
+    sphere_path_values,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -235,6 +245,123 @@ def test_blowup_tangential_zero_witness(grid):
     rep = blowup_time(d)
     assert rep.finite
     assert min(abs(x - delta) for (x, _) in rep.witnesses) < 1e-6
+
+
+def test_blowup_two_roots_in_one_cell(grid):
+    # rho0 dips through zero between two nodes of one sign
+    r1, r2 = 100.3 / grid.n, 100.7 / grid.n
+    d = InitialData.from_u0x(
+        grid,
+        lambda x: np.sin(TWO_PI * x),
+        lambda x: np.sin(np.pi * (x - r1)) * np.sin(np.pi * (x - r2)),
+    )
+    assert np.all(d.rho0.values > 0.0)
+    rep = blowup_time(d)
+    assert [x for (x, _) in rep.witnesses] == pytest.approx([r1, r2], abs=1e-12)
+
+
+def _circle_gaps(a, b) -> np.ndarray:
+    """Distance on the circle from each point of a to the nearest of b."""
+    diff = np.abs(np.subtract.outer(a, b)) % 1.0
+    return np.min(np.minimum(diff, 1.0 - diff), axis=1)
+
+
+@st.composite
+def rho_with_roots(draw, kind):
+    """(rho0, roots) with rho0 = p(x) prod_i sin(pi (x - r_i))**power.
+
+    'simple': 2 or 4 simple roots; 'node': the same with r_0 a grid node;
+    'double': 1 to 3 double (tangential) roots.  Neighbouring roots are at
+    least 1/8 apart, and p = 2 + two modes with coefficients in
+    [-1/2, 1/2] / k^2 lies in [0.75, 3.25].
+    """
+    n = draw(st.sampled_from([64, 128, 256]))
+    grid = PeriodicGrid(n)
+    count = draw(st.sampled_from([1, 2, 3] if kind == "double" else [2, 4]))
+    weights = np.array(
+        draw(st.lists(st.floats(1.0, 2.0), min_size=count, max_size=count))
+    )
+    if kind == "node":
+        start = draw(st.integers(0, n - 1)) / n
+    else:
+        start = draw(st.floats(0.0, 1.0, exclude_max=True))
+    roots = start + np.concatenate([[0.0], np.cumsum(weights / weights.sum())[:-1]])
+    coeff = st.floats(-0.5, 0.5)
+    a, b = np.array(draw(st.lists(st.tuples(coeff, coeff), min_size=2, max_size=2))).T
+    k = np.arange(1, 3)
+    phases = TWO_PI * np.outer(k, grid.x)
+    p = 2.0 + (a / k**2) @ np.cos(phases) + (b / k**2) @ np.sin(phases)
+    power = 2 if kind == "double" else 1
+    vals = p * np.prod(np.sin(np.pi * (grid.x - roots[:, None])) ** power, axis=0)
+    return PeriodicFunction(grid, vals), np.mod(roots, 1.0)
+
+
+# Worst distances measured over 6,000 seeded draws of each family, with the
+# tolerance about 40-100x above:
+#   to the scalar oracle: simple and node roots 2.5e-13 (brentq, xtol 1e-12),
+#   double roots 1.4e-8 (minimize_scalar on the flat rho0^2);
+#   to the exact roots: 1.2e-14, except for roots reported at a grid node
+#   whose value is below NODE_ZERO_TOL (up to 1.2e-7 away for double roots).
+ORACLE_TOL = {"simple": 1e-11, "node": 1e-11, "double": 1e-6}
+EXACT_TOL = 1e-12
+
+
+@pytest.mark.parametrize("kind", ["simple", "node", "double"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rho_roots_match_scalar_oracle(kind, data):
+    rho0, exact = data.draw(rho_with_roots(kind))
+    n, vals = rho0.grid.n, rho0.values
+    if kind == "double":
+        # the documented scope: a node next to each double root is below
+        # 1e-3 max |rho0|
+        cell = np.floor(exact * n).astype(int)
+        near = np.minimum(np.abs(vals[cell % n]), np.abs(vals[(cell + 1) % n]))
+        assume(np.all(near <= 1e-3 * np.max(np.abs(vals))))
+    ours = np.array(_rho_roots(rho0))
+    oracle = np.array(scalar_rho_roots(vals))
+    assert len(ours) == len(oracle) == len(exact)
+    assert np.max(_circle_gaps(ours, oracle)) <= ORACLE_TOL[kind]
+    node = np.rint(ours * n)
+    at_node = (np.abs(ours * n - node) < 1e-9) & (
+        np.abs(vals[node.astype(int) % n]) < NODE_ZERO_TOL
+    )
+    assert np.all(at_node | (_circle_gaps(ours, exact) <= EXACT_TOL))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([64, 128, 256]),
+    st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+             min_size=1, max_size=3),
+)
+def test_blowup_time_zero_rho_matches_scalar_oracle(n, modes):
+    # Worst over 6,000 seeded draws: T 1.0e-14 relative to the oracle, and
+    # the same for t*(witness); the tolerance is 100x above.  The witness
+    # is checked by the time it attains rather than by its distance to the
+    # oracle's minimizer (1.3e-8 at worst in those draws): at a degenerate
+    # minimum, u0x = cos 2 pi x + cos 4 pi x / 4, the two are 7e-6 apart.
+    grid = PeriodicGrid(n)
+    a, b = np.array(modes).T
+    k = np.arange(1, len(modes) + 1)
+    phases = TWO_PI * np.outer(k, grid.x)
+    u0x = (a / k**2) @ np.cos(phases) + (b / k**2) @ np.sin(phases)
+    assume(np.max(np.abs(u0x)) > 1e-3)
+    d = InitialData(
+        fs.antiderivative_from_zero(PeriodicFunction(grid, u0x)),
+        PeriodicFunction.zeros(grid),
+    )
+    rep = blowup_time(d)
+    c = speed(d)
+    u0x = fs.derivative(d.u0).values
+    x_oracle, t_oracle = scalar_first_zero(u0x, c)
+    assert rep.finite and len(rep.witnesses) == 1
+    x, t = rep.witnesses[0]
+    assert t == rep.T
+    assert abs(rep.T - t_oracle) <= 1e-12 * t_oracle
+    # the witness attains T by the dense interpolant
+    v = dense_trig_interpolate(u0x, x)[0]
+    assert abs(math.atan2(1.0, -v / (2.0 * c)) / c - t) <= 1e-12 * t
 
 
 def test_beyond_blowup_raises(grid):
