@@ -12,11 +12,14 @@ interpolated trigonometrically while the identity part is carried exactly.
 A :class:`PeriodicFunction` may therefore hold either genuinely periodic
 samples or lift samples; operations that expect a lift say so.
 
-Every Fourier multiplier lives in one cache, :class:`SpectralMultipliers`,
-built once per grid size and shared read-only by every grid of that size
-as ``PeriodicGrid.spectral``: the derivative multiplier, the antiderivative
-and A^{-1} divisors, the A^{-1} d/dx multiplier of the RK4 solver and the
-2/3 dealiasing mask.
+Every Fourier multiplier is a real-FFT (half-spectrum) multiplier in one
+cache, :class:`SpectralMultipliers`, built once per grid size and shared
+read-only by every grid of that size as ``PeriodicGrid.spectral``: d/dx,
+its inverse on zero-mean functions, A^{-1}, A^{-1} d/dx and the 2/3
+dealiasing mask.  Its ``apply`` is the only transform of the spectral
+calculus; complex samples go through it as real and imaginary parts.  The
+odd-order operators (d/dx, its inverse, A^{-1} d/dx) drop the Nyquist
+mode, which keeps them real on real input.
 
 Off-grid evaluation of trigonometric interpolants goes through one block
 kernel (baby-step/giant-step split of the modes, O(points + n)
@@ -44,36 +47,38 @@ _CHUNK_BYTES = 4 * 2**20
 
 
 class SpectralMultipliers:
-    """Fourier multipliers of one grid size in FFT order; arrays read-only.
+    """Real-FFT multipliers of one grid size, modes k = 0..n/2; read-only.
 
-    ``deriv`` is 2 pi i k with the Nyquist mode dropped; ``antideriv_div``
-    (2 pi i k) and ``inv_a_div`` (4 pi^2 k^2) are divisors with the mean
-    mode set to 1; ``ainv_dx`` is i / (2 pi k), zero at the mean and
-    Nyquist modes; ``mask`` keeps the modes |k| <= n // 3.
+    ``deriv`` is 2 pi i k, ``antideriv`` 1 / (2 pi i k), ``inv_a``
+    1 / (4 pi^2 k^2) and ``ainv_dx`` i / (2 pi k), each zero at the mean
+    mode; the odd-order ones are also zero at the Nyquist mode.  ``mask``
+    keeps the modes k <= n // 3.
     """
 
-    __slots__ = ("deriv", "antideriv_div", "inv_a_div", "ainv_dx", "mask")
+    __slots__ = ("deriv", "antideriv", "inv_a", "ainv_dx", "mask")
 
     def __init__(self, n: int):
-        k = np.fft.fftfreq(n, d=1.0 / n)
-        self.antideriv_div = 2j * np.pi * k
-        self.antideriv_div[0] = 1.0
-        self.deriv = 2j * np.pi * k
-        self.deriv[n // 2] = 0.0
-        self.inv_a_div = 4.0 * np.pi**2 * k**2
-        self.inv_a_div[0] = 1.0
-        self.ainv_dx = np.zeros(n, dtype=np.complex128)
-        nz = k != 0.0
-        self.ainv_dx[nz] = 1j / (2.0 * np.pi * k[nz])
-        self.ainv_dx[n // 2] = 0.0
-        self.mask = (np.abs(k) <= n // 3).astype(float)
+        k = np.arange(n // 2 + 1, dtype=float)
+        two_pi_k = 2.0 * np.pi * k
+        inv = np.zeros_like(k)
+        inv[1:] = 1.0 / two_pi_k[1:]
+        self.deriv = 1j * two_pi_k
+        self.antideriv = -1j * inv
+        self.inv_a = inv * inv
+        self.ainv_dx = 1j * inv
+        for odd in (self.deriv, self.antideriv, self.ainv_dx):
+            odd[-1] = 0.0
+        self.mask = (k <= n // 3).astype(float)
         for name in self.__slots__:
             getattr(self, name).flags.writeable = False
 
     @staticmethod
     def apply(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-        """ifft(fft(values) * mult), complex."""
-        return np.fft.ifft(np.fft.fft(values) * mult)
+        """irfft(rfft(values) * mult, n); complex values part by part."""
+        if np.iscomplexobj(values):
+            apply = SpectralMultipliers.apply
+            return apply(values.real, mult) + 1j * apply(values.imag, mult)
+        return np.fft.irfft(np.fft.rfft(values) * mult, values.size)
 
 
 @lru_cache(maxsize=None)
@@ -276,10 +281,7 @@ def derivative(f: PeriodicFunction) -> PeriodicFunction:
     derivative of a real function real.
     """
     sp = f.grid.spectral
-    out = sp.apply(f.values, sp.deriv)
-    if not f.is_complex:
-        out = out.real
-    return PeriodicFunction(f.grid, out)
+    return PeriodicFunction(f.grid, sp.apply(f.values, sp.deriv))
 
 
 def integrate(f: PeriodicFunction):
@@ -294,15 +296,9 @@ def antiderivative_from_zero(f: PeriodicFunction) -> PeriodicFunction:
     The zero-mean part is integrated spectrally; the mean contributes the
     linear term mean(f) * x, so the result is a lift unless mean(f) = 0.
     """
-    fhat = np.fft.fft(f.values)
-    mean = fhat[0] / f.grid.n
-    coeff = fhat / f.grid.spectral.antideriv_div
-    coeff[0] = 0.0
-    p = np.fft.ifft(coeff)
-    out = p - p[0] + mean * f.grid.x
-    if not f.is_complex:
-        out = out.real
-    return PeriodicFunction(f.grid, out)
+    sp = f.grid.spectral
+    p = sp.apply(f.values, sp.antideriv)
+    return PeriodicFunction(f.grid, p - p[0] + np.mean(f.values) * f.grid.x)
 
 
 def mean_projection(f: PeriodicFunction) -> PeriodicFunction:
@@ -318,13 +314,19 @@ def inverse_A(f: PeriodicFunction, mean_tol: float = MEAN_TOL) -> PeriodicFuncti
     mean = np.mean(f.values)
     if abs(mean) > mean_tol:
         raise NonZeroMeanError(f"inverse_A needs zero-mean input, mean={mean!r}")
-    coeff = np.fft.fft(f.values) / f.grid.spectral.inv_a_div
-    coeff[0] = 0.0
-    g = np.fft.ifft(coeff)
-    g = g - g[0]
-    if not f.is_complex:
-        g = g.real
-    return PeriodicFunction(f.grid, g)
+    sp = f.grid.spectral
+    g = sp.apply(f.values, sp.inv_a)
+    return PeriodicFunction(f.grid, g - g[0])
+
+
+def inverse_A_dx(f: PeriodicFunction) -> PeriodicFunction:
+    """A^{-1} d/dx f with g(0) = 0, for any f (d/dx kills the mean).
+
+    Equals ``inverse_A(derivative(f))`` in one transform.
+    """
+    sp = f.grid.spectral
+    g = sp.apply(f.values, sp.ainv_dx)
+    return PeriodicFunction(f.grid, g - g[0])
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +428,12 @@ def _lift_parts(phi: PeriodicFunction) -> np.ndarray:
     return phi.values - phi.grid.x
 
 
+def _lift_slope(phi: PeriodicFunction) -> np.ndarray:
+    """phi_x = 1 + h_x of a unit-slope lift, h = phi - x its periodic part."""
+    sp = phi.grid.spectral
+    return 1.0 + sp.apply(_lift_parts(phi), sp.deriv)
+
+
 def _check_increasing(phi: PeriodicFunction, tol: float = 1e-12) -> np.ndarray:
     """Reject non-increasing lifts; derivatives touching zero within
 
@@ -433,8 +441,7 @@ def _check_increasing(phi: PeriodicFunction, tol: float = 1e-12) -> np.ndarray:
     ill-conditioned (tol = 1e-12), while construction-level validation may
     pass ``tol=0.0`` to admit steep but strictly monotone maps.
     """
-    h = PeriodicFunction(phi.grid, _lift_parts(phi))
-    phix = 1.0 + derivative(h).values
+    phix = _lift_slope(phi)
     if np.min(phix) <= tol:
         raise NotMonotoneError(
             f"diffeomorphism derivative has min {np.min(phix):.3e}"

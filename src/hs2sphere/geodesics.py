@@ -329,6 +329,15 @@ class LogMapResult:
         )
 
 
+def _antipode(grid: PeriodicGrid) -> GroupElement:
+    """(id, 2 pi): the point of the group farthest from the identity."""
+    return GroupElement(
+        PeriodicFunction(grid, grid.x),
+        PeriodicFunction.constant(grid, 2.0 * math.pi),
+        0,
+    )
+
+
 def log_map(target: GroupElement, phase_tol: float = PHASE_TOL) -> LogMapResult:
     """Invert the exponential map at the identity.
 
@@ -338,12 +347,7 @@ def log_map(target: GroupElement, phase_tol: float = PHASE_TOL) -> LogMapResult:
     """
     grid = target.grid
     ident = GroupElement.identity(grid)
-    antipode = GroupElement(
-        PeriodicFunction(grid, grid.x),
-        PeriodicFunction.constant(grid, 2.0 * math.pi),
-        0,
-    )
-    if target.distance(ident) < 1e-9 or target.distance(antipode) < 1e-9:
+    if target.distance(ident) < 1e-9 or target.distance(_antipode(grid)) < 1e-9:
         raise AtIdentityOrAntipodeError(
             "log map at (id, 0) or (id, 2 pi): infinitely many directions"
         )
@@ -392,13 +396,7 @@ def connect(a: GroupElement, b: GroupElement, tol: float = 1e-9) -> ConnectResul
     if a.distance(b) < tol:
         return ConnectResult("identical")
     g = multiply(a, inverse(b))
-    grid = g.grid
-    antipode = GroupElement(
-        PeriodicFunction(grid, grid.x),
-        PeriodicFunction.constant(grid, 2.0 * math.pi),
-        0,
-    )
-    if g.distance(antipode) < tol:
+    if g.distance(_antipode(g.grid)) < tol:
         return ConnectResult("antipodal_infinite")
     result = log_map(g)
     kinds = {"empty": "none", "single": "unique_short", "family": "periodic_family"}

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import funcspace as fs
 from .errors import DegeneratePlaneError
-from .funcspace import PeriodicFunction, PeriodicGrid
+from .funcspace import PeriodicFunction
 from .group import GroupElement, TangentVector
 
 
@@ -45,11 +45,6 @@ def _u1x(t) -> np.ndarray:
 
 def _pi(vals: np.ndarray) -> np.ndarray:
     return vals - np.mean(vals)
-
-
-def _inv_a_dx(grid: PeriodicGrid, vals: np.ndarray) -> PeriodicFunction:
-    """A^{-1} d/dx of arbitrary samples (the derivative kills the mean)."""
-    return fs.inverse_A(fs.derivative(PeriodicFunction(grid, vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +92,9 @@ def christoffel(u, v):
     """Gamma(u, v) = -(1/2)(A^{-1} d/dx(u1x v1x + u2 v2), u1x v2 + v1x u2)."""
     grid = u.grid
     u1x, v1x = _u1x(u), _u1x(v)
-    first = _inv_a_dx(grid, u1x * v1x + u.u2.values * v.u2.values) * (-0.5)
+    first = fs.inverse_A_dx(
+        PeriodicFunction(grid, u1x * v1x + u.u2.values * v.u2.values)
+    ) * (-0.5)
     second = PeriodicFunction(
         grid, -0.5 * (u1x * v.u2.values + v1x * u.u2.values)
     )
@@ -139,7 +136,7 @@ def dJ_direction(u: KTangent, v: KTangent) -> KTangent:
     (DJ . u)(v) = (A^{-1} d/dx(v2 u1x), -[v1x u1x]).
     """
     grid = u.grid
-    first = _inv_a_dx(grid, v.u2.values * _u1x(u))
+    first = fs.inverse_A_dx(PeriodicFunction(grid, v.u2.values * _u1x(u)))
     second = PeriodicFunction(grid, -_u1x(v) * _u1x(u))
     return KTangent(first, second)
 

@@ -111,8 +111,7 @@ class GroupElement:
     @property
     def phi_x(self) -> PeriodicFunction:
         """Spectral derivative of phi via its periodic part."""
-        h = PeriodicFunction(self.grid, self.phi.values - self.grid.x)
-        return fs.derivative(h) + 1.0
+        return PeriodicFunction(self.grid, fs._lift_slope(self.phi))
 
     def distance(self, other: "GroupElement") -> float:
         """Sup distance with the angle compared mod 4 pi."""

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .funcspace import PeriodicFunction, PeriodicGrid
 from .geometry import KTangent, curvature_G, curvature_K_closed, curvature_local
-from .group import GroupElement, TangentVector
+from .group import GroupElement, TangentVector, phi_map
 from .sphere import SpherePoint, SphereTangent
 
 
@@ -84,15 +84,11 @@ def project_q(f: SpherePoint, base_tol: float = 1e-10) -> CPPoint:
 
 def psi_map(kp: KPoint) -> CPPoint:
     """Quotient isometry: class of sqrt(phi_x) exp(i alpha / 2)."""
-    phix = kp.phi_x.values
-    vals = np.sqrt(phix) * np.exp(0.5j * kp.alpha.values)
-    return project_q(SpherePoint(PeriodicFunction(kp.grid, vals)))
+    return project_q(phi_map(kp))
 
 
 def check_diagram(a: GroupElement) -> float:
     """L2 distance between the two routes group -> projective classes."""
-    from .group import phi_map  # deferred: group imports sphere, not hopf
-
     route_sphere = project_q(phi_map(a))
     route_base = psi_map(project_p(a))
     return route_sphere.distance(route_base)

@@ -71,25 +71,16 @@ class Trajectory:
         write_trajectory_csv(path, self.times, self.grid.x, self.u, self.rho)
 
 
-def _dx(v: np.ndarray, sp: SpectralMultipliers) -> np.ndarray:
-    return sp.apply(v, sp.deriv).real
-
-
-def _ainvdx_pinned(v: np.ndarray, sp: SpectralMultipliers) -> np.ndarray:
-    out = sp.apply(v, sp.ainv_dx).real
-    return out - out[0]
-
-
 def _rhs_arrays(u, rho, sp: SpectralMultipliers, dealias: bool, restricted: bool):
     def clean(v):
-        return sp.apply(v, sp.mask).real if dealias else v
+        return sp.apply(v, sp.mask) if dealias else v
 
     if restricted:
         rho = rho - np.mean(rho)
-    ux = _dx(u, sp)
-    quad = clean(ux * ux + rho * rho)
-    ut = -clean(u * ux) - 0.5 * _ainvdx_pinned(quad, sp)
-    rhot = -_dx(clean(rho * u), sp)
+    ux = sp.apply(u, sp.deriv)
+    ainvdx = sp.apply(clean(ux * ux + rho * rho), sp.ainv_dx)
+    ut = -clean(u * ux) - 0.5 * (ainvdx - ainvdx[0])
+    rhot = -sp.apply(clean(rho * u), sp.deriv)
     if restricted:
         rhot = rhot - np.mean(rhot)
     return ut, rhot, float(np.max(np.abs(ux)))
@@ -117,7 +108,7 @@ def _riccati(w: np.ndarray, csq: float) -> np.ndarray:
 
 
 def _energy(u, rho, sp: SpectralMultipliers) -> float:
-    ux = _dx(u, sp)
+    ux = sp.apply(u, sp.deriv)
     return 0.25 * float(np.mean(ux * ux + rho * rho))
 
 
@@ -183,7 +174,7 @@ def integrate(
     rho = d.rho0.values.copy()
     if restricted:
         rho = rho - np.mean(rho)
-    w = _dx(u, sp) + 1j * rho
+    w = sp.apply(u, sp.deriv) + 1j * rho
 
     rec_t, rec_u, rec_rho = [0.0], [u.copy()], [rho.copy()]
     en_t, en, means = [0.0], [_energy(u, rho, sp)], [float(np.mean(rho))]

@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: finite
 differences instead of spectral derivatives, cubic splines on refined
 grids instead of trigonometric interpolation, dense parameter scans
 instead of closed-form root finding, the dense phase matrix instead of
-block evaluation or an inverse FFT, and scalar brentq and
-minimize_scalar calls instead of vectorised Newton.
+block evaluation or an inverse FFT, dense DFT matrices instead of
+real-FFT multipliers, and scalar brentq and minimize_scalar calls instead
+of vectorised Newton.
 """
 
 import numpy as np
@@ -51,6 +52,18 @@ def dense_trig_interpolate(values: np.ndarray, points) -> np.ndarray:
     idx = np.rint(pts * n)
     on_grid = np.abs(pts * n - idx) < 1e-12
     out[on_grid] = values[idx[on_grid].astype(int) % n]
+    return out if np.iscomplexobj(values) else out.real
+
+
+def dense_dft_multiplier(values: np.ndarray, symbol) -> np.ndarray:
+    """Apply the Fourier symbol(k), k = -n/2+1..n/2, through the dense
+    n x n DFT matrix and its inverse; real input gives the real part."""
+    n = values.size
+    k = np.arange(n)
+    k[k > n // 2] -= n
+    phases = 2.0 * np.pi * np.outer(np.arange(n), k) / n
+    coeffs = np.exp(-1j * phases).T @ values / n
+    out = np.exp(1j * phases) @ (symbol(k) * coeffs)
     return out if np.iscomplexobj(values) else out.real
 
 

@@ -13,6 +13,7 @@ from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
 from oracles import (
     brentq_inverse,
     centered_difference,
+    dense_dft_multiplier,
     dense_trig_interpolate,
     refined_grid_composition,
 )
@@ -326,3 +327,56 @@ def test_multiplier_cache_is_shared_and_read_only():
     for name in fs.SpectralMultipliers.__slots__:
         with pytest.raises(ValueError):
             getattr(a.spectral, name)[1] = 0.0
+
+
+def _odd_symbol(n, fn):
+    """Symbol of an odd-order operator: zero at the mean and Nyquist modes."""
+
+    def symbol(k):
+        out = np.zeros(k.shape, dtype=np.complex128)
+        keep = (k != 0) & (np.abs(k) != n // 2)
+        out[keep] = fn(k[keep])
+        return out
+
+    return symbol
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_spectral_ops_match_dense_dft(n, kind, rng):
+    grid = PeriodicGrid(n)
+    x = grid.x
+    vals = rng.normal(size=n) + np.cos(np.pi * n * x) + 0.7
+    if kind == "complex":
+        vals = vals + 1j * (rng.normal(size=n) - 2.0 * np.cos(np.pi * n * x))
+    f = PeriodicFunction(grid, vals)
+    zero_mean = fs.mean_projection(f)
+
+    def pinned(v):
+        return v - v[0]
+
+    deriv = dense_dft_multiplier(vals, _odd_symbol(n, lambda k: TWO_PI * 1j * k))
+    anti = dense_dft_multiplier(vals, _odd_symbol(n, lambda k: 1.0 / (TWO_PI * 1j * k)))
+    ainv_dx = dense_dft_multiplier(vals, _odd_symbol(n, lambda k: 1j / (TWO_PI * k)))
+
+    def inv_a_symbol(k):
+        out = np.zeros(k.shape)
+        out[k != 0] = 1.0 / (TWO_PI * k[k != 0]) ** 2
+        return out
+
+    inv_a = dense_dft_multiplier(zero_mean.values, inv_a_symbol)
+    masked = dense_dft_multiplier(vals, lambda k: (np.abs(k) <= n // 3).astype(float))
+    sp = grid.spectral
+    cases = [
+        (fs.derivative(f).values, deriv),
+        (fs.antiderivative_from_zero(f).values, pinned(anti) + np.mean(vals) * x),
+        (fs.inverse_A(zero_mean).values, pinned(inv_a)),
+        (fs.inverse_A_dx(f).values, pinned(ainv_dx)),
+        (sp.apply(vals, sp.mask), masked),
+    ]
+    for got, want in cases:
+        assert np.iscomplexobj(got) == (kind == "complex")
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) < 1e-14 * n * scale
+    both = fs.inverse_A(fs.derivative(f)).values
+    assert np.max(np.abs(fs.inverse_A_dx(f).values - both)) < 1e-15 * n
