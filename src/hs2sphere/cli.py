@@ -70,13 +70,17 @@ _BOOL_WORDS = {"true": True, "on": True, "1": True,
                "false": False, "off": False, "0": False}
 
 
+def _float_list(raw: str) -> list:
+    return [float(v) for v in raw.split(",")]
+
+
 def _parse_value(name: str, raw: str):
     raw = raw.strip()
     if name in ("u0x_cos", "u0x_sin", "rho0_cos", "rho0_sin"):
         if not raw:
             return []
         try:
-            return [float(v) for v in raw.split(",")]
+            return _float_list(raw)
         except ValueError as exc:
             raise ConfigError(f"bad list for {name}: {raw!r}") from exc
     if name in ("n", "record_every", "seed", "samples"):
@@ -330,21 +334,43 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--outdir", help="output directory")
 
 
+_LIST_FLAGS = (
+    ("--u0x-cos", "u0x_cos", "cosine coefficients of u0x"),
+    ("--u0x-sin", "u0x_sin", "sine coefficients of u0x"),
+    ("--rho0-cos", "rho0_cos", "cosine coefficients of rho0"),
+    ("--rho0-sin", "rho0_sin", "sine coefficients of rho0"),
+)
+
+
+def _is_float_list(token: str) -> bool:
+    try:
+        _float_list(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_list_values(argv: list) -> list:
+    """Attach each coefficient list to its flag, as ``--u0x-cos=-0.3,0.1``.
+
+    argparse reads a separate list that starts with a minus sign as a
+    flag.  Only a token that parses as a comma-separated float list is
+    joined, so a real flag after a list flag still fails as a missing value.
+    """
+    flags = [flag for flag, _, _ in _LIST_FLAGS]
+    out: list = []
+    for token in argv:
+        if out and out[-1] in flags and _is_float_list(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _add_data_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=PRESET_NAMES, help="named initial data")
-    lists = (
-        ("--u0x-cos", "u0x_cos", "cosine coefficients of u0x"),
-        ("--u0x-sin", "u0x_sin", "sine coefficients of u0x"),
-        ("--rho0-cos", "rho0_cos", "cosine coefficients of rho0"),
-        ("--rho0-sin", "rho0_sin", "sine coefficients of rho0"),
-    )
-    for flag, dest, what in lists:
-        p.add_argument(
-            flag,
-            dest=dest,
-            help=f"{what}, comma-separated; write {flag}=-0.3,0.1 "
-            "when the list starts with a minus sign",
-        )
+    for flag, dest, what in _LIST_FLAGS:
+        p.add_argument(flag, dest=dest, help=f"{what}, comma-separated")
     p.add_argument("--rho0-mean", dest="rho0_mean", type=float, help="mean of rho0")
 
 
@@ -402,7 +428,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_list_values(sys.argv[1:] if argv is None else list(argv))
+    )
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -31,14 +31,12 @@ solver.
 
 from __future__ import annotations
 
-import csv
 import math
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NonZeroMeanError, NotMonotoneError
-from .serialize import fmt_float, json_dump
 
 DEFAULT_N = 256
 MEAN_TOL = 1e-10
@@ -155,20 +153,6 @@ class PeriodicFunction:
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.values)
 
-    @property
-    def real(self) -> "PeriodicFunction":
-        return PeriodicFunction(self.grid, self.values.real)
-
-    @property
-    def imag(self) -> "PeriodicFunction":
-        return PeriodicFunction(self.grid, np.imag(self.values))
-
-    def conj(self) -> "PeriodicFunction":
-        return PeriodicFunction(self.grid, np.conj(self.values))
-
-    def abs(self) -> "PeriodicFunction":
-        return PeriodicFunction(self.grid, np.abs(self.values))
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
@@ -210,64 +194,6 @@ class PeriodicFunction:
     def __neg__(self):
         return PeriodicFunction(self.grid, -self.values)
 
-    # -- calculus shortcuts ---------------------------------------------
-
-    def derivative(self) -> "PeriodicFunction":
-        return derivative(self)
-
-    # -- serialization ---------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        """Write samples as CSV: columns x,value or x,re,im (17 digits)."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            if self.is_complex:
-                fh.write("x,re,im\n")
-                for x, v in zip(self.grid.x, self.values):
-                    fh.write(
-                        f"{fmt_float(x)},{fmt_float(v.real)},{fmt_float(v.imag)}\n"
-                    )
-            else:
-                fh.write("x,value\n")
-                for x, v in zip(self.grid.x, self.values):
-                    fh.write(f"{fmt_float(x)},{fmt_float(v)}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "PeriodicFunction":
-        with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-        header, rows = rows[0], rows[1:]
-        grid = PeriodicGrid(len(rows))
-        if header == ["x", "re", "im"]:
-            vals = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
-        elif header == ["x", "value"]:
-            vals = np.array([float(r[1]) for r in rows])
-        else:
-            raise ValueError(f"unrecognized CSV header {header}")
-        return cls(grid, vals)
-
-    def to_json_obj(self) -> dict:
-        if self.is_complex:
-            return {
-                "n": self.grid.n,
-                "re": self.values.real.tolist(),
-                "im": self.values.imag.tolist(),
-            }
-        return {"n": self.grid.n, "values": self.values.tolist()}
-
-    def to_json(self, path) -> None:
-        json_dump(self.to_json_obj(), path)
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "PeriodicFunction":
-        grid = PeriodicGrid(int(obj["n"]))
-        if "re" in obj:
-            vals = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(
-                obj["im"], dtype=float
-            )
-        else:
-            vals = np.asarray(obj["values"], dtype=float)
-        return cls(grid, vals)
-
 
 # ---------------------------------------------------------------------------
 # spectral calculus
@@ -306,13 +232,13 @@ def mean_projection(f: PeriodicFunction) -> PeriodicFunction:
     return PeriodicFunction(f.grid, f.values - np.mean(f.values))
 
 
-def inverse_A(f: PeriodicFunction, mean_tol: float = MEAN_TOL) -> PeriodicFunction:
+def inverse_A(f: PeriodicFunction) -> PeriodicFunction:
     """Invert A = -d^2/dx^2 on zero-mean input; result g has g(0) = 0.
 
-    Raises :class:`NonZeroMeanError` when |mean(f)| exceeds ``mean_tol``.
+    Raises :class:`NonZeroMeanError` when |mean(f)| exceeds MEAN_TOL.
     """
     mean = np.mean(f.values)
-    if abs(mean) > mean_tol:
+    if abs(mean) > MEAN_TOL:
         raise NonZeroMeanError(f"inverse_A needs zero-mean input, mean={mean!r}")
     sp = f.grid.spectral
     g = sp.apply(f.values, sp.inv_a)
@@ -536,15 +462,13 @@ def interpolant_roots(f: PeriodicFunction, lo, hi, sign, order: int = 0) -> np.n
     return _newton_bisect(residual, lo, hi, 0.5 * (lo + hi), ROOT_TOL, sign)
 
 
-def invert_diffeo(
-    phi: PeriodicFunction, root_tol: float = ROOT_TOL
-) -> PeriodicFunction:
+def invert_diffeo(phi: PeriodicFunction) -> PeriodicFunction:
     """Invert an increasing lift with phi(0) = 0, phi(1) = 1.
 
-    Solves y + h(y) = x_j for all nodes at once, h the trigonometric
-    interpolant of the periodic part, by Newton's method safeguarded with
-    bisection (:func:`_newton_bisect`), starting from the linear
-    interpolant of the sampled inverse.  h and h' come from one kernel
+    Solves y + h(y) = x_j to ROOT_TOL for all nodes at once, h the
+    trigonometric interpolant of the periodic part, by Newton's method
+    safeguarded with bisection (:func:`_newton_bisect`), starting from the
+    linear interpolant of the sampled inverse.  h and h' come from one kernel
     call per iteration on coefficients computed once.  The bracket
     [x - max(h), x - min(h)], widened by 1e-3, always contains the root.
     """
@@ -565,7 +489,7 @@ def invert_diffeo(
         x - (np.max(h) + 1e-3),
         x - (np.min(h) - 1e-3),
         np.interp(x, np.append(phi.values, 1.0), np.append(grid.x, 1.0)),
-        root_tol,
+        ROOT_TOL,
     )
     return PeriodicFunction(grid, np.concatenate(([0.0], y)))
 

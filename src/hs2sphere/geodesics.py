@@ -226,7 +226,6 @@ def _sphere_path(d: InitialData, t: float, c: float):
 
 
 def _check_time(d: InitialData, t: float) -> tuple[float, BlowupReport]:
-    c = speed(d)
     rep = blowup_time(d)
     if rep.finite:
         if t < 0.0:
@@ -237,7 +236,7 @@ def _check_time(d: InitialData, t: float) -> tuple[float, BlowupReport]:
             raise BeyondBlowupError(
                 f"t={t!r} is at or beyond the maximal time {rep.T!r}", rep
             )
-    return c, rep
+    return rep.speed, rep
 
 
 def exact_geodesic(d: InitialData, t: float) -> GroupElement:
@@ -338,7 +337,7 @@ def _antipode(grid: PeriodicGrid) -> GroupElement:
     )
 
 
-def log_map(target: GroupElement, phase_tol: float = PHASE_TOL) -> LogMapResult:
+def log_map(target: GroupElement) -> LogMapResult:
     """Invert the exponential map at the identity.
 
     The target is unreachable iff exp(i alpha/2) = -1 somewhere; reachable
@@ -353,7 +352,7 @@ def log_map(target: GroupElement, phase_tol: float = PHASE_TOL) -> LogMapResult:
         )
 
     alpha = target.alpha.values
-    at_minus_one = np.abs(wrap_mod_4pi(alpha - 2.0 * math.pi)) < phase_tol
+    at_minus_one = np.abs(wrap_mod_4pi(alpha - 2.0 * math.pi)) < PHASE_TOL
     if bool(np.any(at_minus_one)):
         return LogMapResult("empty")
 
@@ -372,7 +371,7 @@ def log_map(target: GroupElement, phase_tol: float = PHASE_TOL) -> LogMapResult:
     rho0 = PeriodicFunction(grid, 2.0 * im_f / denom)
     direction = InitialData(u0, rho0)
 
-    at_plus_one = np.abs(wrap_mod_4pi(alpha)) < phase_tol
+    at_plus_one = np.abs(wrap_mod_4pi(alpha)) < PHASE_TOL
     if bool(np.any(at_plus_one)):
         return LogMapResult("single", r0, direction, None)
     return LogMapResult("family", r0, direction, 2.0 * math.pi)
@@ -386,17 +385,17 @@ class ConnectResult:
     log: LogMapResult | None = None
 
 
-def connect(a: GroupElement, b: GroupElement, tol: float = 1e-9) -> ConnectResult:
+def connect(a: GroupElement, b: GroupElement) -> ConnectResult:
     """Classify geodesics from a to b via right invariance.
 
     Reduces to the log map of a b^{-1}.  Outcomes: 'identical' (degenerate,
     a = b), 'antipodal_infinite' (b = a (id, 2 pi): infinitely many
     geodesics), 'none', 'unique_short', or 'periodic_family'.
     """
-    if a.distance(b) < tol:
+    if a.distance(b) < 1e-9:
         return ConnectResult("identical")
     g = multiply(a, inverse(b))
-    if g.distance(_antipode(g.grid)) < tol:
+    if g.distance(_antipode(g.grid)) < 1e-9:
         return ConnectResult("antipodal_infinite")
     result = log_map(g)
     kinds = {"empty": "none", "single": "unique_short", "family": "periodic_family"}

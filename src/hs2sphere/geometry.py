@@ -109,25 +109,17 @@ def christoffel(u, v):
 def kahler_J(U, at: GroupElement | None = None):
     """Almost complex structure J(U1, [U2]) = (-int_0^x pi(U2) phi_x, [U1x / phi_x]).
 
-    With ``at`` omitted the base is the identity and the result is a
-    canonical :class:`KTangent`.  At a general base the projection uses the
-    phi_x-weighted mean and the result is returned as a raw representative
-    (:class:`TangentVector`); its second slot is only defined up to a
-    constant.
+    pi(U2) = U2 - integral(U2 phi_x); with ``at`` omitted the base is the
+    identity, phi_x = 1.  The result has the type of U: a canonical
+    :class:`KTangent`, or a raw :class:`TangentVector` representative whose
+    second slot is only defined up to a constant.
     """
-    if at is None:
-        first = -1.0 * fs.antiderivative_from_zero(
-            PeriodicFunction(U.u1.grid, _pi(U.u2.values))
-        )
-        return KTangent(first, fs.derivative(U.u1))
-    phix = at.phi_x.values
-    weighted_mean = float(np.mean(U.u2.values * phix))
-    pi_u2 = U.u2.values - weighted_mean
+    phix = 1.0 if at is None else at.phi_x.values
+    pi_u2 = U.u2.values - float(np.mean(U.u2.values * phix))
     first = -1.0 * fs.antiderivative_from_zero(
-        PeriodicFunction(at.grid, pi_u2 * phix)
+        PeriodicFunction(U.grid, pi_u2 * phix)
     )
-    second = PeriodicFunction(at.grid, _u1x(U) / phix)
-    return TangentVector(first, second)
+    return type(U)(first, PeriodicFunction(U.grid, _u1x(U) / phix))
 
 
 def dJ_direction(u: KTangent, v: KTangent) -> KTangent:

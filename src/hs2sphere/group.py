@@ -173,25 +173,22 @@ def phi_map(a: GroupElement) -> SpherePoint:
     return SpherePoint(PeriodicFunction(a.grid, vals))
 
 
-def phi_inverse(
-    f: SpherePoint,
-    modulus_tol: float = MODULUS_TOL,
-    jump_tol: float = PHASE_JUMP_TOL,
-) -> GroupElement:
+def phi_inverse(f: SpherePoint) -> GroupElement:
     """Invert Phi: phi(x) = integral_0^x |f|^2, alpha = 2 arg f unwrapped.
 
-    The phase is unwrapped sequentially along the grid starting from
-    alpha(0) in [0, 4 pi); a jump above ``jump_tol`` between adjacent nodes
-    means the grid cannot resolve the phase and is rejected.
+    |f| must exceed MODULUS_TOL everywhere.  The phase is unwrapped
+    sequentially along the grid starting from alpha(0) in [0, 4 pi); a
+    jump above PHASE_JUMP_TOL (pi/2) between adjacent nodes means the grid
+    cannot resolve the phase and is rejected.
     """
     vals = f.values
-    if float(np.min(np.abs(vals))) <= modulus_tol:
+    if float(np.min(np.abs(vals))) <= MODULUS_TOL:
         raise VanishingModulusError(
-            f"phi_inverse needs |f| > {modulus_tol}, min={np.min(np.abs(vals))!r}"
+            f"phi_inverse needs |f| > {MODULUS_TOL}, min={np.min(np.abs(vals))!r}"
         )
     ratios = np.roll(vals, -1) / vals
     jumps = np.angle(ratios)
-    if float(np.max(np.abs(jumps))) > jump_tol:
+    if float(np.max(np.abs(jumps))) > PHASE_JUMP_TOL:
         raise UnwrapAmbiguityError(
             "adjacent-node phase jump exceeds pi/2; refine the grid"
         )

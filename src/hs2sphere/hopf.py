@@ -19,14 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import funcspace as fs
 from .errors import (
     BaseMismatchError,
     ZeroAtBasePointError,
     ZeroAtChartPointError,
 )
 from .funcspace import PeriodicFunction, PeriodicGrid
-from .geometry import KTangent, curvature_G, curvature_K_closed, curvature_local
+from .geometry import (
+    KTangent,
+    curvature_G,
+    curvature_K_closed,
+    curvature_local,
+    symplectic_omega,
+)
 from .group import GroupElement, TangentVector, phi_map
 from .sphere import SpherePoint, SphereTangent
 
@@ -73,10 +78,10 @@ def project_p(a: GroupElement) -> KPoint:
     return KPoint(a.phi, alpha, a.winding)
 
 
-def project_q(f: SpherePoint, base_tol: float = 1e-10) -> CPPoint:
+def project_q(f: SpherePoint) -> CPPoint:
     """Projective canonicalization by the phase gauge at x = 0."""
     z = f.values[0]
-    if abs(z) < base_tol:
+    if abs(z) < 1e-10:
         raise ZeroAtBasePointError("representative vanishes at the base point")
     gauge = np.conj(z) / abs(z)
     return CPPoint(SpherePoint(PeriodicFunction(f.grid, f.values * gauge)))
@@ -143,10 +148,8 @@ def fubini_study(X: SphereTangent, Y: SphereTangent) -> float:
 
 
 def vertical_bracket_integral(u: KTangent, v: KTangent) -> float:
-    """integral(v2x u1 - u2x v1): the fiber component of the horizontal bracket."""
-    u2x = fs.derivative(u.u2).values
-    v2x = fs.derivative(v.u2).values
-    return float(np.mean(v2x * u.u1.values - u2x * v.u1.values))
+    """integral(v2x u1 - u2x v1) = -4 omega(u, v): the bracket's fiber part."""
+    return -4.0 * symplectic_omega(u, v)
 
 
 def oneill_check(

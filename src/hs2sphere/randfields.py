@@ -19,13 +19,14 @@ from .group import GroupElement, TangentVector
 from .sphere import SpherePoint, SphereTangent, project_to_tangent
 
 DEFAULT_DECAY = 3.0
+DIFFEO_AMPLITUDE = 0.4
+PHASE_AMPLITUDE = 0.75
 
 
 def band_limited(
     grid: PeriodicGrid,
     rng: np.random.Generator,
     max_mode: int | None = None,
-    decay: float = DEFAULT_DECAY,
     amplitude: float = 1.0,
 ) -> PeriodicFunction:
     """Zero-mean random trigonometric polynomial with decaying coefficients.
@@ -40,57 +41,43 @@ def band_limited(
     if max_mode >= n / 2:
         raise ValueError(f"max_mode {max_mode} must lie below n/2 = {n / 2}")
     k = np.arange(1, max_mode + 1)
-    a = rng.normal(size=max_mode) / k**decay
-    b = rng.normal(size=max_mode) / k**decay
+    a = rng.normal(size=max_mode) / k**DEFAULT_DECAY
+    b = rng.normal(size=max_mode) / k**DEFAULT_DECAY
     spec = np.zeros(n // 2 + 1, dtype=complex)
     spec[1 : max_mode + 1] = 0.5 * n * (a - 1j * b)
     return PeriodicFunction(grid, amplitude * np.fft.irfft(spec, n))
 
 
-def u1_field(
-    grid: PeriodicGrid, rng: np.random.Generator, amplitude: float = 1.0
-) -> PeriodicFunction:
+def u1_field(grid: PeriodicGrid, rng: np.random.Generator) -> PeriodicFunction:
     """Random periodic u1 with u1(0) = 0 exactly (integrated series)."""
-    return fs.antiderivative_from_zero(band_limited(grid, rng, amplitude=amplitude))
+    return fs.antiderivative_from_zero(band_limited(grid, rng))
 
 
 def g_tangent(
-    grid: PeriodicGrid,
-    rng: np.random.Generator,
-    amplitude: float = 1.0,
-    with_mean: bool = True,
+    grid: PeriodicGrid, rng: np.random.Generator, with_mean: bool = True
 ) -> TangentVector:
-    u2 = band_limited(grid, rng, amplitude=amplitude)
+    u2 = band_limited(grid, rng)
     if with_mean:
         u2 = u2 + float(rng.normal())
-    return TangentVector(u1_field(grid, rng, amplitude), u2)
+    return TangentVector(u1_field(grid, rng), u2)
 
 
-def k_tangent(
-    grid: PeriodicGrid, rng: np.random.Generator, amplitude: float = 1.0
-) -> KTangent:
-    return KTangent(
-        u1_field(grid, rng, amplitude), band_limited(grid, rng, amplitude=amplitude)
-    )
+def k_tangent(grid: PeriodicGrid, rng: np.random.Generator) -> KTangent:
+    return KTangent(u1_field(grid, rng), band_limited(grid, rng))
 
 
-def group_element(
-    grid: PeriodicGrid,
-    rng: np.random.Generator,
-    diffeo_amplitude: float = 0.4,
-    phase_amplitude: float = 0.75,
-) -> GroupElement:
+def group_element(grid: PeriodicGrid, rng: np.random.Generator) -> GroupElement:
     """Random element in the identity component with phi_x bounded from 0.
 
     Base points are band-limited to n/8 so that compositions and
     inversions (which broaden the spectrum) stay fully resolved.
     """
     w = band_limited(grid, rng, max_mode=grid.n // 8)
-    scale = diffeo_amplitude / max(w.max_abs(), 1e-12)
+    scale = DIFFEO_AMPLITUDE / max(w.max_abs(), 1e-12)
     h = fs.antiderivative_from_zero(w * scale)
     phi = PeriodicFunction(grid, grid.x + h.values)
     alpha = band_limited(
-        grid, rng, max_mode=grid.n // 8, amplitude=phase_amplitude
+        grid, rng, max_mode=grid.n // 8, amplitude=PHASE_AMPLITUDE
     ) + float(rng.uniform(0.0, 4.0 * np.pi))
     return GroupElement(phi, alpha, 0)
 
@@ -115,14 +102,10 @@ def nonvanishing_sphere_point(
     return phi_map(group_element(grid, rng))
 
 
-def sphere_tangent(
-    base: SpherePoint, rng: np.random.Generator, amplitude: float = 1.0
-) -> SphereTangent:
+def sphere_tangent(base: SpherePoint, rng: np.random.Generator) -> SphereTangent:
     grid = base.grid
     raw = PeriodicFunction(
-        grid,
-        band_limited(grid, rng, amplitude=amplitude).values
-        + 1j * band_limited(grid, rng, amplitude=amplitude).values,
+        grid, band_limited(grid, rng).values + 1j * band_limited(grid, rng).values
     )
     return project_to_tangent(base, raw)
 

@@ -189,17 +189,12 @@ def stereo_north_inverse(h: PeriodicFunction) -> SpherePoint:
     return SpherePoint(PeriodicFunction(h.grid, vals))
 
 
-def is_nowhere_vanishing(f: SpherePoint, tol: float = MODULUS_TOL) -> bool:
-    """True when min |f| exceeds the modulus tolerance."""
-    return f.min_modulus() > tol
+def is_nowhere_vanishing(f: SpherePoint) -> bool:
+    """True when min |f| exceeds MODULUS_TOL."""
+    return f.min_modulus() > MODULUS_TOL
 
 
-def segment_in_U(
-    f: SpherePoint,
-    g: SpherePoint,
-    which: str = "short",
-    im_tol: float = IM_RATIO_TOL,
-) -> bool:
+def segment_in_U(f: SpherePoint, g: SpherePoint, which: str = "short") -> bool:
     """Whether the short or long geodesic segment from f to g avoids zeros.
 
     Short segment: contained in U iff f/g never lands on the negative real
@@ -214,7 +209,7 @@ def segment_in_U(
     if min(d_minus, d_plus) < POLE_TOL:
         raise ProportionalPointsError("segment query needs f != +-g")
     ratio = f.values / g.values
-    realish = np.abs(ratio.imag) <= im_tol * np.abs(ratio)
+    realish = np.abs(ratio.imag) <= IM_RATIO_TOL * np.abs(ratio)
     if which == "short":
         return not bool(np.any(realish & (ratio.real < 0.0)))
     return not bool(np.any(realish))

@@ -109,6 +109,20 @@ def test_blowup_exit_codes(tmp_path):
     assert report["T_unit_speed"] < np.pi
 
 
+def test_coefficient_list_may_start_with_minus(tmp_path):
+    reports = []
+    for i, spelling in enumerate((["--u0x-cos", "-0.3,0.1"], ["--u0x-cos=-0.3,0.1"])):
+        out = tmp_path / str(i)
+        argv = ["blowup", *spelling, "--rho0-mean", "1.0", "--outdir", str(out)]
+        assert main(argv) == 0
+        reports.append((out / "blowup.json").read_bytes())
+    assert reports[0] == reports[1]
+    # a flag in the value position is still a missing value
+    with pytest.raises(SystemExit) as exc_info:
+        main(["blowup", "--u0x-cos", "--rho0-mean", "1.0"])
+    assert exc_info.value.code == 2
+
+
 def test_fourier_series_data_and_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

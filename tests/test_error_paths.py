@@ -1,4 +1,4 @@
-"""Error-path and serialization coverage for the smaller API surfaces."""
+"""Error-path coverage for the smaller API surfaces."""
 
 import numpy as np
 import pytest
@@ -53,16 +53,6 @@ def test_cp_chart_requires_grid_node(grid, rng):
     f = hp.project_q(rf.nonvanishing_sphere_point(grid, rng))
     with pytest.raises(ValueError):
         hp.cp_chart(0.5 + 0.25 / grid.n, f)
-
-
-def test_periodic_function_json_file_round_trip(grid, rng, tmp_path):
-    f = PeriodicFunction(grid, rng.normal(size=grid.n))
-    path = tmp_path / "f.json"
-    f.to_json(path)
-    import json
-
-    back = PeriodicFunction.from_json_obj(json.loads(path.read_text()))
-    assert np.array_equal(back.values, f.values)
 
 
 def test_values_are_immutable(grid):

@@ -297,29 +297,6 @@ def test_invert_diffeo_rejects_degenerate(grid):
         fs.invert_diffeo(touching)
 
 
-def test_csv_round_trip_bit_exact(grid, rng, tmp_path):
-    f = PeriodicFunction(grid, rng.normal(size=grid.n))
-    path = tmp_path / "f.csv"
-    f.to_csv(path)
-    back = PeriodicFunction.from_csv(path)
-    assert np.array_equal(back.values, f.values)
-
-    z = PeriodicFunction(grid, rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n))
-    path2 = tmp_path / "z.csv"
-    z.to_csv(path2)
-    back2 = PeriodicFunction.from_csv(path2)
-    assert np.array_equal(back2.values, z.values)
-
-
-def test_json_round_trip_bit_exact(grid, rng, tmp_path):
-    f = PeriodicFunction(grid, rng.normal(size=grid.n))
-    back = PeriodicFunction.from_json_obj(f.to_json_obj())
-    assert np.array_equal(back.values, f.values)
-    z = PeriodicFunction(grid, rng.normal(size=grid.n) * 1j + rng.normal(size=grid.n))
-    back2 = PeriodicFunction.from_json_obj(z.to_json_obj())
-    assert np.array_equal(back2.values, z.values)
-
-
 def test_multiplier_cache_is_shared_and_read_only():
     a, b = PeriodicGrid(64), PeriodicGrid(64)
     assert a.spectral is b.spectral

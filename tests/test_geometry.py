@@ -10,7 +10,7 @@ from hs2sphere.errors import DegeneratePlaneError
 from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
 from hs2sphere.geodesics import InitialData, exact_solution
 from hs2sphere.geometry import KTangent
-from hs2sphere.group import TangentVector
+from hs2sphere.group import GroupElement, TangentVector
 from hs2sphere.integrator import rhs_restricted
 
 TWO_PI = 2.0 * np.pi
@@ -81,6 +81,17 @@ def test_kahler_J_plug_in(grid):
     expected = -np.sin(TWO_PI * grid.x) / TWO_PI
     assert np.max(np.abs(J.u1.values - expected)) < 1e-14
     assert J.u2.max_abs() < 1e-14
+
+
+def test_kahler_J_default_base_is_identity(grid, rng):
+    u = rf.k_tangent(grid, rng)
+    J = gm.kahler_J(u)
+    J_at = gm.kahler_J(u, at=GroupElement.identity(grid))
+    assert type(J) is KTangent and type(J_at) is KTangent
+    assert np.array_equal(J.u1.values, J_at.u1.values)
+    assert np.array_equal(J.u2.values, J_at.u2.values)
+    U = rf.g_tangent(grid, rng)
+    assert type(gm.kahler_J(U, at=rf.group_element(grid, rng))) is TangentVector
 
 
 def test_J_squared_at_identity_and_base(grid, rng):

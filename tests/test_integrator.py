@@ -194,9 +194,14 @@ def test_restricted_halt_before_blowup(grid):
 
 def test_trajectory_csv(grid, tmp_path):
     cfg = IntegratorConfig(dt=1e-2, t_end=0.1, record_every=5)
-    traj = integrate(stationary(grid), cfg)
+    traj = integrate(smooth_global(grid), cfg)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,x,u,rho"
     assert len(lines) == 1 + len(traj.times) * grid.n
+    # 17 significant digits read back bit-exactly
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    table = table.reshape(len(traj.times), grid.n, 4)
+    assert np.array_equal(table[:, :, 2], traj.u)
+    assert np.array_equal(table[:, :, 3], traj.rho)
