@@ -23,6 +23,7 @@ existence time, 10 finite-time blow-up detected.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -378,10 +379,12 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hs2sphere",
         description="Two-component Hunter-Saxton solver and geometry verifier",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("solve", help="exact vs RK4 cross-validated solve")
+    p = add("solve", help="exact vs RK4 cross-validated solve")
     _add_common(p)
     _add_data_options(p)
     p.add_argument("--t-end", dest="t_end", type=float, help="final time")
@@ -396,12 +399,12 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("blowup", help="existence classification and report")
+    p = add("blowup", help="existence classification and report")
     _add_common(p)
     _add_data_options(p)
     p.set_defaults(fn=cmd_blowup)
 
-    p = sub.add_parser("verify", help="run the geometric identity suite")
+    p = add("verify", help="run the geometric identity suite")
     _add_common(p)
     p.add_argument("--samples", type=int, help="random samples per identity")
     p.add_argument("--seed", type=int, help="random seed")
@@ -412,12 +415,12 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("logmap", help="exponential-map preimages of an element")
+    p = add("logmap", help="exponential-map preimages of an element")
     _add_common(p)
     p.add_argument("--target", required=True, help="group element JSON file")
     p.set_defaults(fn=cmd_logmap)
 
-    p = sub.add_parser("connect", help="classify geodesics joining two elements")
+    p = add("connect", help="classify geodesics joining two elements")
     _add_common(p)
     p.add_argument("--a", required=True, help="first group element JSON file")
     p.add_argument("--b", required=True, help="second group element JSON file")

@@ -50,10 +50,11 @@ class SpectralMultipliers:
     ``deriv`` is 2 pi i k, ``antideriv`` 1 / (2 pi i k), ``inv_a``
     1 / (4 pi^2 k^2) and ``ainv_dx`` i / (2 pi k), each zero at the mean
     mode; the odd-order ones are also zero at the Nyquist mode.  ``mask``
-    keeps the modes k <= n // 3.
+    keeps the modes k <= n // 3.  ``ainv_dx_deriv`` stacks ``ainv_dx`` over
+    ``deriv`` for a two-row :meth:`apply`.
     """
 
-    __slots__ = ("deriv", "antideriv", "inv_a", "ainv_dx", "mask")
+    __slots__ = ("deriv", "antideriv", "inv_a", "ainv_dx", "mask", "ainv_dx_deriv")
 
     def __init__(self, n: int):
         k = np.arange(n // 2 + 1, dtype=float)
@@ -67,16 +68,18 @@ class SpectralMultipliers:
         for odd in (self.deriv, self.antideriv, self.ainv_dx):
             odd[-1] = 0.0
         self.mask = (k <= n // 3).astype(float)
+        self.ainv_dx_deriv = np.stack([self.ainv_dx, self.deriv])
         for name in self.__slots__:
             getattr(self, name).flags.writeable = False
 
     @staticmethod
     def apply(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-        """irfft(rfft(values) * mult, n); complex values part by part."""
+        """irfft(rfft(values) * mult, n) along the last axis, so each row of a
+        stack is bit-identical to its own call; complex values part by part."""
         if np.iscomplexobj(values):
             apply = SpectralMultipliers.apply
             return apply(values.real, mult) + 1j * apply(values.imag, mult)
-        return np.fft.irfft(np.fft.rfft(values) * mult, values.size)
+        return np.fft.irfft(np.fft.rfft(values) * mult, values.shape[-1])
 
 
 @lru_cache(maxsize=None)

@@ -123,6 +123,18 @@ def test_coefficient_list_may_start_with_minus(tmp_path):
     assert exc_info.value.code == 2
 
 
+def test_flags_are_not_abbreviated(tmp_path):
+    data = ["blowup", "--rho0-mean", "1.0", "--outdir", str(tmp_path)]
+    run = ["solve", "--preset", "stationary", "--t-end", "0.01", "--dt", "0.005"]
+    run += ["--outdir", str(tmp_path)]
+    for argv in ([*data, "--u0x-c=-0.3,0.1"], [*run, "--rec", "5"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+    assert main([*data, "--u0x-cos=-0.3,0.1"]) == 0
+    assert main([*run, "--record-every", "5"]) == 0
+
+
 def test_fourier_series_data_and_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

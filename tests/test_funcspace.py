@@ -306,6 +306,28 @@ def test_multiplier_cache_is_shared_and_read_only():
             getattr(a.spectral, name)[1] = 0.0
 
 
+@pytest.mark.parametrize("n", [8, 256])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_apply_on_a_stack_is_bit_exact_row_by_row(n, kind, rng):
+    sp = PeriodicGrid(n).spectral
+    stack = rng.normal(size=(3, n))
+    if kind == "complex":
+        stack = stack + 1j * rng.normal(size=(3, n))
+
+    def same_bits(got, rows):
+        want = np.array(rows)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    for name in ("deriv", "antideriv", "inv_a", "ainv_dx", "mask"):
+        mult = getattr(sp, name)
+        same_bits(sp.apply(stack, mult), [sp.apply(row, mult) for row in stack])
+    same_bits(
+        sp.apply(stack[:2], sp.ainv_dx_deriv),
+        [sp.apply(stack[0], sp.ainv_dx), sp.apply(stack[1], sp.deriv)],
+    )
+
+
 def _odd_symbol(n, fn):
     """Symbol of an odd-order operator: zero at the mean and Nyquist modes."""
 

@@ -119,6 +119,31 @@ def test_energy_and_mean_conservation(grid):
     assert np.max(np.abs(traj.rho_mean - traj.rho_mean[0])) < 1e-10
 
 
+@pytest.mark.parametrize("dealias, per_rhs", [(False, 2), (True, 3)])
+def test_transform_budget_and_energy_reuse(grid, monkeypatch, dealias, per_rhs):
+    d = smooth_global(grid)
+    calls = []
+    rfft = np.fft.rfft
+
+    def counting_rfft(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    steps = 5
+    cfg = IntegratorConfig(dt=1e-2, t_end=steps * 1e-2, dealias=dealias, record_every=1)
+    traj = integrate(d, cfg)
+    monkeypatch.undo()
+    # four stages per step, plus stage 1 of the final state for its energy
+    assert len(calls) == per_rhs * (4 * steps + 1)
+
+    assert np.array_equal(traj.times, traj.energy_times)
+    for i, energy in enumerate(traj.energy):
+        ux = fs.derivative(PeriodicFunction(grid, traj.u[i])).values
+        rho = traj.rho[i]
+        assert energy == 0.25 * float(np.mean(ux * ux + rho * rho))
+
+
 def test_fourth_order_convergence(grid):
     d = smooth_global(grid)
     ue, rhoe = exact_solution(d, 0.25)
