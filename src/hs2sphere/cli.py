@@ -35,6 +35,7 @@ from . import funcspace as fs
 from .errors import ConfigError, HS2Error, StepBlowupError
 from .funcspace import PeriodicFunction, PeriodicGrid
 from .geodesics import (
+    BLOWUP_MARGIN,
     InitialData,
     blowup_time,
     classify_existence,
@@ -196,7 +197,7 @@ def cmd_solve(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     report = blowup_time(data)
-    if report.finite and cfg.t_end >= report.T - 1e-9:
+    if report.finite and cfg.t_end >= report.T - BLOWUP_MARGIN:
         print(json_dumps(report.to_json_obj()))
         print(
             f"requested t_end={fmt_float(cfg.t_end)} reaches the maximal "

@@ -14,7 +14,8 @@ maximal time always satisfies T < pi / c when finite.
 
 Two clocks are used throughout: physical time t and the unit-speed (arc
 length) parameter s = c t.  Period and upper-bound statements (period
-2 pi, T < pi) hold on the unit-speed clock; reports carry both.
+2 pi, T < pi) hold on the unit-speed clock; reports carry both.  The
+exact flow itself is evaluated on the half-period clock r = ct - m pi.
 """
 
 from __future__ import annotations
@@ -216,16 +217,18 @@ def classify_existence(d: InitialData) -> ExistenceClass:
     )
 
 
-def _sphere_path(d: InitialData, t: float, c: float):
-    """Values of f(t, .) and f_t(t, .) on the grid."""
-    u0x = fs.derivative(d.u0).values
-    k = (u0x + 1j * d.rho0.values) / (2.0 * c)
-    f = np.cos(c * t) + k * np.sin(c * t)
-    ft = c * (-np.sin(c * t) + k * np.cos(c * t))
-    return f, ft
+def _great_circle(d: InitialData, t: float):
+    """The great circle at time t on the half-period clock.
 
+    Refuses negative t and t within BLOWUP_MARGIN of a finite maximal time
+    (:class:`BeyondBlowupError`).  With ct = m pi + r, r in [0, pi), and
+    k = (u0x + i rho0) / (2c), f = (-1)^m g for
 
-def _check_time(d: InitialData, t: float) -> tuple[float, BlowupReport]:
+        g = cos r + k sin r,  g_t = c (k cos r - sin r).
+
+    Returns m, the grid values of g and g_t, and phi = integral of |g|^2
+    from 0.  The sign cancels from 2 f_t / f, |f|^2 and Re(conj(f) f_t).
+    """
     rep = blowup_time(d)
     if rep.finite:
         if t < 0.0:
@@ -236,38 +239,29 @@ def _check_time(d: InitialData, t: float) -> tuple[float, BlowupReport]:
             raise BeyondBlowupError(
                 f"t={t!r} is at or beyond the maximal time {rep.T!r}", rep
             )
-    return rep.speed, rep
+    c = rep.speed
+    k = fs.derivative(d.u0).values / (2.0 * c) + 1j * (d.rho0.values / (2.0 * c))
+    m = math.floor(c * t / math.pi)
+    r = c * t - m * math.pi
+    g = np.cos(r) + k * np.sin(r)
+    gt = c * (k * np.cos(r) - np.sin(r))
+    phi = fs.antiderivative_from_zero(
+        PeriodicFunction(d.grid, g.real**2 + g.imag**2)
+    )
+    return m, g, gt, phi
 
 
 def exact_geodesic(d: InitialData, t: float) -> GroupElement:
-    """Group flow at time t with the angle branch continuous in t and x.
+    """Group flow (phi, alpha) at time t, alpha continuous in t and x.
 
-    On each half period of ct the argument of f = (-1)^m (cos r + k sin r),
-    r = ct - m pi, stays in a single atan2 branch (the sign of rho0 fixes
-    the half plane), so the lift is m pi sign(rho0) plus the principal
-    angle.  Before blow-up no branch cut is crossed.
+    On the half-period clock f = (-1)^m g, and Im g has the sign of rho0
+    for r in (0, pi), so arg g stays in one atan2 branch and the lift is
+    alpha / 2 = m pi sign(rho0) + arg g.  Before blow-up no branch cut is
+    crossed.
     """
-    c, _ = _check_time(d, t)
-    return _geodesic(d, t, c)
-
-
-def _geodesic(d: InitialData, t: float, c: float) -> GroupElement:
-    """:func:`exact_geodesic` for a time already checked against blow-up."""
-    grid = d.grid
-    u0x = fs.derivative(d.u0).values
-    u = u0x / (2.0 * c)
-    v = d.rho0.values / (2.0 * c)
-
-    ct = c * t
-    m = math.floor(ct / math.pi)
-    r = ct - m * math.pi
-    A = np.cos(r) + u * np.sin(r)
-    B = v * np.sin(r)
-
-    theta = np.sign(v) * (m * math.pi) + np.arctan2(B, A)
-    alpha = PeriodicFunction(grid, 2.0 * theta)
-    phi = fs.antiderivative_from_zero(PeriodicFunction(grid, A * A + B * B))
-    return GroupElement(phi, alpha, 0)
+    m, g, _, phi = _great_circle(d, t)
+    theta = np.sign(d.rho0.values) * (m * math.pi) + np.arctan2(g.imag, g.real)
+    return GroupElement(phi, PeriodicFunction(d.grid, 2.0 * theta), 0)
 
 
 def exact_solution(
@@ -275,28 +269,18 @@ def exact_solution(
 ) -> tuple[PeriodicFunction, PeriodicFunction]:
     """Solution (u, rho) at time t.
 
-    Computes w = 2 f_t / f on the grid, so that u_x + i rho = w o phi^{-1};
-    the velocity is u = phi_t o phi^{-1} with phi_t integrated spectrally.
+    On the half-period clock f = (-1)^m g, and the sign drops out of
+    w = 2 g_t / g = (u_x + i rho) o phi.  phi_t integrates 2 Re(conj(g) g_t),
+    so u = phi_t o phi^{-1} and rho = Im w o phi^{-1}.
     """
-    c, _ = _check_time(d, t)
-    grid = d.grid
-    f, ft = _sphere_path(d, t, c)
-    w = 2.0 * ft / f
-
-    phi = _geodesic(d, t, c).phi
-    phi_inv = fs.invert_diffeo(phi)
+    _, g, gt, phi = _great_circle(d, t)
     phi_t = fs.antiderivative_from_zero(
-        PeriodicFunction(grid, 2.0 * (np.conj(f) * ft).real)
+        PeriodicFunction(d.grid, 2.0 * (np.conj(g) * gt).real)
     )
+    phi_inv = fs.invert_diffeo(phi)
     u = fs.compose(phi_t, phi_inv)
-    rho = fs.compose(PeriodicFunction(grid, w.imag), phi_inv)
+    rho = fs.compose(PeriodicFunction(d.grid, (2.0 * gt / g).imag), phi_inv)
     return u, rho
-
-
-def exact_state(d: InitialData, t: float) -> InitialData:
-    """Solution at time t repackaged as initial data for restarts."""
-    u, rho = exact_solution(d, t)
-    return InitialData(u, rho)
 
 
 # ---------------------------------------------------------------------------

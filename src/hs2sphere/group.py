@@ -23,10 +23,9 @@ import numpy as np
 from . import funcspace as fs
 from .errors import UnwrapAmbiguityError, VanishingModulusError
 from .funcspace import PeriodicFunction, PeriodicGrid
-from .sphere import SpherePoint
+from .sphere import MODULUS_TOL, SpherePoint
 
 FOUR_PI = 4.0 * np.pi
-MODULUS_TOL = 1e-8
 PHASE_JUMP_TOL = 0.5 * np.pi
 
 

@@ -184,7 +184,7 @@ def integrate(
     rec_t, rec_u, rec_rho = [0.0], [u.copy()], [rho.copy()]
     en_t, en, means = [0.0], [0.25 * float(np.mean(density))], [float(np.mean(rho))]
 
-    def build(halted_at: float | None = None) -> Trajectory:
+    def build() -> Trajectory:
         return Trajectory(
             grid,
             np.asarray(rec_t),
@@ -205,14 +205,14 @@ def integrate(
             if value > ux_limit or not np.isfinite(value):
                 raise StepBlowupError(
                     f"{reading} = {value!r} exceeded {ux_limit!r} at t = {t!r}",
-                    trajectory=build(t),
+                    trajectory=build(),
                     halt_time=t,
                 )
         if 0.5 * dt * sup_w >= 1.0:
             raise StepBlowupError(
                 f"label sup|Re w| = {sup_w!r} puts the Riccati pole within "
                 f"dt = {dt!r} of t = {t!r}",
-                trajectory=build(t),
+                trajectory=build(),
                 halt_time=t,
             )
         k2u, k2r, _, _ = rhs_step(u + 0.5 * dt * k1u, rho + 0.5 * dt * k1r)
@@ -234,7 +234,7 @@ def integrate(
         if not np.all(np.isfinite(u)) or not np.all(np.isfinite(rho)):
             raise StepBlowupError(
                 f"state became non-finite between t = {en_t[-1]!r} and t = {t!r}",
-                trajectory=build(en_t[-1]),
+                trajectory=build(),
                 halt_time=en_t[-1],
             )
         k1u, k1r, ux, density = rhs_step(u, rho)

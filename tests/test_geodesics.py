@@ -22,7 +22,6 @@ from hs2sphere.geodesics import (
     connect,
     exact_geodesic,
     exact_solution,
-    exact_state,
     log_map,
     speed,
 )
@@ -111,6 +110,23 @@ def test_exact_geodesic_time_derivative(grid):
     assert np.max(np.abs(fd - phi_t.values)) < 1e-7  # O(h^2) central difference
 
 
+def test_exact_velocity_matches_group_flow(grid):
+    # u o phi = phi_t and rho o phi = alpha_t.  pi/c and 2 pi/c sit on
+    # half-period boundaries, where a wrong branch index jumps alpha by 2 pi.
+    d = smooth_global(grid)
+    c = speed(d)
+    h = 1e-5
+    for t in (0.6, math.pi / c, TWO_PI / c):
+        plus = exact_geodesic(d, t + h)
+        minus = exact_geodesic(d, t - h)
+        phi = exact_geodesic(d, t).phi
+        u, rho = exact_solution(d, t)
+        phi_t = (plus.phi.values - minus.phi.values) / (2.0 * h)
+        alpha_t = (plus.alpha.values - minus.alpha.values) / (2.0 * h)
+        assert np.max(np.abs(fs.compose(u, phi).values - phi_t)) < 1e-7
+        assert np.max(np.abs(fs.compose(rho, phi).values - alpha_t)) < 1e-7
+
+
 def test_exact_solution_initial_state(grid):
     d = smooth_global(grid)
     u, rho = exact_solution(d, 0.0)
@@ -158,7 +174,7 @@ def test_conservation_along_flow(grid):
     c0 = speed(d)
     mean0 = fs.integrate(d.rho0)
     for t in (0.3, 0.7, 1.0):
-        state = exact_state(d, t)
+        state = InitialData(*exact_solution(d, t))
         assert abs(speed(state) - c0) < 1e-9
         assert abs(fs.integrate(state.rho0) - mean0) < 1e-10
 
