@@ -357,20 +357,17 @@ def _lift_parts(phi: PeriodicFunction) -> np.ndarray:
     return phi.values - phi.grid.x
 
 
-def _lift_slope(phi: PeriodicFunction) -> np.ndarray:
-    """phi_x = 1 + h_x of a unit-slope lift, h = phi - x its periodic part."""
-    sp = phi.grid.spectral
-    return 1.0 + sp.apply(_lift_parts(phi), sp.deriv)
-
-
 def _check_increasing(phi: PeriodicFunction, tol: float = 1e-12) -> np.ndarray:
-    """Reject non-increasing lifts; derivatives touching zero within
+    """Slope phi_x = 1 + h_x of a unit-slope lift, h = phi - x its periodic part.
 
-    roundoff count as violations where interpolation or inversion would be
-    ill-conditioned (tol = 1e-12), while construction-level validation may
-    pass ``tol=0.0`` to admit steep but strictly monotone maps.
+    Raises :class:`NotMonotoneError` unless phi_x > tol everywhere.  The
+    default tol = 1e-12 also rejects slopes that touch zero within
+    roundoff, where interpolation or inversion would be ill-conditioned;
+    construction-level validation passes ``tol=0.0`` to admit steep but
+    strictly monotone maps.
     """
-    phix = _lift_slope(phi)
+    sp = phi.grid.spectral
+    phix = 1.0 + sp.apply(_lift_parts(phi), sp.deriv)
     if np.min(phix) <= tol:
         raise NotMonotoneError(
             f"diffeomorphism derivative has min {np.min(phix):.3e}"

@@ -41,9 +41,13 @@ PHASE_TOL = 1e-8
 
 
 class InitialData:
-    """Initial state (u0, rho0): u0 real with u0(0) = 0, rho0 real."""
+    """Initial state (u0, rho0): u0 real with u0(0) = 0, rho0 real.
 
-    __slots__ = ("u0", "rho0")
+    ``u0x`` is the spectral derivative of u0, computed once here; the
+    speed, the blow-up time and the great circle all read it.
+    """
+
+    __slots__ = ("u0", "rho0", "u0x")
 
     def __init__(self, u0: PeriodicFunction, rho0: PeriodicFunction):
         if u0.is_complex or rho0.is_complex:
@@ -56,6 +60,7 @@ class InitialData:
             raise ZeroDataError("initial data is identically zero")
         self.u0 = u0
         self.rho0 = rho0
+        self.u0x = fs.derivative(u0)
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -101,8 +106,7 @@ class BlowupReport:
 
 def speed(d: InitialData) -> float:
     """Geodesic speed c with c^2 = (1/4) integral(u0x^2 + rho0^2)."""
-    u0x = fs.derivative(d.u0).values
-    csq = 0.25 * float(np.mean(u0x**2 + d.rho0.values**2))
+    csq = 0.25 * float(np.mean(d.u0x.values**2 + d.rho0.values**2))
     if csq < 1e-14:
         raise ZeroDataError("zero-energy data defines no geodesic")
     return math.sqrt(csq)
@@ -171,16 +175,15 @@ def blowup_time(d: InitialData) -> BlowupReport:
     contributes one witness.
     """
     c = speed(d)
-    u0x = fs.derivative(d.u0)
-    u0x_at = fs.interpolant(u0x)
+    u0x_at = fs.interpolant(d.u0x)
 
     if d.rho0.max_abs() < NODE_ZERO_TOL:
         x, h = d.grid.x, 1.0 / d.grid.n
-        j = int(np.argmin(u0x.values))
-        xmin = fs.interpolant_roots(u0x, [x[j] - h], [x[j] + h], 1.0, order=1)
+        j = int(np.argmin(d.u0x.values))
+        xmin = fs.interpolant_roots(d.u0x, [x[j] - h], [x[j] + h], 1.0, order=1)
         xbest = float(xmin[0] % 1.0)
         tbest = _first_zero_time(float(u0x_at(xbest)[0]), c)
-        tnode = _first_zero_time(float(u0x.values[j]), c)
+        tnode = _first_zero_time(float(d.u0x.values[j]), c)
         if tnode < tbest:
             xbest, tbest = float(x[j]), tnode
         return BlowupReport(True, tbest, [(xbest, tbest)], c)
@@ -240,7 +243,7 @@ def _great_circle(d: InitialData, t: float):
                 f"t={t!r} is at or beyond the maximal time {rep.T!r}", rep
             )
     c = rep.speed
-    k = fs.derivative(d.u0).values / (2.0 * c) + 1j * (d.rho0.values / (2.0 * c))
+    k = d.u0x.values / (2.0 * c) + 1j * (d.rho0.values / (2.0 * c))
     m = math.floor(c * t / math.pi)
     r = c * t - m * math.pi
     g = np.cos(r) + k * np.sin(r)

@@ -18,6 +18,10 @@ zero-mean representative, its horizontal lift, and the ``KTangent``
 constructor is that projection: it is the only point where the two
 geometries differ.  The quotient connection is then the horizontal part
 of the full one (O'Neill).
+
+Every formula reads the x-derivatives a tangent vector carries from its
+construction (``u1x``, ``u2x``) and the slope ``phi_x`` a group element
+carries; none differentiates an input again.
 """
 
 from __future__ import annotations
@@ -31,16 +35,15 @@ from .group import GroupElement, TangentVector
 
 
 class KTangent(TangentVector):
-    """Tangent class (u1, [u2]) stored by its zero-mean representative."""
+    """Tangent class (u1, [u2]) stored by its zero-mean representative.
+
+    ``u2x`` is the derivative of that representative.
+    """
 
     __slots__ = ()
 
     def __init__(self, u1: PeriodicFunction, u2: PeriodicFunction):
         super().__init__(u1, fs.mean_projection(u2))
-
-
-def _u1x(t) -> np.ndarray:
-    return fs.derivative(t.u1).values
 
 
 def _pi(vals: np.ndarray) -> np.ndarray:
@@ -54,9 +57,7 @@ def _pi(vals: np.ndarray) -> np.ndarray:
 
 def metric(u, v) -> float:
     """Metric at the identity: (1/4) integral(u1x v1x + u2 v2)."""
-    return 0.25 * float(
-        np.mean(_u1x(u) * _u1x(v) + u.u2.values * v.u2.values)
-    )
+    return 0.25 * float(np.mean(u.u1x * v.u1x + u.u2.values * v.u2.values))
 
 
 def norm(u) -> float:
@@ -70,17 +71,14 @@ def metric_K_at(at: GroupElement, U, V) -> float:
     pi(W) = W - integral(W phi_x).
     """
     phix = at.phi_x.values
-    u1x, v1x = _u1x(U), _u1x(V)
     pu = U.u2.values - np.mean(U.u2.values * phix)
     pv = V.u2.values - np.mean(V.u2.values * phix)
-    return 0.25 * float(np.mean(u1x * v1x / phix + pu * pv * phix))
+    return 0.25 * float(np.mean(U.u1x * V.u1x / phix + pu * pv * phix))
 
 
 def symplectic_omega(u, v) -> float:
     """Two-form (1/4) integral(u2x v1 - v2x u1); constant coefficients."""
-    u2x = fs.derivative(u.u2).values
-    v2x = fs.derivative(v.u2).values
-    return 0.25 * float(np.mean(u2x * v.u1.values - v2x * u.u1.values))
+    return 0.25 * float(np.mean(u.u2x * v.u1.values - v.u2x * u.u1.values))
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +89,11 @@ def symplectic_omega(u, v) -> float:
 def christoffel(u, v):
     """Gamma(u, v) = -(1/2)(A^{-1} d/dx(u1x v1x + u2 v2), u1x v2 + v1x u2)."""
     grid = u.grid
-    u1x, v1x = _u1x(u), _u1x(v)
     first = fs.inverse_A_dx(
-        PeriodicFunction(grid, u1x * v1x + u.u2.values * v.u2.values)
+        PeriodicFunction(grid, u.u1x * v.u1x + u.u2.values * v.u2.values)
     ) * (-0.5)
     second = PeriodicFunction(
-        grid, -0.5 * (u1x * v.u2.values + v1x * u.u2.values)
+        grid, -0.5 * (u.u1x * v.u2.values + v.u1x * u.u2.values)
     )
     return type(u)(first, second)
 
@@ -119,7 +116,7 @@ def kahler_J(U, at: GroupElement | None = None):
     first = -1.0 * fs.antiderivative_from_zero(
         PeriodicFunction(U.grid, pi_u2 * phix)
     )
-    return type(U)(first, PeriodicFunction(U.grid, _u1x(U) / phix))
+    return type(U)(first, PeriodicFunction(U.grid, U.u1x / phix))
 
 
 def dJ_direction(u: KTangent, v: KTangent) -> KTangent:
@@ -128,8 +125,8 @@ def dJ_direction(u: KTangent, v: KTangent) -> KTangent:
     (DJ . u)(v) = (A^{-1} d/dx(v2 u1x), -[v1x u1x]).
     """
     grid = u.grid
-    first = fs.inverse_A_dx(PeriodicFunction(grid, v.u2.values * _u1x(u)))
-    second = PeriodicFunction(grid, -_u1x(v) * _u1x(u))
+    first = fs.inverse_A_dx(PeriodicFunction(grid, v.u2.values * u.u1x))
+    second = PeriodicFunction(grid, -v.u1x * u.u1x)
     return KTangent(first, second)
 
 
@@ -148,12 +145,9 @@ def nabla_J_residual(u: KTangent, v: KTangent) -> float:
 
 def bracket_K(u: KTangent, v: KTangent) -> KTangent:
     """Bracket of right-invariant fields: (v1x u1 - u1x v1, [v2x u1 - u2x v1])."""
-    u1x, v1x = _u1x(u), _u1x(v)
-    u2x = fs.derivative(u.u2).values
-    v2x = fs.derivative(v.u2).values
     grid = u.grid
-    first = PeriodicFunction(grid, v1x * u.u1.values - u1x * v.u1.values)
-    second = PeriodicFunction(grid, v2x * u.u1.values - u2x * v.u1.values)
+    first = PeriodicFunction(grid, v.u1x * u.u1.values - u.u1x * v.u1.values)
+    second = PeriodicFunction(grid, v.u2x * u.u1.values - u.u2x * v.u1.values)
     return KTangent(first, second)
 
 
@@ -194,10 +188,8 @@ def curvature_K_closed(u: KTangent, v: KTangent) -> float:
 def _mul_pair(w, a: np.ndarray):
     """(w1x a, w2x a): ingredient of the local curvature expression."""
     grid = w.grid
-    w2x = fs.derivative(w.u2).values
     return type(w)(
-        PeriodicFunction(grid, _u1x(w) * a),
-        PeriodicFunction(grid, w2x * a),
+        PeriodicFunction(grid, w.u1x * a), PeriodicFunction(grid, w.u2x * a)
     )
 
 
@@ -274,16 +266,15 @@ def jacobi_residual(u: KTangent, v: KTangent, w: KTangent) -> float:
     """
 
     def describe(t):
-        u1x = fs.derivative(t.u1)
-        u1xx = fs.derivative(u1x)
-        u2x = fs.derivative(t.u2)
+        sp = t.grid.spectral
+        u1xx, u2xx = sp.apply(np.stack([t.u1x, t.u2x]), sp.deriv)
         return {
             "u1": t.u1.values,
-            "u1x": u1x.values,
-            "u1xx": u1xx.values,
-            "u1xxx": fs.derivative(u1xx).values,
-            "u2x": u2x.values,
-            "u2xx": fs.derivative(u2x).values,
+            "u1x": t.u1x,
+            "u1xx": u1xx,
+            "u1xxx": sp.apply(u1xx, sp.deriv),
+            "u2x": t.u2x,
+            "u2xx": u2xx,
         }
 
     def inner(a, b):

@@ -35,9 +35,14 @@ def wrap_mod_4pi(delta):
 
 
 class TangentVector:
-    """Tangent vector (u1, u2): u1 vanishes at 0, both real."""
+    """Tangent vector (u1, u2): u1 vanishes at 0, both real.
 
-    __slots__ = ("u1", "u2")
+    ``u1x`` and ``u2x`` are the read-only spectral x-derivatives of the
+    components, computed once here in one two-row transform; every formula
+    reads them instead of differentiating the components again.
+    """
+
+    __slots__ = ("u1", "u2", "u1x", "u2x")
 
     def __init__(self, u1: PeriodicFunction, u2: PeriodicFunction):
         if u1.is_complex or u2.is_complex:
@@ -48,6 +53,10 @@ class TangentVector:
             raise ValueError(f"u1 must vanish at 0, got {u1.values[0]!r}")
         self.u1 = u1
         self.u2 = u2
+        sp = u1.grid.spectral
+        derivs = sp.apply(np.stack([u1.values, u2.values]), sp.deriv)
+        derivs.flags.writeable = False
+        self.u1x, self.u2x = derivs
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -77,9 +86,11 @@ class GroupElement:
     ``phi`` holds the lift samples phi(x_j) (so phi(x+1) = phi(x) + 1 by
     convention) and ``alpha`` holds continuous lift samples of the angle
     field, whose winding number w gives alpha(x+1) = alpha(x) + 4 pi w.
+    ``phi_x`` is the spectral slope of phi, computed once here by the
+    monotonicity check.
     """
 
-    __slots__ = ("grid", "phi", "alpha", "winding")
+    __slots__ = ("grid", "phi", "alpha", "winding", "phi_x")
 
     def __init__(
         self,
@@ -93,11 +104,11 @@ class GroupElement:
             raise ValueError("phi and alpha live on different grids")
         if abs(phi.values[0]) > 1e-9:
             raise ValueError(f"phi must fix 0, got phi(0)={phi.values[0]!r}")
-        fs._check_increasing(phi, tol=0.0)
         self.grid = phi.grid
         self.phi = phi
         self.alpha = alpha
         self.winding = int(winding)
+        self.phi_x = PeriodicFunction(self.grid, fs._check_increasing(phi, tol=0.0))
 
     @classmethod
     def identity(cls, grid: PeriodicGrid) -> "GroupElement":
@@ -106,11 +117,6 @@ class GroupElement:
             PeriodicFunction.zeros(grid),
             0,
         )
-
-    @property
-    def phi_x(self) -> PeriodicFunction:
-        """Spectral derivative of phi via its periodic part."""
-        return PeriodicFunction(self.grid, fs._lift_slope(self.phi))
 
     def distance(self, other: "GroupElement") -> float:
         """Sup distance with the angle compared mod 4 pi."""
@@ -159,9 +165,7 @@ def inverse(a: GroupElement) -> GroupElement:
 def metric(at: GroupElement, U: TangentVector, V: TangentVector) -> float:
     """Right-invariant metric (1/4) integral(U1x V1x / phi_x + U2 V2 phi_x)."""
     phix = at.phi_x.values
-    u1x = fs.derivative(U.u1).values
-    v1x = fs.derivative(V.u1).values
-    integrand = u1x * v1x / phix + U.u2.values * V.u2.values * phix
+    integrand = U.u1x * V.u1x / phix + U.u2.values * V.u2.values * phix
     return 0.25 * float(np.mean(integrand))
 
 
@@ -204,9 +208,8 @@ def phi_inverse(f: SpherePoint) -> GroupElement:
 def tangent_phi(at: GroupElement, U: TangentVector) -> PeriodicFunction:
     """Differential of Phi: (U1x + i U2 phi_x) exp(i alpha/2) / (2 sqrt(phi_x))."""
     phix = at.phi_x.values
-    u1x = fs.derivative(U.u1).values
     vals = (
-        (u1x + 1j * U.u2.values * phix)
+        (U.u1x + 1j * U.u2.values * phix)
         * np.exp(0.5j * at.alpha.values)
         / (2.0 * np.sqrt(phix))
     )

@@ -43,8 +43,8 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.t_end <= 0.0:
-            raise ValueError("dt and t_end must be positive")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.t_end < math.inf):
+            raise ValueError("dt and t_end must be positive and finite")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 

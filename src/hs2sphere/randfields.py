@@ -13,9 +13,9 @@ import numpy as np
 
 from . import funcspace as fs
 from .funcspace import PeriodicFunction, PeriodicGrid
-from .geodesics import InitialData
+from .geodesics import InitialData, speed
 from .geometry import KTangent
-from .group import GroupElement, TangentVector
+from .group import GroupElement, TangentVector, phi_map
 from .sphere import SpherePoint, SphereTangent, project_to_tangent
 
 DEFAULT_DECAY = 3.0
@@ -97,8 +97,6 @@ def nonvanishing_sphere_point(
     grid: PeriodicGrid, rng: np.random.Generator
 ) -> SpherePoint:
     """Random point of the nowhere-vanishing subset (image of the group)."""
-    from .group import phi_map
-
     return phi_map(group_element(grid, rng))
 
 
@@ -121,8 +119,6 @@ def initial_data(
     ``global_existence=True`` keeps rho0 bounded away from zero;
     ``False`` forces a sign change; ``None`` leaves it to chance.
     """
-    from .geodesics import speed as geo_speed
-
     u0 = u1_field(grid, rng)
     rho = band_limited(grid, rng)
     if global_existence is True:
@@ -137,6 +133,6 @@ def initial_data(
                 grid, np.cos(2.0 * np.pi * grid.x) * (1.0 + rng.uniform())
             )
     d = InitialData(u0, rho)
-    c = geo_speed(d)
+    c = speed(d)
     target = float(rng.uniform(*speed_range))
     return InitialData(u0 * (target / c), rho * (target / c))

@@ -55,21 +55,32 @@ def test_cp_chart_requires_grid_node(grid, rng):
         hp.cp_chart(0.5 + 0.25 / grid.n, f)
 
 
-def test_values_are_immutable(grid):
+def test_values_are_immutable(grid, rng):
     f = PeriodicFunction.zeros(grid)
     with pytest.raises(ValueError):
         f.values[0] = 1.0
     with pytest.raises(ValueError):
         grid.x[0] = 0.5
+    U = rf.g_tangent(grid, rng)
+    for carried in (U.u1x, U.u2x, rf.group_element(grid, rng).phi_x.values):
+        with pytest.raises(ValueError):
+            carried[0] = 1.0
 
 
 def test_integrator_config_validation():
     from hs2sphere.integrator import IntegratorConfig
 
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt=-1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(record_every=0)
+    nan, inf = float("nan"), float("inf")
+    for kwargs in (
+        {"dt": -1.0},
+        {"record_every": 0},
+        {"dt": nan},
+        {"t_end": nan},
+        {"dt": inf},
+        {"t_end": inf},
+    ):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**kwargs)
 
 
 def test_antiderivative_derivative_consistency(grid, rng):

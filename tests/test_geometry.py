@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import hs2sphere.funcspace as fs
 import hs2sphere.geometry as gm
+import hs2sphere.group as gr
 import hs2sphere.randfields as rf
 from hs2sphere.errors import DegeneratePlaneError
 from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
@@ -287,3 +288,45 @@ def test_group_curvature_is_gram_determinant(pair):
     gram = gm.curvature_G(u, v)
     assume(gram > 1e-4)
     assert abs(gm.curvature_local(u, v) - gram) <= 1e-8 * gram
+
+
+@pytest.mark.parametrize("n", [8, 256])
+def test_carried_derivatives_are_bit_exact(n, rng):
+    grid = PeriodicGrid(n)
+
+    def same_bits(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    w = PeriodicFunction(grid, rng.normal(size=n))
+    u1 = fs.antiderivative_from_zero(fs.mean_projection(w))
+    u2 = PeriodicFunction(grid, rng.normal(size=n) + 0.3)
+    for t in (TangentVector(u1, u2), KTangent(u1, u2)):
+        same_bits(t.u1x, fs.derivative(t.u1).values)
+        same_bits(t.u2x, fs.derivative(t.u2).values)
+    phi = PeriodicFunction(grid, grid.x + 0.05 * np.sin(TWO_PI * grid.x))
+    a = GroupElement(phi, PeriodicFunction(grid, rng.normal(size=n)))
+    same_bits(a.phi_x.values, fs._check_increasing(phi, tol=0.0))
+    d = InitialData(u1, u2)
+    same_bits(d.u0x.values, fs.derivative(u1).values)
+
+
+def test_formulas_read_carried_derivatives(grid, rng, monkeypatch):
+    u, v = rf.k_tangent(grid, rng), rf.k_tangent(grid, rng)
+    U, V = rf.g_tangent(grid, rng), rf.g_tangent(grid, rng)
+    a = rf.group_element(grid, rng)
+    calls = []
+    rfft = np.fft.rfft
+
+    def counting_rfft(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    gm.curvature_G(u, v)
+    gm.sectional_curvature(u, v)
+    gr.metric(a, U, V)
+    gr.tangent_phi(a, U)
+    assert len(calls) == 0
+    gm.curvature_local(u, v)
+    assert len(calls) <= 21

@@ -3,7 +3,7 @@ import pytest
 
 import hs2sphere.funcspace as fs
 from hs2sphere.errors import StepBlowupError
-from hs2sphere.funcspace import PeriodicFunction
+from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
 from hs2sphere.geodesics import InitialData, blowup_time, exact_solution
 from hs2sphere.integrator import (
     IntegratorConfig,
@@ -12,6 +12,7 @@ from hs2sphere.integrator import (
     rhs,
     rhs_restricted,
 )
+from hs2sphere.presets import make_preset
 
 TWO_PI = 2.0 * np.pi
 
@@ -157,6 +158,30 @@ def test_fourth_order_convergence(grid):
 
     ratio = err(1e-2) / err(5e-3)
     assert 12.0 < ratio < 20.0
+
+
+def _smooth_global_errors(n, dt):
+    """Relative L2 errors of u and rho at t = 1, RK4 without dealiasing
+    against the exact solution, for the smooth-global preset."""
+    d = make_preset("smooth-global", PeriodicGrid(n))
+    cfg = IntegratorConfig(dt=dt, t_end=1.0, dealias=False, record_every=10**9)
+    u, rho = integrate(d, cfg).state(-1)
+    return np.array(compare_states(u, rho, *exact_solution(d, 1.0)))
+
+
+def test_time_convergence_is_fourth_order():
+    # n = 512 resolves the data, so the time step sets the error
+    errors = [_smooth_global_errors(512, dt) for dt in (4e-3, 2e-3, 1e-3)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert np.all(np.log2(coarse / fine) >= 3.8)
+
+
+def test_spatial_convergence_is_spectral():
+    # dt = 1e-3 keeps the time error below the n = 256 spatial error
+    errors = [_smooth_global_errors(n, 1e-3) for n in (64, 128, 256)]
+    first, second = errors[0] / errors[1], errors[1] / errors[2]
+    assert np.all(first >= 30.0) and np.all(second >= 30.0)
+    assert np.all(second > first)
 
 
 def test_restricted_flow_zero_mean_and_accuracy(grid):
