@@ -44,7 +44,7 @@ from .geodesics import (
     log_map,
 )
 from .group import GroupElement
-from .integrator import IntegratorConfig, compare_states, integrate
+from .integrator import MAX_STEPS, IntegratorConfig, compare_states, integrate
 from .presets import PRESET_NAMES, make_preset
 from .serialize import fmt_float, json_dump, json_dumps, write_trajectory_csv
 from .verification import FLIPPABLE, run_suite
@@ -143,6 +143,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         ("n", cfg.n >= 8 and cfg.n % 2 == 0, "even and >= 8"),
         ("dt", 0.0 < cfg.dt < math.inf, "positive and finite"),
         ("t_end", 0.0 < cfg.t_end < math.inf, "positive and finite"),
+        ("dt", 0.0 < cfg.dt and cfg.t_end / cfg.dt <= MAX_STEPS,
+         f"at least t_end / {MAX_STEPS}"),
         ("record_every", cfg.record_every >= 0, ">= 0"),
         ("samples", cfg.samples >= 1, ">= 1"),
     ):
@@ -206,14 +208,8 @@ def cmd_solve(args) -> int:
         )
         return 3
 
-    n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
-    record_every = cfg.record_every or max(1, n_steps // 10)
-    icfg = IntegratorConfig(
-        dt=cfg.dt,
-        t_end=cfg.t_end,
-        dealias=cfg.dealias,
-        record_every=record_every,
-    )
+    icfg = IntegratorConfig(dt=cfg.dt, t_end=cfg.t_end, dealias=cfg.dealias)
+    icfg = replace(icfg, record_every=cfg.record_every or max(1, icfg.n_steps // 10))
     try:
         traj = integrate(data, icfg)
     except StepBlowupError as exc:
@@ -292,7 +288,7 @@ def _load_element(path: str) -> GroupElement:
     try:
         with open(path, encoding="utf-8") as fh:
             return GroupElement.from_json_obj(json.load(fh))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot load group element from {path!r}: {exc}") from exc
 
 

@@ -5,13 +5,14 @@ Independent cross-check for the closed-form solutions: the weak form
     u_t = -u u_x - (1/2) A^{-1} d/dx (u_x^2 + rho^2),
     rho_t = -(rho u)_x,          A = -d^2/dx^2,
 
-is integrated with classical fixed-step RK4.  Quadratic products are
-dealiased with the 2/3 rule, and the u(0) = 0 pin is re-applied after
-every step.  Each stage makes two real-FFT pairs, one for u_x and one for
-both outer derivatives as a two-row stack; dealiasing masks the three
-products in one more.  Stage 1 of each state also yields its energy.  The
-zero-mean-restricted variant replaces rho by its mean-free projection and
-keeps the projection exact at every stage.
+is integrated with classical fixed-step RK4 on the stacked state (u, rho).
+Quadratic products are dealiased with the 2/3 rule, and the u(0) = 0 pin
+is re-applied after every step.  Each stage makes two real-FFT pairs, one
+for u_x and one for both outer derivatives as a two-row stack; dealiasing
+masks the three products in one more.  Stage 1 of each state also yields
+its energy.  The blow-up guard reads w = u_x + i rho along characteristics
+off the great circle.  The zero-mean-restricted variant replaces rho by its
+mean-free projection and keeps it exact at every stage.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .geodesics import InitialData
 from .serialize import write_trajectory_csv
 
 UX_LIMIT = 1e6
+# The energy and mean logs hold one entry per step; the largest run in the
+# tests and demos takes about 4,100 steps.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,18 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (0.0 < self.dt < math.inf and 0.0 < self.t_end < math.inf):
             raise ValueError("dt and t_end must be positive and finite")
+        if not self.t_end / self.dt <= MAX_STEPS:
+            raise ValueError(f"t_end / dt must be at most {MAX_STEPS}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+
+    @property
+    def n_steps(self) -> int:
+        """Step count: t_end / dt rounded, or rounded up if that misses t_end."""
+        n = int(round(self.t_end / self.dt))
+        if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+            n = int(math.ceil(self.t_end / self.dt - 1e-12))
+        return n
 
 
 @dataclass
@@ -74,8 +88,9 @@ class Trajectory:
         write_trajectory_csv(path, self.times, self.grid.x, self.u, self.rho)
 
 
-def _rhs_arrays(u, rho, sp: SpectralMultipliers, dealias: bool, restricted: bool):
-    """u_t, rho_t, u_x and the unmasked energy density u_x^2 + rho^2."""
+def _rhs_arrays(y, sp: SpectralMultipliers, dealias: bool, restricted: bool):
+    """y_t, u_x and the unmasked energy density u_x^2 + rho^2 of y = (u, rho)."""
+    u, rho = y
     if restricted:
         rho = rho - np.mean(rho)
     ux = sp.apply(u, sp.deriv)
@@ -88,32 +103,28 @@ def _rhs_arrays(u, rho, sp: SpectralMultipliers, dealias: bool, restricted: bool
     if dealias:
         quad = sp.apply(quad, sp.mask)
     ainvdx, dflux = sp.apply(quad[:2], sp.ainv_dx_deriv)
-    ut = -quad[2] - 0.5 * (ainvdx - ainvdx[0])
-    rhot = -dflux
+    yt = np.empty_like(y)
+    yt[0] = -quad[2] - 0.5 * (ainvdx - ainvdx[0])
+    yt[1] = -dflux
     if restricted:
-        rhot = rhot - np.mean(rhot)
-    return ut, rhot, ux, density
+        yt[1] -= np.mean(yt[1])
+    return yt, ux, density
 
 
 def rhs(
     u: PeriodicFunction, rho: PeriodicFunction, dealias: bool = True
 ) -> tuple[PeriodicFunction, PeriodicFunction]:
     """Right side of the weak-form system; preserves u_t(0) = 0."""
-    ut, rhot, _, _ = _rhs_arrays(u.values, rho.values, u.grid.spectral, dealias, False)
-    return PeriodicFunction(u.grid, ut), PeriodicFunction(u.grid, rhot)
+    yt, _, _ = _rhs_arrays((u.values, rho.values), u.grid.spectral, dealias, False)
+    return PeriodicFunction(u.grid, yt[0]), PeriodicFunction(u.grid, yt[1])
 
 
 def rhs_restricted(
     u: PeriodicFunction, rho: PeriodicFunction, dealias: bool = True
 ) -> tuple[PeriodicFunction, PeriodicFunction]:
     """Zero-mean-restricted right side; second output is exactly mean-free."""
-    ut, rhot, _, _ = _rhs_arrays(u.values, rho.values, u.grid.spectral, dealias, True)
-    return PeriodicFunction(u.grid, ut), PeriodicFunction(u.grid, rhot)
-
-
-def _riccati(w: np.ndarray, csq: float) -> np.ndarray:
-    """Lagrangian law D_t w = -2 c^2 - w^2 / 2 for w = u_x + i rho."""
-    return -2.0 * csq - 0.5 * w * w
+    yt, _, _ = _rhs_arrays((u.values, rho.values), u.grid.spectral, dealias, True)
+    return PeriodicFunction(u.grid, yt[0]), PeriodicFunction(u.grid, yt[1])
 
 
 def integrate(
@@ -135,7 +146,7 @@ def integrate(
     the steep region narrows far below a grid cell, so the grid samples of
     u_x stay moderate (near 7 on ``hs-blowup`` at n = 256) while the true
     sup |u_x| diverges.  The second reading is sup |Re w| over the flow-map
-    labels of the grid nodes, where w = u_x + i rho is carried along each
+    labels of the grid nodes, where w = u_x + i rho is read along each
     characteristic.  Differentiating the u equation in x, with
     -d/dx A^{-1} d/dx g = g - mean(g) and 4 c^2 = mean(u_x^2 + rho^2), and
     using rho_t + u rho_x = -rho u_x, gives with D_t = d/dt + u d/dx
@@ -145,16 +156,11 @@ def integrate(
     that is the Lagrangian Riccati law D_t w = -2 c^2 - w^2 / 2.  Its
     solution is w = 2 f_t / f with the great circle
     f(t) = cos(ct) + w0 sin(ct) / (2c), so Re w diverges exactly where the
-    sphere picture breaks down.  The law involves no positions, so w is
-    advanced label by label with the same RK4 step, c^2 taken from the
-    run's energy log; it never feeds back into u or rho.  The u(0) = 0 pin
-    adds a spatial constant to u_t and leaves the law unchanged.
-
-    Near the pole the RK4 iterate of w lags the true w, so a fixed limit
-    alone would halt after the breakdown time.  From Re w < 0, the pole of
-    D_t w = -w^2 / 2 lies 2 / |w| ahead and the -2 c^2 term only brings it
-    closer, so the run also halts before a step with
-    0.5 dt sup|Re w| >= 1, which could reach the pole.
+    sphere picture breaks down.  The law involves no positions, so the
+    guard evaluates w in closed form, c^2 being the initial energy; w
+    never feeds back into u or rho.  The u(0) = 0 pin adds a spatial
+    constant to u_t and leaves the law unchanged.  The run also halts
+    before a step with 0.5 dt sup|Re w| >= 1, which could reach the pole.
 
     With ``restricted=True`` rho is replaced by its mean-free part
     rho' = rho - mean(rho).  The restricted flow is the 2HS flow of
@@ -163,89 +169,61 @@ def integrate(
     w = u_x + i rho', with w0 = u0_x + i (rho0 - mean rho0) and c^2 the
     restricted energy (1/4) mean(u_x^2 + rho'^2).
     """
-    grid = d.grid
-    sp = grid.spectral
-
-    def rhs_step(u, rho):
-        return _rhs_arrays(u, rho, sp, cfg.dealias, restricted)
-
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    if n_steps < 1 or abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
-        n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-12))
+    sp = d.grid.spectral
+    n_steps = cfg.n_steps
     dt = cfg.t_end / n_steps
-
-    u = d.u0.values.copy()
-    rho = d.rho0.values.copy()
+    y = np.stack([d.u0.values, d.rho0.values])
     if restricted:
-        rho = rho - np.mean(rho)
-    k1u, k1r, ux, density = rhs_step(u, rho)
-    w = ux + 1j * rho
-
-    rec_t, rec_u, rec_rho = [0.0], [u.copy()], [rho.copy()]
-    en_t, en, means = [0.0], [0.25 * float(np.mean(density))], [float(np.mean(rho))]
+        y[1] -= np.mean(y[1])
+    k1, ux, density = _rhs_arrays(y, sp, cfg.dealias, restricted)
+    rec_t, rec_y = [0.0], [y.copy()]
+    en_t, en, means = [0.0], [0.25 * float(np.mean(density))], [float(np.mean(y[1]))]
+    # f = cos(ct) + h t sinc(ct / pi) with h = w0 / 2; t sinc keeps c = 0 exact
+    h, csq = 0.5 * (ux + 1j * y[1]), en[0]
+    c = math.sqrt(csq)
 
     def build() -> Trajectory:
+        states = np.asarray(rec_y)
         return Trajectory(
-            grid,
-            np.asarray(rec_t),
-            np.asarray(rec_u),
-            np.asarray(rec_rho),
-            np.asarray(en_t),
-            np.asarray(en),
-            np.asarray(means),
-            dt,
-            restricted,
+            d.grid, np.asarray(rec_t), states[:, 0], states[:, 1],
+            np.asarray(en_t), np.asarray(en), np.asarray(means), dt, restricted,
         )
+
+    def halt(message: str, t: float) -> StepBlowupError:
+        return StepBlowupError(message, trajectory=build(), halt_time=t)
 
     t = 0.0
     for step in range(1, n_steps + 1):
+        cos_ct, s = math.cos(c * t), t * np.sinc(c * t / math.pi)
+        with np.errstate(all="ignore"):
+            w = 2.0 * (h * cos_ct - csq * s) / (cos_ct + h * s)
         sup_ux = float(np.max(np.abs(ux)))
         sup_w = float(np.max(np.abs(w.real)))
         for reading, value in (("grid sup|u_x|", sup_ux), ("label sup|Re w|", sup_w)):
             if value > ux_limit or not np.isfinite(value):
-                raise StepBlowupError(
-                    f"{reading} = {value!r} exceeded {ux_limit!r} at t = {t!r}",
-                    trajectory=build(),
-                    halt_time=t,
-                )
+                message = f"{reading} = {value!r} exceeded {ux_limit!r} at t = {t!r}"
+                raise halt(message, t)
         if 0.5 * dt * sup_w >= 1.0:
-            raise StepBlowupError(
-                f"label sup|Re w| = {sup_w!r} puts the Riccati pole within "
-                f"dt = {dt!r} of t = {t!r}",
-                trajectory=build(),
-                halt_time=t,
-            )
-        k2u, k2r, _, _ = rhs_step(u + 0.5 * dt * k1u, rho + 0.5 * dt * k1r)
-        k3u, k3r, _, _ = rhs_step(u + 0.5 * dt * k2u, rho + 0.5 * dt * k2r)
-        k4u, k4r, _, _ = rhs_step(u + dt * k3u, rho + dt * k3r)
-        u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        rho = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        csq = en[-1]
-        q1 = _riccati(w, csq)
-        q2 = _riccati(w + 0.5 * dt * q1, csq)
-        q3 = _riccati(w + 0.5 * dt * q2, csq)
-        q4 = _riccati(w + dt * q3, csq)
-        w = w + (dt / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-        u = u - u[0]
+            pole = f"puts the Riccati pole within dt = {dt!r} of t = {t!r}"
+            raise halt(f"label sup|Re w| = {sup_w!r} {pole}", t)
+        k2, _, _ = _rhs_arrays(y + 0.5 * dt * k1, sp, cfg.dealias, restricted)
+        k3, _, _ = _rhs_arrays(y + 0.5 * dt * k2, sp, cfg.dealias, restricted)
+        k4, _, _ = _rhs_arrays(y + dt * k3, sp, cfg.dealias, restricted)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y[0] -= y[0, 0]
         if restricted:
-            rho = rho - np.mean(rho)
+            y[1] -= np.mean(y[1])
+        if not np.all(np.isfinite(y)):
+            message = f"state became non-finite between t = {t!r} and t = {step * dt!r}"
+            raise halt(message, t)
         t = step * dt
-
-        if not np.all(np.isfinite(u)) or not np.all(np.isfinite(rho)):
-            raise StepBlowupError(
-                f"state became non-finite between t = {en_t[-1]!r} and t = {t!r}",
-                trajectory=build(),
-                halt_time=en_t[-1],
-            )
-        k1u, k1r, ux, density = rhs_step(u, rho)
+        k1, ux, density = _rhs_arrays(y, sp, cfg.dealias, restricted)
         en_t.append(t)
         en.append(0.25 * float(np.mean(density)))
-        means.append(float(np.mean(rho)))
+        means.append(float(np.mean(y[1])))
         if step % cfg.record_every == 0 or step == n_steps:
             rec_t.append(t)
-            rec_u.append(u.copy())
-            rec_rho.append(rho.copy())
-
+            rec_y.append(y.copy())
     return build()
 
 

@@ -170,6 +170,7 @@ def test_config_error_exit_code(tmp_path):
         ["solve", "--preset", "stationary", "--t-end", "-1"],
         ["solve", "--preset", "stationary", "--t-end", "inf"],
         ["solve", "--preset", "stationary", "--record-every", "-1"],
+        ["solve", "--preset", "stationary", "--dt", "1e-310", "--t-end", "1e10"],
         ["verify", "--samples", "0"],
     ],
     ids=" ".join,
@@ -264,6 +265,16 @@ def test_logmap_identity_errors(tmp_path):
     f = tmp_path / "ident.json"
     json_dump(ident.to_json_obj(), f)
     assert main(["logmap", "--target", str(f), "--outdir", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "content", ["[1, 2]", '{"n": null, "phi": [], "alpha": [], "winding": 0}']
+)
+def test_malformed_element_file_is_config_error(tmp_path, capsys, content):
+    f = tmp_path / "target.json"
+    f.write_text(content)
+    assert main(["logmap", "--target", str(f), "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
 
 
 def test_report_determinism_across_processes(tmp_path):

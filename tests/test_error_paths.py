@@ -78,6 +78,8 @@ def test_integrator_config_validation():
         {"t_end": nan},
         {"dt": inf},
         {"t_end": inf},
+        {"dt": 1e-300, "t_end": 1e10},
+        {"dt": 1e-12, "t_end": 1.0},
     ):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)

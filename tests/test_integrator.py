@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 import hs2sphere.funcspace as fs
 from hs2sphere.errors import StepBlowupError
 from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
-from hs2sphere.geodesics import InitialData, blowup_time, exact_solution
+from hs2sphere.geodesics import InitialData, blowup_time, exact_solution, speed
 from hs2sphere.integrator import (
     IntegratorConfig,
     compare_states,
@@ -160,25 +162,39 @@ def test_fourth_order_convergence(grid):
     assert 12.0 < ratio < 20.0
 
 
-def _smooth_global_errors(n, dt):
-    """Relative L2 errors of u and rho at t = 1, RK4 without dealiasing
-    against the exact solution, for the smooth-global preset."""
+def _smooth_global_errors(n, dt, dealias):
+    """Relative L2 errors of u and rho at t = 1, RK4 against the exact
+    solution, for the smooth-global preset."""
     d = make_preset("smooth-global", PeriodicGrid(n))
-    cfg = IntegratorConfig(dt=dt, t_end=1.0, dealias=False, record_every=10**9)
+    cfg = IntegratorConfig(dt=dt, t_end=1.0, dealias=dealias, record_every=10**9)
     u, rho = integrate(d, cfg).state(-1)
     return np.array(compare_states(u, rho, *exact_solution(d, 1.0)))
 
 
-def test_time_convergence_is_fourth_order():
+# With dealiasing the rho error at n = 512, dt = 1e-3 floors at the spatial
+# error, so that case stops one step coarser.
+@pytest.mark.parametrize(
+    "dealias, dts",
+    [(False, (4e-3, 2e-3, 1e-3)), (True, (8e-3, 4e-3, 2e-3))],
+    ids=["dealias-off", "dealias-on"],
+)
+def test_time_convergence_is_fourth_order(dealias, dts):
     # n = 512 resolves the data, so the time step sets the error
-    errors = [_smooth_global_errors(512, dt) for dt in (4e-3, 2e-3, 1e-3)]
+    errors = [_smooth_global_errors(512, dt, dealias) for dt in dts]
     for coarse, fine in zip(errors, errors[1:]):
         assert np.all(np.log2(coarse / fine) >= 3.8)
 
 
-def test_spatial_convergence_is_spectral():
-    # dt = 1e-3 keeps the time error below the n = 256 spatial error
-    errors = [_smooth_global_errors(n, 1e-3) for n in (64, 128, 256)]
+# Dealiasing discards the top third of the modes, so its grids start one
+# size finer: 64 -> 128 gains only about 10x on rho.
+@pytest.mark.parametrize(
+    "dealias, ns",
+    [(False, (64, 128, 256)), (True, (128, 256, 512))],
+    ids=["dealias-off", "dealias-on"],
+)
+def test_spatial_convergence_is_spectral(dealias, ns):
+    # at dt = 1e-3 the time error stays below the coarser grids' spatial errors
+    errors = [_smooth_global_errors(n, 1e-3, dealias) for n in ns]
     first, second = errors[0] / errors[1], errors[1] / errors[2]
     assert np.all(first >= 30.0) and np.all(second >= 30.0)
     assert np.all(second > first)
@@ -223,6 +239,29 @@ def test_default_guard_halts_before_blowup(grid):
     with pytest.raises(StepBlowupError) as exc_info:
         integrate(d, cfg)
     assert 0.0 < exc_info.value.halt_time < T
+
+
+def test_label_reading_is_exact(grid):
+    # the halt message names sup|Re w| of w = 2 f_t / f on the great circle
+    d = make_preset("hs-blowup", grid)
+    cfg = IntegratorConfig(dt=5e-4, t_end=blowup_time(d).T + 0.2, record_every=10**9)
+    with pytest.raises(StepBlowupError) as exc_info:
+        integrate(d, cfg)
+    reading = float(re.search(r"label sup\|Re w\| = (\S+)", str(exc_info.value))[1])
+    c, t = speed(d), exc_info.value.halt_time
+    w0 = d.u0x.values + 1j * d.rho0.values
+    f = np.cos(c * t) + w0 * np.sin(c * t) / (2.0 * c)
+    f_t = -c * np.sin(c * t) + 0.5 * w0 * np.cos(c * t)
+    exact = np.max(np.abs((2.0 * f_t / f).real))
+    assert abs(reading - exact) <= 1e-12 * exact
+
+
+def test_restricted_stationary_zero_speed(grid):
+    # the restricted flow of (0, 2) is (0, 0): c = 0 and the guard reads w = 0
+    cfg = IntegratorConfig(dt=1e-3, t_end=1.0, record_every=250)
+    traj = integrate(stationary(grid), cfg, restricted=True)
+    assert traj.times[-1] == 1.0 and traj.energy_times[-1] == 1.0
+    assert not np.any(traj.u) and not np.any(traj.rho)
 
 
 def test_restricted_halt_before_blowup(grid):
