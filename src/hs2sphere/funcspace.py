@@ -21,17 +21,21 @@ calculus; complex samples go through it as real and imaginary parts.  The
 odd-order operators (d/dx, its inverse, A^{-1} d/dx) drop the Nyquist
 mode, which keeps them real on real input.
 
-Off-grid evaluation of trigonometric interpolants goes through one block
-kernel (baby-step/giant-step split of the modes, O(points + n)
-memory); :func:`invert_diffeo` uses the same kernel for a vectorised,
-bisection-safeguarded Newton iteration over all nodes at once, and
-:func:`interpolant_roots` uses both for the scalar roots of the exact
-solver.
+Off-grid evaluation of trigonometric interpolants is a type-2 nonuniform
+FFT with the "exponential of semicircle" kernel of width w = 16 (Barnett,
+Magland & af Klinteberg, SIAM J. Sci. Comput. 2019).  A prepare step
+(:func:`_fine_grid`) divides the coefficients by the kernel's Fourier
+transform and takes one inverse FFT onto a fine grid of N = max(2n, 4w)
+points; a gather (:func:`_gather`) then sums, for each point, its w
+nearest fine samples weighted by the kernel.  That is O(n log n) once and
+O(w) per point, with no BLAS call and O(w points + n) memory.
+:func:`interpolant`, :func:`invert_diffeo` and :func:`interpolant_roots`
+prepare once; the vectorised, bisection-safeguarded Newton iterations of
+the last two, over all nodes or brackets at once, only gather.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -41,7 +45,14 @@ from .errors import NonZeroMeanError, NotMonotoneError
 DEFAULT_N = 256
 MEAN_TOL = 1e-10
 ROOT_TOL = 1e-12
-_CHUNK_BYTES = 4 * 2**20
+# Off-grid kernel: exp(beta sqrt(1 - z^2)) over w fine points.  A point at
+# t on the fine grid takes the points l = floor(t) - w/2 + j, j = 1..w, at
+# padded index floor(t) + j and z = 2 (t - l) / w, so that
+# beta z = (2 beta / w) (t - floor(t) + w/2 - j).
+_W = 16
+_BETA = 2.30 * _W
+_OFFSETS = np.arange(1, _W + 1)[:, None]
+_SHIFTS = (2.0 * _BETA / _W) * (_W // 2 - _OFFSETS)
 
 
 class SpectralMultipliers:
@@ -281,65 +292,100 @@ def _trig_coefficients(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _powers(first: np.ndarray, ratio: np.ndarray, count: int) -> np.ndarray:
-    """Rows first * ratio**j, j = 0..count-1, by a running product."""
-    out = np.empty((first.size, count), dtype=np.complex128)
-    out[:, 0] = first
-    out[:, 1:] = ratio[:, None]
-    return np.cumprod(out, axis=1, out=out)
+@lru_cache(maxsize=None)
+def _deconvolution(n: int) -> np.ndarray:
+    """1 / psi_hat(k), k = -n/2..n/2, read-only, for n modes.
 
-
-def _trig_eval(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[r, k] z_p**(k - n/2), z_p = exp(2 pi i y_p), all r and p.
-
-    Each exponent k - n/2 = (q B - n/2) + m is split into a baby step
-    m < B and a giant step q with B = isqrt(n).  Per point the B baby
-    powers and the (n+1)/B giant powers come from running products of
-    z_p, the baby sums are one matrix product per chunk of points and the
-    giant sums one batched product.  Chunks keep the working arrays near
-    _CHUNK_BYTES whatever the number of points, so memory is O(points + n)
-    with no points-by-modes matrix.  Returns complex samples of shape
-    (rows, points).
+    psi(x) = phi(2 N x / w) is the kernel phi(z) = exp(beta sqrt(1 - z^2)),
+    |z| <= 1, on the fine grid of N points, so psi_hat(k) = (w / N) times
+    the integral of phi(z) cos(pi k w z / N) over [0, 1].  After
+    z = sin(theta) that is the integral over [0, pi/2] of
+    exp(beta cos(theta)) cos(xi sin(theta)) cos(theta), which the trapezoid
+    rule on 2w intervals gives to roundoff: the integrand is even at 0, and
+    it and its derivatives are exp(-beta) smaller at pi/2 than at 0.
     """
-    rows, m = coeffs.shape
-    n = m - 1
-    b = math.isqrt(n)
-    q = -(-m // b)
-    blocks = np.zeros((rows, q * b), dtype=np.complex128)
-    blocks[:, :m] = coeffs
-    blocks = blocks.reshape(rows * q, b).T
-    y = np.mod(points, 1.0)
-    out = np.empty((rows, y.size), dtype=np.complex128)
-    chunk = max(1, _CHUNK_BYTES // (16 * (b + q * (rows + 1))))
-    for s in range(0, y.size, chunk):
-        ys = y[s : s + chunk]
-        z = np.exp(2j * np.pi * ys)
-        baby = _powers(np.ones_like(z), z, b)
-        giant = _powers(np.exp(-1j * np.pi * n * ys), baby[:, -1] * z, q)
-        partial = (baby @ blocks).reshape(-1, rows, q)
-        out[:, s : s + chunk] = (partial @ giant[:, :, None])[:, :, 0].T
+    size = _fine_size(n)
+    xi = (np.pi * _W / size) * np.arange(n // 2 + 1)
+    theta = np.linspace(0.0, 0.5 * np.pi, 2 * _W + 1)
+    weight = np.exp(_BETA * np.cos(theta)) * np.cos(theta) * (np.pi / (4 * _W))
+    weight[0] *= 0.5
+    integral = np.zeros_like(xi)
+    for s, wt in zip(np.sin(theta), weight):
+        integral += wt * np.cos(xi * s)
+    half = size / (_W * integral)
+    out = np.concatenate([half[:0:-1], half])
+    out.flags.writeable = False
     return out
+
+
+def _fine_size(n: int) -> int:
+    """Fine grid size N: twice the modes, and at least 4w points."""
+    return max(2 * n, 4 * _W)
+
+
+def _fine_grid(values: np.ndarray, orders=(0,)) -> np.ndarray:
+    """Prepare the interpolant of samples for :func:`_gather`.
+
+    One row per derivative order: the interpolant coefficients
+    (k = -n/2..n/2, Nyquist split) times (2 pi i k)**order, divided by the
+    kernel's transform and inverse transformed onto the N fine points,
+    padded periodically by w/2 samples at each end.  Real samples give
+    real rows.
+    """
+    n = values.size
+    half = n // 2
+    size = _fine_size(n)
+    ik = 2j * np.pi * np.arange(-half, half + 1)
+    scaled = _trig_coefficients(values) * _deconvolution(n)
+    scaled = scaled * ik ** np.array(orders)[:, None]
+    spec = np.zeros((len(orders), size), dtype=np.complex128)
+    spec[:, : half + 1] = scaled[:, half:]
+    spec[:, size - half :] = scaled[:, :half]
+    fine = np.fft.ifft(spec)
+    if not np.iscomplexobj(values):
+        fine = fine.real
+    pad = _W // 2
+    return np.concatenate([fine[:, size - pad :], fine, fine[:, :pad]], axis=1)
+
+
+def _gather(fine: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Evaluate prepared rows at arbitrary points, shape (rows, points).
+
+    A point y sits at t = N (y mod 1) on the fine grid.  Its value is the
+    sum over the w fine points l nearest t of the sample at l weighted by
+    the kernel at 2 (t - l) / w: O(w) work per point and row, no BLAS.
+    """
+    size = fine.shape[-1] - _W
+    t = np.mod(points, 1.0) * size
+    base = np.floor(t)
+    z = (2.0 * _BETA / _W) * (t - base) + _SHIFTS
+    z *= z
+    np.subtract(_BETA * _BETA, z, out=z)
+    np.sqrt(z, out=z)
+    weights = np.exp(z, out=z)
+    idx = base.astype(np.intp) % size + _OFFSETS
+    return (np.take(fine, idx, axis=1) * weights).sum(axis=1)
 
 
 def interpolant(f: PeriodicFunction):
     """The trigonometric interpolant of f as a function of arbitrary points.
 
-    The coefficients are computed once; each call of the returned function
-    evaluates them through the block kernel.  Values at grid-coincident
-    points snap to the exact samples, and real f gives real values.
+    The fine grid is prepared once; each call of the returned function
+    only gathers from it.  Values at grid-coincident points snap to the
+    exact samples, and real f gives real values.
     """
     n = f.grid.n
-    coeffs = _trig_coefficients(f.values)[None, :]
+    fine = _fine_grid(f.values)
 
     def evaluate(points) -> np.ndarray:
         points = np.asarray(points, dtype=float).ravel()
-        out = _trig_eval(coeffs, points)[0]
+        out = _gather(fine, points)[0]
         grid_pos = np.mod(points, 1.0) * n
         idx = np.rint(grid_pos)
         on_grid = np.abs(grid_pos - idx) < 1e-12
         if np.any(on_grid):
             out[on_grid] = f.values[idx[on_grid].astype(int) % n]
-        return out if f.is_complex else out.real
+        return out
 
     return evaluate
 
@@ -432,32 +478,23 @@ def _newton_bisect(residual, lo, hi, y, tol: float, sign=1.0) -> np.ndarray:
     return y
 
 
-def _derivative_rows(values: np.ndarray, order: int) -> np.ndarray:
-    """Interpolant coefficients of the order-th derivative and the next."""
-    c = _trig_coefficients(values)
-    ik = 2j * np.pi * np.arange(-(values.size // 2), values.size // 2 + 1)
-    for _ in range(order):
-        c = ik * c
-    return np.stack([c, ik * c])
-
-
 def interpolant_roots(f: PeriodicFunction, lo, hi, sign, order: int = 0) -> np.ndarray:
     """Roots of the order-th derivative of the interpolant of real f.
 
     One root per bracket [lo, hi], to ROOT_TOL; ``sign`` is +1 where that
     derivative increases through its bracket and -1 where it decreases.
     All brackets share one :func:`_newton_bisect` solve from their
-    midpoints; the derivative and the next one come from one kernel call
-    per iteration.
+    midpoints; the derivative and the next one come from one gather per
+    iteration on a fine grid prepared once.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.size == 0:
         return lo
-    rows = _derivative_rows(f.values, order)
+    fine = _fine_grid(f.values, (order, order + 1))
 
     def residual(idx, y):
-        return _trig_eval(rows, y).real
+        return _gather(fine, y)
 
     return _newton_bisect(residual, lo, hi, 0.5 * (lo + hi), ROOT_TOL, sign)
 
@@ -468,8 +505,8 @@ def invert_diffeo(phi: PeriodicFunction) -> PeriodicFunction:
     Solves y + h(y) = x_j to ROOT_TOL for all nodes at once, h the
     trigonometric interpolant of the periodic part, by Newton's method
     safeguarded with bisection (:func:`_newton_bisect`), starting from the
-    linear interpolant of the sampled inverse.  h and h' come from one kernel
-    call per iteration on coefficients computed once.  The bracket
+    linear interpolant of the sampled inverse.  h and h' come from one
+    gather per iteration on a fine grid prepared once.  The bracket
     [x - max(h), x - min(h)], widened by 1e-3, always contains the root.
     """
     if abs(phi.values[0]) > 1e-9:
@@ -477,11 +514,11 @@ def invert_diffeo(phi: PeriodicFunction) -> PeriodicFunction:
     _check_increasing(phi)
     grid = phi.grid
     h = _lift_parts(phi)
-    rows = _derivative_rows(h, 0)
+    fine = _fine_grid(h, (0, 1))
     x = grid.x[1:]
 
     def residual(idx, y):
-        hv, dh = _trig_eval(rows, y).real
+        hv, dh = _gather(fine, y)
         return y + hv - x[idx], 1.0 + dh
 
     y = _newton_bisect(

@@ -21,7 +21,7 @@ exact flow itself is evaluated on the half-period clock r = ct - m pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,10 +44,11 @@ class InitialData:
     """Initial state (u0, rho0): u0 real with u0(0) = 0, rho0 real.
 
     ``u0x`` is the spectral derivative of u0, computed once here; the
-    speed, the blow-up time and the great circle all read it.
+    speed, the blow-up time and the great circle all read it.  The
+    :class:`BlowupReport` is computed on first request and kept.
     """
 
-    __slots__ = ("u0", "rho0", "u0x")
+    __slots__ = ("u0", "rho0", "u0x", "_blowup")
 
     def __init__(self, u0: PeriodicFunction, rho0: PeriodicFunction):
         if u0.is_complex or rho0.is_complex:
@@ -61,6 +62,7 @@ class InitialData:
         self.u0 = u0
         self.rho0 = rho0
         self.u0x = fs.derivative(u0)
+        self._blowup = None
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -84,11 +86,12 @@ class BlowupReport:
 
     ``T`` is physical time (math.inf when the solution is global); each
     witness pairs a root x* of rho0 with the first time f(., x*) = 0.
+    Reports are shared, so the witnesses are a tuple.
     """
 
     finite: bool
     T: float
-    witnesses: list = field(default_factory=list)
+    witnesses: tuple = ()
     speed: float = 0.0
 
     @property
@@ -172,8 +175,15 @@ def blowup_time(d: InitialData) -> BlowupReport:
     time increases with u0x, so the witness is the minimum of u0x: the
     root of u0xx within one node of the least node value, kept unless
     that node is earlier.  Otherwise each isolated root of rho0
-    contributes one witness.
+    contributes one witness.  The report is computed once per
+    :class:`InitialData` and returned on every later call.
     """
+    if d._blowup is None:
+        d._blowup = _blowup_report(d)
+    return d._blowup
+
+
+def _blowup_report(d: InitialData) -> BlowupReport:
     c = speed(d)
     u0x_at = fs.interpolant(d.u0x)
 
@@ -186,14 +196,14 @@ def blowup_time(d: InitialData) -> BlowupReport:
         tnode = _first_zero_time(float(d.u0x.values[j]), c)
         if tnode < tbest:
             xbest, tbest = float(x[j]), tnode
-        return BlowupReport(True, tbest, [(xbest, tbest)], c)
+        return BlowupReport(True, tbest, ((xbest, tbest),), c)
 
     roots = _rho_roots(d.rho0)
     if not roots:
-        return BlowupReport(False, math.inf, [], c)
-    witnesses = [
+        return BlowupReport(False, math.inf, (), c)
+    witnesses = tuple(
         (r, _first_zero_time(float(v), c)) for r, v in zip(roots, u0x_at(roots))
-    ]
+    )
     T = min(t for (_, t) in witnesses)
     return BlowupReport(True, T, witnesses, c)
 

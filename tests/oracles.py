@@ -4,7 +4,7 @@ Everything here deliberately avoids the code paths under test: finite
 differences instead of spectral derivatives, cubic splines on refined
 grids instead of trigonometric interpolation, dense parameter scans
 instead of closed-form root finding, the dense phase matrix instead of
-block evaluation or an inverse FFT, dense DFT matrices instead of
+the nonuniform FFT or an inverse FFT, dense DFT matrices instead of
 real-FFT multipliers, and scalar brentq and minimize_scalar calls instead
 of vectorised Newton.
 """
@@ -44,7 +44,7 @@ def _dense_coefficients(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def dense_trig_interpolate(values: np.ndarray, points) -> np.ndarray:
     """Trigonometric interpolant of grid samples through the dense
     (points x (n+1)) phase matrix, snapping grid-coincident points to the
-    samples; the reference formula for the library's block evaluation."""
+    samples; the reference formula for the library's nonuniform FFT."""
     n = values.size
     k, c_ext = _dense_coefficients(values)
     pts = np.mod(np.atleast_1d(np.asarray(points, dtype=float)), 1.0)

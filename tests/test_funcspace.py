@@ -198,7 +198,7 @@ def test_invert_diffeo_round_trip(grid):
     assert np.max(np.abs(rt2.values - grid.x)) < 1e-9
 
 
-@pytest.mark.parametrize("n", [8, 64, 256])
+@pytest.mark.parametrize("n", [8, 64, 256, 4096])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_trig_interpolate_matches_dense_formula(n, kind, rng):
     g = PeriodicGrid(n)
@@ -211,7 +211,11 @@ def test_trig_interpolate_matches_dense_formula(n, kind, rng):
     pts = np.concatenate([off, g.x, g.x + 1.0, near])
     ours = fs.trig_interpolate(f, pts)
     assert ours.dtype == vals.dtype and ours.shape == pts.shape
-    ref = dense_trig_interpolate(vals, pts)
+    # the dense oracle builds a points x (n + 1) matrix: keep slices small
+    ref = np.concatenate([
+        dense_trig_interpolate(vals, pts[s : s + 256])
+        for s in range(0, pts.size, 256)
+    ])
     assert np.max(np.abs(ours - ref)) < 2e-15 * n * np.max(np.abs(vals))
     # grid-coincident points, one period over or within 1e-12 / n, snap
     snapped = np.concatenate([vals, vals, vals[::3]])
@@ -220,7 +224,41 @@ def test_trig_interpolate_matches_dense_formula(n, kind, rng):
     # the Nyquist coefficient is split: samples (-1)^j give cos(pi n x)
     nyq = PeriodicFunction(g, np.cos(np.pi * n * g.x))
     nyq_off = fs.trig_interpolate(nyq, off)
-    assert np.max(np.abs(nyq_off - np.cos(np.pi * n * off))) < 1e-12
+    # n * off and its remainder mod 2 are exact, so the reference is exact
+    # to roundoff even where pi * n * off would lose 1e-12 to rounding
+    exact = np.cos(np.pi * np.mod(n * off, 2.0))
+    assert np.max(np.abs(nyq_off - exact)) < 1e-12
+
+
+def test_coefficients_are_prepared_once(monkeypatch):
+    calls = {"prepare": 0, "gather": 0}
+    fine_grid, gather = fs._fine_grid, fs._gather
+
+    def counting_fine_grid(*args):
+        calls["prepare"] += 1
+        return fine_grid(*args)
+
+    def counting_gather(*args):
+        calls["gather"] += 1
+        return gather(*args)
+
+    monkeypatch.setattr(fs, "_fine_grid", counting_fine_grid)
+    monkeypatch.setattr(fs, "_gather", counting_gather)
+    g = PeriodicGrid(256)
+    fs.invert_diffeo(_smooth_diffeo(g, amp=0.35))
+    assert calls["prepare"] == 1 and calls["gather"] > 2
+
+    calls.update(prepare=0, gather=0)
+    f = PeriodicFunction(g, np.sin(2 * np.pi * (g.x - 0.1)))
+    roots = fs.interpolant_roots(f, [0.05, 0.55], [0.2, 0.7], [1.0, -1.0])
+    assert np.max(np.abs(roots - [0.1, 0.6])) < 1e-12
+    assert calls["prepare"] == 1 and calls["gather"] > 2
+
+    calls.update(prepare=0, gather=0)
+    evaluate = fs.interpolant(f)
+    for pts in ([0.1], np.linspace(0.0, 1.0, 7), g.x + 0.5 / g.n):
+        evaluate(pts)
+    assert calls == {"prepare": 1, "gather": 3}
 
 
 def test_trig_interpolate_memory_is_bounded():

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hs2sphere.funcspace as fs
+import hs2sphere.geodesics as geo
 import hs2sphere.randfields as rf
 from hs2sphere.errors import (
     AtIdentityOrAntipodeError,
@@ -403,6 +404,24 @@ def test_classify_existence(grid, rng):
         want_global = bool(rng.uniform() < 0.5)
         data = rf.initial_data(grid, rng, global_existence=want_global)
         assert classify_existence(data).global_existence == want_global
+
+
+def test_blowup_report_is_computed_once(grid, monkeypatch):
+    calls = []
+
+    def counting_rho_roots(rho0):
+        calls.append(1)
+        return _rho_roots(rho0)
+
+    monkeypatch.setattr(geo, "_rho_roots", counting_rho_roots)
+    d = InitialData.from_u0x(
+        grid, lambda x: np.sin(TWO_PI * x), lambda x: np.cos(TWO_PI * x)
+    )
+    cls = classify_existence(d)
+    exact_solution(d, 0.5 * cls.T_physical)
+    assert len(calls) == 1
+    assert blowup_time(d) is cls.report
+    assert isinstance(cls.report.witnesses, tuple)
 
 
 # -- exponential map and its inverse ----------------------------------------

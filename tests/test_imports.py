@@ -1,5 +1,6 @@
 """The runtime needs numpy only: scipy is loaded when a test oracle or the
-benchmark tracer asks for it, never by ``import hs2sphere.cli``."""
+benchmark tracer asks for it, never by ``import hs2sphere.cli``, and
+neither is ``numpy.polynomial``."""
 
 import json
 import os
@@ -16,9 +17,11 @@ import json, sys
 import hs2sphere.cli
 from hs2sphere import funcspace, geodesics
 before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+polynomial = "numpy.polynomial" in sys.modules
 import scipy.optimize as opt
 print(json.dumps({
     "before": before,
+    "polynomial": polynomial,
     "resolved": [
         geodesics.brentq is opt.brentq,
         geodesics.minimize_scalar is opt.minimize_scalar,
@@ -39,6 +42,7 @@ def test_cli_import_leaves_scipy_out_and_tracer_names_resolve():
     )
     result = json.loads(out.stdout)
     assert result["before"] == []
+    assert result["polynomial"] is False
     assert result["resolved"] == [True, True, True]
 
 
