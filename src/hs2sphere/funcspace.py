@@ -17,9 +17,10 @@ cache, :class:`SpectralMultipliers`, built once per grid size and shared
 read-only by every grid of that size as ``PeriodicGrid.spectral``: d/dx,
 its inverse on zero-mean functions, A^{-1}, A^{-1} d/dx and the 2/3
 dealiasing mask.  Its ``apply`` is the only transform of the spectral
-calculus; complex samples go through it as real and imaginary parts.  The
-odd-order operators (d/dx, its inverse, A^{-1} d/dx) drop the Nyquist
-mode, which keeps them real on real input.
+calculus; complex samples go through it as real and imaginary parts.  Only
+the RK4 integrator keeps coefficients between transforms, stepping them
+with these same multipliers.  The odd-order operators (d/dx, its inverse,
+A^{-1} d/dx) drop the Nyquist mode, which keeps them real on real input.
 
 Off-grid evaluation of trigonometric interpolants is a type-2 nonuniform
 FFT with the "exponential of semicircle" kernel of width w = 16 (Barnett,
@@ -61,11 +62,10 @@ class SpectralMultipliers:
     ``deriv`` is 2 pi i k, ``antideriv`` 1 / (2 pi i k), ``inv_a``
     1 / (4 pi^2 k^2) and ``ainv_dx`` i / (2 pi k), each zero at the mean
     mode; the odd-order ones are also zero at the Nyquist mode.  ``mask``
-    keeps the modes k <= n // 3.  ``ainv_dx_deriv`` stacks ``ainv_dx`` over
-    ``deriv`` for a two-row :meth:`apply`.
+    keeps the modes k <= n // 3.
     """
 
-    __slots__ = ("deriv", "antideriv", "inv_a", "ainv_dx", "mask", "ainv_dx_deriv")
+    __slots__ = ("deriv", "antideriv", "inv_a", "ainv_dx", "mask")
 
     def __init__(self, n: int):
         k = np.arange(n // 2 + 1, dtype=float)
@@ -79,7 +79,6 @@ class SpectralMultipliers:
         for odd in (self.deriv, self.antideriv, self.ainv_dx):
             odd[-1] = 0.0
         self.mask = (k <= n // 3).astype(float)
-        self.ainv_dx_deriv = np.stack([self.ainv_dx, self.deriv])
         for name in self.__slots__:
             getattr(self, name).flags.writeable = False
 

@@ -284,16 +284,15 @@ def exact_solution(
 
     On the half-period clock f = (-1)^m g, and the sign drops out of
     w = 2 g_t / g = (u_x + i rho) o phi.  phi_t integrates 2 Re(conj(g) g_t),
-    so u = phi_t o phi^{-1} and rho = Im w o phi^{-1}.
+    so u + i rho = (phi_t + i Im w) o phi^{-1}, one composition.
     """
     _, g, gt, phi = _great_circle(d, t)
     phi_t = fs.antiderivative_from_zero(
         PeriodicFunction(d.grid, 2.0 * (np.conj(g) * gt).real)
     )
-    phi_inv = fs.invert_diffeo(phi)
-    u = fs.compose(phi_t, phi_inv)
-    rho = fs.compose(PeriodicFunction(d.grid, (2.0 * gt / g).imag), phi_inv)
-    return u, rho
+    field = PeriodicFunction(d.grid, phi_t.values + 1j * (2.0 * gt / g).imag)
+    w = fs.compose(field, fs.invert_diffeo(phi)).values
+    return PeriodicFunction(d.grid, w.real), PeriodicFunction(d.grid, w.imag)
 
 
 # ---------------------------------------------------------------------------

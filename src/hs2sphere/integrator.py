@@ -5,14 +5,14 @@ Independent cross-check for the closed-form solutions: the weak form
     u_t = -u u_x - (1/2) A^{-1} d/dx (u_x^2 + rho^2),
     rho_t = -(rho u)_x,          A = -d^2/dx^2,
 
-is integrated with classical fixed-step RK4 on the stacked state (u, rho).
-Quadratic products are dealiased with the 2/3 rule, and the u(0) = 0 pin
-is re-applied after every step.  Each stage makes two real-FFT pairs, one
-for u_x and one for both outer derivatives as a two-row stack; dealiasing
-masks the three products in one more.  Stage 1 of each state also yields
-its energy.  The blow-up guard reads w = u_x + i rho along characteristics
-off the great circle.  The zero-mean-restricted variant replaces rho by its
-mean-free projection and keeps it exact at every stage.
+is integrated with classical fixed-step RK4 on the real-FFT coefficients
+Y = rfft([u, rho]).  A stage makes one three-row irfft to u, rho, u_x and
+one three-row rfft of u_x^2 + rho^2, rho u, u u_x; derivatives, A^{-1} d/dx
+and the 2/3-rule dealiasing mask act on coefficients, so dealiasing costs
+no transform, and the u(0) = 0 pin is a mean-mode correction.  Stage 1 of
+each state also yields its energy and recorded rows.  The blow-up guard
+reads w = u_x + i rho along characteristics off the great circle.  The
+zero-mean-restricted variant zeroes rho's mean mode at every stage.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepBlowupError
-from .funcspace import PeriodicFunction, PeriodicGrid, SpectralMultipliers
+from .funcspace import PeriodicFunction, PeriodicGrid
 from .geodesics import InitialData
 from .serialize import write_trajectory_csv
 
@@ -88,43 +88,56 @@ class Trajectory:
         write_trajectory_csv(path, self.times, self.grid.x, self.u, self.rho)
 
 
-def _rhs_arrays(y, sp: SpectralMultipliers, dealias: bool, restricted: bool):
-    """y_t, u_x and the unmasked energy density u_x^2 + rho^2 of y = (u, rho)."""
-    u, rho = y
-    if restricted:
-        rho = rho - np.mean(rho)
-    ux = sp.apply(u, sp.deriv)
-    quad = np.empty((3, u.size))
-    density, flux, advect = quad
-    np.multiply(ux, ux, out=density)
-    density += rho * rho
-    np.multiply(rho, u, out=flux)
-    np.multiply(u, ux, out=advect)
-    if dealias:
-        quad = sp.apply(quad, sp.mask)
-    ainvdx, dflux = sp.apply(quad[:2], sp.ainv_dx_deriv)
-    yt = np.empty_like(y)
-    yt[0] = -quad[2] - 0.5 * (ainvdx - ainvdx[0])
-    yt[1] = -dflux
-    if restricted:
-        yt[1] -= np.mean(yt[1])
-    return yt, ux, density
+class _Stage:
+    """y_t of Y = rfft([u, rho]) in coefficient space, with its work arrays.
+
+    ``self(y, out)`` copies y in first, so out may be y.  It leaves u, rho
+    and u_x on the grid in ``rows`` and u_x^2 + rho^2 unmasked in ``quad[0]``.
+    """
+
+    def __init__(self, grid: PeriodicGrid, dealias: bool, restricted: bool):
+        self.sp, self.dealias, self.restricted = grid.spectral, dealias, restricted
+        self.coef = np.empty((3, grid.n // 2 + 1), dtype=complex)
+        self.rows, self.quad = np.empty((2, 3, grid.n))
+
+    def __call__(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        sp, coef, quad = self.sp, self.coef, self.quad
+        coef[:2] = y
+        if self.restricted:
+            coef[1, 0] = 0.0
+        np.multiply(coef[0], sp.deriv, out=coef[2])
+        rows = np.fft.irfft(coef, quad.shape[1], out=self.rows)
+        np.multiply(rows[[2, 1, 0]], rows[[2, 0, 2]], out=quad)
+        quad[0] += rows[1] * rows[1]
+        hat = np.fft.rfft(quad, out=coef)
+        if self.dealias:
+            hat *= sp.mask
+        ainvdx = np.multiply(hat[0], 0.5 * sp.ainv_dx, out=out[0])
+        ainvdx[0] = -2.0 * ainvdx.real[1:-1].sum()  # the mean that makes it 0 at 0
+        out[0] += hat[2]
+        np.multiply(hat[1], sp.deriv, out=out[1])
+        return np.negative(out, out=out)
+
+
+def _grid_rhs(u, rho, dealias: bool, restricted: bool):
+    """rfft, one coefficient-space stage, irfft."""
+    y = np.fft.rfft(np.stack([u.values, rho.values]))
+    ut, rhot = np.fft.irfft(_Stage(u.grid, dealias, restricted)(y, y), u.grid.n)
+    return PeriodicFunction(u.grid, ut), PeriodicFunction(u.grid, rhot)
 
 
 def rhs(
     u: PeriodicFunction, rho: PeriodicFunction, dealias: bool = True
 ) -> tuple[PeriodicFunction, PeriodicFunction]:
-    """Right side of the weak-form system; preserves u_t(0) = 0."""
-    yt, _, _ = _rhs_arrays((u.values, rho.values), u.grid.spectral, dealias, False)
-    return PeriodicFunction(u.grid, yt[0]), PeriodicFunction(u.grid, yt[1])
+    """Right side of the weak-form system; u_t(0) = 0 if u(0) = 0, undealiased."""
+    return _grid_rhs(u, rho, dealias, False)
 
 
 def rhs_restricted(
     u: PeriodicFunction, rho: PeriodicFunction, dealias: bool = True
 ) -> tuple[PeriodicFunction, PeriodicFunction]:
     """Zero-mean-restricted right side; second output is exactly mean-free."""
-    yt, _, _ = _rhs_arrays((u.values, rho.values), u.grid.spectral, dealias, True)
-    return PeriodicFunction(u.grid, yt[0]), PeriodicFunction(u.grid, yt[1])
+    return _grid_rhs(u, rho, dealias, True)
 
 
 def integrate(
@@ -169,18 +182,19 @@ def integrate(
     w = u_x + i rho', with w0 = u0_x + i (rho0 - mean rho0) and c^2 the
     restricted energy (1/4) mean(u_x^2 + rho'^2).
     """
-    sp = d.grid.spectral
     n_steps = cfg.n_steps
     dt = cfg.t_end / n_steps
     y = np.stack([d.u0.values, d.rho0.values])
     if restricted:
         y[1] -= np.mean(y[1])
-    k1, ux, density = _rhs_arrays(y, sp, cfg.dealias, restricted)
-    rec_t, rec_y = [0.0], [y.copy()]
-    en_t, en, means = [0.0], [0.25 * float(np.mean(density))], [float(np.mean(y[1]))]
-    # f = cos(ct) + h t sinc(ct / pi) with h = w0 / 2; t sinc keeps c = 0 exact
-    h, csq = 0.5 * (ux + 1j * y[1]), en[0]
+    # f = cos(ct) + h sin(ct) / c, h = w0 / 2, c^2 = mean |h|^2; t at c = 0
+    h = 0.5 * (d.u0x.values + 1j * y[1])
+    csq = float(np.mean(h.real * h.real + h.imag * h.imag))
     c = math.sqrt(csq)
+    stage = _Stage(d.grid, cfg.dealias, restricted)
+    Y = np.fft.rfft(y)
+    k1, k2, k3, k4 = np.empty((4, *Y.shape), dtype=complex)
+    rec_t, rec_y, en_t, en, means = [], [], [], [], []
 
     def build() -> Trajectory:
         states = np.asarray(rec_y)
@@ -192,12 +206,22 @@ def integrate(
     def halt(message: str, t: float) -> StepBlowupError:
         return StepBlowupError(message, trajectory=build(), halt_time=t)
 
-    t = 0.0
-    for step in range(1, n_steps + 1):
-        cos_ct, s = math.cos(c * t), t * np.sinc(c * t / math.pi)
+    for step in range(n_steps + 1):
+        t = step * dt
+        stage(Y, k1)
+        en_t.append(t)
+        en.append(0.25 * float(np.mean(stage.quad[0])))
+        means.append(float(Y[1, 0].real) / d.grid.n)
+        if step % cfg.record_every == 0 or step == n_steps:
+            u, rho = stage.rows[:2]
+            rec_t.append(t)
+            rec_y.append(np.stack([u - u[0], rho]))  # u(0) is 0.0, not roundoff
+        if step == n_steps:
+            return build()
+        cos_ct, s = math.cos(c * t), math.sin(c * t) / c if c else t
         with np.errstate(all="ignore"):
             w = 2.0 * (h * cos_ct - csq * s) / (cos_ct + h * s)
-        sup_ux = float(np.max(np.abs(ux)))
+        sup_ux = float(np.max(np.abs(stage.rows[2])))
         sup_w = float(np.max(np.abs(w.real)))
         for reading, value in (("grid sup|u_x|", sup_ux), ("label sup|Re w|", sup_w)):
             if value > ux_limit or not np.isfinite(value):
@@ -206,25 +230,13 @@ def integrate(
         if 0.5 * dt * sup_w >= 1.0:
             pole = f"puts the Riccati pole within dt = {dt!r} of t = {t!r}"
             raise halt(f"label sup|Re w| = {sup_w!r} {pole}", t)
-        k2, _, _ = _rhs_arrays(y + 0.5 * dt * k1, sp, cfg.dealias, restricted)
-        k3, _, _ = _rhs_arrays(y + 0.5 * dt * k2, sp, cfg.dealias, restricted)
-        k4, _, _ = _rhs_arrays(y + dt * k3, sp, cfg.dealias, restricted)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        y[0] -= y[0, 0]
-        if restricted:
-            y[1] -= np.mean(y[1])
-        if not np.all(np.isfinite(y)):
-            message = f"state became non-finite between t = {t!r} and t = {step * dt!r}"
-            raise halt(message, t)
-        t = step * dt
-        k1, ux, density = _rhs_arrays(y, sp, cfg.dealias, restricted)
-        en_t.append(t)
-        en.append(0.25 * float(np.mean(density)))
-        means.append(float(np.mean(y[1])))
-        if step % cfg.record_every == 0 or step == n_steps:
-            rec_t.append(t)
-            rec_y.append(y.copy())
-    return build()
+        for k_in, frac, k_out in ((k1, 0.5, k2), (k2, 0.5, k3), (k3, 1.0, k4)):
+            stage(Y + (frac * dt) * k_in, k_out)
+        Y = Y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        Y[0, 0] = -2.0 * Y[0, 1:-1].real.sum() - Y[0, -1].real  # pins u(0) = 0
+        if not np.all(np.isfinite(Y)):
+            message = f"state became non-finite between t = {t!r} and t = "
+            raise halt(message + repr((step + 1) * dt), t)
 
 
 def compare_states(

@@ -360,10 +360,6 @@ def test_apply_on_a_stack_is_bit_exact_row_by_row(n, kind, rng):
     for name in ("deriv", "antideriv", "inv_a", "ainv_dx", "mask"):
         mult = getattr(sp, name)
         same_bits(sp.apply(stack, mult), [sp.apply(row, mult) for row in stack])
-    same_bits(
-        sp.apply(stack[:2], sp.ainv_dx_deriv),
-        [sp.apply(stack[0], sp.ainv_dx), sp.apply(stack[1], sp.deriv)],
-    )
 
 
 def _odd_symbol(n, fn):

@@ -424,6 +424,25 @@ def test_blowup_report_is_computed_once(grid, monkeypatch):
     assert isinstance(cls.report.witnesses, tuple)
 
 
+def test_exact_solution_composes_once(grid, monkeypatch):
+    # one prepare for invert_diffeo and one for the complex field phi_t + i Im w
+    calls = []
+    fine_grid = fs._fine_grid
+
+    def counting_fine_grid(*args):
+        calls.append(1)
+        return fine_grid(*args)
+
+    d = InitialData.from_u0x(
+        grid, lambda x: np.sin(TWO_PI * x), lambda x: 1.5 + np.cos(TWO_PI * x)
+    )
+    blowup_time(d)
+    monkeypatch.setattr(fs, "_fine_grid", counting_fine_grid)
+    u, rho = exact_solution(d, 0.5)
+    assert len(calls) == 2
+    assert not u.is_complex and not rho.is_complex
+
+
 # -- exponential map and its inverse ----------------------------------------
 
 

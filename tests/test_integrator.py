@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hs2sphere.funcspace as fs
+import hs2sphere.randfields as rf
 from hs2sphere.errors import StepBlowupError
 from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
 from hs2sphere.geodesics import InitialData, blowup_time, exact_solution, speed
@@ -122,29 +123,98 @@ def test_energy_and_mean_conservation(grid):
     assert np.max(np.abs(traj.rho_mean - traj.rho_mean[0])) < 1e-10
 
 
-@pytest.mark.parametrize("dealias, per_rhs", [(False, 2), (True, 3)])
-def test_transform_budget_and_energy_reuse(grid, monkeypatch, dealias, per_rhs):
+@pytest.mark.parametrize("dealias", [False, True])
+def test_transform_budget_and_energy_reuse(grid, monkeypatch, dealias):
     d = smooth_global(grid)
-    calls = []
-    rfft = np.fft.rfft
+    calls = {"rfft": 0, "irfft": 0}
 
-    def counting_rfft(*args, **kwargs):
-        calls.append(1)
-        return rfft(*args, **kwargs)
+    def counting(name):
+        transform = getattr(np.fft, name)
 
-    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counting(name))
     steps = 5
     cfg = IntegratorConfig(dt=1e-2, t_end=steps * 1e-2, dealias=dealias, record_every=1)
     traj = integrate(d, cfg)
     monkeypatch.undo()
-    # four stages per step, plus stage 1 of the final state for its energy
-    assert len(calls) == per_rhs * (4 * steps + 1)
+    # one batched irfft and one batched rfft per stage, four stages per step,
+    # plus stage 1 of the final state for its energy; one more rfft takes
+    # the initial state to coefficients, and dealiasing costs none
+    assert calls == {"rfft": 4 * steps + 2, "irfft": 4 * steps + 1}
 
+    # the energy comes from stage 1's grid rows; the recorded u is the same
+    # irfft of the coefficients, so the two agree to roundoff
     assert np.array_equal(traj.times, traj.energy_times)
     for i, energy in enumerate(traj.energy):
         ux = fs.derivative(PeriodicFunction(grid, traj.u[i])).values
         rho = traj.rho[i]
-        assert energy == 0.25 * float(np.mean(ux * ux + rho * rho))
+        recomputed = 0.25 * float(np.mean(ux * ux + rho * rho))
+        assert abs(energy - recomputed) <= 1e-15 * energy
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["plain", "restricted"])
+@pytest.mark.parametrize("dealias", [False, True], ids=["dealias-off", "dealias-on"])
+def test_integrate_steps_with_the_public_right_side(grid, rng, dealias, restricted):
+    # modes up to 100 > n/3, so the 2/3 mask changes the products
+    w = rf.band_limited(grid, rng, max_mode=100, amplitude=0.5)
+    rho0 = rf.band_limited(grid, rng, max_mode=100, amplitude=0.5) + 1.0
+    d = InitialData(fs.antiderivative_from_zero(w), rho0)
+    dt = 1e-2
+    cfg = IntegratorConfig(dt=dt, t_end=2 * dt, dealias=dealias, record_every=1)
+    traj = integrate(d, cfg, restricted=restricted)
+    right_side = rhs_restricted if restricted else rhs
+
+    def f(y):
+        u, rho = (PeriodicFunction(grid, row) for row in y)
+        return np.stack([g.values for g in right_side(u, rho, dealias=dealias)])
+
+    y = np.stack([d.u0.values, d.rho0.values])
+    if restricted:
+        y[1] -= np.mean(y[1])
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y[0] -= y[0, 0]
+    assert np.max(np.abs(traj.u[1] - y[0])) < 1e-14
+    assert np.max(np.abs(traj.rho[1] - y[1])) < 1e-14
+    assert np.all(traj.u[:, 0] == 0.0)
+
+
+def test_non_finite_state_halts(grid, monkeypatch):
+    # poison the rfft of stage 3 in step 4: step 3 is the last finite state
+    d = smooth_global(grid)
+    dt, poisoned = 1e-2, 2 + 4 * 3 + 2
+    calls = []
+    rfft = np.fft.rfft
+
+    def poisoning_rfft(*args, **kwargs):
+        calls.append(1)
+        out = rfft(*args, **kwargs)
+        if len(calls) == poisoned:
+            out[...] = np.nan
+        return out
+
+    monkeypatch.setattr(np.fft, "rfft", poisoning_rfft)
+    cfg = IntegratorConfig(dt=dt, t_end=10 * dt, record_every=1)
+    with pytest.raises(StepBlowupError) as exc_info:
+        integrate(d, cfg)
+    err = exc_info.value
+    last = 3 * dt
+    assert str(err) == (
+        f"state became non-finite between t = {last!r} and t = {4 * dt!r}"
+    )
+    assert err.halt_time == last
+    assert err.trajectory.times[-1] <= err.halt_time
+    assert np.all(np.isfinite(err.trajectory.u))
+    assert np.all(np.isfinite(err.trajectory.rho))
 
 
 def test_fourth_order_convergence(grid):
