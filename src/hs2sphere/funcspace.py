@@ -15,24 +15,27 @@ samples or lift samples; operations that expect a lift say so.
 Every Fourier multiplier is a real-FFT (half-spectrum) multiplier in one
 cache, :class:`SpectralMultipliers`, built once per grid size and shared
 read-only by every grid of that size as ``PeriodicGrid.spectral``: d/dx,
-its inverse on zero-mean functions, A^{-1}, A^{-1} d/dx and the 2/3
-dealiasing mask.  Its ``apply`` is the only transform of the spectral
-calculus; complex samples go through it as real and imaginary parts.  Only
-the RK4 integrator keeps coefficients between transforms, stepping them
-with these same multipliers.  The odd-order operators (d/dx, its inverse,
+its inverse on zero-mean functions, A^{-1}, A^{-1} d/dx, the 2/3
+dealiasing mask and the off-grid kernel's deconvolution.  No transform is
+a complex FFT: complex samples go through as real and imaginary parts.
+``apply`` is the on-grid transform of the spectral calculus.  Only the
+RK4 integrator keeps coefficients between transforms, stepping them with
+these same multipliers.  The odd-order operators (d/dx, its inverse,
 A^{-1} d/dx) drop the Nyquist mode, which keeps them real on real input.
 
 Off-grid evaluation of trigonometric interpolants is a type-2 nonuniform
 FFT with the "exponential of semicircle" kernel of width w = 16 (Barnett,
 Magland & af Klinteberg, SIAM J. Sci. Comput. 2019).  A prepare step
-(:func:`_fine_grid`) divides the coefficients by the kernel's Fourier
-transform and takes one inverse FFT onto a fine grid of N = max(2n, 4w)
-points; a gather (:func:`_gather`) then sums, for each point, its w
-nearest fine samples weighted by the kernel.  That is O(n log n) once and
-O(w) per point, with no BLAS call and O(w points + n) memory.
-:func:`interpolant`, :func:`invert_diffeo` and :func:`interpolant_roots`
-prepare once; the vectorised, bisection-safeguarded Newton iterations of
-the last two, over all nodes or brackets at once, only gather.
+(:func:`_fine_grid`) divides the half-spectrum coefficients by the
+kernel's Fourier transform and takes one inverse real FFT onto a fine
+grid of N = max(2n, 4w) points; a gather (:func:`_gather`) then sums, for
+each point, its w nearest fine samples weighted by the kernel.  That is
+O(n log n) once and O(w) per point, with no BLAS call and O(w points + n)
+memory.  :func:`interpolant`, :func:`invert_diffeo` and
+:func:`interpolant_roots` prepare once; the vectorised,
+bisection-safeguarded Newton iterations of the last two, over all nodes or
+brackets at once, only gather.  :func:`compose` is the one composition,
+of periodic functions and of lifts alike.
 """
 
 from __future__ import annotations
@@ -56,16 +59,32 @@ _OFFSETS = np.arange(1, _W + 1)[:, None]
 _SHIFTS = (2.0 * _BETA / _W) * (_W // 2 - _OFFSETS)
 
 
+def _fine_size(n: int) -> int:
+    """Fine grid size N: twice the modes, and at least 4w points."""
+    return max(2 * n, 4 * _W)
+
+
 class SpectralMultipliers:
     """Real-FFT multipliers of one grid size, modes k = 0..n/2; read-only.
 
     ``deriv`` is 2 pi i k, ``antideriv`` 1 / (2 pi i k), ``inv_a``
     1 / (4 pi^2 k^2) and ``ainv_dx`` i / (2 pi k), each zero at the mean
     mode; the odd-order ones are also zero at the Nyquist mode.  ``mask``
-    keeps the modes k <= n // 3.
+    keeps the modes k <= n // 3.  ``fine`` is 1 / (n psi_hat(k)), the
+    deconvolution of the off-grid kernel psi (:func:`_fine_grid`), with
+    the Nyquist entry halved because the interpolant splits that mode
+    between k = -n/2 and k = n/2.
+
+    psi(x) = phi(2 N x / w) is the kernel phi(z) = exp(beta sqrt(1 - z^2)),
+    |z| <= 1, on the fine grid of N points, so psi_hat(k) = (w / N) times
+    the integral of phi(z) cos(pi k w z / N) over [0, 1].  After
+    z = sin(theta) that is the integral over [0, pi/2] of
+    exp(beta cos(theta)) cos(xi sin(theta)) cos(theta), which the trapezoid
+    rule on 2w intervals gives to roundoff: the integrand is even at 0, and
+    it and its derivatives are exp(-beta) smaller at pi/2 than at 0.
     """
 
-    __slots__ = ("deriv", "antideriv", "inv_a", "ainv_dx", "mask")
+    __slots__ = ("deriv", "antideriv", "inv_a", "ainv_dx", "mask", "fine")
 
     def __init__(self, n: int):
         k = np.arange(n // 2 + 1, dtype=float)
@@ -79,6 +98,16 @@ class SpectralMultipliers:
         for odd in (self.deriv, self.antideriv, self.ainv_dx):
             odd[-1] = 0.0
         self.mask = (k <= n // 3).astype(float)
+        size = _fine_size(n)
+        xi = (np.pi * _W / size) * k
+        theta = np.linspace(0.0, 0.5 * np.pi, 2 * _W + 1)
+        weight = np.exp(_BETA * np.cos(theta)) * np.cos(theta) * (np.pi / (4 * _W))
+        weight[0] *= 0.5
+        integral = np.zeros_like(xi)
+        for s, wt in zip(np.sin(theta), weight):
+            integral += wt * np.cos(xi * s)
+        self.fine = size / (_W * integral) / n
+        self.fine[-1] *= 0.5
         for name in self.__slots__:
             getattr(self, name).flags.writeable = False
 
@@ -273,76 +302,24 @@ def inverse_A_dx(f: PeriodicFunction) -> PeriodicFunction:
 # ---------------------------------------------------------------------------
 
 
-def _trig_coefficients(values: np.ndarray) -> np.ndarray:
-    """Coefficients c_k, k = -n/2..n/2, of the trigonometric interpolant.
-
-    The Nyquist coefficient is split symmetrically between k = -n/2 and
-    k = n/2, so real samples give the unique real interpolant containing
-    cos(pi*n*x).
-    """
-    n = values.size
-    half = n // 2
-    c = np.fft.fft(values) / n
-    out = np.empty(n + 1, dtype=np.complex128)
-    out[half:-1] = c[:half]
-    out[:half] = c[half:]
-    out[0] *= 0.5
-    out[-1] = out[0]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _deconvolution(n: int) -> np.ndarray:
-    """1 / psi_hat(k), k = -n/2..n/2, read-only, for n modes.
-
-    psi(x) = phi(2 N x / w) is the kernel phi(z) = exp(beta sqrt(1 - z^2)),
-    |z| <= 1, on the fine grid of N points, so psi_hat(k) = (w / N) times
-    the integral of phi(z) cos(pi k w z / N) over [0, 1].  After
-    z = sin(theta) that is the integral over [0, pi/2] of
-    exp(beta cos(theta)) cos(xi sin(theta)) cos(theta), which the trapezoid
-    rule on 2w intervals gives to roundoff: the integrand is even at 0, and
-    it and its derivatives are exp(-beta) smaller at pi/2 than at 0.
-    """
-    size = _fine_size(n)
-    xi = (np.pi * _W / size) * np.arange(n // 2 + 1)
-    theta = np.linspace(0.0, 0.5 * np.pi, 2 * _W + 1)
-    weight = np.exp(_BETA * np.cos(theta)) * np.cos(theta) * (np.pi / (4 * _W))
-    weight[0] *= 0.5
-    integral = np.zeros_like(xi)
-    for s, wt in zip(np.sin(theta), weight):
-        integral += wt * np.cos(xi * s)
-    half = size / (_W * integral)
-    out = np.concatenate([half[:0:-1], half])
-    out.flags.writeable = False
-    return out
-
-
-def _fine_size(n: int) -> int:
-    """Fine grid size N: twice the modes, and at least 4w points."""
-    return max(2 * n, 4 * _W)
-
-
 def _fine_grid(values: np.ndarray, orders=(0,)) -> np.ndarray:
     """Prepare the interpolant of samples for :func:`_gather`.
 
-    One row per derivative order: the interpolant coefficients
-    (k = -n/2..n/2, Nyquist split) times (2 pi i k)**order, divided by the
-    kernel's transform and inverse transformed onto the N fine points,
-    padded periodically by w/2 samples at each end.  Real samples give
-    real rows.
+    One row per derivative order p: irfft(rfft(values) * fine * ik**p, N)
+    on the half spectrum k = 0..n/2, with ik = 2 pi i k, padded
+    periodically by w/2 samples at each end.  ik**p keeps the Nyquist
+    entry: it differentiates the interpolant, whose Nyquist term is
+    cos(pi n x).  Complex samples go through as real and imaginary rows
+    of the same transforms.
     """
     n = values.size
-    half = n // 2
     size = _fine_size(n)
-    ik = 2j * np.pi * np.arange(-half, half + 1)
-    scaled = _trig_coefficients(values) * _deconvolution(n)
-    scaled = scaled * ik ** np.array(orders)[:, None]
-    spec = np.zeros((len(orders), size), dtype=np.complex128)
-    spec[:, : half + 1] = scaled[:, half:]
-    spec[:, size - half :] = scaled[:, :half]
-    fine = np.fft.ifft(spec)
-    if not np.iscomplexobj(values):
-        fine = fine.real
+    ik = 2j * np.pi * np.arange(n // 2 + 1)
+    is_complex = np.iscomplexobj(values)
+    parts = np.stack([values.real, values.imag]) if is_complex else values[None]
+    coeffs = np.fft.rfft(parts) * _multipliers(n).fine
+    fine = np.fft.irfft(coeffs * ik ** np.array(orders)[:, None, None], size)
+    fine = fine[:, 0] + 1j * fine[:, 1] if is_complex else fine[:, 0]
     pad = _W // 2
     return np.concatenate([fine[:, size - pad :], fine, fine[:, :pad]], axis=1)
 
@@ -420,24 +397,19 @@ def _check_increasing(phi: PeriodicFunction, tol: float = 1e-12) -> np.ndarray:
     return phix
 
 
-def compose(f: PeriodicFunction, phi: PeriodicFunction) -> PeriodicFunction:
-    """Samples of f(phi(x)) for periodic f and a diffeomorphism lift phi."""
-    _check_increasing(phi)
-    return PeriodicFunction(f.grid, trig_interpolate(f, phi.values))
-
-
-def compose_lift(
-    g: PeriodicFunction, phi: PeriodicFunction, slope: float
+def compose(
+    f: PeriodicFunction, phi: PeriodicFunction, slope: complex = 0.0
 ) -> PeriodicFunction:
-    """Samples of g(phi(x)) where g is a lift with g(x+1) = g(x) + slope.
+    """Samples of f(phi(x)) for a diffeomorphism lift phi.
 
-    The linear part slope * phi(x) is carried exactly; only the periodic
-    part of g is interpolated.
+    f is periodic, or a lift with f(x+1) = f(x) + slope (complex for a
+    complex lift).  The linear part slope * phi(x) is carried exactly;
+    only the periodic part of f is interpolated.
     """
     _check_increasing(phi)
-    p = PeriodicFunction(g.grid, g.values - slope * g.grid.x)
+    p = PeriodicFunction(f.grid, f.values - slope * f.grid.x)
     vals = slope * phi.values + trig_interpolate(p, phi.values)
-    return PeriodicFunction(g.grid, vals)
+    return PeriodicFunction(f.grid, vals)
 
 
 def _newton_bisect(residual, lo, hi, y, tol: float, sign=1.0) -> np.ndarray:

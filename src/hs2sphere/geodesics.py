@@ -127,21 +127,21 @@ def _first_zero_time(u0x_at_root: float, c: float) -> float:
 def _rho_roots(rho0: PeriodicFunction) -> list[float]:
     """All zeros of the trigonometric interpolant of rho0 in [0, 1).
 
-    Node values below NODE_ZERO_TOL are zeros.  Between neighbouring
-    nonzero nodes of one sign s, one of them below 1e-3 max |rho0|, where
-    s rho0' goes from - to +, the root of rho0' is the extremum of rho0
-    towards zero: a tangential zero when |rho0| there is below
-    TOUCH_ZERO_TOL, a dip through zero with one simple root on each side
-    when s rho0 there is below -TOUCH_ZERO_TOL.  Every other simple root
-    is bracketed by a sign change between neighbouring nodes.  The extrema
-    are one vectorised solve (:func:`funcspace.interpolant_roots`) and the
-    simple roots another.
+    Node values below NODE_ZERO_TOL max |rho0| are zeros.  Between
+    neighbouring nonzero nodes of one sign s, one of them below
+    1e-3 max |rho0|, where s rho0' goes from - to +, the root of rho0'
+    is the extremum of rho0 towards zero: a tangential zero when |rho0|
+    there is below TOUCH_ZERO_TOL, a dip through zero with one simple root
+    on each side when s rho0 there is below -TOUCH_ZERO_TOL.  Every other
+    simple root is bracketed by a sign change between neighbouring nodes.
+    The extrema are one vectorised solve (:func:`funcspace.interpolant_roots`)
+    and the simple roots another.
     """
     vals = rho0.values
     x = rho0.grid.x
     h = 1.0 / rho0.grid.n
     nxt = np.roll(vals, -1)
-    zero = np.abs(vals) < NODE_ZERO_TOL
+    zero = np.abs(vals) < NODE_ZERO_TOL * np.max(np.abs(vals))
     s = np.where(zero, 0.0, np.sign(vals))
     i = np.nonzero(vals * nxt < 0.0)[0]
     lo, hi, up, touch = x[i], x[i] + h, np.sign(nxt[i]), x[:0]
@@ -171,7 +171,8 @@ def _rho_roots(rho0: PeriodicFunction) -> list[float]:
 def blowup_time(d: InitialData) -> BlowupReport:
     """Maximal existence time: infinite iff rho0 is nowhere zero.
 
-    When rho0 vanishes identically every point competes.  The first-zero
+    When rho0 vanishes identically, max |rho0| below NODE_ZERO_TOL
+    (max |u0x| + max |rho0|), every point competes.  The first-zero
     time increases with u0x, so the witness is the minimum of u0x: the
     root of u0xx within one node of the least node value, kept unless
     that node is earlier.  Otherwise each isolated root of rho0
@@ -187,7 +188,8 @@ def _blowup_report(d: InitialData) -> BlowupReport:
     c = speed(d)
     u0x_at = fs.interpolant(d.u0x)
 
-    if d.rho0.max_abs() < NODE_ZERO_TOL:
+    rho_max = d.rho0.max_abs()
+    if rho_max < NODE_ZERO_TOL * (d.u0x.max_abs() + rho_max):
         x, h = d.grid.x, 1.0 / d.grid.n
         j = int(np.argmin(d.u0x.values))
         xmin = fs.interpolant_roots(d.u0x, [x[j] - h], [x[j] + h], 1.0, order=1)

@@ -148,17 +148,22 @@ class GroupElement:
 
 
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    """(phi, alpha)(psi, beta) = (phi o psi, beta + alpha o psi)."""
-    phi = fs.compose_lift(a.phi, b.phi, 1.0)
-    alpha_comp = fs.compose_lift(a.alpha, b.phi, FOUR_PI * a.winding)
-    alpha = b.alpha + alpha_comp
+    """(phi, alpha)(psi, beta) = (phi o psi, beta + alpha o psi).
+
+    phi and alpha are composed with psi together, as the complex lift
+    phi + i alpha of slope 1 + 4 pi i w.
+    """
+    lift = PeriodicFunction(a.grid, a.phi.values + 1j * a.alpha.values)
+    comp = fs.compose(lift, b.phi, complex(1.0, FOUR_PI * a.winding)).values
+    phi = PeriodicFunction(a.grid, comp.real)
+    alpha = b.alpha + comp.imag
     return GroupElement(phi, alpha, a.winding + b.winding)
 
 
 def inverse(a: GroupElement) -> GroupElement:
     """(phi, alpha)^{-1} = (phi^{-1}, -alpha o phi^{-1})."""
     phi_inv = fs.invert_diffeo(a.phi)
-    alpha = -fs.compose_lift(a.alpha, phi_inv, FOUR_PI * a.winding)
+    alpha = -fs.compose(a.alpha, phi_inv, FOUR_PI * a.winding)
     return GroupElement(phi_inv, alpha, -a.winding)
 
 

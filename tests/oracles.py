@@ -41,17 +41,22 @@ def _dense_coefficients(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(-half, half + 1), c_ext
 
 
-def dense_trig_interpolate(values: np.ndarray, points) -> np.ndarray:
-    """Trigonometric interpolant of grid samples through the dense
-    (points x (n+1)) phase matrix, snapping grid-coincident points to the
-    samples; the reference formula for the library's nonuniform FFT."""
+def dense_trig_interpolate(
+    values: np.ndarray, points, order: int = 0
+) -> np.ndarray:
+    """Order-th derivative of the trigonometric interpolant of grid samples
+    through the dense (points x (n+1)) phase matrix; the reference formula
+    for the library's nonuniform FFT.  Order 0 snaps grid-coincident points
+    to the samples."""
     n = values.size
     k, c_ext = _dense_coefficients(values)
     pts = np.mod(np.atleast_1d(np.asarray(points, dtype=float)), 1.0)
+    c_ext = c_ext * (2j * np.pi * k) ** order
     out = np.exp(2j * np.pi * np.outer(pts, k)) @ c_ext
-    idx = np.rint(pts * n)
-    on_grid = np.abs(pts * n - idx) < 1e-12
-    out[on_grid] = values[idx[on_grid].astype(int) % n]
+    if order == 0:
+        idx = np.rint(pts * n)
+        on_grid = np.abs(pts * n - idx) < 1e-12
+        out[on_grid] = values[idx[on_grid].astype(int) % n]
     return out if np.iscomplexobj(values) else out.real
 
 

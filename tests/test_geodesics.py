@@ -406,6 +406,30 @@ def test_classify_existence(grid, rng):
         assert classify_existence(data).global_existence == want_global
 
 
+@pytest.mark.parametrize("u0x, rho0", [
+    (np.sin, lambda x: 1e-13 * (1.5 + np.cos(x))),
+    (np.cos, np.zeros_like),
+    (np.sin, lambda x: 1.5 + np.cos(x)),
+    (np.sin, np.cos),
+], ids=["tiny-rho", "hs-blowup", "smooth-global", "cos-rho"])
+def test_existence_is_scale_free(grid, u0x, rho0):
+    # scaling the data by lam scales c by lam and T by 1/lam: the label and
+    # T c do not move
+    base = InitialData.from_u0x(
+        grid, lambda x: u0x(TWO_PI * x), lambda x: rho0(TWO_PI * x)
+    )
+    classes = [
+        classify_existence(InitialData(base.u0 * lam, base.rho0 * lam))
+        for lam in (1e-6, 1.0, 1e6)
+    ]
+    assert len({c.label for c in classes}) == 1
+    tc = [c.T_unit_speed for c in classes]
+    if classes[0].global_existence:
+        assert tc == [math.inf] * 3
+    else:
+        assert max(tc) - min(tc) <= 1e-12 * tc[1]
+
+
 def test_blowup_report_is_computed_once(grid, monkeypatch):
     calls = []
 

@@ -4,8 +4,9 @@ import pytest
 import hs2sphere.funcspace as fs
 import hs2sphere.randfields as rf
 from hs2sphere.errors import UnwrapAmbiguityError, VanishingModulusError
-from hs2sphere.funcspace import PeriodicFunction
+from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
 from hs2sphere.group import (
+    FOUR_PI,
     GroupElement,
     TangentVector,
     inverse,
@@ -35,6 +36,31 @@ def test_inverse_round_trip(grid, rng):
         assert multiply(a, inverse(a)).distance(ident) < 1e-9
         assert multiply(inverse(a), a).distance(ident) < 1e-9
         assert inverse(inverse(a)).distance(a) < 1e-9
+
+
+@pytest.mark.parametrize("n", [8, 256, 4096])
+@pytest.mark.parametrize("winding", [0, 1, -2])
+def test_multiply_is_one_composition(n, winding, rng, monkeypatch):
+    # phi and alpha share one fine grid, and the result is bit-identical
+    # to composing them one at a time
+    grid = PeriodicGrid(n)
+    a, b = rf.group_element(grid, rng), rf.group_element(grid, rng)
+    a = GroupElement(a.phi, a.alpha + FOUR_PI * winding * grid.x, winding)
+    phi = fs.compose(a.phi, b.phi, 1.0)
+    alpha = b.alpha + fs.compose(a.alpha, b.phi, FOUR_PI * winding)
+    calls = []
+    fine_grid = fs._fine_grid
+
+    def counting_fine_grid(*args):
+        calls.append(args)
+        return fine_grid(*args)
+
+    monkeypatch.setattr(fs, "_fine_grid", counting_fine_grid)
+    ab = multiply(a, b)
+    assert len(calls) == 1
+    assert np.array_equal(ab.phi.values, phi.values)
+    assert np.array_equal(ab.alpha.values, alpha.values)
+    assert ab.winding == winding + b.winding
 
 
 def test_inverse_of_constant_phase(grid):
