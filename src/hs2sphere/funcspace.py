@@ -12,6 +12,14 @@ interpolated trigonometrically while the identity part is carried exactly.
 A :class:`PeriodicFunction` may therefore hold either genuinely periodic
 samples or lift samples; operations that expect a lift say so.
 
+A :class:`PeriodicFunction` holds one function, values of shape (n,), or a
+stack of S of them, shape (S, n).  Every transform acts on the last axis,
+and numpy's batched real FFTs and last-axis means give each row the bits
+of its own call, so a stack is S functions computed at once.  Reductions
+(:func:`integrate`, :func:`row_mean`, ...) return a float for one function
+and an (S,) array for a stack; an (S,) array in arithmetic scales each
+row by its own value.  Validations check every row and raise if any fails.
+
 Every Fourier multiplier is a real-FFT (half-spectrum) multiplier in one
 cache, :class:`SpectralMultipliers`, built once per grid size and shared
 read-only by every grid of that size as ``PeriodicGrid.spectral``: d/dx,
@@ -34,8 +42,8 @@ O(n log n) once and O(w) per point, with no BLAS call and O(w points + n)
 memory.  :func:`interpolant`, :func:`invert_diffeo` and
 :func:`interpolant_roots` prepare once; the vectorised,
 bisection-safeguarded Newton iterations of the last two, over all nodes or
-brackets at once, only gather.  :func:`compose` is the one composition,
-of periodic functions and of lifts alike.
+brackets at once (of every row of a stack), only gather.  :func:`compose`
+is the one composition, of periodic functions and of lifts alike.
 """
 
 from __future__ import annotations
@@ -152,18 +160,35 @@ class PeriodicGrid:
         return f"PeriodicGrid(n={self.n})"
 
 
+def per_row(x):
+    """A reduction's result: a Python scalar for one function, else the array."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def row_mean(values: np.ndarray):
+    """Mean over the last axis: a float for one function, (S,) for a stack."""
+    return per_row(np.mean(values, axis=-1))
+
+
+def row_max(values: np.ndarray):
+    """Maximum over the last axis: a float for one function, (S,) for a stack."""
+    return per_row(np.max(values, axis=-1))
+
+
 class PeriodicFunction:
     """Sampled real or complex function on a :class:`PeriodicGrid`.
 
+    ``values`` has shape (n,), or (S, n) for a stack of S functions.
     Values are immutable after construction.  Arithmetic operators combine
-    samples pointwise and require matching grids.
+    samples pointwise and require matching grids; an array with one entry
+    per row of a stack acts on each row as a scalar.
     """
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: PeriodicGrid, values):
         values = np.asarray(values)
-        if values.shape != (grid.n,):
+        if values.ndim == 0 or values.shape[-1] != grid.n:
             raise ValueError(
                 f"expected {grid.n} samples, got shape {values.shape}"
             )
@@ -195,11 +220,11 @@ class PeriodicFunction:
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.values)
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+    def max_abs(self):
+        return row_max(np.abs(self.values))
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.mean(np.abs(self.values) ** 2)))
+    def l2_norm(self):
+        return per_row(np.sqrt(np.mean(np.abs(self.values) ** 2, axis=-1)))
 
     def __repr__(self):
         kind = "complex" if self.is_complex else "real"
@@ -212,6 +237,10 @@ class PeriodicFunction:
             if other.grid != self.grid:
                 raise ValueError("grids do not match")
             return other.values
+        if isinstance(other, np.ndarray) and other.ndim and (
+            other.shape == self.values.shape[:-1]
+        ):
+            return other[..., None]  # one scalar per row of a stack
         return other
 
     def __add__(self, other):
@@ -254,8 +283,7 @@ def derivative(f: PeriodicFunction) -> PeriodicFunction:
 
 def integrate(f: PeriodicFunction):
     """Integral over the circle: the sample mean (trapezoid rule)."""
-    m = np.mean(f.values)
-    return complex(m) if f.is_complex else float(m)
+    return row_mean(f.values)
 
 
 def antiderivative_from_zero(f: PeriodicFunction) -> PeriodicFunction:
@@ -266,12 +294,14 @@ def antiderivative_from_zero(f: PeriodicFunction) -> PeriodicFunction:
     """
     sp = f.grid.spectral
     p = sp.apply(f.values, sp.antideriv)
-    return PeriodicFunction(f.grid, p - p[0] + np.mean(f.values) * f.grid.x)
+    mean = np.mean(f.values, axis=-1, keepdims=True)
+    return PeriodicFunction(f.grid, p - p[..., :1] + mean * f.grid.x)
 
 
 def mean_projection(f: PeriodicFunction) -> PeriodicFunction:
     """Project onto zero-mean functions: f - integral(f).  Idempotent."""
-    return PeriodicFunction(f.grid, f.values - np.mean(f.values))
+    mean = np.mean(f.values, axis=-1, keepdims=True)
+    return PeriodicFunction(f.grid, f.values - mean)
 
 
 def inverse_A(f: PeriodicFunction) -> PeriodicFunction:
@@ -279,12 +309,12 @@ def inverse_A(f: PeriodicFunction) -> PeriodicFunction:
 
     Raises :class:`NonZeroMeanError` when |mean(f)| exceeds MEAN_TOL.
     """
-    mean = np.mean(f.values)
-    if abs(mean) > MEAN_TOL:
-        raise NonZeroMeanError(f"inverse_A needs zero-mean input, mean={mean!r}")
+    mean = np.max(np.abs(np.mean(f.values, axis=-1)))
+    if mean > MEAN_TOL:
+        raise NonZeroMeanError(f"inverse_A needs zero-mean input, |mean|={mean!r}")
     sp = f.grid.spectral
     g = sp.apply(f.values, sp.inv_a)
-    return PeriodicFunction(f.grid, g - g[0])
+    return PeriodicFunction(f.grid, g - g[..., :1])
 
 
 def inverse_A_dx(f: PeriodicFunction) -> PeriodicFunction:
@@ -294,7 +324,7 @@ def inverse_A_dx(f: PeriodicFunction) -> PeriodicFunction:
     """
     sp = f.grid.spectral
     g = sp.apply(f.values, sp.ainv_dx)
-    return PeriodicFunction(f.grid, g - g[0])
+    return PeriodicFunction(f.grid, g - g[..., :1])
 
 
 # ---------------------------------------------------------------------------
@@ -310,37 +340,59 @@ def _fine_grid(values: np.ndarray, orders=(0,)) -> np.ndarray:
     periodically by w/2 samples at each end.  ik**p keeps the Nyquist
     entry: it differentiates the interpolant, whose Nyquist term is
     cos(pi n x).  Complex samples go through as real and imaginary rows
-    of the same transforms.
+    of the same transforms.  A stack of samples, shape (S, n), gives
+    shape (orders, S, N + w).
     """
-    n = values.size
+    n = values.shape[-1]
     size = _fine_size(n)
     ik = 2j * np.pi * np.arange(n // 2 + 1)
     is_complex = np.iscomplexobj(values)
     parts = np.stack([values.real, values.imag]) if is_complex else values[None]
     coeffs = np.fft.rfft(parts) * _multipliers(n).fine
-    fine = np.fft.irfft(coeffs * ik ** np.array(orders)[:, None, None], size)
+    powers = np.reshape(orders, (-1,) + (1,) * coeffs.ndim)
+    fine = np.fft.irfft(coeffs * ik**powers, size)
     fine = fine[:, 0] + 1j * fine[:, 1] if is_complex else fine[:, 0]
     pad = _W // 2
-    return np.concatenate([fine[:, size - pad :], fine, fine[:, :pad]], axis=1)
+    return np.concatenate([fine[..., size - pad :], fine, fine[..., :pad]], axis=-1)
 
 
-def _gather(fine: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate prepared rows at arbitrary points, shape (rows, points).
+def _gather(fine: np.ndarray, points: np.ndarray, rows=None) -> np.ndarray:
+    """Evaluate prepared rows at arbitrary points, shape (orders, points).
 
     A point y sits at t = N (y mod 1) on the fine grid.  Its value is the
     sum over the w fine points l nearest t of the sample at l weighted by
     the kernel at 2 (t - l) / w: O(w) work per point and row, no BLAS.
+    For a stack, ``fine`` has shape (orders, S, N + w), ``points`` is flat
+    and ``rows`` gives the stack row of each point; all points share one
+    ``take`` from the flattened stack.
     """
     size = fine.shape[-1] - _W
     t = np.mod(points, 1.0) * size
     base = np.floor(t)
+    idx = base.astype(np.intp) % size + _OFFSETS
+    if rows is not None:
+        idx += rows * fine.shape[-1]
+    terms = np.take(fine.reshape(len(fine), -1), idx, axis=1)
+    del idx  # the kernel weights reuse its memory
     z = (2.0 * _BETA / _W) * (t - base) + _SHIFTS
     z *= z
     np.subtract(_BETA * _BETA, z, out=z)
     np.sqrt(z, out=z)
-    weights = np.exp(z, out=z)
-    idx = base.astype(np.intp) % size + _OFFSETS
-    return (np.take(fine, idx, axis=1) * weights).sum(axis=1)
+    terms *= np.exp(z, out=z)
+    out = terms.sum(axis=1)
+    if rows is not None:
+        # numpy sums the w terms of a lone point pairwise, and those of
+        # several points in order: a row's points sum as in its own call.
+        alone = np.bincount(rows)[rows] == 1
+        if alone.any():
+            lone = np.moveaxis(terms[:, :, alone], 1, -1)
+            out[:, alone] = np.ascontiguousarray(lone).sum(axis=-1)
+    return out
+
+
+def _row_index(lead: tuple, count: int):
+    """Stack row of each of ``count`` points per row, flattened; None for one row."""
+    return np.repeat(np.arange(int(np.prod(lead))), count) if lead else None
 
 
 def interpolant(f: PeriodicFunction):
@@ -348,19 +400,23 @@ def interpolant(f: PeriodicFunction):
 
     The fine grid is prepared once; each call of the returned function
     only gathers from it.  Values at grid-coincident points snap to the
-    exact samples, and real f gives real values.
+    exact samples, and real f gives real values.  For a stack f the
+    points have shape (S, P), row s evaluating the s-th function.
     """
     n = f.grid.n
+    lead = f.values.shape[:-1]
     fine = _fine_grid(f.values)
 
     def evaluate(points) -> np.ndarray:
-        points = np.asarray(points, dtype=float).ravel()
-        out = _gather(fine, points)[0]
+        points = np.asarray(points, dtype=float).reshape(lead + (-1,))
+        rows = _row_index(lead, points.shape[-1])
+        out = _gather(fine, points.ravel(), rows)[0].reshape(points.shape)
         grid_pos = np.mod(points, 1.0) * n
         idx = np.rint(grid_pos)
         on_grid = np.abs(grid_pos - idx) < 1e-12
         if np.any(on_grid):
-            out[on_grid] = f.values[idx[on_grid].astype(int) % n]
+            hit = np.nonzero(on_grid)
+            out[hit] = f.values[hit[:-1] + (idx[hit].astype(np.intp) % n,)]
         return out
 
     return evaluate
@@ -382,11 +438,11 @@ def _lift_parts(phi: PeriodicFunction) -> np.ndarray:
 def _check_increasing(phi: PeriodicFunction, tol: float = 1e-12) -> np.ndarray:
     """Slope phi_x = 1 + h_x of a unit-slope lift, h = phi - x its periodic part.
 
-    Raises :class:`NotMonotoneError` unless phi_x > tol everywhere.  The
-    default tol = 1e-12 also rejects slopes that touch zero within
-    roundoff, where interpolation or inversion would be ill-conditioned;
-    construction-level validation passes ``tol=0.0`` to admit steep but
-    strictly monotone maps.
+    Raises :class:`NotMonotoneError` unless phi_x > tol everywhere, in
+    every row of a stack.  The default tol = 1e-12 also rejects slopes
+    that touch zero within roundoff, where interpolation or inversion
+    would be ill-conditioned; construction-level validation passes
+    ``tol=0.0`` to admit steep but strictly monotone maps.
     """
     sp = phi.grid.spectral
     phix = 1.0 + sp.apply(_lift_parts(phi), sp.deriv)
@@ -404,9 +460,12 @@ def compose(
 
     f is periodic, or a lift with f(x+1) = f(x) + slope (complex for a
     complex lift).  The linear part slope * phi(x) is carried exactly;
-    only the periodic part of f is interpolated.
+    only the periodic part of f is interpolated.  For stacks f and phi,
+    ``slope`` may hold one slope per row.
     """
     _check_increasing(phi)
+    if np.ndim(slope):
+        slope = np.expand_dims(slope, -1)
     p = PeriodicFunction(f.grid, f.values - slope * f.grid.x)
     vals = slope * phi.values + trig_interpolate(p, phi.values)
     return PeriodicFunction(f.grid, vals)
@@ -479,27 +538,37 @@ def invert_diffeo(phi: PeriodicFunction) -> PeriodicFunction:
     linear interpolant of the sampled inverse.  h and h' come from one
     gather per iteration on a fine grid prepared once.  The bracket
     [x - max(h), x - min(h)], widened by 1e-3, always contains the root.
+    The nodes of every row of a stack share one solve; each node takes
+    the iterations it takes alone.
     """
-    if abs(phi.values[0]) > 1e-9:
-        raise ValueError(f"diffeomorphism must fix 0, phi(0)={phi.values[0]!r}")
+    phi0 = np.max(np.abs(phi.values[..., 0]))
+    if phi0 > 1e-9:
+        raise ValueError(f"diffeomorphism must fix 0, |phi(0)|={phi0!r}")
     _check_increasing(phi)
     grid = phi.grid
     h = _lift_parts(phi)
+    lead = h.shape[:-1]
     fine = _fine_grid(h, (0, 1))
     x = grid.x[1:]
+    targets = np.broadcast_to(x, lead + x.shape).ravel()
+    rows = _row_index(lead, x.size)
 
     def residual(idx, y):
-        hv, dh = _gather(fine, y)
-        return y + hv - x[idx], 1.0 + dh
+        hv, dh = _gather(fine, y, None if rows is None else rows[idx])
+        return y + hv - targets[idx], 1.0 + dh
 
+    nodes = np.append(grid.x, 1.0)
+    lifts = phi.values.reshape(-1, grid.n)
+    start = [np.interp(x, np.append(p, 1.0), nodes) for p in lifts]
     y = _newton_bisect(
         residual,
-        x - (np.max(h) + 1e-3),
-        x - (np.min(h) - 1e-3),
-        np.interp(x, np.append(phi.values, 1.0), np.append(grid.x, 1.0)),
+        (x - (np.max(h, axis=-1, keepdims=True) + 1e-3)).ravel(),
+        (x - (np.min(h, axis=-1, keepdims=True) - 1e-3)).ravel(),
+        np.concatenate(start),
         ROOT_TOL,
     )
-    return PeriodicFunction(grid, np.concatenate(([0.0], y)))
+    y = np.concatenate((np.zeros(lead + (1,)), y.reshape(lead + x.shape)), axis=-1)
+    return PeriodicFunction(grid, y)
 
 
 def __getattr__(name: str):

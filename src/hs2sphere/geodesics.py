@@ -57,7 +57,7 @@ class InitialData:
             raise ValueError("components live on different grids")
         if abs(u0.values[0]) > 1e-10:
             raise ValueError(f"u0 must vanish at 0, got {u0.values[0]!r}")
-        if u0.max_abs() < 1e-14 and rho0.max_abs() < 1e-14:
+        if u0.max_abs() == 0.0 and rho0.max_abs() == 0.0:
             raise ZeroDataError("initial data is identically zero")
         self.u0 = u0
         self.rho0 = rho0
@@ -110,7 +110,7 @@ class BlowupReport:
 def speed(d: InitialData) -> float:
     """Geodesic speed c with c^2 = (1/4) integral(u0x^2 + rho0^2)."""
     csq = 0.25 * float(np.mean(d.u0x.values**2 + d.rho0.values**2))
-    if csq < 1e-14:
+    if csq == 0.0:
         raise ZeroDataError("zero-energy data defines no geodesic")
     return math.sqrt(csq)
 

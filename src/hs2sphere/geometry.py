@@ -21,7 +21,9 @@ of the full one (O'Neill).
 
 Every formula reads the x-derivatives a tangent vector carries from its
 construction (``u1x``, ``u2x``) and the slope ``phi_x`` a group element
-carries; none differentiates an input again.
+carries; none differentiates an input again.  On stacks of S tangent
+vectors every scalar (metric, omega, curvature, residual) is an array of
+one value per sample.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class KTangent(TangentVector):
 
 
 def _pi(vals: np.ndarray) -> np.ndarray:
-    return vals - np.mean(vals)
+    return vals - np.mean(vals, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -55,30 +57,30 @@ def _pi(vals: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def metric(u, v) -> float:
+def metric(u, v):
     """Metric at the identity: (1/4) integral(u1x v1x + u2 v2)."""
-    return 0.25 * float(np.mean(u.u1x * v.u1x + u.u2.values * v.u2.values))
+    return 0.25 * fs.row_mean(u.u1x * v.u1x + u.u2.values * v.u2.values)
 
 
-def norm(u) -> float:
-    return float(np.sqrt(max(metric(u, u), 0.0)))
+def norm(u):
+    return fs.per_row(np.sqrt(np.maximum(metric(u, u), 0.0)))
 
 
-def metric_K_at(at: GroupElement, U, V) -> float:
+def metric_K_at(at: GroupElement, U, V):
     """Quotient metric at a base point: projections use the phi_x weight,
 
     (1/4) integral(U1x V1x / phi_x + pi(U2) pi(V2) phi_x),
     pi(W) = W - integral(W phi_x).
     """
     phix = at.phi_x.values
-    pu = U.u2.values - np.mean(U.u2.values * phix)
-    pv = V.u2.values - np.mean(V.u2.values * phix)
-    return 0.25 * float(np.mean(U.u1x * V.u1x / phix + pu * pv * phix))
+    pu = U.u2.values - np.mean(U.u2.values * phix, axis=-1, keepdims=True)
+    pv = V.u2.values - np.mean(V.u2.values * phix, axis=-1, keepdims=True)
+    return 0.25 * fs.row_mean(U.u1x * V.u1x / phix + pu * pv * phix)
 
 
-def symplectic_omega(u, v) -> float:
+def symplectic_omega(u, v):
     """Two-form (1/4) integral(u2x v1 - v2x u1); constant coefficients."""
-    return 0.25 * float(np.mean(u.u2x * v.u1.values - v.u2x * u.u1.values))
+    return 0.25 * fs.row_mean(u.u2x * v.u1.values - v.u2x * u.u1.values)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +114,7 @@ def kahler_J(U, at: GroupElement | None = None):
     second slot is only defined up to a constant.
     """
     phix = 1.0 if at is None else at.phi_x.values
-    pi_u2 = U.u2.values - float(np.mean(U.u2.values * phix))
+    pi_u2 = U.u2.values - np.mean(U.u2.values * phix, axis=-1, keepdims=True)
     first = -1.0 * fs.antiderivative_from_zero(
         PeriodicFunction(U.grid, pi_u2 * phix)
     )
@@ -130,7 +132,7 @@ def dJ_direction(u: KTangent, v: KTangent) -> KTangent:
     return KTangent(first, second)
 
 
-def nabla_J_residual(u: KTangent, v: KTangent) -> float:
+def nabla_J_residual(u: KTangent, v: KTangent):
     """Norm of (DJ.u)(v) - Gamma(Jv, u) + J Gamma(v, u); zero when J is parallel."""
     total = dJ_direction(u, v) - christoffel(kahler_J(v), u) + kahler_J(
         christoffel(v, u)
@@ -175,14 +177,24 @@ def nijenhuis(u: KTangent, v: KTangent) -> KTangent:
 # ---------------------------------------------------------------------------
 
 
-def curvature_G(u, v) -> float:
+def _square(x):
+    """x ** 2 rounded as Python's float power rounds it.
+
+    That power (libm pow) differs from x * x in the last bit for about one
+    value in a thousand; squaring each value of a stack the same way keeps
+    every sample bit-identical to its one-sample result.
+    """
+    return x**2 if np.ndim(x) == 0 else np.array([v**2 for v in x.tolist()])
+
+
+def curvature_G(u, v):
     """Gram determinant |u|^2 |v|^2 - <u,v>^2: <R(u,v)v, u> on the full group."""
-    return metric(u, u) * metric(v, v) - metric(u, v) ** 2
+    return metric(u, u) * metric(v, v) - _square(metric(u, v))
 
 
-def curvature_K_closed(u: KTangent, v: KTangent) -> float:
+def curvature_K_closed(u: KTangent, v: KTangent):
     """<R(u,v)v, u> = |u|^2 |v|^2 - <u,v>^2 + 3 omega(u,v)^2."""
-    return curvature_G(u, v) + 3.0 * symplectic_omega(u, v) ** 2
+    return curvature_G(u, v) + 3.0 * _square(symplectic_omega(u, v))
 
 
 def _mul_pair(w, a: np.ndarray):
@@ -193,7 +205,7 @@ def _mul_pair(w, a: np.ndarray):
     )
 
 
-def curvature_local(u, v) -> float:
+def curvature_local(u, v):
     """Five-term Christoffel expression for <R(u,v)v, u>.
 
     Valid at the identity for right-invariant extensions.  On
@@ -218,10 +230,10 @@ def curvature_local(u, v) -> float:
     return term1 + term2 + term3
 
 
-def sectional_curvature(u: KTangent, v: KTangent) -> float:
+def sectional_curvature(u: KTangent, v: KTangent):
     """sec(u, v) in [1, 4]; equals 4 exactly on J-invariant planes."""
     gram = curvature_G(u, v)
-    if gram < 1e-12:
+    if np.any(gram < 1e-12):
         raise DegeneratePlaneError("u, v do not span a plane")
     return curvature_K_closed(u, v) / gram
 
@@ -236,7 +248,7 @@ def nabla_rightinvariant(v, u):
     return _mul_pair(v, u.u1.values) - christoffel(v, u)
 
 
-def metric_compat_residual(u, v, w) -> float:
+def metric_compat_residual(u, v, w):
     """|<nabla_X Y, Z> + <Y, nabla_X Z>| for right-invariant fields (X<Y,Z> = 0)."""
     return abs(
         metric(nabla_rightinvariant(v, u), w)
@@ -244,7 +256,7 @@ def metric_compat_residual(u, v, w) -> float:
     )
 
 
-def omega_compat_residual(u: KTangent, v: KTangent, w: KTangent) -> float:
+def omega_compat_residual(u: KTangent, v: KTangent, w: KTangent):
     """|omega(nabla_X Y, Z) + omega(Y, nabla_X Z)|; zero when omega is parallel."""
     return abs(
         symplectic_omega(nabla_rightinvariant(v, u), w)
@@ -252,7 +264,7 @@ def omega_compat_residual(u: KTangent, v: KTangent, w: KTangent) -> float:
     )
 
 
-def jacobi_residual(u: KTangent, v: KTangent, w: KTangent) -> float:
+def jacobi_residual(u: KTangent, v: KTangent, w: KTangent):
     """Metric norm of the cyclic bracket sum; zero for a Lie bracket.
 
     The cyclic sum cancels only through the Jacobi identity, which is a
@@ -305,4 +317,4 @@ def jacobi_residual(u: KTangent, v: KTangent, w: KTangent) -> float:
     ]
     first_dx = sum(p[0] for p in pieces)
     second = sum(p[1] for p in pieces)
-    return float(np.sqrt(0.25 * np.mean(first_dx**2 + _pi(second) ** 2)))
+    return fs.per_row(np.sqrt(0.25 * np.mean(first_dx**2 + _pi(second) ** 2, axis=-1)))

@@ -14,6 +14,10 @@ L2(S^1; C).
 Angle fields are carried as continuous real lifts together with an
 integer winding number w, meaning alpha(x + 1) = alpha(x) + 4 pi w; the
 mod-4pi reduction is applied only when comparing elements.
+
+Elements and tangent vectors may hold stacks of S samples (funcspace):
+the winding is then an int array of shape (S,), and the metric and the
+distance return one value per sample.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ class TangentVector:
             raise ValueError("tangent components must be real")
         if u1.grid != u2.grid:
             raise ValueError("components live on different grids")
-        if abs(u1.values[0]) > 1e-10:
-            raise ValueError(f"u1 must vanish at 0, got {u1.values[0]!r}")
+        if np.any(np.abs(u1.values[..., 0]) > 1e-10):
+            raise ValueError(f"u1 must vanish at 0, got {u1.values[..., 0]!r}")
         self.u1 = u1
         self.u2 = u2
         sp = u1.grid.spectral
@@ -102,29 +106,29 @@ class GroupElement:
             raise ValueError("phi and alpha must be real")
         if phi.grid != alpha.grid:
             raise ValueError("phi and alpha live on different grids")
-        if abs(phi.values[0]) > 1e-9:
-            raise ValueError(f"phi must fix 0, got phi(0)={phi.values[0]!r}")
+        if np.any(np.abs(phi.values[..., 0]) > 1e-9):
+            raise ValueError(f"phi must fix 0, got phi(0)={phi.values[..., 0]!r}")
         self.grid = phi.grid
         self.phi = phi
         self.alpha = alpha
-        self.winding = int(winding)
+        lead = phi.values.shape[:-1]
+        winding = np.broadcast_to(np.asarray(winding).astype(int), lead)
+        self.winding = winding if lead else int(winding)
         self.phi_x = PeriodicFunction(self.grid, fs._check_increasing(phi, tol=0.0))
 
     @classmethod
-    def identity(cls, grid: PeriodicGrid) -> "GroupElement":
-        return cls(
-            PeriodicFunction(grid, grid.x),
-            PeriodicFunction.zeros(grid),
-            0,
-        )
+    def identity(cls, grid: PeriodicGrid, stack: tuple = ()) -> "GroupElement":
+        """The identity; ``stack`` = (S,) gives a stack of S copies."""
+        x = PeriodicFunction(grid, np.broadcast_to(grid.x, stack + (grid.n,)))
+        return cls(x, PeriodicFunction(grid, np.zeros_like(x.values)), 0)
 
-    def distance(self, other: "GroupElement") -> float:
+    def distance(self, other: "GroupElement"):
         """Sup distance with the angle compared mod 4 pi."""
-        dphi = float(np.max(np.abs(self.phi.values - other.phi.values)))
-        dalpha = float(
-            np.max(np.abs(wrap_mod_4pi(self.alpha.values - other.alpha.values)))
+        dphi = np.max(np.abs(self.phi.values - other.phi.values), axis=-1)
+        dalpha = np.max(
+            np.abs(wrap_mod_4pi(self.alpha.values - other.alpha.values)), axis=-1
         )
-        return max(dphi, dalpha)
+        return fs.per_row(np.where(dalpha > dphi, dalpha, dphi))
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.grid.n}, winding={self.winding})"
@@ -154,7 +158,7 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     phi + i alpha of slope 1 + 4 pi i w.
     """
     lift = PeriodicFunction(a.grid, a.phi.values + 1j * a.alpha.values)
-    comp = fs.compose(lift, b.phi, complex(1.0, FOUR_PI * a.winding)).values
+    comp = fs.compose(lift, b.phi, 1.0 + 1j * (FOUR_PI * a.winding)).values
     phi = PeriodicFunction(a.grid, comp.real)
     alpha = b.alpha + comp.imag
     return GroupElement(phi, alpha, a.winding + b.winding)
@@ -167,11 +171,11 @@ def inverse(a: GroupElement) -> GroupElement:
     return GroupElement(phi_inv, alpha, -a.winding)
 
 
-def metric(at: GroupElement, U: TangentVector, V: TangentVector) -> float:
+def metric(at: GroupElement, U: TangentVector, V: TangentVector):
     """Right-invariant metric (1/4) integral(U1x V1x / phi_x + U2 V2 phi_x)."""
     phix = at.phi_x.values
     integrand = U.u1x * V.u1x / phix + U.u2.values * V.u2.values * phix
-    return 0.25 * float(np.mean(integrand))
+    return 0.25 * fs.row_mean(integrand)
 
 
 def phi_map(a: GroupElement) -> SpherePoint:
@@ -190,19 +194,20 @@ def phi_inverse(f: SpherePoint) -> GroupElement:
     cannot resolve the phase and is rejected.
     """
     vals = f.values
-    if float(np.min(np.abs(vals))) <= MODULUS_TOL:
+    if np.min(np.abs(vals)) <= MODULUS_TOL:
         raise VanishingModulusError(
             f"phi_inverse needs |f| > {MODULUS_TOL}, min={np.min(np.abs(vals))!r}"
         )
-    ratios = np.roll(vals, -1) / vals
+    ratios = np.roll(vals, -1, axis=-1) / vals
     jumps = np.angle(ratios)
-    if float(np.max(np.abs(jumps))) > PHASE_JUMP_TOL:
+    if np.max(np.abs(jumps)) > PHASE_JUMP_TOL:
         raise UnwrapAmbiguityError(
             "adjacent-node phase jump exceeds pi/2; refine the grid"
         )
-    theta0 = float(np.mod(np.angle(vals[0]), 2.0 * np.pi))
-    theta = theta0 + np.concatenate(([0.0], np.cumsum(jumps[:-1])))
-    winding = int(np.rint(np.sum(jumps) / (2.0 * np.pi)))
+    theta0 = np.mod(np.angle(vals[..., :1]), 2.0 * np.pi)
+    steps = np.cumsum(jumps[..., :-1], axis=-1)
+    theta = theta0 + np.concatenate((np.zeros_like(theta0), steps), axis=-1)
+    winding = np.rint(np.sum(jumps, axis=-1) / (2.0 * np.pi))
     grid = f.grid
     modsq = PeriodicFunction(grid, np.abs(vals) ** 2)
     phi = fs.antiderivative_from_zero(modsq)

@@ -10,7 +10,8 @@ the vertical part of horizontal brackets.
 
 Canonical representatives: classes of angle fields are pinned by
 alpha(0) = 0; projective classes by f(0) real and positive (valid on the
-nowhere-vanishing set).
+nowhere-vanishing set).  Points and tangents may be stacks of samples;
+scalars are then one value per sample.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import funcspace as fs
 from .errors import (
     BaseMismatchError,
     ZeroAtBasePointError,
@@ -44,7 +46,7 @@ class KPoint(GroupElement):
     def __init__(
         self, phi: PeriodicFunction, alpha: PeriodicFunction, winding: int = 0
     ):
-        if abs(alpha.values[0]) > 1e-12:
+        if np.any(np.abs(alpha.values[..., 0]) > 1e-12):
             raise ValueError("canonical representative needs alpha(0) = 0")
         super().__init__(phi, alpha, winding)
 
@@ -56,8 +58,8 @@ class CPPoint:
     representative: SpherePoint
 
     def __post_init__(self):
-        z = self.representative.values[0]
-        if abs(z.imag) > 1e-10 or z.real <= 0.0:
+        z = self.representative.values[..., 0]
+        if np.any((np.abs(z.imag) > 1e-10) | (z.real <= 0.0)):
             raise ValueError("canonical representative needs f(0) real > 0")
 
     @property
@@ -68,22 +70,25 @@ class CPPoint:
     def values(self) -> np.ndarray:
         return self.representative.values
 
-    def distance(self, other: "CPPoint") -> float:
+    def distance(self, other: "CPPoint"):
         return self.representative.l2_distance(other.representative)
 
 
 def project_p(a: GroupElement) -> KPoint:
     """Quotient by constant phase shifts: pin the lift at alpha(0) = 0."""
-    alpha = PeriodicFunction(a.grid, a.alpha.values - a.alpha.values[0])
+    alpha = PeriodicFunction(a.grid, a.alpha.values - a.alpha.values[..., :1])
     return KPoint(a.phi, alpha, a.winding)
 
 
 def project_q(f: SpherePoint) -> CPPoint:
     """Projective canonicalization by the phase gauge at x = 0."""
-    z = f.values[0]
-    if abs(z) < 1e-10:
+    z = f.values[..., :1]
+    # hypot rounds as abs of one complex value does; numpy's vectorised
+    # complex abs differs from it in the last bit.
+    modulus = np.hypot(z.real, z.imag)
+    if np.any(modulus < 1e-10):
         raise ZeroAtBasePointError("representative vanishes at the base point")
-    gauge = np.conj(z) / abs(z)
+    gauge = np.conj(z) / modulus
     return CPPoint(SpherePoint(PeriodicFunction(f.grid, f.values * gauge)))
 
 
@@ -92,7 +97,7 @@ def psi_map(kp: KPoint) -> CPPoint:
     return project_q(phi_map(kp))
 
 
-def check_diagram(a: GroupElement) -> float:
+def check_diagram(a: GroupElement):
     """L2 distance between the two routes group -> projective classes."""
     route_sphere = project_q(phi_map(a))
     route_base = psi_map(project_p(a))
@@ -107,7 +112,7 @@ def check_diagram(a: GroupElement) -> float:
 def vertical_sphere(X: SphereTangent) -> SphereTangent:
     """Component along the fiber direction i g."""
     g = X.base.values
-    coeff = float(np.mean((g * np.conj(X.values)).imag))
+    coeff = np.mean((g * np.conj(X.values)).imag, axis=-1, keepdims=True)
     vals = -1j * g * coeff
     return SphereTangent(PeriodicFunction(X.base.grid, vals), X.base)
 
@@ -121,10 +126,11 @@ def horizontal_sphere(X: SphereTangent) -> SphereTangent:
 def vertical_G(U: TangentVector, at: GroupElement) -> TangentVector:
     """Fiber component (0, integral(U2 phi_x)): a constant second slot."""
     phix = at.phi_x.values
-    c = float(np.mean(U.u2.values * phix))
+    c = np.mean(U.u2.values * phix, axis=-1, keepdims=True)
+    shape = U.u2.values.shape
     return TangentVector(
-        PeriodicFunction.zeros(at.grid),
-        PeriodicFunction.constant(at.grid, c),
+        PeriodicFunction(at.grid, np.zeros(shape)),
+        PeriodicFunction(at.grid, np.broadcast_to(c, shape)),
     )
 
 
@@ -133,13 +139,13 @@ def horizontal_G(U: TangentVector, at: GroupElement) -> TangentVector:
     return U - vertical_G(U, at)
 
 
-def fubini_study(X: SphereTangent, Y: SphereTangent) -> float:
+def fubini_study(X: SphereTangent, Y: SphereTangent):
     """Quotient metric of the pushforwards: pairing of horizontal parts."""
-    if X.base.l2_distance(Y.base) > 1e-10:
+    if np.any(X.base.l2_distance(Y.base) > 1e-10):
         raise BaseMismatchError("tangents are based at different points")
     Xh = horizontal_sphere(X)
     Yh = horizontal_sphere(Y)
-    return float(np.mean((Xh.values * np.conj(Yh.values)).real))
+    return fs.row_mean((Xh.values * np.conj(Yh.values)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +153,12 @@ def fubini_study(X: SphereTangent, Y: SphereTangent) -> float:
 # ---------------------------------------------------------------------------
 
 
-def vertical_bracket_integral(u: KTangent, v: KTangent) -> float:
+def vertical_bracket_integral(u: KTangent, v: KTangent):
     """integral(v2x u1 - u2x v1) = -4 omega(u, v): the bracket's fiber part."""
     return -4.0 * symplectic_omega(u, v)
 
 
-def oneill_check(
-    u: KTangent, v: KTangent, g_route: str = "closed"
-) -> tuple[float, float, float]:
+def oneill_check(u: KTangent, v: KTangent, g_route: str = "closed") -> tuple:
     """Base curvature vs total-space curvature of horizontal lifts.
 
     lhs = <R(u,v)v, u> on the base (closed form); rhs adds (3/4) of the
@@ -175,7 +179,7 @@ def oneill_check(
     # squared metric norm of the constant-(0, m) vector is m^2 / 4
     rhs = g_term + 0.75 * (m * m / 4.0)
     lhs = curvature_K_closed(u, v)
-    residual = abs(lhs - rhs) / max(1.0, abs(lhs))
+    residual = abs(lhs - rhs) / np.maximum(1.0, abs(lhs))
     return lhs, rhs, residual
 
 

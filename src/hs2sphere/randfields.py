@@ -5,6 +5,9 @@ below n/4) with power-law coefficient decay, so pointwise products of up
 to two factors are exactly representable on the grid and the triple
 products appearing in curvature expressions stay far below the test
 tolerances.
+
+:func:`stacks` draws S samples of several inputs in the order of S rounds
+of one-sample calls and builds each input as one stack of S samples.
 """
 
 from __future__ import annotations
@@ -23,6 +26,28 @@ DIFFEO_AMPLITUDE = 0.4
 PHASE_AMPLITUDE = 0.75
 
 
+def _spectrum(
+    grid: PeriodicGrid, rng: np.random.Generator, max_mode: int | None = None
+) -> np.ndarray:
+    """Draw the half spectrum of one :func:`band_limited` field: two normal calls."""
+    n = grid.n
+    if max_mode is None:
+        max_mode = n // 4 - 1
+    if max_mode >= n / 2:
+        raise ValueError(f"max_mode {max_mode} must lie below n/2 = {n / 2}")
+    k = np.arange(1, max_mode + 1)
+    a = rng.normal(size=max_mode) / k**DEFAULT_DECAY
+    b = rng.normal(size=max_mode) / k**DEFAULT_DECAY
+    spec = np.zeros(n // 2 + 1, dtype=complex)
+    spec[1 : max_mode + 1] = 0.5 * n * (a - 1j * b)
+    return spec
+
+
+def _field(grid: PeriodicGrid, spec: np.ndarray, amplitude: float = 1.0):
+    """Samples of one spectrum, or of a stack of them in one inverse FFT."""
+    return PeriodicFunction(grid, amplitude * np.fft.irfft(spec, grid.n))
+
+
 def band_limited(
     grid: PeriodicGrid,
     rng: np.random.Generator,
@@ -35,35 +60,66 @@ def band_limited(
     max_mode < n/2, are one inverse real FFT of the spectrum
     (n/2)(a_k - i b_k).
     """
-    n = grid.n
-    if max_mode is None:
-        max_mode = n // 4 - 1
-    if max_mode >= n / 2:
-        raise ValueError(f"max_mode {max_mode} must lie below n/2 = {n / 2}")
-    k = np.arange(1, max_mode + 1)
-    a = rng.normal(size=max_mode) / k**DEFAULT_DECAY
-    b = rng.normal(size=max_mode) / k**DEFAULT_DECAY
-    spec = np.zeros(n // 2 + 1, dtype=complex)
-    spec[1 : max_mode + 1] = 0.5 * n * (a - 1j * b)
-    return PeriodicFunction(grid, amplitude * np.fft.irfft(spec, n))
+    return _field(grid, _spectrum(grid, rng, max_mode), amplitude)
 
 
-def u1_field(grid: PeriodicGrid, rng: np.random.Generator) -> PeriodicFunction:
-    """Random periodic u1 with u1(0) = 0 exactly (integrated series)."""
-    return fs.antiderivative_from_zero(band_limited(grid, rng))
+# Every sampler below is build(grid, *draw(grid, rng)): ``draw`` makes all
+# of its generator calls and returns spectra and scalars, ``build`` turns
+# them into fields.  :func:`stacks` uses the same two parts on S samples.
+
+
+def _draw_g(grid, rng, with_mean=True):
+    u2 = _spectrum(grid, rng)
+    mean = float(rng.normal()) if with_mean else 0.0
+    return u2, mean, _spectrum(grid, rng)
+
+
+def _build_g(grid, u2, mean, u1):
+    # u1 integrates a band-limited field, so u1(0) = 0 exactly
+    u1 = fs.antiderivative_from_zero(_field(grid, u1))
+    return TangentVector(u1, _field(grid, u2) + mean)
+
+
+def _draw_k(grid, rng):
+    return _spectrum(grid, rng), _spectrum(grid, rng)
+
+
+def _build_k(grid, u1, u2):
+    return KTangent(fs.antiderivative_from_zero(_field(grid, u1)), _field(grid, u2))
+
+
+def _draw_group(grid, rng):
+    eighth = grid.n // 8
+    w, alpha = _spectrum(grid, rng, eighth), _spectrum(grid, rng, eighth)
+    return w, alpha, float(rng.uniform(0.0, 4.0 * np.pi))
+
+
+def _build_group(grid, w, alpha, shift):
+    w = _field(grid, w)
+    scale = DIFFEO_AMPLITUDE / np.maximum(w.max_abs(), 1e-12)
+    h = fs.antiderivative_from_zero(w * scale)
+    phi = PeriodicFunction(grid, grid.x + h.values)
+    return GroupElement(phi, _field(grid, alpha, PHASE_AMPLITUDE) + shift, 0)
+
+
+def _build_sphere_point(grid, *parts):
+    return phi_map(_build_group(grid, *parts))
+
+
+def _build_complex(grid, re, im):
+    vals = _field(grid, re).values + 1j * _field(grid, im).values
+    return PeriodicFunction(grid, vals)
 
 
 def g_tangent(
     grid: PeriodicGrid, rng: np.random.Generator, with_mean: bool = True
 ) -> TangentVector:
-    u2 = band_limited(grid, rng)
-    if with_mean:
-        u2 = u2 + float(rng.normal())
-    return TangentVector(u1_field(grid, rng), u2)
+    """Random (u1, u2), u2 with a random mean unless ``with_mean`` is False."""
+    return _build_g(grid, *_draw_g(grid, rng, with_mean))
 
 
 def k_tangent(grid: PeriodicGrid, rng: np.random.Generator) -> KTangent:
-    return KTangent(u1_field(grid, rng), band_limited(grid, rng))
+    return _build_k(grid, *_draw_k(grid, rng))
 
 
 def group_element(grid: PeriodicGrid, rng: np.random.Generator) -> GroupElement:
@@ -72,14 +128,7 @@ def group_element(grid: PeriodicGrid, rng: np.random.Generator) -> GroupElement:
     Base points are band-limited to n/8 so that compositions and
     inversions (which broaden the spectrum) stay fully resolved.
     """
-    w = band_limited(grid, rng, max_mode=grid.n // 8)
-    scale = DIFFEO_AMPLITUDE / max(w.max_abs(), 1e-12)
-    h = fs.antiderivative_from_zero(w * scale)
-    phi = PeriodicFunction(grid, grid.x + h.values)
-    alpha = band_limited(
-        grid, rng, max_mode=grid.n // 8, amplitude=PHASE_AMPLITUDE
-    ) + float(rng.uniform(0.0, 4.0 * np.pi))
-    return GroupElement(phi, alpha, 0)
+    return _build_group(grid, *_draw_group(grid, rng))
 
 
 def sphere_point(grid: PeriodicGrid, rng: np.random.Generator) -> SpherePoint:
@@ -100,12 +149,41 @@ def nonvanishing_sphere_point(
     return phi_map(group_element(grid, rng))
 
 
+def complex_field(grid: PeriodicGrid, rng: np.random.Generator) -> PeriodicFunction:
+    """Random complex field: two band-limited fields, real part first."""
+    return _build_complex(grid, *_draw_k(grid, rng))
+
+
 def sphere_tangent(base: SpherePoint, rng: np.random.Generator) -> SphereTangent:
-    grid = base.grid
-    raw = PeriodicFunction(
-        grid, band_limited(grid, rng).values + 1j * band_limited(grid, rng).values
-    )
-    return project_to_tangent(base, raw)
+    return project_to_tangent(base, complex_field(base.grid, rng))
+
+
+_SAMPLERS = {
+    g_tangent: (_draw_g, _build_g),
+    k_tangent: (_draw_k, _build_k),
+    group_element: (_draw_group, _build_group),
+    nonvanishing_sphere_point: (_draw_group, _build_sphere_point),
+    complex_field: (_draw_k, _build_complex),
+}
+
+
+def stacks(grid: PeriodicGrid, rng: np.random.Generator, samples: int, *samplers):
+    """Draw ``samples`` samples of the inputs ``samplers`` and stack each input.
+
+    ``samplers`` are one-sample constructors of this module.  The draws go
+    sample by sample, each sample's inputs in the order given, so the
+    generator makes the calls of ``samples`` rounds of one-sample calls.
+    Each input is then built once, as a stack of shape (samples, n), with
+    one batched inverse FFT per field; row s equals the one-sample result
+    of the s-th round bit for bit.
+    """
+    drawn = [
+        [_SAMPLERS[s][0](grid, rng) for s in samplers] for _ in range(samples)
+    ]
+    return [
+        _SAMPLERS[s][1](grid, *map(np.stack, zip(*(d[i] for d in drawn))))
+        for i, s in enumerate(samplers)
+    ]
 
 
 def initial_data(
@@ -119,7 +197,7 @@ def initial_data(
     ``global_existence=True`` keeps rho0 bounded away from zero;
     ``False`` forces a sign change; ``None`` leaves it to chance.
     """
-    u0 = u1_field(grid, rng)
+    u0 = fs.antiderivative_from_zero(band_limited(grid, rng))
     rho = band_limited(grid, rng)
     if global_existence is True:
         floor = rho.max_abs() + float(rng.uniform(0.2, 1.0))

@@ -5,6 +5,9 @@ Re integral(X conj(Y)) makes the sphere a (weak) Riemannian manifold; its
 geodesics are great circles, written down explicitly at the north pole,
 the constant function 1.  The nowhere-vanishing subset U is the target of
 the group isometry and the arena for all segment-containment questions.
+Points and tangents may be stacks of samples (funcspace); norms and
+pairings are then one value per sample.  The charts, the exponential and
+the segment tests take one point.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .errors import (
     ProportionalPointsError,
     ZeroTangentError,
 )
+from . import funcspace as fs
 from .funcspace import PeriodicFunction, PeriodicGrid
 
 NORM_REJECT_TOL = 1e-6
@@ -42,8 +46,9 @@ class SpherePoint:
 
     def __init__(self, f: PeriodicFunction):
         vals = np.asarray(f.values, dtype=np.complex128)
-        norm = float(np.sqrt(np.mean(np.abs(vals) ** 2)))
-        if abs(norm - 1.0) > NORM_REJECT_TOL:
+        norm = np.sqrt(np.mean(np.abs(vals) ** 2, axis=-1, keepdims=True))
+        if np.any(np.abs(norm - 1.0) > NORM_REJECT_TOL):
+            norm = fs.per_row(norm[..., 0])
             raise NotUnitNormError(f"L2 norm {norm!r} too far from 1")
         self.f = PeriodicFunction(f.grid, vals / norm)
 
@@ -59,17 +64,16 @@ class SpherePoint:
     def values(self) -> np.ndarray:
         return self.f.values
 
-    def height(self) -> float:
+    def height(self):
         """Component along the constant function 1: Re integral(f)."""
-        return float(np.mean(self.values.real))
+        return fs.row_mean(self.values.real)
 
-    def min_modulus(self) -> float:
-        return float(np.min(np.abs(self.values)))
+    def min_modulus(self):
+        return fs.per_row(np.min(np.abs(self.values), axis=-1))
 
-    def l2_distance(self, other: "SpherePoint") -> float:
-        return float(
-            np.sqrt(np.mean(np.abs(self.values - other.values) ** 2))
-        )
+    def l2_distance(self, other: "SpherePoint"):
+        diff = np.abs(self.values - other.values) ** 2
+        return fs.per_row(np.sqrt(np.mean(diff, axis=-1)))
 
     def __repr__(self):
         return f"SpherePoint(n={self.grid.n})"
@@ -83,10 +87,8 @@ class SphereTangent:
     base: SpherePoint
 
     def __post_init__(self):
-        pairing = float(
-            np.mean((self.X.values * np.conj(self.base.values)).real)
-        )
-        if abs(pairing) > TANGENT_TOL:
+        pairing = fs.row_mean((self.X.values * np.conj(self.base.values)).real)
+        if np.any(np.abs(pairing) > TANGENT_TOL):
             raise NotTangentError(
                 f"tangency defect {pairing!r} exceeds {TANGENT_TOL}"
             )
@@ -95,13 +97,13 @@ class SphereTangent:
     def values(self) -> np.ndarray:
         return np.asarray(self.X.values, dtype=np.complex128)
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.mean(np.abs(self.X.values) ** 2)))
+    def norm(self):
+        return self.X.l2_norm()
 
 
 def project_to_tangent(base: SpherePoint, X: PeriodicFunction) -> SphereTangent:
     """Orthogonal projection of X onto the tangent space at ``base``."""
-    pairing = np.mean((X.values * np.conj(base.values)).real)
+    pairing = np.mean((X.values * np.conj(base.values)).real, axis=-1, keepdims=True)
     vals = X.values - pairing * base.values
     return SphereTangent(PeriodicFunction(base.grid, vals), base)
 

@@ -1,9 +1,15 @@
 """Numerical verification of the geometric identity suite.
 
-Every identity is a residual of one sample, registered in ``IDENTITIES``
-with its tolerance; :func:`run_suite` draws the samples from seeded random
-band-limited inputs and reports the worst residual per identity against
-its tolerance, deterministically (same seed, same bytes).
+Every identity is a residual registered in ``IDENTITIES`` with its
+tolerance.  A residual takes a stack size S and returns the residuals of
+S samples as an array of shape (S,): it draws the S samples' random
+band-limited inputs in sample order (:func:`randfields.stacks`), builds
+each input as one stack, and evaluates the identity once on the stacks.
+Row s equals the residual of the s-th sample computed alone, bit for bit.
+:func:`run_suite` calls each residual on blocks of at most ``BLOCK``
+samples, which bounds its memory, and reports the worst residual per
+identity against its tolerance, deterministically (same seed, same
+bytes).
 
 A deliberate sign error can be injected into selected identities (see
 ``FLIPPABLE``); that is a harness self-test, proving the suite fails when
@@ -31,21 +37,23 @@ from .group import (
     phi_map,
     tangent_phi,
 )
-from .sphere import SphereTangent
+from .sphere import SphereTangent, project_to_tangent
 
 FLIPPABLE = ("omega_compatibility", "j_squared", "oneill_closed")
+# Largest stack of samples one residual call takes.  Its temporaries grow
+# with it, about 0.17 MiB a sample at n = 256; the call overhead per sample
+# falls with it.
+BLOCK = 20
 
 
-def _worst(*residuals) -> float:
-    """Largest residual; NaN if any residual is NaN, so that it fails."""
-    return float(np.max(residuals))
+def _worst(*residuals) -> np.ndarray:
+    """Largest residual of each sample; NaN if any is NaN, so that it fails."""
+    return np.max(np.broadcast_arrays(*residuals), axis=0)
 
 
-def _group_axioms(grid, rng, flip):
-    ident = GroupElement.identity(grid)
-    a = rf.group_element(grid, rng)
-    b = rf.group_element(grid, rng)
-    c = rf.group_element(grid, rng)
+def _group_axioms(grid, rng, flip, samples):
+    ident = GroupElement.identity(grid, (samples,))
+    a, b, c = rf.stacks(grid, rng, samples, *[rf.group_element] * 3)
     return _worst(
         multiply(multiply(a, b), c).distance(multiply(a, multiply(b, c))),
         multiply(a, inverse(a)).distance(ident),
@@ -54,140 +62,131 @@ def _group_axioms(grid, rng, flip):
     )
 
 
-def _metric_right_invariance(grid, rng, flip):
-    ident = GroupElement.identity(grid)
-    a = rf.group_element(grid, rng)
-    U = rf.g_tangent(grid, rng)
-    V = rf.g_tangent(grid, rng)
+def _metric_right_invariance(grid, rng, flip, samples):
+    ident = GroupElement.identity(grid, (samples,))
+    a, U, V = rf.stacks(grid, rng, samples, rf.group_element, *[rf.g_tangent] * 2)
     Ut = TangentVector(fs.compose(U.u1, a.phi), fs.compose(U.u2, a.phi))
     Vt = TangentVector(fs.compose(V.u1, a.phi), fs.compose(V.u2, a.phi))
     return abs(metric(ident, U, V) - metric(a, Ut, Vt))
 
 
-def _isometry(grid, rng, flip):
-    a = rf.group_element(grid, rng)
-    U = rf.g_tangent(grid, rng)
-    V = rf.g_tangent(grid, rng)
+def _isometry(grid, rng, flip, samples):
+    a, U, V = rf.stacks(grid, rng, samples, rf.group_element, *[rf.g_tangent] * 2)
     TU, TV = tangent_phi(a, U), tangent_phi(a, V)
-    lhs = float(np.mean((TU.values * np.conj(TV.values)).real))
+    lhs = fs.row_mean((TU.values * np.conj(TV.values)).real)
     return abs(lhs - metric(a, U, V))
 
 
-def _phi_round_trip(grid, rng, flip):
-    a = rf.group_element(grid, rng)
+def _phi_round_trip(grid, rng, flip, samples):
+    a, f = rf.stacks(
+        grid, rng, samples, rf.group_element, rf.nonvanishing_sphere_point
+    )
     group_dev = phi_inverse(phi_map(a)).distance(a)
-    f = rf.nonvanishing_sphere_point(grid, rng)
     back = phi_map(phi_inverse(f))
-    return _worst(group_dev, float(np.max(np.abs(back.values - f.values))))
+    return _worst(group_dev, fs.row_max(np.abs(back.values - f.values)))
 
 
-def _curvature_G_local(grid, rng, flip):
-    u = rf.g_tangent(grid, rng)
-    v = rf.g_tangent(grid, rng)
+def _curvature_G_local(grid, rng, flip, samples):
+    u, v = rf.stacks(grid, rng, samples, *[rf.g_tangent] * 2)
     gram = gm.curvature_G(u, v)
-    if gram < 1e-12:
-        return 0.0
-    return abs(gm.curvature_local(u, v) / gram - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = abs(gm.curvature_local(u, v) / gram - 1.0)
+    return np.where(gram < 1e-12, 0.0, dev)
 
 
-def _curvature_K_local(grid, rng, flip):
-    u = rf.k_tangent(grid, rng)
-    v = rf.k_tangent(grid, rng)
+def _curvature_K_local(grid, rng, flip, samples):
+    u, v = rf.stacks(grid, rng, samples, *[rf.k_tangent] * 2)
     closed = gm.curvature_K_closed(u, v)
     local = gm.curvature_local(u, v)
-    return abs(closed - local) / max(1.0, abs(closed))
+    return abs(closed - local) / np.maximum(1.0, abs(closed))
 
 
-def _pinching(grid, rng, flip):
-    u = rf.k_tangent(grid, rng)
-    v = rf.k_tangent(grid, rng)
+def _pinching(grid, rng, flip, samples):
+    u, v = rf.stacks(grid, rng, samples, *[rf.k_tangent] * 2)
     sec = gm.sectional_curvature(u, v)
     return _worst(1.0 - sec, sec - 4.0, 0.0)
 
 
-def _J_plane(grid, rng, flip):
-    u = rf.k_tangent(grid, rng)
+def _J_plane(grid, rng, flip, samples):
+    (u,) = rf.stacks(grid, rng, samples, rf.k_tangent)
     u = u * (1.0 / gm.norm(u))
     return abs(gm.sectional_curvature(u, gm.kahler_J(u)) - 4.0)
 
 
-def _j_squared(grid, rng, flip):
+def _j_squared(grid, rng, flip, samples):
     sign = -1.0 if flip else 1.0
-    a = rf.group_element(grid, rng)
-    U = rf.g_tangent(grid, rng)
+    a, U, u = rf.stacks(
+        grid, rng, samples, rf.group_element, rf.g_tangent, rf.k_tangent
+    )
     JJ = gm.kahler_J(gm.kahler_J(U, at=a), at=a)
-    dev1 = float(np.max(np.abs(JJ.u1.values + sign * U.u1.values)))
+    dev1 = fs.row_max(np.abs(JJ.u1.values + sign * U.u1.values))
     diff2 = JJ.u2.values + sign * U.u2.values
     phix = a.phi_x.values
-    dev2 = float(np.max(np.abs(diff2 - np.mean(diff2 * phix))))
-    u = rf.k_tangent(grid, rng)
+    dev2 = fs.row_max(np.abs(diff2 - np.mean(diff2 * phix, axis=-1, keepdims=True)))
     dev = gm.kahler_J(gm.kahler_J(u)) + sign * u
     return _worst(dev1, dev2, gm.norm(dev))
 
 
-def _omega_compat(grid, rng, flip):
+def _omega_compat(grid, rng, flip, samples):
     sign = -1.0 if flip else 1.0
-    u = rf.k_tangent(grid, rng)
-    v = rf.k_tangent(grid, rng)
+    u, v = rf.stacks(grid, rng, samples, *[rf.k_tangent] * 2)
     return abs(gm.symplectic_omega(u, v) - sign * gm.metric(gm.kahler_J(u), v))
 
 
-def _hermitian(grid, rng, flip):
-    u = rf.k_tangent(grid, rng)
-    v = rf.k_tangent(grid, rng)
+def _hermitian(grid, rng, flip, samples):
+    u, v = rf.stacks(grid, rng, samples, *[rf.k_tangent] * 2)
     return abs(gm.metric(gm.kahler_J(u), gm.kahler_J(v)) - gm.metric(u, v))
 
 
-def _nabla_metric_G(grid, rng, flip):
-    u, v, w = (rf.g_tangent(grid, rng) for _ in range(3))
+def _nabla_metric_G(grid, rng, flip, samples):
+    u, v, w = rf.stacks(grid, rng, samples, *[rf.g_tangent] * 3)
     return gm.metric_compat_residual(u, v, w)
 
 
-def _nabla_metric_K(grid, rng, flip):
-    u, v, w = (rf.k_tangent(grid, rng) for _ in range(3))
+def _nabla_metric_K(grid, rng, flip, samples):
+    u, v, w = rf.stacks(grid, rng, samples, *[rf.k_tangent] * 3)
     return gm.metric_compat_residual(u, v, w)
 
 
-def _nabla_omega(grid, rng, flip):
-    u, v, w = (rf.k_tangent(grid, rng) for _ in range(3))
+def _nabla_omega(grid, rng, flip, samples):
+    u, v, w = rf.stacks(grid, rng, samples, *[rf.k_tangent] * 3)
     return gm.omega_compat_residual(u, v, w)
 
 
-def _nabla_J(grid, rng, flip):
-    u, v = rf.k_tangent(grid, rng), rf.k_tangent(grid, rng)
+def _nabla_J(grid, rng, flip, samples):
+    u, v = rf.stacks(grid, rng, samples, *[rf.k_tangent] * 2)
     return gm.nabla_J_residual(u, v)
 
 
-def _nijenhuis(grid, rng, flip):
-    u, v = rf.k_tangent(grid, rng), rf.k_tangent(grid, rng)
+def _nijenhuis(grid, rng, flip, samples):
+    u, v = rf.stacks(grid, rng, samples, *[rf.k_tangent] * 2)
     return gm.norm(gm.nijenhuis(u, v))
 
 
-def _nijenhuis_summands(grid, rng, flip):
+def _nijenhuis_summands(grid, rng, flip, samples):
     """Residual is the shortfall of the largest summand below 1e-2,
 
     certifying that the vanishing of the tensor is a genuine cancellation
     of order-one terms rather than smallness of every term.
     """
-    u, v = rf.k_tangent(grid, rng), rf.k_tangent(grid, rng)
+    u, v = rf.stacks(grid, rng, samples, *[rf.k_tangent] * 2)
     terms = gm.nijenhuis_terms(u, v)
     return _worst(0.0, 1e-2 - _worst(*(gm.norm(t) for t in terms)))
 
 
-def _bracket_antisymmetry(grid, rng, flip):
-    u, v = rf.k_tangent(grid, rng), rf.k_tangent(grid, rng)
+def _bracket_antisymmetry(grid, rng, flip, samples):
+    u, v = rf.stacks(grid, rng, samples, *[rf.k_tangent] * 2)
     dev = gm.bracket_K(u, v) + gm.bracket_K(v, u)
     return _worst(gm.norm(dev), gm.norm(gm.bracket_K(u, u)))
 
 
-def _jacobi(grid, rng, flip):
-    u, v, w = (rf.k_tangent(grid, rng) for _ in range(3))
+def _jacobi(grid, rng, flip, samples):
+    u, v, w = rf.stacks(grid, rng, samples, *[rf.k_tangent] * 3)
     return gm.jacobi_residual(u, v, w)
 
 
-def _submersion_p(grid, rng, flip):
-    a = rf.group_element(grid, rng)
-    U, V = rf.g_tangent(grid, rng), rf.g_tangent(grid, rng)
+def _submersion_p(grid, rng, flip, samples):
+    a, U, V = rf.stacks(grid, rng, samples, rf.group_element, *[rf.g_tangent] * 2)
     Uh = hopf.horizontal_G(U, a)
     Vh = hopf.horizontal_G(V, a)
     return _worst(
@@ -196,46 +195,46 @@ def _submersion_p(grid, rng, flip):
     )
 
 
-def _submersion_q(grid, rng, flip):
-    f = rf.nonvanishing_sphere_point(grid, rng)
-    X = rf.sphere_tangent(f, rng)
-    Y = rf.sphere_tangent(f, rng)
+def _submersion_q(grid, rng, flip, samples):
+    f, X, Y = rf.stacks(
+        grid, rng, samples, rf.nonvanishing_sphere_point, *[rf.complex_field] * 2
+    )
+    X, Y = project_to_tangent(f, X), project_to_tangent(f, Y)
     Xv, Yv = hopf.vertical_sphere(X), hopf.vertical_sphere(Y)
-    full = float(np.mean((X.values * np.conj(Y.values)).real))
-    vert = float(np.mean((Xv.values * np.conj(Yv.values)).real))
+    full = fs.row_mean((X.values * np.conj(Y.values)).real)
+    vert = fs.row_mean((Xv.values * np.conj(Yv.values)).real)
     return abs(hopf.fubini_study(X, Y) - (full - vert))
 
 
-def _psi_isometry(grid, rng, flip):
-    a = rf.group_element(grid, rng)
-    U = hopf.horizontal_G(rf.g_tangent(grid, rng), a)
-    V = hopf.horizontal_G(rf.g_tangent(grid, rng), a)
+def _psi_isometry(grid, rng, flip, samples):
+    a, U, V = rf.stacks(grid, rng, samples, rf.group_element, *[rf.g_tangent] * 2)
+    U, V = hopf.horizontal_G(U, a), hopf.horizontal_G(V, a)
     f = phi_map(a)
     XU = SphereTangent(tangent_phi(a, U), f)
     XV = SphereTangent(tangent_phi(a, V), f)
     return abs(gm.metric_K_at(a, U, V) - hopf.fubini_study(XU, XV))
 
 
-def _diagram(grid, rng, flip):
-    return hopf.check_diagram(rf.group_element(grid, rng))
+def _diagram(grid, rng, flip, samples):
+    return hopf.check_diagram(*rf.stacks(grid, rng, samples, rf.group_element))
 
 
-def _oneill_closed(grid, rng, flip):
-    u, v = rf.k_tangent(grid, rng), rf.k_tangent(grid, rng)
+def _oneill_closed(grid, rng, flip, samples):
+    u, v = rf.stacks(grid, rng, samples, *[rf.k_tangent] * 2)
     lhs, rhs, res = hopf.oneill_check(u, v, "closed")
     if flip:
         m = hopf.vertical_bracket_integral(u, v)
         rhs = rhs - 1.5 * (m * m / 4.0)
-        res = abs(lhs - rhs) / max(1.0, abs(lhs))
+        res = abs(lhs - rhs) / np.maximum(1.0, abs(lhs))
     return res
 
 
-def _oneill_local(grid, rng, flip):
-    u, v = rf.k_tangent(grid, rng), rf.k_tangent(grid, rng)
+def _oneill_local(grid, rng, flip, samples):
+    u, v = rf.stacks(grid, rng, samples, *[rf.k_tangent] * 2)
     return hopf.oneill_check(u, v, "local")[2]
 
 
-# name -> (tolerance, residual of one sample: (grid, rng, flip) -> float)
+# name -> (tolerance, residuals of S samples: (grid, rng, flip, S) -> (S,) array)
 IDENTITIES = {
     "group_axioms": (1e-9, _group_axioms),
     "metric_right_invariance": (1e-9, _metric_right_invariance),
@@ -275,9 +274,10 @@ def run_suite(
 ) -> dict:
     """Run the identity suite and return a deterministic report dict.
 
-    Each identity draws its samples from its own seeded stream, so reports
-    are byte-reproducible; its residual is the worst over the samples, and
-    a NaN sample makes it NaN and fails the identity.
+    Each identity draws its samples from its own seeded stream, in blocks
+    of at most ``BLOCK`` samples, so reports are byte-reproducible; its
+    residual is the worst over the samples, and a NaN sample makes it NaN
+    and fails the identity.
     """
     if sign_flip is not None and sign_flip not in FLIPPABLE:
         raise ValueError(
@@ -288,9 +288,11 @@ def run_suite(
     for name, (tol, residual_of) in IDENTITIES.items():
         rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
         flip = sign_flip == name
-        residual = _worst(
-            0.0, *(residual_of(grid, rng, flip) for _ in range(samples))
-        )
+        blocks = [
+            residual_of(grid, rng, flip, min(BLOCK, samples - done))
+            for done in range(0, samples, BLOCK)
+        ]
+        residual = float(_worst(0.0, *np.concatenate(blocks)))
         results.append(
             {
                 "identity": name,

@@ -37,14 +37,15 @@ def test_tracer_rebinds_and_restores_library_names(monkeypatch):
         t.install()
         during = _bindings()
         assert [k for k in before if during[k] is before[k]] == []
-        report = verification.run_suite(n=64, samples=1)
+        report = verification.run_suite(n=64, samples=3)
     finally:
         t.uninstall()
     after = _bindings()
     assert [k for k in before if after[k] is not before[k]] == []
 
     # run_suite reads IDENTITIES at call time and calls each entry once per
-    # sample, so the tracer sees one span per identity and sample.
+    # block of samples, so the tracer sees one span per identity and block;
+    # three samples make one block.
     calls = t.job_summary()[None]["calls"]
     names = [r["identity"] for r in report["results"]]
     assert names == list(verification.IDENTITIES)

@@ -466,3 +466,92 @@ def test_spectral_ops_match_dense_dft(n, kind, rng):
         assert np.max(np.abs(got - want)) < 1e-14 * n * scale
     both = fs.inverse_A(fs.derivative(f)).values
     assert np.max(np.abs(fs.inverse_A_dx(f).values - both)) < 1e-15 * n
+
+
+# -- stacks: every row of a stacked call equals its own one-row call --------
+
+
+def _rows_equal(stacked: PeriodicFunction, rows: list) -> bool:
+    return all(
+        np.array_equal(stacked.values[s], r.values) for s, r in enumerate(rows)
+    )
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_stacked_compose_equals_row_calls(n):
+    g = PeriodicGrid(n)
+    rng = np.random.default_rng(11)
+    elems = [rf.group_element(g, rng) for _ in range(3)]
+    bases = [rf.group_element(g, rng) for _ in range(3)]
+    windings = np.array([0, 1, -2])
+    psi = PeriodicFunction(g, np.stack([b.phi.values for b in bases]))
+    # real lifts alpha + 4 pi w x of slope 4 pi w
+    real = [
+        PeriodicFunction(g, e.alpha.values + 4 * np.pi * w * g.x)
+        for e, w in zip(elems, windings)
+    ]
+    slopes = 4 * np.pi * windings
+    got = fs.compose(PeriodicFunction(g, np.stack([r.values for r in real])), psi, slopes)
+    want = [fs.compose(r, b.phi, sl) for r, b, sl in zip(real, bases, slopes.tolist())]
+    assert _rows_equal(got, want)
+    # complex lifts phi + i alpha of slope 1 + 4 pi i w
+    lifts = [PeriodicFunction(g, e.phi.values + 1j * r.values) for e, r in zip(elems, real)]
+    slopes = 1.0 + 1j * (4 * np.pi * windings)
+    got = fs.compose(PeriodicFunction(g, np.stack([f.values for f in lifts])), psi, slopes)
+    want = [fs.compose(f, b.phi, sl) for f, b, sl in zip(lifts, bases, slopes.tolist())]
+    assert got.values.shape == (3, n) and _rows_equal(got, want)
+
+
+def test_stacked_invert_diffeo_equals_row_calls(monkeypatch):
+    g = PeriodicGrid(256)
+    maps = [PeriodicFunction(g, g.x), _smooth_diffeo(g, amp=0.97)]
+    iterations = []
+    newton_bisect = fs._newton_bisect
+
+    def counting(residual, *args):
+        def counted(idx, y):
+            iterations[-1] += 1
+            return residual(idx, y)
+
+        iterations.append(0)
+        return newton_bisect(counted, *args)
+
+    monkeypatch.setattr(fs, "_newton_bisect", counting)
+    want = [fs.invert_diffeo(m) for m in maps]
+    assert iterations[0] < iterations[1]  # the rows retire at different times
+    got = fs.invert_diffeo(PeriodicFunction(g, np.stack([m.values for m in maps])))
+    assert iterations[2] == iterations[1]
+    assert _rows_equal(got, want)
+
+
+def test_gather_sums_a_lone_point_as_its_own_call():
+    # numpy sums the w kernel terms of one point pairwise and of several
+    # points in order; a row with one point must still match its own call
+    rng = np.random.default_rng(4)
+    vals = rng.normal(size=(2, 64))
+    fine = fs._fine_grid(vals, (0, 1))
+    points = rng.uniform(size=5)
+    rows = np.array([0, 0, 0, 0, 1])
+    got = fs._gather(fine, points, rows)
+    assert np.array_equal(got[:, :4], fs._gather(fine[:, 0], points[:4]))
+    assert np.array_equal(got[:, 4:], fs._gather(fine[:, 1], points[4:]))
+
+
+def test_stack_with_one_decreasing_row_is_rejected():
+    g = PeriodicGrid(64)
+    good = _smooth_diffeo(g, amp=0.5).values
+    bad = g.x + 1.5 * np.sin(TWO_PI * g.x) / TWO_PI
+    stack = PeriodicFunction(g, np.stack([good, bad, good]))
+    with pytest.raises(NotMonotoneError):
+        fs._check_increasing(stack)
+    with pytest.raises(NotMonotoneError):
+        fs.invert_diffeo(stack)
+
+
+def test_reductions_and_scalars_act_per_row():
+    g = PeriodicGrid(16)
+    f = PeriodicFunction(g, np.stack([np.sin(TWO_PI * g.x) + c for c in (0.5, -2.0)]))
+    assert np.array_equal(fs.integrate(f), [np.mean(row) for row in f.values])
+    scaled = f * np.array([2.0, 3.0])
+    assert np.array_equal(scaled.values, f.values * [[2.0], [3.0]])
+    assert isinstance(fs.integrate(PeriodicFunction(g, f.values[0])), float)

@@ -1,18 +1,27 @@
 import math
+import tracemalloc
+
+import numpy as np
+import pytest
 
 import hs2sphere.geometry as gm
-from hs2sphere.verification import run_suite
+from hs2sphere.funcspace import PeriodicGrid
+from hs2sphere.verification import BLOCK, FLIPPABLE, IDENTITIES, run_suite
 
 
 def test_nan_sample_fails_its_identity(monkeypatch):
     original = gm.sectional_curvature
     calls = []
 
-    def nan_on_first_call(u, v):
+    def nan_in_row_one_of_first_call(u, v):
         calls.append(None)
-        return math.nan if len(calls) == 1 else original(u, v)
+        sec = original(u, v)
+        if len(calls) == 1:
+            sec = np.array(sec)
+            sec[1] = math.nan
+        return sec
 
-    monkeypatch.setattr(gm, "sectional_curvature", nan_on_first_call)
+    monkeypatch.setattr(gm, "sectional_curvature", nan_in_row_one_of_first_call)
     report = run_suite(n=64, samples=3)
     results = {r["identity"]: r for r in report["results"]}
     pinching = results["sectional_pinching"]
@@ -20,3 +29,32 @@ def test_nan_sample_fails_its_identity(monkeypatch):
     assert not pinching["pass"]
     assert not report["all_pass"]
     assert results["sectional_J_plane_is_four"]["pass"]
+
+
+@pytest.mark.parametrize("n, samples", [(64, 4), (256, 2)])
+@pytest.mark.parametrize("flip", [None, *FLIPPABLE])
+def test_stack_equals_one_sample_calls(n, samples, flip):
+    grid = PeriodicGrid(n)
+    for name, (_, residual_of) in IDENTITIES.items():
+        if flip is not None and name != flip:
+            continue
+        stacked = residual_of(grid, np.random.default_rng(5), name == flip, samples)
+        rng = np.random.default_rng(5)
+        alone = [residual_of(grid, rng, name == flip, 1) for _ in range(samples)]
+        assert stacked.shape == (samples,)
+        assert np.array_equal(stacked, np.concatenate(alone), equal_nan=True), name
+
+
+def _peak_bytes(samples: int) -> int:
+    tracemalloc.start()
+    try:
+        run_suite(n=256, samples=samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_suite_memory_is_bounded_in_samples():
+    assert BLOCK >= 10
+    one_block = _peak_bytes(BLOCK)
+    assert _peak_bytes(4 * BLOCK) <= 1.1 * one_block
