@@ -128,7 +128,7 @@ class GroupElement:
         dalpha = np.max(
             np.abs(wrap_mod_4pi(self.alpha.values - other.alpha.values)), axis=-1
         )
-        return fs.per_row(np.where(dalpha > dphi, dalpha, dphi))
+        return fs.per_row(np.maximum(dphi, dalpha))
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.grid.n}, winding={self.winding})"

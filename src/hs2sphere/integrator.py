@@ -6,13 +6,13 @@ Independent cross-check for the closed-form solutions: the weak form
     rho_t = -(rho u)_x,          A = -d^2/dx^2,
 
 is integrated with classical fixed-step RK4 on the real-FFT coefficients
-Y = rfft([u, rho]).  A stage makes one three-row irfft to u, rho, u_x and
-one three-row rfft of u_x^2 + rho^2, rho u, u u_x; derivatives, A^{-1} d/dx
-and the 2/3-rule dealiasing mask act on coefficients, so dealiasing costs
-no transform, and the u(0) = 0 pin is a mean-mode correction.  Stage 1 of
-each state also yields its energy and recorded rows.  The blow-up guard
-reads w = u_x + i rho along characteristics off the great circle.  The
-zero-mean-restricted variant zeroes rho's mean mode at every stage.
+Y = rfft([rho, u]), stage inputs and update built in place.  A stage makes
+one three-row irfft to rho, u, u_x and one three-row rfft of u_x^2 + rho^2,
+rho u, u u_x; derivatives, A^{-1} d/dx and the 2/3-rule dealiasing mask act
+on coefficients, and the u(0) = 0 pin is a mean-mode correction.  Stage 1
+of each state also yields its energy and recorded rows.  The blow-up guard
+reads w = u_x + i rho off the great circle, for a block of steps at once.
+The zero-mean-restricted variant zeroes rho's mean mode at every stage.
 """
 
 from __future__ import annotations
@@ -89,40 +89,48 @@ class Trajectory:
 
 
 class _Stage:
-    """y_t of Y = rfft([u, rho]) in coefficient space, with its work arrays.
+    """y_t of Y = rfft([rho, u]) in coefficient space, with its work arrays.
 
-    ``self(y, out)`` copies y in first, so out may be y.  It leaves u, rho
-    and u_x on the grid in ``rows`` and u_x^2 + rho^2 unmasked in ``quad[0]``.
+    ``self(y, out, k, scale)`` builds its input y + scale k (y without k) in
+    its own buffer, so out may be y.  It leaves the grid rows [rho, u, u_x]
+    in ``rows``, whose slices give rho u and u u_x in one product, and
+    u_x^2 + rho^2 unmasked in ``quad[0]``.  The minus signs of y_t sit in
+    the multipliers -d/dx and -(1/2) A^{-1} d/dx.
     """
 
     def __init__(self, grid: PeriodicGrid, dealias: bool, restricted: bool):
         self.sp, self.dealias, self.restricted = grid.spectral, dealias, restricted
+        self.neg_dx, self.neg_half_ainv_dx = -self.sp.deriv, -0.5 * self.sp.ainv_dx
         self.coef = np.empty((3, grid.n // 2 + 1), dtype=complex)
         self.rows, self.quad = np.empty((2, 3, grid.n))
 
-    def __call__(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        sp, coef, quad = self.sp, self.coef, self.quad
-        coef[:2] = y
+    def __call__(self, y, out, k=None, scale=0.0) -> np.ndarray:
+        coef, rows, quad = self.coef, self.rows, self.quad
+        if k is None:
+            coef[:2] = y
+        else:
+            np.add(y, np.multiply(k, scale, out=coef[:2]), out=coef[:2])
         if self.restricted:
-            coef[1, 0] = 0.0
-        np.multiply(coef[0], sp.deriv, out=coef[2])
-        rows = np.fft.irfft(coef, quad.shape[1], out=self.rows)
-        np.multiply(rows[[2, 1, 0]], rows[[2, 0, 2]], out=quad)
-        quad[0] += rows[1] * rows[1]
+            coef[0, 0] = 0.0
+        np.multiply(coef[1], self.sp.deriv, out=coef[2])
+        np.fft.irfft(coef, rows.shape[1], out=rows)
+        np.multiply(rows[2], rows[2], out=quad[0])
+        quad[0] += rows[0] * rows[0]
+        np.multiply(rows[:2], rows[1:], out=quad[1:])
         hat = np.fft.rfft(quad, out=coef)
         if self.dealias:
-            hat *= sp.mask
-        ainvdx = np.multiply(hat[0], 0.5 * sp.ainv_dx, out=out[0])
-        ainvdx[0] = -2.0 * ainvdx.real[1:-1].sum()  # the mean that makes it 0 at 0
-        out[0] += hat[2]
-        np.multiply(hat[1], sp.deriv, out=out[1])
-        return np.negative(out, out=out)
+            hat *= self.sp.mask
+        np.multiply(hat[1], self.neg_dx, out=out[0])
+        ut = np.multiply(hat[0], self.neg_half_ainv_dx, out=out[1])
+        ut[0] = -2.0 * ut.real[1:-1].sum()  # the mean that makes it 0 at 0
+        ut -= hat[2]
+        return out
 
 
 def _grid_rhs(u, rho, dealias: bool, restricted: bool):
     """rfft, one coefficient-space stage, irfft."""
-    y = np.fft.rfft(np.stack([u.values, rho.values]))
-    ut, rhot = np.fft.irfft(_Stage(u.grid, dealias, restricted)(y, y), u.grid.n)
+    y = np.fft.rfft(np.stack([rho.values, u.values]))
+    rhot, ut = np.fft.irfft(_Stage(u.grid, dealias, restricted)(y, y), u.grid.n)
     return PeriodicFunction(u.grid, ut), PeriodicFunction(u.grid, rhot)
 
 
@@ -138,6 +146,20 @@ def rhs_restricted(
 ) -> tuple[PeriodicFunction, PeriodicFunction]:
     """Zero-mean-restricted right side; second output is exactly mean-free."""
     return _grid_rhs(u, rho, dealias, True)
+
+
+def _label_sups(h: np.ndarray, csq: float, times) -> np.ndarray:
+    """sup|Re w| at each of ``times``, all in one evaluation of w = 2 (h cos ct
+    - c^2 s) / (cos ct + h s), s = sin(ct) / c (t at c = 0).  cos and sin
+    come from math per time, so each row equals its one-time reading."""
+    c = math.sqrt(csq)
+    cos_ct = np.array([[math.cos(c * t)] for t in times])
+    s = np.array([[math.sin(c * t) / c if c else t] for t in times])
+    with np.errstate(all="ignore"):
+        w, den = 2.0 * (h * cos_ct - csq * s), h * s
+        den += cos_ct
+        w /= den
+    return np.max(np.abs(w.real), axis=1)
 
 
 def integrate(
@@ -182,61 +204,64 @@ def integrate(
     w = u_x + i rho', with w0 = u0_x + i (rho0 - mean rho0) and c^2 the
     restricted energy (1/4) mean(u_x^2 + rho'^2).
     """
-    n_steps = cfg.n_steps
+    n_steps, n = cfg.n_steps, d.grid.n
     dt = cfg.t_end / n_steps
-    y = np.stack([d.u0.values, d.rho0.values])
+    y = np.stack([d.rho0.values, d.u0.values])
     if restricted:
-        y[1] -= np.mean(y[1])
+        y[0] -= np.mean(y[0])
     # f = cos(ct) + h sin(ct) / c, h = w0 / 2, c^2 = mean |h|^2; t at c = 0
-    h = 0.5 * (d.u0x.values + 1j * y[1])
+    h = 0.5 * (d.u0x.values + 1j * y[0])
     csq = float(np.mean(h.real * h.real + h.imag * h.imag))
-    c = math.sqrt(csq)
+    block = max(1, 4096 // n)  # steps per label evaluation, <= 4,096 values
     stage = _Stage(d.grid, cfg.dealias, restricted)
     Y = np.fft.rfft(y)
-    k1, k2, k3, k4 = np.empty((4, *Y.shape), dtype=complex)
-    rec_t, rec_y, en_t, en, means = [], [], [], [], []
+    k1, k2, k3, k4 = ks = np.empty((4, *Y.shape), dtype=complex)
+    en_t = np.arange(n_steps + 1) * dt
+    en, means = np.empty((2, n_steps + 1))
+    rec_t, rec_y = [], []
 
-    def build() -> Trajectory:
+    def build(step: int) -> Trajectory:
         states = np.asarray(rec_y)
         return Trajectory(
             d.grid, np.asarray(rec_t), states[:, 0], states[:, 1],
-            np.asarray(en_t), np.asarray(en), np.asarray(means), dt, restricted,
+            en_t[:step + 1], en[:step + 1], means[:step + 1], dt, restricted,
         )
 
-    def halt(message: str, t: float) -> StepBlowupError:
-        return StepBlowupError(message, trajectory=build(), halt_time=t)
+    def halt(message: str, step: int) -> StepBlowupError:
+        return StepBlowupError(message, trajectory=build(step), halt_time=step * dt)
 
     for step in range(n_steps + 1):
         t = step * dt
         stage(Y, k1)
-        en_t.append(t)
-        en.append(0.25 * float(np.mean(stage.quad[0])))
-        means.append(float(Y[1, 0].real) / d.grid.n)
+        en[step] = 0.25 * (np.add.reduce(stage.quad[0]) / n)
+        means[step] = Y[0, 0].real / n
         if step % cfg.record_every == 0 or step == n_steps:
-            u, rho = stage.rows[:2]
+            rho, u = stage.rows[:2]
             rec_t.append(t)
             rec_y.append(np.stack([u - u[0], rho]))  # u(0) is 0.0, not roundoff
         if step == n_steps:
-            return build()
-        cos_ct, s = math.cos(c * t), math.sin(c * t) / c if c else t
-        with np.errstate(all="ignore"):
-            w = 2.0 * (h * cos_ct - csq * s) / (cos_ct + h * s)
+            return build(step)
+        if step % block == 0:
+            sup_ws = _label_sups(h, csq, en_t[step:step + block].tolist())
         sup_ux = float(np.max(np.abs(stage.rows[2])))
-        sup_w = float(np.max(np.abs(w.real)))
+        sup_w = float(sup_ws[step % block])
         for reading, value in (("grid sup|u_x|", sup_ux), ("label sup|Re w|", sup_w)):
             if value > ux_limit or not np.isfinite(value):
                 message = f"{reading} = {value!r} exceeded {ux_limit!r} at t = {t!r}"
-                raise halt(message, t)
+                raise halt(message, step)
         if 0.5 * dt * sup_w >= 1.0:
             pole = f"puts the Riccati pole within dt = {dt!r} of t = {t!r}"
-            raise halt(f"label sup|Re w| = {sup_w!r} {pole}", t)
-        for k_in, frac, k_out in ((k1, 0.5, k2), (k2, 0.5, k3), (k3, 1.0, k4)):
-            stage(Y + (frac * dt) * k_in, k_out)
-        Y = Y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        Y[0, 0] = -2.0 * Y[0, 1:-1].real.sum() - Y[0, -1].real  # pins u(0) = 0
-        if not np.all(np.isfinite(Y)):
+            raise halt(f"label sup|Re w| = {sup_w!r} {pole}", step)
+        for k, scale, out in ((k1, 0.5 * dt, k2), (k2, 0.5 * dt, k3), (k3, dt, k4)):
+            stage(Y, out, k, scale)
+        ks[1:3] *= 2.0
+        for k in (k2, k3, k4):  # Y += (dt / 6) (((k1 + 2 k2) + 2 k3) + k4)
+            k1 += k
+        Y += np.multiply(k1, dt / 6.0, out=k1)
+        Y[1, 0] = -2.0 * Y[1, 1:-1].real.sum() - Y[1, -1].real  # pins u(0) = 0
+        if not np.isfinite(Y.sum()) and not np.all(np.isfinite(Y)):
             message = f"state became non-finite between t = {t!r} and t = "
-            raise halt(message + repr((step + 1) * dt), t)
+            raise halt(message + repr((step + 1) * dt), step)
 
 
 def compare_states(

@@ -203,6 +203,22 @@ def test_wrap_mod_4pi():
     assert wrap_mod_4pi(2.1 * np.pi) == pytest.approx(-1.9 * np.pi, abs=1e-12)
 
 
+def test_distance_sees_a_nan_angle():
+    grid = PeriodicGrid(8)
+    ident = GroupElement.identity(grid)
+    nan_alpha = GroupElement(ident.phi, PeriodicFunction(grid, np.full(8, np.nan)))
+    assert np.isnan(ident.distance(nan_alpha))
+    assert np.isnan(nan_alpha.distance(ident))
+    # a stack of three: only the middle sample has a NaN angle
+    idents = GroupElement.identity(grid, (3,))
+    alpha = np.zeros((3, 8))
+    alpha[1] = np.nan
+    mixed = GroupElement(idents.phi, PeriodicFunction(grid, alpha))
+    for d in (idents.distance(mixed), mixed.distance(idents)):
+        assert d.shape == (3,)
+        assert d[0] == 0.0 and np.isnan(d[1]) and d[2] == 0.0
+
+
 def test_group_element_json_round_trip(grid, rng):
     a = rf.group_element(grid, rng)
     back = GroupElement.from_json_obj(a.to_json_obj())

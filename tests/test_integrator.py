@@ -1,9 +1,12 @@
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hs2sphere.funcspace as fs
+import hs2sphere.integrator as integrator
 import hs2sphere.randfields as rf
 from hs2sphere.errors import StepBlowupError
 from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
@@ -324,6 +327,98 @@ def test_label_reading_is_exact(grid):
     f_t = -c * np.sin(c * t) + 0.5 * w0 * np.cos(c * t)
     exact = np.max(np.abs((2.0 * f_t / f).real))
     assert abs(reading - exact) <= 1e-12 * exact
+
+
+def _label_sup_alone(h, csq, t):
+    """The label reading at one time, evaluated on its own."""
+    c = math.sqrt(csq)
+    cos_ct, s = math.cos(c * t), math.sin(c * t) / c if c else t
+    with np.errstate(all="ignore"):
+        w = 2.0 * (h * cos_ct - csq * s) / (cos_ct + h * s)
+    return np.max(np.abs(w.real))
+
+
+def _label_h_csq(d, restricted):
+    rho0 = d.rho0.values - np.mean(d.rho0.values) if restricted else d.rho0.values
+    h = 0.5 * (d.u0x.values + 1j * rho0)
+    return h, float(np.mean(h.real * h.real + h.imag * h.imag))
+
+
+def _assert_blocks_match(h, csq, blocks):
+    for times in blocks:
+        blocked = integrator._label_sups(h, csq, times)
+        alone = [_label_sup_alone(h, csq, t) for t in times]
+        assert np.array_equal(blocked, alone, equal_nan=True), times
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_blocked_label_reading_is_bitwise_past_the_pole(n):
+    # hs-blowup from t = 0 to 1.5 T, in blocks of 4,096 values
+    d = make_preset("hs-blowup", PeriodicGrid(n))
+    h, csq = _label_h_csq(d, False)
+    dt, steps, block = 5e-4, int(1.5 * blowup_time(d).T / 5e-4), max(1, 4096 // n)
+    times = [j * dt for j in range(steps)]
+    _assert_blocks_match(h, csq, [times[i:i + block] for i in range(0, steps, block)])
+    # a node at 1e308 overflows w: the readings turn inf or NaN (inf / inf)
+    # or stay finite, depending on t and c
+    h[3], times = 1e308, [j * 0.01 for j in range(300)]
+    readings = np.concatenate(
+        [integrator._label_sups(h, c2, times) for c2 in (0.01, 1.0)]
+    )
+    assert np.isinf(readings).any() and np.isnan(readings).any()
+    assert np.isfinite(readings).any()
+    for c2 in (0.01, 1.0):
+        _assert_blocks_match(h, c2, [times[i:i + 7] for i in range(0, 300, 7)])
+
+
+@pytest.mark.parametrize(
+    "preset, restricted",
+    [("hs-blowup", False), ("smooth-global", True), ("stationary", True)],
+    ids=["hs-blowup", "restricted", "restricted-stationary-c0"],
+)
+def test_integrate_reads_the_label_guard_in_blocks(
+    grid, monkeypatch, preset, restricted
+):
+    # every block integrate evaluates equals the per-step readings, and
+    # holds at most 4,096 values; the restricted stationary state has c = 0
+    d = make_preset(preset, grid)
+    h, csq = _label_h_csq(d, restricted)
+    assert (csq == 0.0) == (preset == "stationary")
+    blocks = []
+    label_sups = integrator._label_sups
+
+    def recording(h_in, csq_in, times):
+        assert np.array_equal(h_in, h) and csq_in == csq
+        blocks.append(list(times))
+        return label_sups(h_in, csq_in, times)
+
+    monkeypatch.setattr(integrator, "_label_sups", recording)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.1, record_every=10**9)
+    integrate(d, cfg, restricted=restricted)
+    monkeypatch.undo()
+    assert [t for b in blocks for t in b][:100] == [j * 1e-3 for j in range(100)]
+    assert all(len(b) * grid.n <= 4096 for b in blocks)
+    _assert_blocks_match(h, csq, blocks)
+
+
+# tracemalloc peaks of a 4-step integrate that records only its last state,
+# before the label guard was read in blocks: 0.280 MiB at n = 1024 and
+# 1.100 MiB at n = 4096.  The margin is one block at its cap of 4,096
+# values: w, its denominator and the buffers of a broadcast product's two
+# operands, 16 bytes a value each.
+@pytest.mark.parametrize("n, before_mib", [(1024, 0.280), (4096, 1.100)])
+def test_integrate_memory_stays_near_one_step(n, before_mib):
+    d = make_preset("hs-blowup", PeriodicGrid(n))
+    cfg = IntegratorConfig(dt=1e-3, t_end=4e-3, record_every=10**9)
+    integrate(d, cfg)  # the grid's multipliers are cached, as in a long run
+    tracemalloc.start()
+    try:
+        integrate(d, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    margin = 4 * 4096 * 16
+    assert peak <= before_mib * 2**20 + margin, f"peak {peak / 2**20:.3f} MiB"
 
 
 def test_restricted_stationary_zero_speed(grid):
