@@ -24,8 +24,9 @@ Every Fourier multiplier is a real-FFT (half-spectrum) multiplier in one
 cache, :class:`SpectralMultipliers`, built once per grid size and shared
 read-only by every grid of that size as ``PeriodicGrid.spectral``: d/dx,
 its inverse on zero-mean functions, A^{-1}, A^{-1} d/dx, the 2/3
-dealiasing mask and the off-grid kernel's deconvolution.  No transform is
-a complex FFT: complex samples go through as real and imaginary parts.
+dealiasing mask and the off-grid kernel's deconvolution.  Every transform
+is :func:`rfft` or :func:`irfft`, numpy's pocketfft ufuncs without its
+Python wrapper; complex samples go through as real and imaginary parts.
 ``apply`` is the on-grid transform of the spectral calculus.  Only the
 RK4 integrator keeps coefficients between transforms, stepping them with
 these same multipliers.  The odd-order operators (d/dx, its inverse,
@@ -65,6 +66,21 @@ _W = 16
 _BETA = 2.30 * _W
 _OFFSETS = np.arange(1, _W + 1)[:, None]
 _SHIFTS = (2.0 * _BETA / _W) * (_W // 2 - _OFFSETS)
+
+
+# np.fft loads on the first call: importing it here cost import time and RSS
+def rfft(values: np.ndarray, out=None) -> np.ndarray:
+    """``np.fft.rfft(values)`` on the last axis, of even length n."""
+    if out is None:
+        out = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), complex)
+    return np.fft._pocketfft_umath.rfft_n_even(values, 1.0, out=out)
+
+
+def irfft(coef: np.ndarray, n: int, out=None) -> np.ndarray:
+    """``np.fft.irfft(coef, n)`` on the last axis, scaled by 1/n; pads or cuts."""
+    if out is None:
+        out = np.empty(coef.shape[:-1] + (n,))
+    return np.fft._pocketfft_umath.irfft(coef, 1.0 / n, out=out)
 
 
 def _fine_size(n: int) -> int:
@@ -126,7 +142,7 @@ class SpectralMultipliers:
         if np.iscomplexobj(values):
             apply = SpectralMultipliers.apply
             return apply(values.real, mult) + 1j * apply(values.imag, mult)
-        return np.fft.irfft(np.fft.rfft(values) * mult, values.shape[-1])
+        return irfft(rfft(values) * mult, values.shape[-1])
 
 
 @lru_cache(maxsize=None)
@@ -348,9 +364,9 @@ def _fine_grid(values: np.ndarray, orders=(0,)) -> np.ndarray:
     ik = 2j * np.pi * np.arange(n // 2 + 1)
     is_complex = np.iscomplexobj(values)
     parts = np.stack([values.real, values.imag]) if is_complex else values[None]
-    coeffs = np.fft.rfft(parts) * _multipliers(n).fine
+    coeffs = rfft(parts) * _multipliers(n).fine
     powers = np.reshape(orders, (-1,) + (1,) * coeffs.ndim)
-    fine = np.fft.irfft(coeffs * ik**powers, size)
+    fine = irfft(coeffs * ik**powers, size)
     fine = fine[:, 0] + 1j * fine[:, 1] if is_complex else fine[:, 0]
     pad = _W // 2
     return np.concatenate([fine[..., size - pad :], fine, fine[..., :pad]], axis=-1)

@@ -8,11 +8,12 @@ Independent cross-check for the closed-form solutions: the weak form
 is integrated with classical fixed-step RK4 on the real-FFT coefficients
 Y = rfft([rho, u]), stage inputs and update built in place.  A stage makes
 one three-row irfft to rho, u, u_x and one three-row rfft of u_x^2 + rho^2,
-rho u, u u_x; derivatives, A^{-1} d/dx and the 2/3-rule dealiasing mask act
-on coefficients, and the u(0) = 0 pin is a mean-mode correction.  Stage 1
-of each state also yields its energy and recorded rows.  The blow-up guard
-reads w = u_x + i rho off the great circle, for a block of steps at once.
-The zero-mean-restricted variant zeroes rho's mean mode at every stage.
+rho u, u u_x (funcspace's entry points, on views built once); derivatives,
+A^{-1} d/dx and the 2/3-rule dealiasing mask act on coefficients, and the
+u(0) = 0 pin is a mean-mode correction.  Stage 1 of each state also yields
+its energy and recorded rows.  The blow-up guard reads w = u_x + i rho off
+the great circle, for a block of steps at once.  The zero-mean-restricted
+variant zeroes rho's mean mode at every stage.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import funcspace as fs
 from .errors import StepBlowupError
 from .funcspace import PeriodicFunction, PeriodicGrid
 from .geodesics import InitialData
@@ -95,56 +97,59 @@ class _Stage:
     its own buffer, so out may be y.  It leaves the grid rows [rho, u, u_x]
     in ``rows``, whose slices give rho u and u u_x in one product, and
     u_x^2 + rho^2 unmasked in ``quad[0]``.  The minus signs of y_t sit in
-    the multipliers -d/dx and -(1/2) A^{-1} d/dx.
+    the multipliers -d/dx and -(1/2) A^{-1} d/dx.  Its views are built once.
     """
 
     def __init__(self, grid: PeriodicGrid, dealias: bool, restricted: bool):
-        self.sp, self.dealias, self.restricted = grid.spectral, dealias, restricted
-        self.neg_dx, self.neg_half_ainv_dx = -self.sp.deriv, -0.5 * self.sp.ainv_dx
-        self.coef = np.empty((3, grid.n // 2 + 1), dtype=complex)
-        self.rows, self.quad = np.empty((2, 3, grid.n))
+        sp, self.n, self.restricted = grid.spectral, grid.n, restricted
+        self.deriv, self.mask = sp.deriv, sp.mask if dealias else None
+        self.neg_dx, self.neg_half_ainv_dx = -sp.deriv, -0.5 * sp.ainv_dx
+        self.coef = np.empty((3, self.n // 2 + 1), dtype=complex)
+        self.rows, self.quad = np.empty((2, 3, self.n))
+        self.y, (self.c0, self.c1, self.c2) = self.coef[:2], self.coef
+        (self.rho, _, self.ux), (self.q0, self.q1, _) = self.rows, self.quad
+        self.rho_u, self.u_ux, self.q12 = self.rows[:2], self.rows[1:], self.quad[1:]
 
     def __call__(self, y, out, k=None, scale=0.0) -> np.ndarray:
-        coef, rows, quad = self.coef, self.rows, self.quad
         if k is None:
-            coef[:2] = y
+            self.y[...] = y
         else:
-            np.add(y, np.multiply(k, scale, out=coef[:2]), out=coef[:2])
+            np.add(y, np.multiply(k, scale, out=self.y), out=self.y)
         if self.restricted:
-            coef[0, 0] = 0.0
-        np.multiply(coef[1], self.sp.deriv, out=coef[2])
-        np.fft.irfft(coef, rows.shape[1], out=rows)
-        np.multiply(rows[2], rows[2], out=quad[0])
-        quad[0] += rows[0] * rows[0]
-        np.multiply(rows[:2], rows[1:], out=quad[1:])
-        hat = np.fft.rfft(quad, out=coef)
-        if self.dealias:
-            hat *= self.sp.mask
-        np.multiply(hat[1], self.neg_dx, out=out[0])
-        ut = np.multiply(hat[0], self.neg_half_ainv_dx, out=out[1])
-        ut[0] = -2.0 * ut.real[1:-1].sum()  # the mean that makes it 0 at 0
-        ut -= hat[2]
+            self.c0[0] = 0.0
+        np.multiply(self.c1, self.deriv, out=self.c2)
+        fs.irfft(self.coef, self.n, out=self.rows)
+        np.multiply(self.ux, self.ux, out=self.q0)
+        self.q0 += np.multiply(self.rho, self.rho, out=self.q1)  # q1 is free here
+        np.multiply(self.rho_u, self.u_ux, out=self.q12)
+        fs.rfft(self.quad, out=self.coef)
+        if self.mask is not None:
+            self.coef *= self.mask
+        np.multiply(self.c1, self.neg_dx, out=out[0])
+        ut = np.multiply(self.c0, self.neg_half_ainv_dx, out=out[1])
+        ut[0] = -2.0 * np.add.reduce(ut.real[1:-1])  # the mean that makes it 0 at 0
+        ut -= self.c2
         return out
 
 
 def _grid_rhs(u, rho, dealias: bool, restricted: bool):
     """rfft, one coefficient-space stage, irfft."""
-    y = np.fft.rfft(np.stack([rho.values, u.values]))
-    rhot, ut = np.fft.irfft(_Stage(u.grid, dealias, restricted)(y, y), u.grid.n)
+    y = fs.rfft(np.stack([rho.values, u.values]))
+    rhot, ut = fs.irfft(_Stage(u.grid, dealias, restricted)(y, y), u.grid.n)
     return PeriodicFunction(u.grid, ut), PeriodicFunction(u.grid, rhot)
 
 
 def rhs(
     u: PeriodicFunction, rho: PeriodicFunction, dealias: bool = True
 ) -> tuple[PeriodicFunction, PeriodicFunction]:
-    """Right side of the weak-form system; u_t(0) = 0 if u(0) = 0, undealiased."""
+    """Weak-form right side, u_t(0) = 0 if u(0) = 0; dealias applies the 2/3 rule."""
     return _grid_rhs(u, rho, dealias, False)
 
 
 def rhs_restricted(
     u: PeriodicFunction, rho: PeriodicFunction, dealias: bool = True
 ) -> tuple[PeriodicFunction, PeriodicFunction]:
-    """Zero-mean-restricted right side; second output is exactly mean-free."""
+    """Zero-mean-restricted :func:`rhs`; its second output is exactly mean-free."""
     return _grid_rhs(u, rho, dealias, True)
 
 
@@ -213,8 +218,8 @@ def integrate(
     h = 0.5 * (d.u0x.values + 1j * y[0])
     csq = float(np.mean(h.real * h.real + h.imag * h.imag))
     block = max(1, 4096 // n)  # steps per label evaluation, <= 4,096 values
-    stage = _Stage(d.grid, cfg.dealias, restricted)
-    Y = np.fft.rfft(y)
+    stage, abs_ux = _Stage(d.grid, cfg.dealias, restricted), np.empty(n)
+    Y = fs.rfft(y)
     k1, k2, k3, k4 = ks = np.empty((4, *Y.shape), dtype=complex)
     en_t = np.arange(n_steps + 1) * dt
     en, means = np.empty((2, n_steps + 1))
@@ -233,20 +238,20 @@ def integrate(
     for step in range(n_steps + 1):
         t = step * dt
         stage(Y, k1)
-        en[step] = 0.25 * (np.add.reduce(stage.quad[0]) / n)
+        en[step] = 0.25 * (np.add.reduce(stage.q0) / n)
         means[step] = Y[0, 0].real / n
         if step % cfg.record_every == 0 or step == n_steps:
-            rho, u = stage.rows[:2]
+            rho, u = stage.rho_u
             rec_t.append(t)
             rec_y.append(np.stack([u - u[0], rho]))  # u(0) is 0.0, not roundoff
         if step == n_steps:
             return build(step)
         if step % block == 0:
             sup_ws = _label_sups(h, csq, en_t[step:step + block].tolist())
-        sup_ux = float(np.max(np.abs(stage.rows[2])))
+        sup_ux = float(np.maximum.reduce(np.abs(stage.ux, out=abs_ux)))
         sup_w = float(sup_ws[step % block])
         for reading, value in (("grid sup|u_x|", sup_ux), ("label sup|Re w|", sup_w)):
-            if value > ux_limit or not np.isfinite(value):
+            if value > ux_limit or not math.isfinite(value):
                 message = f"{reading} = {value!r} exceeded {ux_limit!r} at t = {t!r}"
                 raise halt(message, step)
         if 0.5 * dt * sup_w >= 1.0:
@@ -258,8 +263,8 @@ def integrate(
         for k in (k2, k3, k4):  # Y += (dt / 6) (((k1 + 2 k2) + 2 k3) + k4)
             k1 += k
         Y += np.multiply(k1, dt / 6.0, out=k1)
-        Y[1, 0] = -2.0 * Y[1, 1:-1].real.sum() - Y[1, -1].real  # pins u(0) = 0
-        if not np.isfinite(Y.sum()) and not np.all(np.isfinite(Y)):
+        Y[1, 0] = -2.0 * np.add.reduce(Y[1, 1:-1].real) - Y[1, -1].real  # u(0) = 0
+        if not np.isfinite(np.add.reduce(Y, axis=None)) and not np.isfinite(Y).all():
             message = f"state became non-finite between t = {t!r} and t = "
             raise halt(message + repr((step + 1) * dt), step)
 

@@ -29,15 +29,14 @@ PHASE_AMPLITUDE = 0.75
 def _spectrum(
     grid: PeriodicGrid, rng: np.random.Generator, max_mode: int | None = None
 ) -> np.ndarray:
-    """Draw the half spectrum of one :func:`band_limited` field: two normal calls."""
+    """Draw the half spectrum of one :func:`band_limited` field: one normal call."""
     n = grid.n
     if max_mode is None:
         max_mode = n // 4 - 1
     if max_mode >= n / 2:
         raise ValueError(f"max_mode {max_mode} must lie below n/2 = {n / 2}")
     k = np.arange(1, max_mode + 1)
-    a = rng.normal(size=max_mode) / k**DEFAULT_DECAY
-    b = rng.normal(size=max_mode) / k**DEFAULT_DECAY
+    a, b = rng.normal(size=(2, max_mode)) / k**DEFAULT_DECAY
     spec = np.zeros(n // 2 + 1, dtype=complex)
     spec[1 : max_mode + 1] = 0.5 * n * (a - 1j * b)
     return spec
@@ -45,7 +44,7 @@ def _spectrum(
 
 def _field(grid: PeriodicGrid, spec: np.ndarray, amplitude: float = 1.0):
     """Samples of one spectrum, or of a stack of them in one inverse FFT."""
-    return PeriodicFunction(grid, amplitude * np.fft.irfft(spec, grid.n))
+    return PeriodicFunction(grid, amplitude * fs.irfft(spec, grid.n))
 
 
 def band_limited(

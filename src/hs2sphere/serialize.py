@@ -77,12 +77,11 @@ def json_dump(obj, path) -> None:
 def write_trajectory_csv(path, times, x, u, rho) -> None:
     """Long-format CSV with columns t, x, u, rho: row j of state i holds
 
-    times[i], x[j], u[i][j] and rho[i][j], all in :func:`fmt_float` format.
+    times[i], x[j], u[i][j] and rho[i][j] in :func:`fmt_float`'s .17g format.
     """
     xs = [fmt_float(v) for v in x]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,x,u,rho\n")
         for t, u_row, rho_row in zip(times, u, rho):
-            ts = fmt_float(float(t))
-            for xj, uj, rj in zip(xs, u_row, rho_row):
-                fh.write(f"{ts},{xj},{fmt_float(uj)},{fmt_float(rj)}\n")
+            ts, rows = fmt_float(float(t)), zip(xs, u_row.tolist(), rho_row.tolist())
+            fh.write("".join([f"{ts},{xj},{a:.17g},{b:.17g}\n" for xj, a, b in rows]))

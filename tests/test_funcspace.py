@@ -260,14 +260,14 @@ def test_fine_grid_derivative_rows_match_dense_formula(n, kind, rng):
 
 
 def test_one_fourier_convention(grid, rng, monkeypatch):
-    # every transform of the library is a real FFT: exact states, group
-    # products and inverses, the identity suite and RK4 run without the
-    # complex pair
+    # every transform of the library is a real FFT through the funcspace
+    # entry points: exact states, group products and inverses, the identity
+    # suite and RK4 run without the complex pair or numpy's FFT wrappers
     def refuse(*args, **kwargs):
-        raise AssertionError("complex FFT called")
+        raise AssertionError("np.fft called")
 
-    monkeypatch.setattr(np.fft, "fft", refuse)
-    monkeypatch.setattr(np.fft, "ifft", refuse)
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, refuse)
     smooth = InitialData.from_u0x(
         grid, lambda x: np.sin(TWO_PI * x), lambda x: 1.5 + np.cos(TWO_PI * x)
     )
@@ -555,3 +555,32 @@ def test_reductions_and_scalars_act_per_row():
     scaled = f * np.array([2.0, 3.0])
     assert np.array_equal(scaled.values, f.values * [[2.0], [3.0]])
     assert isinstance(fs.integrate(PeriodicFunction(g, f.values[0])), float)
+
+
+@pytest.mark.parametrize("n", [8, 64, 256, 4096])
+def test_real_fft_entry_points_match_numpy(n):
+    # fs.rfft and fs.irfft call numpy's private pocketfft ufuncs; a numpy
+    # that changes them fails here
+    rng = np.random.default_rng(n)
+
+    def same_bits(a, b):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+    wide = rng.normal(size=(3, 2 * n))
+    inputs = [rng.normal(size=s) for s in [(n,), (3, n), (2, 5, n)]]
+    inputs += [wide[:, ::2], (wide[:, :n] + 1j * wide[:, n:]).real]
+    for values in inputs:
+        coef = fs.rfft(values)
+        same_bits(coef, np.fft.rfft(values))
+        out = np.empty_like(coef)
+        assert fs.rfft(values, out=out) is out
+        same_bits(out, coef)
+        # a strided coefficient view, and the interpolants' padding to 2n
+        cut = np.concatenate([coef, coef], axis=-1)[..., ::2]
+        for c in (coef, cut):
+            for size in (n, 2 * n):
+                same_bits(fs.irfft(c, size), np.fft.irfft(c, size))
+        rows = np.empty(values.shape)
+        assert fs.irfft(coef, n, out=rows) is rows
+        same_bits(rows, np.fft.irfft(coef, n))

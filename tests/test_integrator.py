@@ -19,6 +19,7 @@ from hs2sphere.integrator import (
     rhs_restricted,
 )
 from hs2sphere.presets import make_preset
+from hs2sphere.serialize import fmt_float, write_trajectory_csv
 
 TWO_PI = 2.0 * np.pi
 
@@ -132,7 +133,7 @@ def test_transform_budget_and_energy_reuse(grid, monkeypatch, dealias):
     calls = {"rfft": 0, "irfft": 0}
 
     def counting(name):
-        transform = getattr(np.fft, name)
+        transform = getattr(fs, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
@@ -141,7 +142,7 @@ def test_transform_budget_and_energy_reuse(grid, monkeypatch, dealias):
         return counted
 
     for name in calls:
-        monkeypatch.setattr(np.fft, name, counting(name))
+        monkeypatch.setattr(fs, name, counting(name))
     steps = 5
     cfg = IntegratorConfig(dt=1e-2, t_end=steps * 1e-2, dealias=dealias, record_every=1)
     traj = integrate(d, cfg)
@@ -196,7 +197,7 @@ def test_non_finite_state_halts(grid, monkeypatch):
     d = smooth_global(grid)
     dt, poisoned = 1e-2, 2 + 4 * 3 + 2
     calls = []
-    rfft = np.fft.rfft
+    rfft = fs.rfft
 
     def poisoning_rfft(*args, **kwargs):
         calls.append(1)
@@ -205,7 +206,7 @@ def test_non_finite_state_halts(grid, monkeypatch):
             out[...] = np.nan
         return out
 
-    monkeypatch.setattr(np.fft, "rfft", poisoning_rfft)
+    monkeypatch.setattr(fs, "rfft", poisoning_rfft)
     cfg = IntegratorConfig(dt=dt, t_end=10 * dt, record_every=1)
     with pytest.raises(StepBlowupError) as exc_info:
         integrate(d, cfg)
@@ -459,3 +460,26 @@ def test_trajectory_csv(grid, tmp_path):
     table = table.reshape(len(traj.times), grid.n, 4)
     assert np.array_equal(table[:, :, 2], traj.u)
     assert np.array_equal(table[:, :, 3], traj.rho)
+
+
+def test_g17_format_renders_floats_like_fmt_float():
+    # the trajectory CSV formats its u and rho columns with .17g directly
+    for v in (math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+              1e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0):
+        assert f"{v:.17g}" == "%.17g" % v == fmt_float(v)
+
+
+def test_trajectory_csv_matches_per_value_rendering(tmp_path):
+    grid = PeriodicGrid(8)
+    times = np.array([0.0, 0.25])
+    u = np.array([np.linspace(-1.0, 1.0, 8), [math.nan, math.inf, -math.inf,
+                                              -0.0, 5e-324, 1e308, 0.1, 1 / 3]])
+    rho = -u[::-1]
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, times, grid.x, u, rho)
+    expected = ["t,x,u,rho"] + [
+        ",".join(fmt_float(v) for v in (t, grid.x[j], u[i, j], rho[i, j]))
+        for i, t in enumerate(times)
+        for j in range(grid.n)
+    ]
+    assert path.read_text() == "\n".join(expected) + "\n"

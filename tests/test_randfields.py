@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hs2sphere.funcspace import PeriodicGrid
-from hs2sphere.randfields import band_limited
+from hs2sphere.randfields import DEFAULT_DECAY, _spectrum, band_limited
 
 from oracles import dense_band_limited
 
@@ -23,3 +23,19 @@ def test_band_limited_matches_dense_formula(n, eighth):
 def test_band_limited_rejects_modes_from_nyquist_up():
     with pytest.raises(ValueError):
         band_limited(PeriodicGrid(16), np.random.default_rng(0), max_mode=8)
+
+
+@pytest.mark.parametrize("max_mode", [1, 5, 63, 127])
+def test_spectrum_draws_like_two_normal_calls(max_mode):
+    # one normal call of size (2, m) reads the generator's stream as the
+    # two size-m calls it replaced, and leaves it in the same place
+    grid = PeriodicGrid(256)
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    spec = _spectrum(grid, rng, max_mode)
+    k = np.arange(1, max_mode + 1)
+    a = ref_rng.normal(size=max_mode) / k**DEFAULT_DECAY
+    b = ref_rng.normal(size=max_mode) / k**DEFAULT_DECAY
+    ref = np.zeros(grid.n // 2 + 1, dtype=complex)
+    ref[1 : max_mode + 1] = 0.5 * grid.n * (a - 1j * b)
+    assert spec.tobytes() == ref.tobytes()
+    assert rng.normal() == ref_rng.normal()
