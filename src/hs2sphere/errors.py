@@ -46,16 +46,12 @@ class AntipodalOrIdentityError(HS2Error, ValueError):
     """Log map at the sphere base point has no unique preimage at +-1."""
 
 
-class AtPoleError(HS2Error, ValueError):
-    """Stereographic projection evaluated at its excluded pole."""
-
-
-class ProportionalPointsError(HS2Error, ValueError):
-    """Segment query on points f, g with f = +-g (no unique great circle)."""
-
-
 class ZeroDataError(HS2Error, ValueError):
     """Initial data with zero energy defines no geodesic."""
+
+
+class NonFiniteDataError(HS2Error, ValueError):
+    """Initial data whose energy is not finite (overflow or NaN samples)."""
 
 
 class BeyondBlowupError(HS2Error, ValueError):
@@ -89,10 +85,6 @@ class DegeneratePlaneError(HS2Error, ValueError):
 
 class ZeroAtBasePointError(HS2Error, ValueError):
     """Projective canonicalization needs f(0) != 0."""
-
-
-class ZeroAtChartPointError(HS2Error, ValueError):
-    """Projective chart evaluated where the representative vanishes."""
 
 
 class BaseMismatchError(HS2Error, ValueError):

@@ -29,6 +29,7 @@ from . import funcspace as fs
 from .errors import (
     AtIdentityOrAntipodeError,
     BeyondBlowupError,
+    NonFiniteDataError,
     ZeroDataError,
 )
 from .funcspace import PeriodicFunction, PeriodicGrid
@@ -43,12 +44,12 @@ PHASE_TOL = 1e-8
 class InitialData:
     """Initial state (u0, rho0): u0 real with u0(0) = 0, rho0 real.
 
-    ``u0x`` is the spectral derivative of u0, computed once here; the
-    speed, the blow-up time and the great circle all read it.  The
+    ``u0x`` and the energy c^2, which must be finite, are computed once
+    here; the speed, the blow-up time and the great circle read them.  The
     :class:`BlowupReport` is computed on first request and kept.
     """
 
-    __slots__ = ("u0", "rho0", "u0x", "_blowup")
+    __slots__ = ("u0", "rho0", "u0x", "_csq", "_blowup")
 
     def __init__(self, u0: PeriodicFunction, rho0: PeriodicFunction):
         if u0.is_complex or rho0.is_complex:
@@ -62,6 +63,10 @@ class InitialData:
         self.u0 = u0
         self.rho0 = rho0
         self.u0x = fs.derivative(u0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._csq = 0.25 * float(np.mean(self.u0x.values**2 + rho0.values**2))
+        if not math.isfinite(self._csq):
+            raise NonFiniteDataError(f"initial energy {self._csq!r} is not finite")
         self._blowup = None
 
     @property
@@ -109,7 +114,7 @@ class BlowupReport:
 
 def speed(d: InitialData) -> float:
     """Geodesic speed c with c^2 = (1/4) integral(u0x^2 + rho0^2)."""
-    csq = 0.25 * float(np.mean(d.u0x.values**2 + d.rho0.values**2))
+    csq = d._csq
     if csq == 0.0:
         raise ZeroDataError("zero-energy data defines no geodesic")
     return math.sqrt(csq)

@@ -48,8 +48,9 @@ class KTangent(TangentVector):
         super().__init__(u1, fs.mean_projection(u2))
 
 
-def _pi(vals: np.ndarray) -> np.ndarray:
-    return vals - np.mean(vals, axis=-1, keepdims=True)
+def _pi(vals: np.ndarray, phix=1.0) -> np.ndarray:
+    """Fibre projection pi(W) = W - integral(W phi_x), one per sample."""
+    return vals - np.mean(vals * phix, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +74,7 @@ def metric_K_at(at: GroupElement, U, V):
     pi(W) = W - integral(W phi_x).
     """
     phix = at.phi_x.values
-    pu = U.u2.values - np.mean(U.u2.values * phix, axis=-1, keepdims=True)
-    pv = V.u2.values - np.mean(V.u2.values * phix, axis=-1, keepdims=True)
+    pu, pv = _pi(U.u2.values, phix), _pi(V.u2.values, phix)
     return 0.25 * fs.row_mean(U.u1x * V.u1x / phix + pu * pv * phix)
 
 
@@ -114,9 +114,8 @@ def kahler_J(U, at: GroupElement | None = None):
     second slot is only defined up to a constant.
     """
     phix = 1.0 if at is None else at.phi_x.values
-    pi_u2 = U.u2.values - np.mean(U.u2.values * phix, axis=-1, keepdims=True)
     first = -1.0 * fs.antiderivative_from_zero(
-        PeriodicFunction(U.grid, pi_u2 * phix)
+        PeriodicFunction(U.grid, _pi(U.u2.values, phix) * phix)
     )
     return type(U)(first, PeriodicFunction(U.grid, U.u1x / phix))
 

@@ -21,11 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funcspace as fs
-from .errors import (
-    BaseMismatchError,
-    ZeroAtBasePointError,
-    ZeroAtChartPointError,
-)
+from .errors import BaseMismatchError, ZeroAtBasePointError
 from .funcspace import PeriodicFunction, PeriodicGrid
 from .geometry import (
     KTangent,
@@ -181,37 +177,3 @@ def oneill_check(u: KTangent, v: KTangent, g_route: str = "closed") -> tuple:
     lhs = curvature_K_closed(u, v)
     residual = abs(lhs - rhs) / np.maximum(1.0, abs(lhs))
     return lhs, rhs, residual
-
-
-# ---------------------------------------------------------------------------
-# projective charts
-# ---------------------------------------------------------------------------
-
-
-def _node_index(grid: PeriodicGrid, x0: float) -> int:
-    j = int(round((x0 % 1.0) * grid.n))
-    if abs((x0 % 1.0) * grid.n - j) > 1e-9:
-        raise ValueError(f"chart point {x0!r} is not a grid node")
-    return j % grid.n
-
-
-def cp_chart(x0: float, f: CPPoint, tol: float = 1e-10) -> PeriodicFunction:
-    """Chart at the node x0: the class of f becomes f(. + x0)/f(x0).
-
-    The shift is an exact sample roll; the result takes the value 1 at
-    argument 0.
-    """
-    j = _node_index(f.grid, x0)
-    vals = f.values
-    pivot = vals[j]
-    if abs(pivot) <= tol:
-        raise ZeroAtChartPointError(f"|f({x0})| = {abs(pivot)!r} too small")
-    return PeriodicFunction(f.grid, np.roll(vals, -j) / pivot)
-
-
-def cp_chart_inverse(x0: float, h: PeriodicFunction) -> CPPoint:
-    """Reassemble the projective class from its chart value."""
-    j = _node_index(h.grid, x0)
-    vals = np.roll(h.values, j)
-    norm = float(np.sqrt(np.mean(np.abs(vals) ** 2)))
-    return project_q(SpherePoint(PeriodicFunction(h.grid, vals / norm)))

@@ -130,17 +130,6 @@ def group_element(grid: PeriodicGrid, rng: np.random.Generator) -> GroupElement:
     return _build_group(grid, *_draw_group(grid, rng))
 
 
-def sphere_point(grid: PeriodicGrid, rng: np.random.Generator) -> SpherePoint:
-    """Random unit-norm point (may vanish somewhere)."""
-    vals = (
-        1.0
-        + band_limited(grid, rng).values
-        + 1j * band_limited(grid, rng).values
-    )
-    norm = np.sqrt(np.mean(np.abs(vals) ** 2))
-    return SpherePoint(PeriodicFunction(grid, vals / norm))
-
-
 def nonvanishing_sphere_point(
     grid: PeriodicGrid, rng: np.random.Generator
 ) -> SpherePoint:

@@ -4,10 +4,9 @@ Points are complex functions of unit L2 norm.  The real inner product
 Re integral(X conj(Y)) makes the sphere a (weak) Riemannian manifold; its
 geodesics are great circles, written down explicitly at the north pole,
 the constant function 1.  The nowhere-vanishing subset U is the target of
-the group isometry and the arena for all segment-containment questions.
-Points and tangents may be stacks of samples (funcspace); norms and
-pairings are then one value per sample.  The charts, the exponential and
-the segment tests take one point.
+the group isometry.  Points and tangents may be stacks of samples
+(funcspace); norms and pairings are then one value per sample.  The
+exponential and logarithm take one point.
 """
 
 from __future__ import annotations
@@ -18,10 +17,8 @@ import numpy as np
 
 from .errors import (
     AntipodalOrIdentityError,
-    AtPoleError,
     NotTangentError,
     NotUnitNormError,
-    ProportionalPointsError,
     ZeroTangentError,
 )
 from . import funcspace as fs
@@ -31,7 +28,6 @@ NORM_REJECT_TOL = 1e-6
 MODULUS_TOL = 1e-8
 POLE_TOL = 1e-8
 TANGENT_TOL = 1e-10
-IM_RATIO_TOL = 1e-10
 
 
 class SpherePoint:
@@ -67,9 +63,6 @@ class SpherePoint:
     def height(self):
         """Component along the constant function 1: Re integral(f)."""
         return fs.row_mean(self.values.real)
-
-    def min_modulus(self):
-        return fs.per_row(np.min(np.abs(self.values), axis=-1))
 
     def l2_distance(self, other: "SpherePoint"):
         diff = np.abs(self.values - other.values) ** 2
@@ -151,67 +144,3 @@ def log_at_one(f: SpherePoint) -> tuple[float, SphereTangent]:
         PeriodicFunction(grid, X0_vals), SpherePoint.constant_one(grid)
     )
     return r0, X0
-
-
-def great_circle_point(f: SpherePoint, r: float) -> np.ndarray:
-    """Point at arc length r on the great circle through 1 and f.
-
-    Uses exp_1(r X0) = (sin(r0 - r) + f sin(r)) / sin(r0); raises where the
-    circle is not unique (f = +-1).
-    """
-    r0, _ = log_at_one(f)
-    return (np.sin(r0 - r) + f.values * np.sin(r)) / np.sin(r0)
-
-
-def stereo_south(f: SpherePoint) -> PeriodicFunction:
-    """Stereographic chart from the pole -1 onto the hyperplane 1-perp."""
-    mu = f.height()
-    if float(np.sqrt(np.mean(np.abs(f.values + 1.0) ** 2))) < POLE_TOL:
-        raise AtPoleError("stereo_south undefined at -1")
-    return PeriodicFunction(f.grid, (f.values - mu) / (1.0 + mu))
-
-
-def stereo_south_inverse(h: PeriodicFunction) -> SpherePoint:
-    nsq = float(np.mean(np.abs(h.values) ** 2))
-    vals = (2.0 * h.values - nsq + 1.0) / (nsq + 1.0)
-    return SpherePoint(PeriodicFunction(h.grid, vals))
-
-
-def stereo_north(f: SpherePoint) -> PeriodicFunction:
-    """Stereographic chart from the pole +1."""
-    mu = f.height()
-    if float(np.sqrt(np.mean(np.abs(f.values - 1.0) ** 2))) < POLE_TOL:
-        raise AtPoleError("stereo_north undefined at 1")
-    return PeriodicFunction(f.grid, (f.values - mu) / (1.0 - mu))
-
-
-def stereo_north_inverse(h: PeriodicFunction) -> SpherePoint:
-    nsq = float(np.mean(np.abs(h.values) ** 2))
-    vals = (2.0 * h.values + nsq - 1.0) / (nsq + 1.0)
-    return SpherePoint(PeriodicFunction(h.grid, vals))
-
-
-def is_nowhere_vanishing(f: SpherePoint) -> bool:
-    """True when min |f| exceeds MODULUS_TOL."""
-    return f.min_modulus() > MODULUS_TOL
-
-
-def segment_in_U(f: SpherePoint, g: SpherePoint, which: str = "short") -> bool:
-    """Whether the short or long geodesic segment from f to g avoids zeros.
-
-    Short segment: contained in U iff f/g never lands on the negative real
-    axis.  Long segment: contained iff f/g is never real.  'Real' is tested
-    with an imaginary-part tolerance relative to |f/g|, so near-threshold
-    answers are grid dependent.
-    """
-    if which not in ("short", "long"):
-        raise ValueError(f"which must be 'short' or 'long', got {which!r}")
-    d_minus = f.l2_distance(g)
-    d_plus = float(np.sqrt(np.mean(np.abs(f.values + g.values) ** 2)))
-    if min(d_minus, d_plus) < POLE_TOL:
-        raise ProportionalPointsError("segment query needs f != +-g")
-    ratio = f.values / g.values
-    realish = np.abs(ratio.imag) <= IM_RATIO_TOL * np.abs(ratio)
-    if which == "short":
-        return not bool(np.any(realish & (ratio.real < 0.0)))
-    return not bool(np.any(realish))

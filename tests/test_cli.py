@@ -267,6 +267,15 @@ def test_logmap_identity_errors(tmp_path):
     assert main(["logmap", "--target", str(f), "--outdir", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "blowup"])
+def test_non_finite_energy_is_a_library_error(tmp_path, capsys, command):
+    argv = [command, "--n", "64", "--rho0-mean=1e160", "--u0x-sin=1"]
+    assert main([*argv, "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: initial energy") and "not finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "content", ["[1, 2]", '{"n": null, "phi": [], "alpha": [], "winding": 0}']
 )

@@ -8,7 +8,7 @@ import hs2sphere.hopf as hp
 import hs2sphere.randfields as rf
 from hs2sphere.errors import BaseMismatchError, ZeroAtBasePointError
 from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
-from hs2sphere.sphere import SpherePoint, exp_at_one, segment_in_U
+from hs2sphere.sphere import SpherePoint, exp_at_one
 
 
 def test_grid_mismatch_arithmetic(grid):
@@ -26,11 +26,6 @@ def test_exp_requires_base_one(grid, rng):
         exp_at_one(X)
 
 
-def test_segment_rejects_unknown_kind(grid, rng):
-    one = SpherePoint.constant_one(grid)
-    f = rf.nonvanishing_sphere_point(grid, rng)
-    with pytest.raises(ValueError):
-        segment_in_U(f, one, "medium")
 
 
 def test_fubini_study_base_mismatch(grid, rng):
@@ -49,10 +44,6 @@ def test_project_q_rejects_zero_at_base(grid):
         hp.project_q(SpherePoint(PeriodicFunction(grid, vals)))
 
 
-def test_cp_chart_requires_grid_node(grid, rng):
-    f = hp.project_q(rf.nonvanishing_sphere_point(grid, rng))
-    with pytest.raises(ValueError):
-        hp.cp_chart(0.5 + 0.25 / grid.n, f)
 
 
 def test_values_are_immutable(grid, rng):

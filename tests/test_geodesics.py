@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import hs2sphere.randfields as rf
 from hs2sphere.errors import (
     AtIdentityOrAntipodeError,
     BeyondBlowupError,
+    NonFiniteDataError,
     ZeroDataError,
 )
 from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
@@ -70,6 +72,21 @@ def test_speed_values(grid):
 def test_speed_rejects_zero_data(grid):
     with pytest.raises(ZeroDataError):
         InitialData(PeriodicFunction.zeros(grid), PeriodicFunction.zeros(grid))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("make", [smooth_global, hs_blowup])
+def test_initial_data_rejects_non_finite_energy(n, make):
+    # finite samples whose energy c^2 overflows, and a NaN sample
+    d = make(PeriodicGrid(n))
+    nan = d.rho0.values.copy()
+    nan[n // 3] = np.nan
+    cases = [(d.u0 * 1e154, d.rho0 * 1e154), (d.u0, PeriodicFunction(d.grid, nan))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u0, rho0 in cases:
+            with pytest.raises(NonFiniteDataError):
+                InitialData(u0, rho0)
 
 
 # -- exact flow --------------------------------------------------------------

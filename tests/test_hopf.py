@@ -4,12 +4,9 @@ import pytest
 import hs2sphere.geometry as gm
 import hs2sphere.hopf as hp
 import hs2sphere.randfields as rf
-from hs2sphere.errors import ZeroAtChartPointError
 from hs2sphere.funcspace import PeriodicFunction
 from hs2sphere.group import GroupElement, metric, phi_map, tangent_phi
 from hs2sphere.sphere import SpherePoint, SphereTangent
-
-TWO_PI = 2.0 * np.pi
 
 
 def test_project_p_collapses_constant_phase(grid, rng):
@@ -142,36 +139,3 @@ def test_oneill_J_plane_contributions(grid, rng):
     assert bracket_term == pytest.approx(3.0, abs=1e-10)
     assert bracket_term == pytest.approx(omega_term, abs=1e-12)
     assert res < 1e-8
-
-
-def test_cp_chart_basics(grid, rng):
-    f = hp.project_q(rf.nonvanishing_sphere_point(grid, rng))
-    ch = hp.cp_chart(0.0, f)
-    assert ch.values[0] == 1.0 + 0.0j
-    assert np.max(np.abs(ch.values - f.values / f.values[0])) < 1e-14
-    const = hp.project_q(
-        SpherePoint(PeriodicFunction.constant(grid, np.exp(0.4j)))
-    )
-    assert np.max(np.abs(hp.cp_chart(grid.x[5], const).values - 1.0)) < 1e-14
-
-
-def test_cp_chart_transition(grid, rng):
-    f = hp.project_q(rf.nonvanishing_sphere_point(grid, rng))
-    j0, j1 = 17, 5
-    x0, x1 = grid.x[j0], grid.x[j1]
-    h1 = hp.cp_chart(x1, f)
-    transported = hp.cp_chart(x0, hp.cp_chart_inverse(x1, h1))
-    shift = j0 - j1
-    expected = np.roll(h1.values, -shift) / h1.values[shift]
-    assert np.max(np.abs(transported.values - expected)) < 1e-10
-
-
-def test_cp_chart_rejects_zero(grid):
-    vals = (0.2 + np.cos(TWO_PI * grid.x)).astype(complex)
-    vals /= np.sqrt(np.mean(np.abs(vals) ** 2))
-    with pytest.raises(ZeroAtChartPointError):
-        # representative vanishes inside the circle; find a node near a zero
-        f = SpherePoint(PeriodicFunction(grid, vals))
-        cp = hp.CPPoint(SpherePoint(PeriodicFunction(grid, vals / vals[0] * abs(vals[0]))))
-        x_zero = grid.x[int(np.argmin(np.abs(vals)))]
-        hp.cp_chart(x_zero, cp, tol=np.min(np.abs(vals)) + 1e-12)

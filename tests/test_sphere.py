@@ -4,9 +4,7 @@ import pytest
 import hs2sphere.randfields as rf
 from hs2sphere.errors import (
     AntipodalOrIdentityError,
-    AtPoleError,
     NotUnitNormError,
-    ProportionalPointsError,
     ZeroTangentError,
 )
 from hs2sphere.funcspace import PeriodicFunction
@@ -14,18 +12,9 @@ from hs2sphere.sphere import (
     SpherePoint,
     SphereTangent,
     exp_at_one,
-    great_circle_point,
-    is_nowhere_vanishing,
     log_at_one,
     project_to_tangent,
-    segment_in_U,
-    stereo_north,
-    stereo_north_inverse,
-    stereo_south,
-    stereo_south_inverse,
 )
-
-from oracles import great_circle_min_modulus
 
 TWO_PI = 2.0 * np.pi
 
@@ -103,110 +92,28 @@ def test_log_rejects_poles(grid):
         log_at_one(SpherePoint(PeriodicFunction.constant(grid, -1.0 + 0j)))
 
 
-def test_stereo_round_trips(grid, rng):
-    assert np.max(np.abs(stereo_south(SpherePoint.constant_one(grid)).values)) < 1e-14
-    zero = PeriodicFunction.zeros(grid) * (1.0 + 0.0j)
-    assert np.max(np.abs(stereo_south_inverse(zero).values - 1.0)) < 1e-14
-    for _ in range(5):
-        f = rf.sphere_point(grid, rng)
-        h = stereo_south(f)
-        assert abs(np.mean(h.values.real)) < 1e-12  # lands in the hyperplane
-        back = stereo_south_inverse(h)
-        assert back.l2_distance(f) < 1e-10
-        hn = stereo_north(f)
-        backn = stereo_north_inverse(hn)
-        assert backn.l2_distance(f) < 1e-10
 
 
-def test_stereo_rejects_pole(grid):
-    minus = SpherePoint(PeriodicFunction.constant(grid, -1.0 + 0j))
-    with pytest.raises(AtPoleError):
-        stereo_south(minus)
-    with pytest.raises(AtPoleError):
-        stereo_north(SpherePoint.constant_one(grid))
 
 
-def test_nowhere_vanishing(grid, rng):
-    assert is_nowhere_vanishing(SpherePoint.constant_one(grid))
-    vals = np.cos(TWO_PI * grid.x).astype(complex)
-    vals /= np.sqrt(np.mean(np.abs(vals) ** 2))
-    assert not is_nowhere_vanishing(SpherePoint(PeriodicFunction(grid, vals)))
-    vals2 = 1.0 + 0.5 * np.exp(2j * np.pi * grid.x)
-    vals2 /= np.sqrt(np.mean(np.abs(vals2) ** 2))
-    p = SpherePoint(PeriodicFunction(grid, vals2))
-    assert is_nowhere_vanishing(p)
-    assert p.min_modulus() > 0.4  # modulus >= 0.5 before normalization
 
 
-def test_antipodal_invariance_of_U(grid, rng):
-    for _ in range(5):
-        f = rf.sphere_point(grid, rng)
-        minus = SpherePoint(PeriodicFunction(grid, -f.values))
-        assert is_nowhere_vanishing(f) == is_nowhere_vanishing(minus)
 
 
-def test_segment_real_positive_ratio(grid):
-    # f real positive: short segment fine, long segment leaves U
-    vals = 1.0 + 0.4 * np.cos(TWO_PI * grid.x)
-    vals = vals.astype(complex) / np.sqrt(np.mean(vals**2))
-    f = SpherePoint(PeriodicFunction(grid, vals))
-    one = SpherePoint.constant_one(grid)
-    assert segment_in_U(f, one, "short")
-    assert not segment_in_U(f, one, "long")
 
 
-def test_segment_long_for_strictly_complex(grid):
-    theta = 0.4 + 2.2 * (0.5 + 0.5 * np.sin(TWO_PI * grid.x))
-    vals = np.exp(1j * theta)
-    f = SpherePoint(PeriodicFunction(grid, vals))
-    one = SpherePoint.constant_one(grid)
-    assert segment_in_U(f, one, "long")
-    assert segment_in_U(f, one, "short")
-    # oracle: the whole circle stays away from zero
-    m = great_circle_min_modulus(f.values, log_at_one(f)[0], 0.0, TWO_PI)
-    assert m > 1e-6
 
 
-def test_segment_negative_value_blocks_short(grid):
-    vals = (0.3 + np.cos(TWO_PI * grid.x)).astype(complex)
-    vals /= np.sqrt(np.mean(np.abs(vals) ** 2))
-    f = SpherePoint(PeriodicFunction(grid, vals))
-    one = SpherePoint.constant_one(grid)
-    assert not segment_in_U(f, one, "short")
-    r0, _ = log_at_one(f)
-    # oracle: the short segment really attains a zero
-    m = great_circle_min_modulus(f.values, r0, 0.0, r0)
-    assert m < 1e-6
 
 
-def test_segment_oracle_agreement_random(grid, rng):
-    one = SpherePoint.constant_one(grid)
-    for _ in range(10):
-        f = rf.nonvanishing_sphere_point(grid, rng)
-        r0, _ = log_at_one(f)
-        short = segment_in_U(f, one, "short")
-        long_ = segment_in_U(f, one, "long")
-        m_short = great_circle_min_modulus(f.values, r0, 0.0, r0)
-        m_full = great_circle_min_modulus(f.values, r0, 0.0, TWO_PI)
-        assert short == (m_short > 1e-6)
-        assert long_ == (m_full > 1e-6)
 
 
-def test_segment_rejects_proportional(grid):
-    one = SpherePoint.constant_one(grid)
-    with pytest.raises(ProportionalPointsError):
-        segment_in_U(one, one, "short")
 
 
-def test_great_circle_endpoint(grid, rng):
-    f = rf.nonvanishing_sphere_point(grid, rng)
-    r0, _ = log_at_one(f)
-    end = great_circle_point(f, r0)
-    assert np.max(np.abs(end - f.values)) < 1e-10
 
 
 def test_tangent_projection(grid, rng):
-    f = rf.sphere_point(grid, rng)
+    f = rf.nonvanishing_sphere_point(grid, rng)
     raw = PeriodicFunction(
         grid, rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
     )
