@@ -23,7 +23,6 @@ from .funcspace import (
     antiderivative_from_zero,
     compose,
     derivative,
-    integrate,
     inverse_A,
     invert_diffeo,
     mean_projection,
@@ -64,7 +63,6 @@ __all__ = [
     "antiderivative_from_zero",
     "compose",
     "derivative",
-    "integrate",
     "inverse_A",
     "invert_diffeo",
     "mean_projection",

@@ -16,7 +16,7 @@ A :class:`PeriodicFunction` holds one function, values of shape (n,), or a
 stack of S of them, shape (S, n).  Every transform acts on the last axis,
 and numpy's batched real FFTs and last-axis means give each row the bits
 of its own call, so a stack is S functions computed at once.  Reductions
-(:func:`integrate`, :func:`row_mean`, ...) return a float for one function
+(:func:`row_mean`, :func:`row_max`, ...) return a float for one function
 and an (S,) array for a stack; an (S,) array in arithmetic scales each
 row by its own value.  Validations check every row and raise if any fails.
 
@@ -295,11 +295,6 @@ def derivative(f: PeriodicFunction) -> PeriodicFunction:
     """
     sp = f.grid.spectral
     return PeriodicFunction(f.grid, sp.apply(f.values, sp.deriv))
-
-
-def integrate(f: PeriodicFunction):
-    """Integral over the circle: the sample mean (trapezoid rule)."""
-    return row_mean(f.values)
 
 
 def antiderivative_from_zero(f: PeriodicFunction) -> PeriodicFunction:

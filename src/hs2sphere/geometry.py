@@ -176,24 +176,16 @@ def nijenhuis(u: KTangent, v: KTangent) -> KTangent:
 # ---------------------------------------------------------------------------
 
 
-def _square(x):
-    """x ** 2 rounded as Python's float power rounds it.
-
-    That power (libm pow) differs from x * x in the last bit for about one
-    value in a thousand; squaring each value of a stack the same way keeps
-    every sample bit-identical to its one-sample result.
-    """
-    return x**2 if np.ndim(x) == 0 else np.array([v**2 for v in x.tolist()])
-
-
 def curvature_G(u, v):
     """Gram determinant |u|^2 |v|^2 - <u,v>^2: <R(u,v)v, u> on the full group."""
-    return metric(u, u) * metric(v, v) - _square(metric(u, v))
+    uv = metric(u, v)
+    return metric(u, u) * metric(v, v) - uv * uv
 
 
 def curvature_K_closed(u: KTangent, v: KTangent):
     """<R(u,v)v, u> = |u|^2 |v|^2 - <u,v>^2 + 3 omega(u,v)^2."""
-    return curvature_G(u, v) + 3.0 * _square(symplectic_omega(u, v))
+    omega = symplectic_omega(u, v)
+    return curvature_G(u, v) + 3.0 * (omega * omega)
 
 
 def _mul_pair(w, a: np.ndarray):

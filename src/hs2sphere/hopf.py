@@ -79,9 +79,7 @@ def project_p(a: GroupElement) -> KPoint:
 def project_q(f: SpherePoint) -> CPPoint:
     """Projective canonicalization by the phase gauge at x = 0."""
     z = f.values[..., :1]
-    # hypot rounds as abs of one complex value does; numpy's vectorised
-    # complex abs differs from it in the last bit.
-    modulus = np.hypot(z.real, z.imag)
+    modulus = np.abs(z)
     if np.any(modulus < 1e-10):
         raise ZeroAtBasePointError("representative vanishes at the base point")
     gauge = np.conj(z) / modulus

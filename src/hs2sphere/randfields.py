@@ -6,8 +6,10 @@ to two factors are exactly representable on the grid and the triple
 products appearing in curvature expressions stay far below the test
 tolerances.
 
-:func:`stacks` draws S samples of several inputs in the order of S rounds
-of one-sample calls and builds each input as one stack of S samples.
+:func:`stacks` draws S samples of each of several inputs with one
+generator call per spectrum and per scalar of that input, and builds each
+input as one stack of S samples.  Its draws are not those of S rounds of
+one-sample calls, so a stack depends on S as well as on the generator.
 """
 
 from __future__ import annotations
@@ -27,18 +29,21 @@ PHASE_AMPLITUDE = 0.75
 
 
 def _spectrum(
-    grid: PeriodicGrid, rng: np.random.Generator, max_mode: int | None = None
+    grid: PeriodicGrid,
+    rng: np.random.Generator,
+    max_mode: int | None = None,
+    shape: tuple = (),
 ) -> np.ndarray:
-    """Draw the half spectrum of one :func:`band_limited` field: one normal call."""
+    """Draw ``shape`` half spectra of :func:`band_limited`: one normal call."""
     n = grid.n
     if max_mode is None:
         max_mode = n // 4 - 1
     if max_mode >= n / 2:
         raise ValueError(f"max_mode {max_mode} must lie below n/2 = {n / 2}")
     k = np.arange(1, max_mode + 1)
-    a, b = rng.normal(size=(2, max_mode)) / k**DEFAULT_DECAY
-    spec = np.zeros(n // 2 + 1, dtype=complex)
-    spec[1 : max_mode + 1] = 0.5 * n * (a - 1j * b)
+    a, b = rng.normal(size=(2, *shape, max_mode)) / k**DEFAULT_DECAY
+    spec = np.zeros((*shape, n // 2 + 1), dtype=complex)
+    spec[..., 1 : max_mode + 1] = 0.5 * n * (a - 1j * b)
     return spec
 
 
@@ -64,13 +69,14 @@ def band_limited(
 
 # Every sampler below is build(grid, *draw(grid, rng)): ``draw`` makes all
 # of its generator calls and returns spectra and scalars, ``build`` turns
-# them into fields.  :func:`stacks` uses the same two parts on S samples.
+# them into fields.  ``shape=(S,)`` draws S samples of each part at once,
+# and :func:`stacks` builds them as one stack.
 
 
-def _draw_g(grid, rng, with_mean=True):
-    u2 = _spectrum(grid, rng)
-    mean = float(rng.normal()) if with_mean else 0.0
-    return u2, mean, _spectrum(grid, rng)
+def _draw_g(grid, rng, shape=(), with_mean=True):
+    u2 = _spectrum(grid, rng, shape=shape)
+    mean = rng.normal(size=shape) if with_mean else 0.0
+    return u2, mean, _spectrum(grid, rng, shape=shape)
 
 
 def _build_g(grid, u2, mean, u1):
@@ -79,18 +85,19 @@ def _build_g(grid, u2, mean, u1):
     return TangentVector(u1, _field(grid, u2) + mean)
 
 
-def _draw_k(grid, rng):
-    return _spectrum(grid, rng), _spectrum(grid, rng)
+def _draw_k(grid, rng, shape=()):
+    return _spectrum(grid, rng, shape=shape), _spectrum(grid, rng, shape=shape)
 
 
 def _build_k(grid, u1, u2):
     return KTangent(fs.antiderivative_from_zero(_field(grid, u1)), _field(grid, u2))
 
 
-def _draw_group(grid, rng):
+def _draw_group(grid, rng, shape=()):
     eighth = grid.n // 8
-    w, alpha = _spectrum(grid, rng, eighth), _spectrum(grid, rng, eighth)
-    return w, alpha, float(rng.uniform(0.0, 4.0 * np.pi))
+    w = _spectrum(grid, rng, eighth, shape)
+    alpha = _spectrum(grid, rng, eighth, shape)
+    return w, alpha, rng.uniform(0.0, 4.0 * np.pi, size=shape)
 
 
 def _build_group(grid, w, alpha, shift):
@@ -114,7 +121,7 @@ def g_tangent(
     grid: PeriodicGrid, rng: np.random.Generator, with_mean: bool = True
 ) -> TangentVector:
     """Random (u1, u2), u2 with a random mean unless ``with_mean`` is False."""
-    return _build_g(grid, *_draw_g(grid, rng, with_mean))
+    return _build_g(grid, *_draw_g(grid, rng, with_mean=with_mean))
 
 
 def k_tangent(grid: PeriodicGrid, rng: np.random.Generator) -> KTangent:
@@ -158,19 +165,15 @@ _SAMPLERS = {
 def stacks(grid: PeriodicGrid, rng: np.random.Generator, samples: int, *samplers):
     """Draw ``samples`` samples of the inputs ``samplers`` and stack each input.
 
-    ``samplers`` are one-sample constructors of this module.  The draws go
-    sample by sample, each sample's inputs in the order given, so the
-    generator makes the calls of ``samples`` rounds of one-sample calls.
-    Each input is then built once, as a stack of shape (samples, n), with
-    one batched inverse FFT per field; row s equals the one-sample result
-    of the s-th round bit for bit.
+    ``samplers`` are one-sample constructors of this module.  Each input,
+    in the order given, draws its ``samples`` samples with one generator
+    call per spectrum and per scalar, and is built as one stack of shape
+    (samples, n) with one batched inverse FFT per field.  Row s depends
+    only on the s-th row of those draws.
     """
-    drawn = [
-        [_SAMPLERS[s][0](grid, rng) for s in samplers] for _ in range(samples)
-    ]
     return [
-        _SAMPLERS[s][1](grid, *map(np.stack, zip(*(d[i] for d in drawn))))
-        for i, s in enumerate(samplers)
+        build(grid, *draw(grid, rng, (samples,)))
+        for draw, build in map(_SAMPLERS.get, samplers)
     ]
 
 

@@ -2,14 +2,15 @@
 
 Every identity is a residual registered in ``IDENTITIES`` with its
 tolerance.  A residual takes a stack size S and returns the residuals of
-S samples as an array of shape (S,): it draws the S samples' random
-band-limited inputs in sample order (:func:`randfields.stacks`), builds
-each input as one stack, and evaluates the identity once on the stacks.
-Row s equals the residual of the s-th sample computed alone, bit for bit.
-:func:`run_suite` calls each residual on blocks of at most ``BLOCK``
-samples, which bounds its memory, and reports the worst residual per
-identity against its tolerance, deterministically (same seed, same
-bytes).
+S samples as an array of shape (S,): it draws the S samples of each random
+band-limited input at once (:func:`randfields.stacks`), builds each input
+as one stack, and evaluates the identity once on the stacks.  Row s reads
+only the s-th row of the draws: it equals the residual of a stack of one
+built from that row, bit for bit.  :func:`run_suite` calls each residual
+on blocks of at most ``BLOCK`` samples, which bounds its memory, and
+reports the worst residual per identity against its tolerance,
+deterministically: the same seed, sample count and ``BLOCK`` give the same
+bytes.
 
 A deliberate sign error can be injected into selected identities (see
 ``FLIPPABLE``); that is a harness self-test, proving the suite fails when
@@ -121,8 +122,7 @@ def _j_squared(grid, rng, flip, samples):
     JJ = gm.kahler_J(gm.kahler_J(U, at=a), at=a)
     dev1 = fs.row_max(np.abs(JJ.u1.values + sign * U.u1.values))
     diff2 = JJ.u2.values + sign * U.u2.values
-    phix = a.phi_x.values
-    dev2 = fs.row_max(np.abs(diff2 - np.mean(diff2 * phix, axis=-1, keepdims=True)))
+    dev2 = fs.row_max(np.abs(gm._pi(diff2, a.phi_x.values)))
     dev = gm.kahler_J(gm.kahler_J(u)) + sign * u
     return _worst(dev1, dev2, gm.norm(dev))
 

@@ -15,7 +15,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hs2sphere"
 
 REFERENCE_ONLY = {
-    ("funcspace", "integrate"): "test_geodesics::test_conservation_along_flow",
     ("integrator", "rhs"): "test_integrate_steps_with_the_public_right_side",
     ("integrator", "rhs_restricted"): "the same RK4 reference step, restricted",
     ("sphere", "exp_at_one"): "test_sphere::test_log_exp_round_trip",

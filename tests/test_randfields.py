@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from hs2sphere.funcspace import PeriodicGrid
-from hs2sphere.randfields import DEFAULT_DECAY, _spectrum, band_limited
+from hs2sphere.randfields import (
+    DEFAULT_DECAY,
+    _spectrum,
+    band_limited,
+    k_tangent,
+    stacks,
+)
 
 from oracles import dense_band_limited
 
@@ -38,4 +44,22 @@ def test_spectrum_draws_like_two_normal_calls(max_mode):
     ref = np.zeros(grid.n // 2 + 1, dtype=complex)
     ref[1 : max_mode + 1] = 0.5 * grid.n * (a - 1j * b)
     assert spec.tobytes() == ref.tobytes()
+    assert rng.normal() == ref_rng.normal()
+
+
+@pytest.mark.parametrize("n, samples", [(64, 1), (256, 20)])
+def test_stacks_draw_each_spectrum_in_one_call(n, samples):
+    # a stack of k-tangents makes one normal call per spectrum, of all
+    # samples at once, not one call per sample
+    rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
+    (u,) = stacks(PeriodicGrid(n), rng, samples, k_tangent)
+    m = n // 4 - 1
+    ref_rng.normal(size=(2, samples, m))
+    a, b = ref_rng.normal(size=(2, samples, m)) / np.arange(1, m + 1) ** DEFAULT_DECAY
+    spec = np.zeros((samples, n // 2 + 1), dtype=complex)
+    spec[:, 1 : m + 1] = 0.5 * n * (a - 1j * b)
+    u2 = np.fft.irfft(spec, n)
+    # KTangent keeps the zero-mean representative of u2
+    u2 -= np.mean(u2, axis=-1, keepdims=True)
+    assert u.u2.values.tobytes() == u2.tobytes()
     assert rng.normal() == ref_rng.normal()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hs2sphere.geometry as gm
+import hs2sphere.randfields as rf
 from hs2sphere.funcspace import PeriodicGrid
 from hs2sphere.verification import BLOCK, FLIPPABLE, IDENTITIES, run_suite
 
@@ -33,16 +34,33 @@ def test_nan_sample_fails_its_identity(monkeypatch):
 
 @pytest.mark.parametrize("n, samples", [(64, 4), (256, 2)])
 @pytest.mark.parametrize("flip", [None, *FLIPPABLE])
-def test_stack_equals_one_sample_calls(n, samples, flip):
+def test_stack_equals_one_sample_calls(n, samples, flip, monkeypatch):
+    # row s of a block's residual equals the residual of a stack of one
+    # built from row s of the same draws: no row reads another row
     grid = PeriodicGrid(n)
     for name, (_, residual_of) in IDENTITIES.items():
         if flip is not None and name != flip:
             continue
         stacked = residual_of(grid, np.random.default_rng(5), name == flip, samples)
-        rng = np.random.default_rng(5)
-        alone = [residual_of(grid, rng, name == flip, 1) for _ in range(samples)]
         assert stacked.shape == (samples,)
-        assert np.array_equal(stacked, np.concatenate(alone), equal_nan=True), name
+        for s in range(samples):
+            with monkeypatch.context() as m:
+                m.setattr(rf, "_SAMPLERS", _row_samplers(s, samples))
+                alone = residual_of(grid, np.random.default_rng(5), name == flip, 1)
+            assert alone.shape == (1,)
+            assert np.array_equal(stacked[s : s + 1], alone, equal_nan=True), name
+
+
+def _row_samplers(s, samples):
+    """Samplers that draw a block of ``samples`` and build only its row s."""
+
+    def row_of(draw):
+        def draw_row(grid, rng, shape):
+            return [part[s : s + 1] for part in draw(grid, rng, (samples,))]
+
+        return draw_row
+
+    return {k: (row_of(draw), build) for k, (draw, build) in rf._SAMPLERS.items()}
 
 
 def _peak_bytes(samples: int) -> int:
