@@ -8,8 +8,8 @@ tolerances.
 
 :func:`stacks` draws S samples of each of several inputs with one
 generator call per spectrum and per scalar of that input, and builds each
-input as one stack of S samples.  Its draws are not those of S rounds of
-one-sample calls, so a stack depends on S as well as on the generator.
+input as one stack of S samples, so its rows depend on S as well as on
+the generator.
 """
 
 from __future__ import annotations
