@@ -49,7 +49,7 @@ from .group import (
     tangent_phi,
 )
 from .group import inverse as group_inverse
-from .integrator import IntegratorConfig, Trajectory, rhs, rhs_restricted
+from .integrator import IntegratorConfig, Trajectory, rhs
 from .integrator import integrate as integrate_pde
 from .sphere import SpherePoint, SphereTangent, exp_at_one, log_at_one
 from .verification import run_suite
@@ -87,7 +87,6 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "rhs",
-    "rhs_restricted",
     "integrate_pde",
     "SpherePoint",
     "SphereTangent",

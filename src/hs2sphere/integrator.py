@@ -12,8 +12,7 @@ rho u, u u_x (funcspace's entry points, on views built once); derivatives,
 A^{-1} d/dx and the 2/3-rule dealiasing mask act on coefficients, and the
 u(0) = 0 pin is a mean-mode correction.  Stage 1 of each state also yields
 its energy and recorded rows.  The blow-up guard reads w = u_x + i rho off
-the great circle, for a block of steps at once.  The zero-mean-restricted
-variant zeroes rho's mean mode at every stage.
+the great circle, for a block of steps at once.
 """
 
 from __future__ import annotations
@@ -35,17 +34,18 @@ UX_LIMIT = 1e6
 MAX_STEPS = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class IntegratorConfig:
     """Fixed-step RK4 configuration.
 
+    ``dealias`` (the 2/3 rule) has no default, so every caller states it.
     ``record_every`` controls how often full states enter the trajectory;
     scalar conservation logs are kept every step regardless.
     """
 
     dt: float = 5e-4
     t_end: float = 1.0
-    dealias: bool = True
+    dealias: bool
     record_every: int = 1
 
     def __post_init__(self):
@@ -77,7 +77,6 @@ class Trajectory:
     energy: np.ndarray          # c(t)^2 = (1/4) integral(u_x^2 + rho^2)
     rho_mean: np.ndarray
     dt: float
-    restricted: bool = False
 
     def state(self, i: int) -> tuple[PeriodicFunction, PeriodicFunction]:
         return (
@@ -100,8 +99,8 @@ class _Stage:
     the multipliers -d/dx and -(1/2) A^{-1} d/dx.  Its views are built once.
     """
 
-    def __init__(self, grid: PeriodicGrid, dealias: bool, restricted: bool):
-        sp, self.n, self.restricted = grid.spectral, grid.n, restricted
+    def __init__(self, grid: PeriodicGrid, dealias: bool):
+        sp, self.n = grid.spectral, grid.n
         self.deriv, self.mask = sp.deriv, sp.mask if dealias else None
         self.neg_dx, self.neg_half_ainv_dx = -sp.deriv, -0.5 * sp.ainv_dx
         self.coef = np.empty((3, self.n // 2 + 1), dtype=complex)
@@ -115,8 +114,6 @@ class _Stage:
             self.y[...] = y
         else:
             np.add(y, np.multiply(k, scale, out=self.y), out=self.y)
-        if self.restricted:
-            self.c0[0] = 0.0
         np.multiply(self.c1, self.deriv, out=self.c2)
         fs.irfft(self.coef, self.n, out=self.rows)
         np.multiply(self.ux, self.ux, out=self.q0)
@@ -132,25 +129,14 @@ class _Stage:
         return out
 
 
-def _grid_rhs(u, rho, dealias: bool, restricted: bool):
-    """rfft, one coefficient-space stage, irfft."""
-    y = fs.rfft(np.stack([rho.values, u.values]))
-    rhot, ut = fs.irfft(_Stage(u.grid, dealias, restricted)(y, y), u.grid.n)
-    return PeriodicFunction(u.grid, ut), PeriodicFunction(u.grid, rhot)
-
-
 def rhs(
-    u: PeriodicFunction, rho: PeriodicFunction, dealias: bool = True
+    u: PeriodicFunction, rho: PeriodicFunction, *, dealias: bool
 ) -> tuple[PeriodicFunction, PeriodicFunction]:
-    """Weak-form right side, u_t(0) = 0 if u(0) = 0; dealias applies the 2/3 rule."""
-    return _grid_rhs(u, rho, dealias, False)
-
-
-def rhs_restricted(
-    u: PeriodicFunction, rho: PeriodicFunction, dealias: bool = True
-) -> tuple[PeriodicFunction, PeriodicFunction]:
-    """Zero-mean-restricted :func:`rhs`; its second output is exactly mean-free."""
-    return _grid_rhs(u, rho, dealias, True)
+    """Weak-form right side, u_t(0) = 0 if u(0) = 0; dealias applies the 2/3
+    rule.  One coefficient-space stage between an rfft and an irfft."""
+    y = fs.rfft(np.stack([rho.values, u.values]))
+    rhot, ut = fs.irfft(_Stage(u.grid, dealias)(y, y), u.grid.n)
+    return PeriodicFunction(u.grid, ut), PeriodicFunction(u.grid, rhot)
 
 
 def _label_sups(h: np.ndarray, csq: float, times) -> np.ndarray:
@@ -170,7 +156,6 @@ def _label_sups(h: np.ndarray, csq: float, times) -> np.ndarray:
 def integrate(
     d: InitialData,
     cfg: IntegratorConfig,
-    restricted: bool = False,
     ux_limit: float = UX_LIMIT,
 ) -> Trajectory:
     """Run RK4 from the initial data to t_end.
@@ -202,24 +187,17 @@ def integrate(
     constant to u_t and leaves the law unchanged.  The run also halts
     before a step with 0.5 dt sup|Re w| >= 1, which could reach the pole.
 
-    With ``restricted=True`` rho is replaced by its mean-free part
-    rho' = rho - mean(rho).  The restricted flow is the 2HS flow of
-    (u, rho'): u_t sees rho' only, and rho'_t = -(rho' u)_x because the mean
-    of (rho' u)_x is zero.  The same law therefore holds for
-    w = u_x + i rho', with w0 = u0_x + i (rho0 - mean rho0) and c^2 the
-    restricted energy (1/4) mean(u_x^2 + rho'^2).
+    rho's mean is conserved, so the zero-mean flow of (u0, rho0), the one
+    that descends to projective space, is
+    ``integrate(InitialData(u0, fs.mean_projection(rho0)), cfg)``.
     """
     n_steps, n = cfg.n_steps, d.grid.n
     dt = cfg.t_end / n_steps
-    y = np.stack([d.rho0.values, d.u0.values])
-    if restricted:
-        y[0] -= np.mean(y[0])
     # f = cos(ct) + h sin(ct) / c, h = w0 / 2, c^2 = mean |h|^2; t at c = 0
-    h = 0.5 * (d.u0x.values + 1j * y[0])
-    csq = float(np.mean(h.real * h.real + h.imag * h.imag))
+    h, csq = 0.5 * (d.u0x.values + 1j * d.rho0.values), d._csq
     block = max(1, 4096 // n)  # steps per label evaluation, <= 4,096 values
-    stage, abs_ux = _Stage(d.grid, cfg.dealias, restricted), np.empty(n)
-    Y = fs.rfft(y)
+    stage, abs_ux = _Stage(d.grid, cfg.dealias), np.empty(n)
+    Y = fs.rfft(np.stack([d.rho0.values, d.u0.values]))
     k1, k2, k3, k4 = ks = np.empty((4, *Y.shape), dtype=complex)
     en_t = np.arange(n_steps + 1) * dt
     en, means = np.empty((2, n_steps + 1))
@@ -229,7 +207,7 @@ def integrate(
         states = np.asarray(rec_y)
         return Trajectory(
             d.grid, np.asarray(rec_t), states[:, 0], states[:, 1],
-            en_t[:step + 1], en[:step + 1], means[:step + 1], dt, restricted,
+            en_t[:step + 1], en[:step + 1], means[:step + 1], dt,
         )
 
     def halt(message: str, step: int) -> StepBlowupError:

@@ -116,7 +116,7 @@ def test_c2_integrator_halt_near_blowup(grid):
     """
     data = make_preset("hs-blowup", grid)
     T = blowup_time(data).T
-    cfg = IntegratorConfig(dt=5e-4, t_end=T + 0.2, record_every=10**9)
+    cfg = IntegratorConfig(dt=5e-4, t_end=T + 0.2, dealias=True, record_every=10**9)
     halted_at = None
     try:
         integrate(data, cfg, ux_limit=100.0)
@@ -397,7 +397,7 @@ def test_c8_exp_log_and_connectivity(grid):
 
 def test_c9_conservation_and_order(grid):
     data = make_preset("smooth-global", grid)
-    cfg = IntegratorConfig(dt=5e-4, t_end=1.0, record_every=2000)
+    cfg = IntegratorConfig(dt=5e-4, t_end=1.0, dealias=True, record_every=2000)
     traj = integrate(data, cfg)
     drift = float(np.max(np.abs(traj.energy - traj.energy[0])) / traj.energy[0])
     mean_drift = float(np.max(np.abs(traj.rho_mean - traj.rho_mean[0])))
@@ -406,7 +406,7 @@ def test_c9_conservation_and_order(grid):
     u_ex, rho_ex = exact_solution(data, 0.25)
 
     def err(dt):
-        c = IntegratorConfig(dt=dt, t_end=0.25, record_every=10**9)
+        c = IntegratorConfig(dt=dt, t_end=0.25, dealias=True, record_every=10**9)
         t = integrate(data, c)
         u, rho = t.state(-1)
         eu, er = compare_states(u, rho, u_ex, rho_ex)

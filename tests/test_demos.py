@@ -1,6 +1,8 @@
-"""Each script under demos/ runs to completion against the package in src/."""
+"""Each script under demos/, and README's library quick start, runs to
+completion against the package in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,18 +13,32 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
+def _run(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    done = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    done = _run([str(demo)], tmp_path)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # each print in the block writes what its trailing comment says
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S)[1]
+    expected = re.findall(r"^print\(.*#\s*(.*?)\s*$", block, re.M)
+    done = _run(["-c", block], tmp_path)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert expected and done.stdout.splitlines() == expected

@@ -73,7 +73,7 @@ def test_integrator_config_validation():
         {"dt": 1e-12, "t_end": 1.0},
     ):
         with pytest.raises(ValueError):
-            IntegratorConfig(**kwargs)
+            IntegratorConfig(dealias=False, **kwargs)
 
 
 def test_antiderivative_derivative_consistency(grid, rng):

@@ -281,7 +281,7 @@ def test_one_fourier_convention(grid, rng, monkeypatch):
     multiply(a, b)
     inverse(a)
     run_suite(samples=1)
-    integrate(smooth, IntegratorConfig(dt=1e-3, t_end=5e-3))
+    integrate(smooth, IntegratorConfig(dt=1e-3, t_end=5e-3, dealias=True))
 
 
 def test_coefficients_are_prepared_once(monkeypatch):

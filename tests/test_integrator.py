@@ -16,7 +16,6 @@ from hs2sphere.integrator import (
     compare_states,
     integrate,
     rhs,
-    rhs_restricted,
 )
 from hs2sphere.presets import make_preset
 from hs2sphere.serialize import fmt_float, write_trajectory_csv
@@ -30,6 +29,19 @@ def stationary(grid):
     )
 
 
+def underflow(grid):
+    # nonzero data whose energy underflows: c^2 = 0.0 reaches the guard's
+    # t-at-c = 0 branch, while speed and blowup_time reject the data
+    return InitialData(
+        PeriodicFunction.zeros(grid), PeriodicFunction(grid, np.full(grid.n, 1e-170))
+    )
+
+
+def _mean_free(d):
+    # rho's mean is conserved: the zero-mean-restricted flow of d
+    return InitialData(d.u0, fs.mean_projection(d.rho0))
+
+
 def smooth_global(grid):
     return InitialData.from_u0x(
         grid, lambda x: np.sin(TWO_PI * x), lambda x: 1.5 + np.cos(TWO_PI * x)
@@ -38,7 +50,7 @@ def smooth_global(grid):
 
 def test_rhs_stationary_point(grid):
     d = stationary(grid)
-    ut, rhot = rhs(d.u0, d.rho0)
+    ut, rhot = rhs(d.u0, d.rho0, dealias=True)
     assert ut.max_abs() < 1e-14
     assert rhot.max_abs() < 1e-14
 
@@ -47,7 +59,7 @@ def test_rhs_symbolic_case(grid):
     # u = 0, rho = cos -> u_t = sin(4 pi x)/(16 pi), rho_t = 0
     u = PeriodicFunction.zeros(grid)
     rho = PeriodicFunction.from_callable(grid, lambda x: np.cos(TWO_PI * x))
-    ut, rhot = rhs(u, rho)
+    ut, rhot = rhs(u, rho, dealias=True)
     expected = np.sin(2.0 * TWO_PI * grid.x) / (16.0 * np.pi)
     assert np.max(np.abs(ut.values - expected)) < 1e-14
     assert rhot.max_abs() < 1e-14
@@ -70,7 +82,7 @@ def test_rhs_preserves_u0_pin(grid, rng):
     w = PeriodicFunction(grid, np.sin(TWO_PI * grid.x) * 0.3)
     u = fs.antiderivative_from_zero(fs.mean_projection(w))
     rho = PeriodicFunction.from_callable(grid, lambda x: 1.0 + 0.2 * np.cos(TWO_PI * x))
-    ut, _ = rhs(u, rho)
+    ut, _ = rhs(u, rho, dealias=True)
     assert abs(ut.values[0]) < 1e-15
 
 
@@ -78,9 +90,8 @@ def test_rhs_restricted_properties(grid, rng):
     u = fs.antiderivative_from_zero(
         PeriodicFunction(grid, 0.4 * np.sin(TWO_PI * grid.x))
     )
-    # constant rho: projection kills it, pure transport side remains
-    rho_const = PeriodicFunction.constant(grid, 3.0)
-    ut_c, rhot_c = rhs_restricted(u, rho_const)
+    # rho = 0, the mean-free part of a constant: the HS right side remains
+    ut_c, rhot_c = rhs(u, PeriodicFunction.zeros(grid), dealias=True)
     ux = fs.derivative(u)
     hs_ut = (
         -u.values * ux.values
@@ -90,17 +101,12 @@ def test_rhs_restricted_properties(grid, rng):
     assert rhot_c.max_abs() < 1e-14
 
     rho = PeriodicFunction.from_callable(grid, lambda x: np.cos(TWO_PI * x))
-    _, rhot = rhs_restricted(u, rho)
+    _, rhot = rhs(u, rho, dealias=True)
     assert abs(fs.row_mean(rhot.values)) < 1e-15
-    # zero-mean rho: restricted and plain right sides agree
-    ut_a, rhot_a = rhs(u, rho)
-    ut_b, rhot_b = rhs_restricted(u, rho)
-    assert np.max(np.abs(ut_a.values - ut_b.values)) < 1e-13
-    assert np.max(np.abs(rhot_a.values - rhot_b.values)) < 1e-13
 
 
 def test_stationary_state_constant(grid):
-    cfg = IntegratorConfig(dt=1e-3, t_end=1.0, record_every=200)
+    cfg = IntegratorConfig(dt=1e-3, t_end=1.0, dealias=True, record_every=200)
     traj = integrate(stationary(grid), cfg)
     u, rho = traj.state(-1)
     assert u.max_abs() < 1e-12
@@ -120,7 +126,7 @@ def test_matches_exact_solution(grid):
 
 def test_energy_and_mean_conservation(grid):
     d = smooth_global(grid)
-    cfg = IntegratorConfig(dt=5e-4, t_end=1.0, record_every=2000)
+    cfg = IntegratorConfig(dt=5e-4, t_end=1.0, dealias=True, record_every=2000)
     traj = integrate(d, cfg)
     drift = np.max(np.abs(traj.energy - traj.energy[0])) / traj.energy[0]
     assert drift < 1e-8
@@ -162,25 +168,23 @@ def test_transform_budget_and_energy_reuse(grid, monkeypatch, dealias):
         assert abs(energy - recomputed) <= 1e-15 * energy
 
 
-@pytest.mark.parametrize("restricted", [False, True], ids=["plain", "restricted"])
-@pytest.mark.parametrize("dealias", [False, True], ids=["dealias-off", "dealias-on"])
-def test_integrate_steps_with_the_public_right_side(grid, rng, dealias, restricted):
+@pytest.mark.parametrize(
+    "dealias", [False, True], ids=["dealias-off-plain", "dealias-on-plain"]
+)
+def test_integrate_steps_with_the_public_right_side(grid, rng, dealias):
     # modes up to 100 > n/3, so the 2/3 mask changes the products
     w = rf.band_limited(grid, rng, max_mode=100, amplitude=0.5)
     rho0 = rf.band_limited(grid, rng, max_mode=100, amplitude=0.5) + 1.0
     d = InitialData(fs.antiderivative_from_zero(w), rho0)
     dt = 1e-2
     cfg = IntegratorConfig(dt=dt, t_end=2 * dt, dealias=dealias, record_every=1)
-    traj = integrate(d, cfg, restricted=restricted)
-    right_side = rhs_restricted if restricted else rhs
+    traj = integrate(d, cfg)
 
     def f(y):
         u, rho = (PeriodicFunction(grid, row) for row in y)
-        return np.stack([g.values for g in right_side(u, rho, dealias=dealias)])
+        return np.stack([g.values for g in rhs(u, rho, dealias=dealias)])
 
     y = np.stack([d.u0.values, d.rho0.values])
-    if restricted:
-        y[1] -= np.mean(y[1])
     k1 = f(y)
     k2 = f(y + 0.5 * dt * k1)
     k3 = f(y + 0.5 * dt * k2)
@@ -207,7 +211,7 @@ def test_non_finite_state_halts(grid, monkeypatch):
         return out
 
     monkeypatch.setattr(fs, "rfft", poisoning_rfft)
-    cfg = IntegratorConfig(dt=dt, t_end=10 * dt, record_every=1)
+    cfg = IntegratorConfig(dt=dt, t_end=10 * dt, dealias=True, record_every=1)
     with pytest.raises(StepBlowupError) as exc_info:
         integrate(d, cfg)
     err = exc_info.value
@@ -226,7 +230,7 @@ def test_fourth_order_convergence(grid):
     ue, rhoe = exact_solution(d, 0.25)
 
     def err(dt):
-        cfg = IntegratorConfig(dt=dt, t_end=0.25, record_every=10**9)
+        cfg = IntegratorConfig(dt=dt, t_end=0.25, dealias=True, record_every=10**9)
         traj = integrate(d, cfg)
         u, rho = traj.state(-1)
         eu, er = compare_states(u, rho, ue, rhoe)
@@ -279,7 +283,7 @@ def test_restricted_flow_zero_mean_and_accuracy(grid):
         grid, lambda x: np.sin(TWO_PI * x), lambda x: np.cos(TWO_PI * x)
     )
     cfg = IntegratorConfig(dt=1e-3, t_end=0.3, dealias=False, record_every=300)
-    traj = integrate(d, cfg, restricted=True)
+    traj = integrate(d, cfg)
     assert np.max(np.abs(traj.rho_mean)) < 1e-14
     u, rho = traj.state(-1)
     ue, rhoe = exact_solution(d, 0.3)
@@ -293,7 +297,7 @@ def test_halt_on_gradient_limit(grid):
         grid, lambda x: np.cos(TWO_PI * x), lambda x: np.zeros_like(x)
     )
     T = blowup_time(d).T
-    cfg = IntegratorConfig(dt=5e-4, t_end=2.0, record_every=100)
+    cfg = IntegratorConfig(dt=5e-4, t_end=2.0, dealias=True, record_every=100)
     with pytest.raises(StepBlowupError) as exc_info:
         integrate(d, cfg, ux_limit=5.0)
     err = exc_info.value
@@ -309,7 +313,7 @@ def test_default_guard_halts_before_blowup(grid):
         grid, lambda x: np.cos(TWO_PI * x), lambda x: np.zeros_like(x)
     )
     T = blowup_time(d).T
-    cfg = IntegratorConfig(dt=5e-4, t_end=T + 0.2, record_every=10**9)
+    cfg = IntegratorConfig(dt=5e-4, t_end=T + 0.2, dealias=True, record_every=10**9)
     with pytest.raises(StepBlowupError) as exc_info:
         integrate(d, cfg)
     assert 0.0 < exc_info.value.halt_time < T
@@ -318,7 +322,8 @@ def test_default_guard_halts_before_blowup(grid):
 def test_label_reading_is_exact(grid):
     # the halt message names sup|Re w| of w = 2 f_t / f on the great circle
     d = make_preset("hs-blowup", grid)
-    cfg = IntegratorConfig(dt=5e-4, t_end=blowup_time(d).T + 0.2, record_every=10**9)
+    T = blowup_time(d).T
+    cfg = IntegratorConfig(dt=5e-4, t_end=T + 0.2, dealias=True, record_every=10**9)
     with pytest.raises(StepBlowupError) as exc_info:
         integrate(d, cfg)
     reading = float(re.search(r"label sup\|Re w\| = (\S+)", str(exc_info.value))[1])
@@ -339,9 +344,8 @@ def _label_sup_alone(h, csq, t):
     return np.max(np.abs(w.real))
 
 
-def _label_h_csq(d, restricted):
-    rho0 = d.rho0.values - np.mean(d.rho0.values) if restricted else d.rho0.values
-    h = 0.5 * (d.u0x.values + 1j * rho0)
+def _label_h_csq(d):
+    h = 0.5 * (d.u0x.values + 1j * d.rho0.values)
     return h, float(np.mean(h.real * h.real + h.imag * h.imag))
 
 
@@ -356,7 +360,7 @@ def _assert_blocks_match(h, csq, blocks):
 def test_blocked_label_reading_is_bitwise_past_the_pole(n):
     # hs-blowup from t = 0 to 1.5 T, in blocks of 4,096 values
     d = make_preset("hs-blowup", PeriodicGrid(n))
-    h, csq = _label_h_csq(d, False)
+    h, csq = _label_h_csq(d)
     dt, steps, block = 5e-4, int(1.5 * blowup_time(d).T / 5e-4), max(1, 4096 // n)
     times = [j * dt for j in range(steps)]
     _assert_blocks_match(h, csq, [times[i:i + block] for i in range(0, steps, block)])
@@ -373,18 +377,20 @@ def test_blocked_label_reading_is_bitwise_past_the_pole(n):
 
 
 @pytest.mark.parametrize(
-    "preset, restricted",
-    [("hs-blowup", False), ("smooth-global", True), ("stationary", True)],
+    "data, c_is_zero",
+    [
+        (lambda grid: make_preset("hs-blowup", grid), False),
+        (lambda grid: _mean_free(make_preset("smooth-global", grid)), False),
+        (underflow, True),
+    ],
     ids=["hs-blowup", "restricted", "restricted-stationary-c0"],
 )
-def test_integrate_reads_the_label_guard_in_blocks(
-    grid, monkeypatch, preset, restricted
-):
+def test_integrate_reads_the_label_guard_in_blocks(grid, monkeypatch, data, c_is_zero):
     # every block integrate evaluates equals the per-step readings, and
-    # holds at most 4,096 values; the restricted stationary state has c = 0
-    d = make_preset(preset, grid)
-    h, csq = _label_h_csq(d, restricted)
-    assert (csq == 0.0) == (preset == "stationary")
+    # holds at most 4,096 values; the underflow data has c = 0
+    d = data(grid)
+    h, csq = _label_h_csq(d)
+    assert (csq == 0.0) == c_is_zero
     blocks = []
     label_sups = integrator._label_sups
 
@@ -394,8 +400,8 @@ def test_integrate_reads_the_label_guard_in_blocks(
         return label_sups(h_in, csq_in, times)
 
     monkeypatch.setattr(integrator, "_label_sups", recording)
-    cfg = IntegratorConfig(dt=1e-3, t_end=0.1, record_every=10**9)
-    integrate(d, cfg, restricted=restricted)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.1, dealias=True, record_every=10**9)
+    integrate(d, cfg)
     monkeypatch.undo()
     assert [t for b in blocks for t in b][:100] == [j * 1e-3 for j in range(100)]
     assert all(len(b) * grid.n <= 4096 for b in blocks)
@@ -410,7 +416,7 @@ def test_integrate_reads_the_label_guard_in_blocks(
 @pytest.mark.parametrize("n, before_mib", [(1024, 0.280), (4096, 1.100)])
 def test_integrate_memory_stays_near_one_step(n, before_mib):
     d = make_preset("hs-blowup", PeriodicGrid(n))
-    cfg = IntegratorConfig(dt=1e-3, t_end=4e-3, record_every=10**9)
+    cfg = IntegratorConfig(dt=1e-3, t_end=4e-3, dealias=True, record_every=10**9)
     integrate(d, cfg)  # the grid's multipliers are cached, as in a long run
     tracemalloc.start()
     try:
@@ -423,32 +429,34 @@ def test_integrate_memory_stays_near_one_step(n, before_mib):
 
 
 def test_restricted_stationary_zero_speed(grid):
-    # the restricted flow of (0, 2) is (0, 0): c = 0 and the guard reads w = 0
-    cfg = IntegratorConfig(dt=1e-3, t_end=1.0, record_every=250)
-    traj = integrate(stationary(grid), cfg, restricted=True)
+    # (0, 1e-170) is stationary and its energy underflows: c = 0, and the
+    # guard reads w = 0
+    d = underflow(grid)
+    cfg = IntegratorConfig(dt=1e-3, t_end=1.0, dealias=True, record_every=250)
+    traj = integrate(d, cfg)
     assert traj.times[-1] == 1.0 and traj.energy_times[-1] == 1.0
-    assert not np.any(traj.u) and not np.any(traj.rho)
+    assert not np.any(traj.u) and np.all(traj.rho == d.rho0.values)
 
 
 def test_restricted_halt_before_blowup(grid):
     # rho0 > 0, yet its mean-free part vanishes where u0_x = 0: the
-    # restricted flow breaks down at the blow-up time of the projected data
-    d = InitialData.from_u0x(
+    # restricted flow, that of the projected data, breaks down at its T
+    d = _mean_free(InitialData.from_u0x(
         grid,
         lambda x: np.cos(TWO_PI * x),
         lambda x: 1.0 + 0.5 * np.cos(TWO_PI * x),
-    )
-    T = blowup_time(InitialData(d.u0, fs.mean_projection(d.rho0))).T
-    cfg = IntegratorConfig(dt=1e-3, t_end=T + 0.1, record_every=10**9)
+    ))
+    T = blowup_time(d).T
+    cfg = IntegratorConfig(dt=1e-3, t_end=T + 0.1, dealias=True, record_every=10**9)
     with pytest.raises(StepBlowupError) as exc_info:
-        integrate(d, cfg, restricted=True, ux_limit=100.0)
+        integrate(d, cfg, ux_limit=100.0)
     err = exc_info.value
     assert err.halt_time is not None and 0.0 < err.halt_time < T
     assert "label sup|Re w|" in str(err)
 
 
 def test_trajectory_csv(grid, tmp_path):
-    cfg = IntegratorConfig(dt=1e-2, t_end=0.1, record_every=5)
+    cfg = IntegratorConfig(dt=1e-2, t_end=0.1, dealias=True, record_every=5)
     traj = integrate(smooth_global(grid), cfg)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)

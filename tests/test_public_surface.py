@@ -16,7 +16,6 @@ PACKAGE = ROOT / "src" / "hs2sphere"
 
 REFERENCE_ONLY = {
     ("integrator", "rhs"): "test_integrate_steps_with_the_public_right_side",
-    ("integrator", "rhs_restricted"): "the same RK4 reference step, restricted",
     ("sphere", "exp_at_one"): "test_sphere::test_log_exp_round_trip",
     ("sphere", "log_at_one"): "test_c8_exp_log_and_connectivity's connect oracle",
     ("randfields", "sphere_tangent"): "test_acceptance::test_c7_hopf_layer inputs",
