@@ -23,7 +23,6 @@ existence time, 10 finite-time blow-up detected.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -50,58 +49,70 @@ from .serialize import fmt_float, json_dump, json_dumps, write_trajectory_csv
 from .verification import FLIPPABLE, run_suite
 
 
+def _setting(default, help: str):
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass
 class RunConfig:
-    n: int = 256
-    preset: str | None = None
-    u0x_cos: list = field(default_factory=list)
-    u0x_sin: list = field(default_factory=list)
-    rho0_mean: float = 0.0
-    rho0_cos: list = field(default_factory=list)
-    rho0_sin: list = field(default_factory=list)
-    t_end: float = 1.0
-    dt: float = 5e-4
-    dealias: bool = False
-    record_every: int = 0  # 0: choose ~10 recorded states automatically
-    outdir: str = "."
-    seed: int = 0
-    samples: int = 100
+    """Every setting of the command line, declared once.
+
+    A field's flag is ``--name`` with dashes, its config-file key is
+    ``name``, and its annotation picks the parser of its raw value.
+    """
+
+    n: int = _setting(256, "grid size (even, >= 8)")
+    preset: str | None = _setting(
+        None, f"named initial data: {', '.join(PRESET_NAMES)}"
+    )
+    u0x_cos: tuple = _setting((), "cosine coefficients of u0x, comma-separated")
+    u0x_sin: tuple = _setting((), "sine coefficients of u0x, comma-separated")
+    rho0_mean: float = _setting(0.0, "mean of rho0")
+    rho0_cos: tuple = _setting((), "cosine coefficients of rho0, comma-separated")
+    rho0_sin: tuple = _setting((), "sine coefficients of rho0, comma-separated")
+    t_end: float = _setting(1.0, "final time")
+    dt: float = _setting(5e-4, "RK4 step")
+    dealias: bool = _setting(
+        False, "2/3-rule dealiasing: on/off/true/false/1/0 (default off: full resolution)"
+    )
+    record_every: int = _setting(
+        0, "state recording stride (default 0: about 10 recorded states)"
+    )
+    outdir: str = _setting(".", "output directory")
+    seed: int = _setting(0, "random seed (>= 0)")
+    samples: int = _setting(100, "random samples per identity")
 
 
 _BOOL_WORDS = {"true": True, "on": True, "1": True,
                "false": False, "off": False, "0": False}
 
 
-def _float_list(raw: str) -> list:
-    return [float(v) for v in raw.split(",")]
+def _float_list(raw: str) -> tuple:
+    return tuple(float(v) for v in raw.split(",")) if raw else ()
+
+
+# RunConfig annotation -> (parser of a raw value, what the value must be)
+_PARSERS = {
+    "int": (int, "integer"),
+    "float": (float, "number"),
+    "tuple": (_float_list, "list"),
+    "bool": (lambda raw: _BOOL_WORDS[raw.lower()], "boolean"),
+    "str": (str, "string"),
+    "str | None": (str, "string"),
+}
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+_FLAGS = {f"--{name.replace('_', '-')}": name for name in _FIELDS}
 
 
 def _parse_value(name: str, raw: str):
+    if name not in _FIELDS:
+        raise ConfigError(f"unknown config key {name!r}")
+    parse, what = _PARSERS[_FIELDS[name].type]
     raw = raw.strip()
-    if name in ("u0x_cos", "u0x_sin", "rho0_cos", "rho0_sin"):
-        if not raw:
-            return []
-        try:
-            return _float_list(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad list for {name}: {raw!r}") from exc
-    if name in ("n", "record_every", "seed", "samples"):
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad integer for {name}: {raw!r}") from exc
-    if name in ("t_end", "dt", "rho0_mean"):
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad number for {name}: {raw!r}") from exc
-    if name == "dealias":
-        if raw.lower() not in _BOOL_WORDS:
-            raise ConfigError(f"bad boolean for dealias: {raw!r}")
-        return _BOOL_WORDS[raw.lower()]
-    if name in ("preset", "outdir"):
-        return raw
-    raise ConfigError(f"unknown config key {name!r}")
+    try:
+        return parse(raw)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad {what} for {name}: {raw!r}") from exc
 
 
 def load_config_file(path: str) -> dict:
@@ -124,17 +135,13 @@ def load_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = replace(cfg, **load_config_file(args.config))
-    overrides = {}
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            overrides[f.name] = (
-                _parse_value(f.name, flag) if isinstance(flag, str) else flag
-            )
-    cfg = replace(cfg, **overrides)
+    """The config file's settings, overridden by the flags given."""
+    values = load_config_file(args.config) if args.config else {}
+    for name in _FIELDS:
+        raw = getattr(args, name, None)
+        if raw is not None:
+            values[name] = _parse_value(name, raw)
+    cfg = RunConfig(**values)
     if cfg.preset is not None and cfg.preset not in PRESET_NAMES:
         raise ConfigError(
             f"unknown preset {cfg.preset!r}; choose from {PRESET_NAMES}"
@@ -146,11 +153,21 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         ("dt", 0.0 < cfg.dt and cfg.t_end / cfg.dt <= MAX_STEPS,
          f"at least t_end / {MAX_STEPS}"),
         ("record_every", cfg.record_every >= 0, ">= 0"),
+        ("seed", cfg.seed >= 0, ">= 0"),
         ("samples", cfg.samples >= 1, ">= 1"),
     ):
         if not ok:
             raise ConfigError(f"{name} must be {rule}, got {getattr(cfg, name)!r}")
     return cfg
+
+
+def _make_outdir(cfg: RunConfig) -> Path:
+    outdir = Path(cfg.outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.outdir!r}: {exc}") from exc
+    return outdir
 
 
 def _fourier_sum(grid: PeriodicGrid, cos_coeffs, sin_coeffs) -> np.ndarray:
@@ -192,11 +209,9 @@ def _write_exact_trajectory(path, times, states) -> None:
     )
 
 
-def cmd_solve(args) -> int:
-    cfg = build_config(args)
+def cmd_solve(cfg: RunConfig, args) -> int:
     data = build_initial_data(cfg)
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(cfg)
 
     report = blowup_time(data)
     if report.finite and cfg.t_end >= report.T - BLOWUP_MARGIN:
@@ -246,11 +261,9 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_blowup(args) -> int:
-    cfg = build_config(args)
+def cmd_blowup(cfg: RunConfig, args) -> int:
     data = build_initial_data(cfg)
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(cfg)
     cls = classify_existence(data)
     obj = cls.report.to_json_obj()
     obj["schema_version"] = 1
@@ -261,15 +274,13 @@ def cmd_blowup(args) -> int:
     return 10 if cls.report.finite else 0
 
 
-def cmd_verify(args) -> int:
-    cfg = build_config(args)
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_verify(cfg: RunConfig, args) -> int:
+    outdir = _make_outdir(cfg)
     report = run_suite(
         n=cfg.n,
         samples=cfg.samples,
         seed=cfg.seed,
-        sign_flip=getattr(args, "inject_sign_error", None),
+        sign_flip=args.inject_sign_error,
     )
     json_dump(report, outdir / "verify_report.json")
     for r in report["results"]:
@@ -292,10 +303,8 @@ def _load_element(path: str) -> GroupElement:
         raise ConfigError(f"cannot load group element from {path!r}: {exc}") from exc
 
 
-def cmd_logmap(args) -> int:
-    cfg = build_config(args)
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_logmap(cfg: RunConfig, args) -> int:
+    outdir = _make_outdir(cfg)
     target = _load_element(args.target)
     result = log_map(target)
     obj: dict = {"schema_version": 1, "kind": result.kind}
@@ -310,10 +319,8 @@ def cmd_logmap(args) -> int:
     return 0
 
 
-def cmd_connect(args) -> int:
-    cfg = build_config(args)
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_connect(cfg: RunConfig, args) -> int:
+    outdir = _make_outdir(cfg)
     a = _load_element(args.a)
     b = _load_element(args.b)
     result = connect(a, b)
@@ -326,20 +333,6 @@ def cmd_connect(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value configuration file")
-    p.add_argument("--n", type=int, help="grid size (even, >= 8)")
-    p.add_argument("--outdir", help="output directory")
-
-
-_LIST_FLAGS = (
-    ("--u0x-cos", "u0x_cos", "cosine coefficients of u0x"),
-    ("--u0x-sin", "u0x_sin", "sine coefficients of u0x"),
-    ("--rho0-cos", "rho0_cos", "cosine coefficients of rho0"),
-    ("--rho0-sin", "rho0_sin", "sine coefficients of rho0"),
-)
-
-
 def _is_float_list(token: str) -> bool:
     try:
         _float_list(token)
@@ -348,28 +341,26 @@ def _is_float_list(token: str) -> bool:
     return True
 
 
-def _join_list_values(argv: list) -> list:
-    """Attach each coefficient list to its flag, as ``--u0x-cos=-0.3,0.1``.
+def _join_setting_values(argv: list) -> list:
+    """Attach each value that reads as numbers to its setting flag, as
+    ``--u0x-cos=-0.3,0.1`` or ``--rho0-mean=-1e-3``.
 
-    argparse reads a separate list that starts with a minus sign as a
-    flag.  Only a token that parses as a comma-separated float list is
-    joined, so a real flag after a list flag still fails as a missing value.
+    argparse reads a separate value that starts with a minus sign, other
+    than a plain decimal, as a flag.  Only a token that parses as a
+    comma-separated float list is joined, so a real flag after a setting
+    flag still fails as a missing value.
     """
-    flags = [flag for flag, _, _ in _LIST_FLAGS]
     out: list = []
     for token in argv:
-        if out and out[-1] in flags and _is_float_list(token):
+        if out and out[-1] in _FLAGS and _is_float_list(token):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
     return out
 
 
-def _add_data_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=PRESET_NAMES, help="named initial data")
-    for flag, dest, what in _LIST_FLAGS:
-        p.add_argument(flag, dest=dest, help=f"{what}, comma-separated")
-    p.add_argument("--rho0-mean", dest="rho0_mean", type=float, help="mean of rho0")
+_DATA_KEYS = ("n", "outdir", "preset", "u0x_cos", "u0x_sin", "rho0_mean",
+              "rho0_cos", "rho0_sin")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -379,60 +370,48 @@ def make_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = add("solve", help="exact vs RK4 cross-validated solve")
-    _add_common(p)
-    _add_data_options(p)
-    p.add_argument("--t-end", dest="t_end", type=float, help="final time")
-    p.add_argument("--dt", type=float, help="RK4 step")
-    p.add_argument(
-        "--dealias",
-        choices=["on", "off"],
-        help="2/3-rule dealiasing (default off: full resolution)",
-    )
-    p.add_argument(
-        "--record-every", dest="record_every", type=int, help="state recording stride"
-    )
-    p.set_defaults(fn=cmd_solve)
+    def add(name, fn, help, keys):
+        """A subcommand with ``--config`` and the setting flags of ``keys``.
 
-    p = add("blowup", help="existence classification and report")
-    _add_common(p)
-    _add_data_options(p)
-    p.set_defaults(fn=cmd_blowup)
+        A setting flag keeps its raw string; ``build_config`` parses it as
+        it parses the same key in a config file.
+        """
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.add_argument("--config", help="key=value configuration file")
+        for flag, key in _FLAGS.items():
+            if key in keys:
+                p.add_argument(flag, help=_FIELDS[key].metadata["help"])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = add("verify", help="run the geometric identity suite")
-    _add_common(p)
-    p.add_argument("--samples", type=int, help="random samples per identity")
-    p.add_argument("--seed", type=int, help="random seed")
+    add("solve", cmd_solve, "exact vs RK4 cross-validated solve",
+        (*_DATA_KEYS, "t_end", "dt", "dealias", "record_every"))
+    add("blowup", cmd_blowup, "existence classification and report", _DATA_KEYS)
+    p = add("verify", cmd_verify, "run the geometric identity suite",
+            ("n", "outdir", "seed", "samples"))
     p.add_argument(
         "--inject-sign-error",
         choices=FLIPPABLE,
         help="testing aid: corrupt one identity and confirm the suite fails",
     )
-    p.set_defaults(fn=cmd_verify)
-
-    p = add("logmap", help="exponential-map preimages of an element")
-    _add_common(p)
+    p = add("logmap", cmd_logmap, "exponential-map preimages of an element",
+            ("outdir",))
     p.add_argument("--target", required=True, help="group element JSON file")
-    p.set_defaults(fn=cmd_logmap)
-
-    p = add("connect", help="classify geodesics joining two elements")
-    _add_common(p)
+    p = add("connect", cmd_connect, "classify geodesics joining two elements",
+            ("outdir",))
     p.add_argument("--a", required=True, help="first group element JSON file")
     p.add_argument("--b", required=True, help="second group element JSON file")
-    p.set_defaults(fn=cmd_connect)
-
     return parser
 
 
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(
-        _join_list_values(sys.argv[1:] if argv is None else list(argv))
+        _join_setting_values(sys.argv[1:] if argv is None else list(argv))
     )
     try:
-        return args.fn(args)
+        return args.fn(build_config(args), args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from hs2sphere.cli import main
+from hs2sphere.cli import RunConfig, build_config, main, make_parser
 from hs2sphere.errors import ConfigError, HS2Error
 from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
 from hs2sphere.geodesics import InitialData, exact_geodesic
@@ -117,6 +118,14 @@ def test_coefficient_list_may_start_with_minus(tmp_path):
         assert main(argv) == 0
         reports.append((out / "blowup.json").read_bytes())
     assert reports[0] == reports[1]
+    # so may a number in exponent form, which argparse alone reads as a flag
+    reports = []
+    for i, spelling in enumerate((["--rho0-mean", "-1e-3"], ["--rho0-mean=-1e-3"])):
+        out = tmp_path / f"exp{i}"
+        argv = ["blowup", "--u0x-sin", "1", *spelling, "--outdir", str(out)]
+        assert main(argv) == 0
+        reports.append((out / "blowup.json").read_bytes())
+    assert reports[0] == reports[1]
     # a flag in the value position is still a missing value
     with pytest.raises(SystemExit) as exc_info:
         main(["blowup", "--u0x-cos", "--rho0-mean", "1.0"])
@@ -172,12 +181,90 @@ def test_config_error_exit_code(tmp_path):
         ["solve", "--preset", "stationary", "--record-every", "-1"],
         ["solve", "--preset", "stationary", "--dt", "1e-310", "--t-end", "1e10"],
         ["verify", "--samples", "0"],
+        ["verify", "--seed", "-1"],
+        ["verify", "--n", "abc"],
+        ["solve", "--preset", "stationary", "--dealias", "maybe"],
     ],
     ids=" ".join,
 )
 def test_bad_values_are_config_errors(tmp_path, capsys, argv):
     assert main([*argv, "--outdir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--preset", "stationary", "--t-end", "0.01", "--dt", "0.005"],
+        ["blowup", "--preset", "hs-blowup"],
+        ["verify", "--samples", "1"],
+        ["logmap", "--target", "element.json"],
+        ["connect", "--a", "element.json", "--b", "element.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_output_directory_that_cannot_be_made_is_config_error(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    assert main([*argv, "--outdir", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot create output directory")
+
+
+# one valid and one invalid raw value per setting; any string is a valid
+# outdir here, since the command only fails when it creates the directory
+SETTING_VALUES = {
+    "n": ("64", "abc"),
+    "preset": ("stationary", "bogus"),
+    "u0x_cos": ("-0.3,0.1", "0.1,x"),
+    "u0x_sin": ("1", "1,,2"),
+    "rho0_mean": ("-1e-3", "abc"),
+    "rho0_cos": ("0.5", "1;2"),
+    "rho0_sin": ("-0.2,0", "x"),
+    "t_end": ("0.5", "-1"),
+    "dt": ("1e-3", "nan"),
+    "dealias": ("true", "maybe"),
+    "record_every": ("5", "1.5"),
+    "outdir": ("out", None),
+    "seed": ("7", "-1"),
+    "samples": ("3", "0"),
+}
+
+
+@pytest.mark.parametrize("key", list(SETTING_VALUES))
+def test_flag_and_config_file_agree_on_every_setting(tmp_path, key):
+    assert set(SETTING_VALUES) == {f.name for f in fields(RunConfig)}
+    command = "verify" if key in ("seed", "samples") else "solve"
+    cfg_file = tmp_path / "run.cfg"
+
+    def from_flag(raw):
+        flag = "--" + key.replace("_", "-")
+        return build_config(make_parser().parse_args([command, f"{flag}={raw}"]))
+
+    def from_file(raw):
+        cfg_file.write_text(f"{key} = {raw}\n")
+        return build_config(make_parser().parse_args([command, "--config", str(cfg_file)]))
+
+    valid, invalid = SETTING_VALUES[key]
+    assert from_flag(valid) == from_file(valid) != RunConfig()
+    if invalid is not None:
+        messages = []
+        for source in (from_flag, from_file):
+            with pytest.raises(ConfigError) as exc_info:
+                source(invalid)
+            messages.append(str(exc_info.value))
+        assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["logmap", "--target", "t.json"], ["connect", "--a", "a.json", "--b", "b.json"]],
+    ids=lambda argv: argv[0],
+)
+def test_logmap_and_connect_take_no_grid_size(argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main([*argv, "--n", "64"])
+    assert exc_info.value.code == 2
 
 
 def test_config_error_is_library_error():
