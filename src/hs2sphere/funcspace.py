@@ -40,11 +40,11 @@ kernel's Fourier transform and takes one inverse real FFT onto a fine
 grid of N = max(2n, 4w) points; a gather (:func:`_gather`) then sums, for
 each point, its w nearest fine samples weighted by the kernel.  That is
 O(n log n) once and O(w) per point, with no BLAS call and O(w points + n)
-memory.  :func:`interpolant`, :func:`invert_diffeo` and
-:func:`interpolant_roots` prepare once; the vectorised,
-bisection-safeguarded Newton iterations of the last two, over all nodes or
-brackets at once (of every row of a stack), only gather.  :func:`compose`
-is the one composition, of periodic functions and of lifts alike.
+memory.  :class:`Interpolant` and :func:`invert_diffeo` prepare once; the
+vectorised, bisection-safeguarded Newton iterations of both, over all
+nodes or brackets at once (of every row of a stack), only gather.
+:func:`compose` is the one composition, of periodic functions and of
+lifts alike.
 """
 
 from __future__ import annotations
@@ -406,39 +406,59 @@ def _row_index(lead: tuple, count: int):
     return np.repeat(np.arange(int(np.prod(lead))), count) if lead else None
 
 
-def interpolant(f: PeriodicFunction):
-    """The trigonometric interpolant of f as a function of arbitrary points.
+class Interpolant:
+    """The trigonometric interpolant of f and its first ``top`` derivatives.
 
-    The fine grid is prepared once; each call of the returned function
-    only gathers from it.  Values at grid-coincident points snap to the
-    exact samples, and real f gives real values.  For a stack f the
-    points have shape (S, P), row s evaluating the s-th function.
+    The fine grid is prepared once; evaluating the interpolant (a call)
+    and solving for roots of a derivative (:meth:`roots`) only gather from
+    it.  Values at grid-coincident points snap to the exact samples, and
+    real f gives real values.  For a stack f the points have shape
+    (S, P), row s evaluating the s-th function.
     """
-    n = f.grid.n
-    lead = f.values.shape[:-1]
-    fine = _fine_grid(f.values)
 
-    def evaluate(points) -> np.ndarray:
+    def __init__(self, f: PeriodicFunction, top: int = 0):
+        self.f = f
+        self.fine = _fine_grid(f.values, np.arange(top + 1))
+
+    def __call__(self, points) -> np.ndarray:
+        values, n = self.f.values, self.f.grid.n
+        lead = values.shape[:-1]
         points = np.asarray(points, dtype=float).reshape(lead + (-1,))
         rows = _row_index(lead, points.shape[-1])
-        out = _gather(fine, points.ravel(), rows)[0].reshape(points.shape)
+        out = _gather(self.fine[:1], points.ravel(), rows)[0].reshape(points.shape)
         grid_pos = np.mod(points, 1.0) * n
         idx = np.rint(grid_pos)
         on_grid = np.abs(grid_pos - idx) < 1e-12
         if np.any(on_grid):
             hit = np.nonzero(on_grid)
-            out[hit] = f.values[hit[:-1] + (idx[hit].astype(np.intp) % n,)]
+            out[hit] = values[hit[:-1] + (idx[hit].astype(np.intp) % n,)]
         return out
 
-    return evaluate
+    def roots(self, lo, hi, sign, order: int = 0) -> np.ndarray:
+        """Roots of the order-th derivative, order < top, of real f.
+
+        One root per bracket [lo, hi], to ROOT_TOL; ``sign`` is +1 where
+        that derivative increases through its bracket and -1 where it
+        decreases.  All brackets share one :func:`_newton_bisect` solve
+        from their midpoints, which gathers the derivative and the next
+        one.
+        """
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        fine = self.fine[order : order + 2]
+
+        def residual(idx, y):
+            return _gather(fine, y)
+
+        return _newton_bisect(residual, lo, hi, 0.5 * (lo + hi), ROOT_TOL, sign)
 
 
 def trig_interpolate(f: PeriodicFunction, points) -> np.ndarray:
     """Evaluate the trigonometric interpolant of f at arbitrary points.
 
-    One-shot form of :func:`interpolant`.
+    One-shot form of :class:`Interpolant`.
     """
-    return interpolant(f)(points)
+    return Interpolant(f)(points)
 
 
 def _lift_parts(phi: PeriodicFunction) -> np.ndarray:
@@ -517,27 +537,6 @@ def _newton_bisect(residual, lo, hi, y, tol: float, sign=1.0) -> np.ndarray:
         done = (take & (np.abs(step) <= tol)) | (ht - lt <= tol)
         todo = todo[~done]
     return y
-
-
-def interpolant_roots(f: PeriodicFunction, lo, hi, sign, order: int = 0) -> np.ndarray:
-    """Roots of the order-th derivative of the interpolant of real f.
-
-    One root per bracket [lo, hi], to ROOT_TOL; ``sign`` is +1 where that
-    derivative increases through its bracket and -1 where it decreases.
-    All brackets share one :func:`_newton_bisect` solve from their
-    midpoints; the derivative and the next one come from one gather per
-    iteration on a fine grid prepared once.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if lo.size == 0:
-        return lo
-    fine = _fine_grid(f.values, (order, order + 1))
-
-    def residual(idx, y):
-        return _gather(fine, y)
-
-    return _newton_bisect(residual, lo, hi, 0.5 * (lo + hi), ROOT_TOL, sign)
 
 
 def invert_diffeo(phi: PeriodicFunction) -> PeriodicFunction:

@@ -129,45 +129,48 @@ def _first_zero_time(u0x_at_root: float, c: float) -> float:
     return math.atan2(1.0, -u0x_at_root / (2.0 * c)) / c
 
 
+def _nodes_and_extrema(p: fs.Interpolant):
+    """The grid nodes and the extrema of p between them, in order.
+
+    p is prepared for two derivatives.  The extrema are the roots of p' in
+    the cells where p' has opposite signs at the two ends, in one
+    vectorised solve; two extrema in one cell are missed.  Returns the
+    points, in [0, 1], p there, and which points are nodes.
+    """
+    f = p.f
+    x, h = f.grid.x, 1.0 / f.grid.n
+    d = fs.derivative(f).values
+    j = np.nonzero(d * np.roll(d, -1) < 0.0)[0]
+    ext = p.roots(x[j], x[j] + h, -np.sign(d[j]), order=1)
+    points = np.concatenate([x, ext])
+    values = np.concatenate([f.values, p(ext)])
+    order = np.argsort(points, kind="stable")
+    return points[order], values[order], order < f.grid.n
+
+
 def _rho_roots(rho0: PeriodicFunction) -> list[float]:
     """All zeros of the trigonometric interpolant of rho0 in [0, 1).
 
-    Node values below NODE_ZERO_TOL max |rho0| are zeros.  Between
-    neighbouring nonzero nodes of one sign s, one of them below
-    1e-3 max |rho0|, where s rho0' goes from - to +, the root of rho0'
-    is the extremum of rho0 towards zero: a tangential zero when |rho0|
-    there is below TOUCH_ZERO_TOL, a dip through zero with one simple root
-    on each side when s rho0 there is below -TOUCH_ZERO_TOL.  Every other
-    simple root is bracketed by a sign change between neighbouring nodes.
-    The extrema are one vectorised solve (:func:`funcspace.interpolant_roots`)
-    and the simple roots another.
+    Reads rho0 at the nodes and the extrema between them.  A zero is a
+    node below NODE_ZERO_TOL max |rho0| or an extremum below
+    TOUCH_ZERO_TOL max |rho0|, in size; a zero node next to a zero
+    extremum is that extremum's root.  Every other sign change between
+    neighbouring points brackets one simple root, all in one solve.
     """
-    vals = rho0.values
-    x = rho0.grid.x
-    h = 1.0 / rho0.grid.n
-    nxt = np.roll(vals, -1)
-    zero = np.abs(vals) < NODE_ZERO_TOL * np.max(np.abs(vals))
+    p = fs.Interpolant(rho0, 2)
+    points, vals, node = _nodes_and_extrema(p)
+    tol = np.where(node, NODE_ZERO_TOL, TOUCH_ZERO_TOL) * rho0.max_abs()
+    zero = np.abs(vals) < tol
     s = np.where(zero, 0.0, np.sign(vals))
-    i = np.nonzero(vals * nxt < 0.0)[0]
-    lo, hi, up, touch = x[i], x[i] + h, np.sign(nxt[i]), x[:0]
-
-    small = np.minimum(np.abs(vals), np.abs(nxt)) <= 1e-3 * np.max(np.abs(vals))
-    j = np.nonzero(small & (s != 0.0) & (s == np.roll(s, -1)))[0]
-    if j.size:
-        d = fs.derivative(rho0).values
-        j = j[(s[j] * d[j] < 0.0) & (s[j] * np.roll(d, -1)[j] >= 0.0)]
-        ext = fs.interpolant_roots(rho0, x[j], x[j] + h, s[j], order=1)
-        depth = s[j] * fs.interpolant(rho0)(ext)
-        touch = ext[np.abs(depth) < TOUCH_ZERO_TOL]
-        cross = depth <= -TOUCH_ZERO_TOL
-        j, ext, dip = j[cross], ext[cross], s[j[cross]]
-        lo = np.concatenate([lo, x[j], ext])
-        hi = np.concatenate([hi, ext, x[j] + h])
-        up = np.concatenate([up, -dip, dip])
-    simple = fs.interpolant_roots(rho0, lo, hi, up)
+    nxt = np.roll(s, -1)
+    i = np.nonzero(s * nxt < 0.0)[0]
+    hi = np.append(points[1:], points[0] + 1.0)
+    simple = p.roots(points[i], hi[i], nxt[i])
+    touch = zero & ~node
+    zero &= ~(np.roll(touch, 1) | np.roll(touch, -1))
 
     roots: list[float] = []
-    for r in np.mod(np.concatenate([x[zero], simple, touch]), 1.0):
+    for r in np.mod(np.concatenate([points[zero], simple]), 1.0):
         if all(min(abs(r - e), 1.0 - abs(r - e)) >= 1e-9 for e in roots):
             roots.append(float(r))
     return sorted(roots)
@@ -178,11 +181,11 @@ def blowup_time(d: InitialData) -> BlowupReport:
 
     When rho0 vanishes identically, max |rho0| below NODE_ZERO_TOL
     (max |u0x| + max |rho0|), every point competes.  The first-zero
-    time increases with u0x, so the witness is the minimum of u0x: the
-    root of u0xx within one node of the least node value, kept unless
-    that node is earlier.  Otherwise each isolated root of rho0
-    contributes one witness.  The report is computed once per
-    :class:`InitialData` and returned on every later call.
+    time increases with u0x, so the witness is the least value of u0x
+    over the nodes and the extrema between them.  Otherwise each zero of
+    rho0 (:func:`_rho_roots`) contributes one witness.  The report is
+    computed once per :class:`InitialData` and returned on every later
+    call.
     """
     if d._blowup is None:
         d._blowup = _blowup_report(d)
@@ -191,25 +194,19 @@ def blowup_time(d: InitialData) -> BlowupReport:
 
 def _blowup_report(d: InitialData) -> BlowupReport:
     c = speed(d)
-    u0x_at = fs.interpolant(d.u0x)
-
     rho_max = d.rho0.max_abs()
     if rho_max < NODE_ZERO_TOL * (d.u0x.max_abs() + rho_max):
-        x, h = d.grid.x, 1.0 / d.grid.n
-        j = int(np.argmin(d.u0x.values))
-        xmin = fs.interpolant_roots(d.u0x, [x[j] - h], [x[j] + h], 1.0, order=1)
-        xbest = float(xmin[0] % 1.0)
-        tbest = _first_zero_time(float(u0x_at(xbest)[0]), c)
-        tnode = _first_zero_time(float(d.u0x.values[j]), c)
-        if tnode < tbest:
-            xbest, tbest = float(x[j]), tnode
-        return BlowupReport(True, tbest, ((xbest, tbest),), c)
+        points, vals, _ = _nodes_and_extrema(fs.Interpolant(d.u0x, 2))
+        k = int(np.argmin(vals))
+        T = _first_zero_time(float(vals[k]), c)
+        return BlowupReport(True, T, ((float(points[k] % 1.0), T),), c)
 
     roots = _rho_roots(d.rho0)
     if not roots:
         return BlowupReport(False, math.inf, (), c)
     witnesses = tuple(
-        (r, _first_zero_time(float(v), c)) for r, v in zip(roots, u0x_at(roots))
+        (r, _first_zero_time(float(v), c))
+        for r, v in zip(roots, fs.trig_interpolate(d.u0x, roots))
     )
     T = min(t for (_, t) in witnesses)
     return BlowupReport(True, T, witnesses, c)

@@ -9,13 +9,8 @@ import math
 
 
 def fmt_float(x: float) -> str:
-    """Render a float with 17 significant digits (bit-exact round trip)."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    """Render a float with 17 significant digits (bit-exact round trip),
+    NaN and the infinities as ``nan``, ``inf`` and ``-inf``."""
     return format(float(x), ".17g")
 
 

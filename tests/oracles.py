@@ -213,18 +213,26 @@ def scalar_rho_roots(values: np.ndarray) -> list[float]:
 
 def scalar_first_zero(u0x_values: np.ndarray, c: float) -> tuple[float, float]:
     """(x, t) minimising the first zero time t*(x) = arccot(-u0x / 2c) / c
-    of rho0 = 0 data: a bounded minimize_scalar of t* on the dense
-    interpolant of u0x within one node of the grid minimum, or that node
-    when it is earlier."""
-    n = u0x_values.size
+    of rho0 = 0 data: a scan of the dense interpolant of u0x at 64 n
+    points, then a bounded minimize_scalar of t* within one scan step of
+    each local minimum of the scan; the earliest of these minima and of
+    their samples."""
+    m = 64 * u0x_values.size
 
     def tstar(p):
         v = float(dense_trig_interpolate(u0x_values, p)[0])
         return np.arctan2(1.0, -v / (2.0 * c)) / c
 
-    j = int(np.argmin(u0x_values))
-    res = minimize_scalar(tstar, method="bounded",
-                          bounds=((j - 1) / n, (j + 1) / n),
-                          options={"xatol": 1e-13})
-    node = (j / n, tstar(j / n))
-    return node if node[1] < res.fun else (float(res.x % 1.0), float(res.fun))
+    scan = np.arange(m) / m
+    samples = np.concatenate(
+        [dense_trig_interpolate(u0x_values, p) for p in np.split(scan, 64)]
+    )
+    local = (samples < np.roll(samples, 1)) & (samples <= np.roll(samples, -1))
+    found = []
+    for j in np.nonzero(local)[0]:
+        res = minimize_scalar(tstar, method="bounded",
+                              bounds=((j - 1) / m, (j + 1) / m),
+                              options={"xatol": 1e-13})
+        found += [(float(scan[j]), tstar(scan[j])),
+                  (float(res.x % 1.0), float(res.fun))]
+    return min(found, key=lambda pair: pair[1])

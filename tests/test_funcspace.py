@@ -304,12 +304,12 @@ def test_coefficients_are_prepared_once(monkeypatch):
 
     calls.update(prepare=0, gather=0)
     f = PeriodicFunction(g, np.sin(2 * np.pi * (g.x - 0.1)))
-    roots = fs.interpolant_roots(f, [0.05, 0.55], [0.2, 0.7], [1.0, -1.0])
+    roots = fs.Interpolant(f, 1).roots([0.05, 0.55], [0.2, 0.7], [1.0, -1.0])
     assert np.max(np.abs(roots - [0.1, 0.6])) < 1e-12
     assert calls["prepare"] == 1 and calls["gather"] > 2
 
     calls.update(prepare=0, gather=0)
-    evaluate = fs.interpolant(f)
+    evaluate = fs.Interpolant(f)
     for pts in ([0.1], np.linspace(0.0, 1.0, 7), g.x + 0.5 / g.n):
         evaluate(pts)
     assert calls == {"prepare": 1, "gather": 3}

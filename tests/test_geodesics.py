@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hs2sphere.funcspace as fs
@@ -294,6 +294,45 @@ def test_blowup_two_roots_in_one_cell(grid):
     assert [x for (x, _) in rep.witnesses] == pytest.approx([r1, r2], abs=1e-12)
 
 
+def _dirichlet(n, x):
+    """The Dirichlet kernel of degree n/2 - 1 at x, normalised to 1 at 0."""
+    k = np.arange(1, n // 2)
+    return (1.0 + 2.0 * np.cos(TWO_PI * np.outer(x, k)).sum(axis=1)) / (n - 1)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_blowup_dip_below_zero_between_nodes(n):
+    # every node of rho0 is above 0.22, but its interpolant dips to -0.1
+    # midway between the first two nodes
+    grid = PeriodicGrid(n)
+    d = InitialData.from_u0x(
+        grid,
+        lambda x: np.sin(TWO_PI * x),
+        lambda x: 0.9 - _dirichlet(n, x - 0.5 / n),
+    )
+    assert np.min(d.rho0.values) > 0.2
+    cls = classify_existence(d)
+    assert cls.label == "finite"
+    assert len(cls.report.witnesses) == 2
+    for x, _ in cls.report.witnesses:
+        assert abs(dense_trig_interpolate(d.rho0.values, x)[0]) < 1e-12
+
+
+@pytest.mark.parametrize("n, T", [(64, 2.0393), (256, 2.0095)])
+def test_blowup_zero_rho_minimum_between_nodes(n, T):
+    # u0x's least node is at 1/2, but its interpolant is least near h/2
+    d = InitialData.from_u0x(
+        PeriodicGrid(n),
+        lambda x: -_dirichlet(n, x - 0.5 / n) - 0.7 * _dirichlet(n, x - 0.5),
+        np.zeros_like,
+    )
+    rep = blowup_time(d)
+    _, t_oracle = scalar_first_zero(d.u0x.values, speed(d))
+    assert abs(rep.T - t_oracle) <= 1e-12 * t_oracle
+    assert rep.T == pytest.approx(T, abs=1e-4)
+    assert rep.witnesses[0][0] < 1.0 / n
+
+
 def _circle_gaps(a, b) -> np.ndarray:
     """Distance on the circle from each point of a to the nearest of b."""
     diff = np.abs(np.subtract.outer(a, b)) % 1.0
@@ -347,8 +386,8 @@ def test_rho_roots_match_scalar_oracle(kind, data):
     rho0, exact = data.draw(rho_with_roots(kind))
     n, vals = rho0.grid.n, rho0.values
     if kind == "double":
-        # the documented scope: a node next to each double root is below
-        # 1e-3 max |rho0|
+        # the oracle's scope: it looks for a double root only next to a
+        # node below 1e-3 max |rho0|
         cell = np.floor(exact * n).astype(int)
         near = np.minimum(np.abs(vals[cell % n]), np.abs(vals[(cell + 1) % n]))
         assume(np.all(near <= 1e-3 * np.max(np.abs(vals))))
@@ -364,11 +403,23 @@ def test_rho_roots_match_scalar_oracle(kind, data):
 
 
 @settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rho_roots_find_double_roots_between_nodes(data):
+    # no node need be small next to a double root
+    rho0, exact = data.draw(rho_with_roots("double"))
+    ours = np.array(_rho_roots(rho0))
+    assert len(ours) == len(exact)
+    assert np.max(_circle_gaps(exact, ours)) <= EXACT_TOL
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([64, 128, 256]),
     st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
              min_size=1, max_size=3),
 )
+# two nearly equal minima, the least node next to the higher one
+@example(64, [(0.0, 0.0), (0.0, 1.0 / 512), (0.0, 1.0)])
 def test_blowup_time_zero_rho_matches_scalar_oracle(n, modes):
     # Worst over 6,000 seeded draws: T 1.0e-14 relative to the oracle, and
     # the same for t*(witness); the tolerance is 100x above.  The witness
@@ -428,7 +479,8 @@ def test_classify_existence(grid, rng):
     (np.cos, np.zeros_like),
     (np.sin, lambda x: 1.5 + np.cos(x)),
     (np.sin, np.cos),
-], ids=["tiny-rho", "hs-blowup", "smooth-global", "cos-rho"])
+    (np.sin, lambda x: 0.9 - _dirichlet(256, x / TWO_PI - 0.5 / 256)),
+], ids=["tiny-rho", "hs-blowup", "smooth-global", "cos-rho", "dip-between-nodes"])
 def test_existence_is_scale_free(grid, u0x, rho0):
     # scaling the data by lam scales c by lam and T by 1/lam: the label and
     # T c do not move

@@ -475,6 +475,9 @@ def test_g17_format_renders_floats_like_fmt_float():
     for v in (math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
               1e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0):
         assert f"{v:.17g}" == "%.17g" % v == fmt_float(v)
+    for v, text in ((math.nan, "nan"), (-math.nan, "nan"), (math.inf, "inf"),
+                    (-math.inf, "-inf")):
+        assert fmt_float(v) == fmt_float(np.float64(v)) == text
 
 
 def test_trajectory_csv_matches_per_value_rendering(tmp_path):
