@@ -168,12 +168,20 @@ def _rho_roots(rho0: PeriodicFunction) -> list[float]:
     simple = p.roots(points[i], hi[i], nxt[i])
     touch = zero & ~node
     zero &= ~(np.roll(touch, 1) | np.roll(touch, -1))
+    return _distinct_roots(np.concatenate([points[zero], simple]))
 
-    roots: list[float] = []
-    for r in np.mod(np.concatenate([points[zero], simple]), 1.0):
-        if all(min(abs(r - e), 1.0 - abs(r - e)) >= 1e-9 for e in roots):
-            roots.append(float(r))
-    return sorted(roots)
+
+def _distinct_roots(r: np.ndarray) -> list[float]:
+    """The roots r mod 1, ascending, without near repeats on the circle.
+
+    A root within 1e-9 of its sorted predecessor is dropped, and so is the
+    last root kept when it lies within 1e-9 of the first root + 1.
+    """
+    r = np.sort(np.mod(r, 1.0)).tolist()
+    kept = [x for x, prev in zip(r, [-1.0] + r) if x - prev >= 1e-9]
+    if len(kept) > 1 and kept[0] + 1.0 - kept[-1] < 1e-9:
+        kept.pop()
+    return kept
 
 
 def blowup_time(d: InitialData) -> BlowupReport:

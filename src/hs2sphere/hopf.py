@@ -8,21 +8,21 @@ isometries commutes, and the O'Neill formula accounts for the curvature
 gap between total space (constant 1) and base (pinched in [1, 4]) through
 the vertical part of horizontal brackets.
 
-Canonical representatives: classes of angle fields are pinned by
-alpha(0) = 0; projective classes by f(0) real and positive (valid on the
+Quotient points are their canonical representatives in the total space,
+returned as plain group elements and sphere points: classes of angle
+fields are pinned by alpha(0) = 0 (:func:`project_p`), projective classes
+by f(0) real and positive (:func:`project_q`, valid on the
 nowhere-vanishing set).  Points and tangents may be stacks of samples;
 scalars are then one value per sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import funcspace as fs
 from .errors import BaseMismatchError, ZeroAtBasePointError
-from .funcspace import PeriodicFunction, PeriodicGrid
+from .funcspace import PeriodicFunction
 from .geometry import (
     KTangent,
     curvature_G,
@@ -34,68 +34,32 @@ from .group import GroupElement, TangentVector, phi_map
 from .sphere import SpherePoint, SphereTangent
 
 
-class KPoint(GroupElement):
-    """Group element modulo constant phase: canonical lift has alpha(0) = 0."""
-
-    __slots__ = ()
-
-    def __init__(
-        self, phi: PeriodicFunction, alpha: PeriodicFunction, winding: int = 0
-    ):
-        if np.any(np.abs(alpha.values[..., 0]) > 1e-12):
-            raise ValueError("canonical representative needs alpha(0) = 0")
-        super().__init__(phi, alpha, winding)
-
-
-@dataclass(frozen=True)
-class CPPoint:
-    """Projective class, represented with f(0) real and positive."""
-
-    representative: SpherePoint
-
-    def __post_init__(self):
-        z = self.representative.values[..., 0]
-        if np.any((np.abs(z.imag) > 1e-10) | (z.real <= 0.0)):
-            raise ValueError("canonical representative needs f(0) real > 0")
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.representative.grid
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.representative.values
-
-    def distance(self, other: "CPPoint"):
-        return self.representative.l2_distance(other.representative)
-
-
-def project_p(a: GroupElement) -> KPoint:
+def project_p(a: GroupElement) -> GroupElement:
     """Quotient by constant phase shifts: pin the lift at alpha(0) = 0."""
     alpha = PeriodicFunction(a.grid, a.alpha.values - a.alpha.values[..., :1])
-    return KPoint(a.phi, alpha, a.winding)
+    return GroupElement(a.phi, alpha, a.winding)
 
 
-def project_q(f: SpherePoint) -> CPPoint:
+def project_q(f: SpherePoint) -> SpherePoint:
     """Projective canonicalization by the phase gauge at x = 0."""
     z = f.values[..., :1]
     modulus = np.abs(z)
     if np.any(modulus < 1e-10):
         raise ZeroAtBasePointError("representative vanishes at the base point")
     gauge = np.conj(z) / modulus
-    return CPPoint(SpherePoint(PeriodicFunction(f.grid, f.values * gauge)))
+    return SpherePoint(PeriodicFunction(f.grid, f.values * gauge))
 
 
-def psi_map(kp: KPoint) -> CPPoint:
+def psi_map(a: GroupElement) -> SpherePoint:
     """Quotient isometry: class of sqrt(phi_x) exp(i alpha / 2)."""
-    return project_q(phi_map(kp))
+    return project_q(phi_map(a))
 
 
 def check_diagram(a: GroupElement):
     """L2 distance between the two routes group -> projective classes."""
     route_sphere = project_q(phi_map(a))
     route_base = psi_map(project_p(a))
-    return route_sphere.distance(route_base)
+    return route_sphere.l2_distance(route_base)
 
 
 # ---------------------------------------------------------------------------

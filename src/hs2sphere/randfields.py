@@ -73,10 +73,9 @@ def band_limited(
 # and :func:`stacks` builds them as one stack.
 
 
-def _draw_g(grid, rng, shape=(), with_mean=True):
+def _draw_g(grid, rng, shape=()):
     u2 = _spectrum(grid, rng, shape=shape)
-    mean = rng.normal(size=shape) if with_mean else 0.0
-    return u2, mean, _spectrum(grid, rng, shape=shape)
+    return u2, rng.normal(size=shape), _spectrum(grid, rng, shape=shape)
 
 
 def _build_g(grid, u2, mean, u1):
@@ -117,11 +116,9 @@ def _build_complex(grid, re, im):
     return PeriodicFunction(grid, vals)
 
 
-def g_tangent(
-    grid: PeriodicGrid, rng: np.random.Generator, with_mean: bool = True
-) -> TangentVector:
-    """Random (u1, u2), u2 with a random mean unless ``with_mean`` is False."""
-    return _build_g(grid, *_draw_g(grid, rng, with_mean=with_mean))
+def g_tangent(grid: PeriodicGrid, rng: np.random.Generator) -> TangentVector:
+    """Random (u1, u2), u2 with a random mean."""
+    return _build_g(grid, *_draw_g(grid, rng))
 
 
 def k_tangent(grid: PeriodicGrid, rng: np.random.Generator) -> KTangent:

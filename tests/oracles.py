@@ -204,6 +204,13 @@ def scalar_rho_roots(values: np.ndarray) -> list[float]:
                               options={"xatol": 1e-13})
         if abs(rho(res.x)) < 1e-10:
             found.append(res.x)
+    return distinct_roots_loop(found)
+
+
+def distinct_roots_loop(found) -> list[float]:
+    """The roots mod 1, ascending, each kept unless it lies closer than
+    1e-9 (on the circle) to an earlier kept one: a comparison with every
+    kept root, quadratic in their number."""
     roots: list[float] = []
     for r in np.mod(found, 1.0):
         if all(min(abs(r - e), 1.0 - abs(r - e)) >= 1e-9 for e in roots):

@@ -32,6 +32,7 @@ from hs2sphere.group import GroupElement, multiply
 
 from oracles import (
     dense_trig_interpolate,
+    distinct_roots_loop,
     first_zero_time_scan,
     scalar_first_zero,
     scalar_rho_roots,
@@ -374,7 +375,8 @@ def rho_with_roots(draw, kind):
 #   to the scalar oracle: simple and node roots 2.5e-13 (brentq, xtol 1e-12),
 #   double roots 1.4e-8 (minimize_scalar on the flat rho0^2);
 #   to the exact roots: 1.2e-14, except for roots reported at a grid node
-#   whose value is below NODE_ZERO_TOL (up to 1.2e-7 away for double roots).
+#   whose value is below NODE_ZERO_TOL (up to 3.9e-13 away for double roots,
+#   over 4,000 draws).
 ORACLE_TOL = {"simple": 1e-11, "node": 1e-11, "double": 1e-6}
 EXACT_TOL = 1e-12
 
@@ -410,6 +412,30 @@ def test_rho_roots_find_double_roots_between_nodes(data):
     ours = np.array(_rho_roots(rho0))
     assert len(ours) == len(exact)
     assert np.max(_circle_gaps(exact, ours)) <= EXACT_TOL
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_distinct_roots_match_quadratic_loop(monkeypatch, n):
+    # white noise has hundreds of roots; the sorted pass over the candidate
+    # roots keeps exactly those the loop keeps
+    candidates = []
+    distinct = geo._distinct_roots
+    monkeypatch.setattr(
+        geo, "_distinct_roots", lambda r: candidates.append(r) or distinct(r)
+    )
+    rho0 = PeriodicFunction(
+        PeriodicGrid(n), np.random.default_rng(1).normal(size=n)
+    )
+    ours = _rho_roots(rho0)
+    assert len(candidates) == 1 and len(ours) > n // 2
+    assert ours == distinct_roots_loop(candidates[0])
+
+
+def test_distinct_roots_drop_near_repeats_across_the_wrap():
+    r = np.array([1.25, 0.5, 0.5 + 5e-10, 0.5 + 2e-9, 1.0 - 4e-10, 0.0])
+    assert geo._distinct_roots(r) == [0.0, 0.25, 0.5, 0.5 + 2e-9]
+    assert geo._distinct_roots(np.array([0.75])) == [0.75]
+    assert geo._distinct_roots(np.array([])) == []
 
 
 @settings(max_examples=40, deadline=None)

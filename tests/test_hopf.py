@@ -34,9 +34,23 @@ def test_project_q_gauge(grid, rng):
     assert np.max(np.abs(cp.values - 1.0)) < 1e-14
     f = rf.nonvanishing_sphere_point(grid, rng)
     minus = SpherePoint(PeriodicFunction(grid, -f.values))
-    assert hp.project_q(f).distance(hp.project_q(minus)) < 1e-12
+    assert hp.project_q(f).l2_distance(hp.project_q(minus)) < 1e-12
     rotated = SpherePoint(PeriodicFunction(grid, f.values * np.exp(1j * 2.1)))
-    assert hp.project_q(f).distance(hp.project_q(rotated)) < 1e-12
+    assert hp.project_q(f).l2_distance(hp.project_q(rotated)) < 1e-12
+
+
+def test_quotient_points_are_canonical_representatives(grid, rng):
+    a, f = rf.stacks(
+        grid, rng, 20, rf.group_element, rf.nonvanishing_sphere_point
+    )
+    kp = hp.project_p(a)
+    assert type(kp) is GroupElement
+    assert np.all(kp.alpha.values[:, 0] == 0.0)
+    assert np.array_equal(kp.phi.values, a.phi.values)
+    cp = hp.project_q(f)
+    assert type(cp) is SpherePoint
+    z = cp.values[:, 0]
+    assert np.all(np.abs(z.imag) <= 1e-10) and np.all(z.real > 0.0)
 
 
 def test_sphere_splitting(grid, rng):
@@ -65,9 +79,7 @@ def test_group_splitting(grid, rng):
     assert np.max(np.abs(Uh.u2.values + Uv.u2.values - U.u2.values)) < 1e-13
     assert abs(metric(a, Uh, Uv)) < 1e-10
     const = GroupElement.identity(grid)
-    W = hp.horizontal_G(
-        rf.g_tangent(grid, rng, with_mean=False), const
-    )
+    W = hp.horizontal_G(rf.g_tangent(grid, rng), const)
     # at the identity the projection is plain mean removal
     assert abs(np.mean(W.u2.values)) < 1e-14
     V = hp.horizontal_G(
