@@ -134,14 +134,17 @@ def _nodes_and_extrema(p: fs.Interpolant):
 
     p is prepared for two derivatives.  The extrema are the roots of p' in
     the cells where p' has opposite signs at the two ends, in one
-    vectorised solve; two extrema in one cell are missed.  Returns the
-    points, in [0, 1], p there, and which points are nodes.
+    vectorised solve that starts each from the root of the secant through
+    p' at the cell's ends; two extrema in one cell are missed.  Returns
+    the points, in [0, 1], p there, and which points are nodes.
     """
     f = p.f
     x, h = f.grid.x, 1.0 / f.grid.n
     d = fs.derivative(f).values
-    j = np.nonzero(d * np.roll(d, -1) < 0.0)[0]
-    ext = p.roots(x[j], x[j] + h, -np.sign(d[j]), order=1)
+    d_next = np.roll(d, -1)
+    j = np.nonzero(d * d_next < 0.0)[0]
+    start = x[j] + h * d[j] / (d[j] - d_next[j])
+    ext = p.roots(x[j], x[j] + h, start, -np.sign(d[j]), order=1)
     points = np.concatenate([x, ext])
     values = np.concatenate([f.values, p(ext)])
     order = np.argsort(points, kind="stable")
@@ -155,7 +158,8 @@ def _rho_roots(rho0: PeriodicFunction) -> list[float]:
     node below NODE_ZERO_TOL max |rho0| or an extremum below
     TOUCH_ZERO_TOL max |rho0|, in size; a zero node next to a zero
     extremum is that extremum's root.  Every other sign change between
-    neighbouring points brackets one simple root, all in one solve.
+    neighbouring points brackets one simple root, all in one solve that
+    starts each from the root of the secant through its bracket's values.
     """
     p = fs.Interpolant(rho0, 2)
     points, vals, node = _nodes_and_extrema(p)
@@ -164,8 +168,9 @@ def _rho_roots(rho0: PeriodicFunction) -> list[float]:
     s = np.where(zero, 0.0, np.sign(vals))
     nxt = np.roll(s, -1)
     i = np.nonzero(s * nxt < 0.0)[0]
-    hi = np.append(points[1:], points[0] + 1.0)
-    simple = p.roots(points[i], hi[i], nxt[i])
+    lo, hi = points[i], np.append(points[1:], points[0] + 1.0)[i]
+    v_lo, v_hi = vals[i], np.roll(vals, -1)[i]
+    simple = p.roots(lo, hi, lo + (hi - lo) * v_lo / (v_lo - v_hi), nxt[i])
     touch = zero & ~node
     zero &= ~(np.roll(touch, 1) | np.roll(touch, -1))
     return _distinct_roots(np.concatenate([points[zero], simple]))
@@ -414,7 +419,7 @@ def __getattr__(name: str):
     # ``brentq`` and ``minimize_scalar`` are read only by
     # perfbench/tracer.py, which rebinds them to count root-solver calls;
     # importing scipy here, on first read, keeps it out of the runtime.
-    # The benchmark rework of ROADMAP item 1 replaces that counter and
+    # The benchmark rework of ROADMAP item 3 replaces that counter and
     # retires this hook.
     if name in ("brentq", "minimize_scalar"):
         import scipy.optimize

@@ -3,14 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hs2sphere.funcspace as fs
 import hs2sphere.randfields as rf
 from hs2sphere.errors import NonZeroMeanError, NotMonotoneError
 from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
-from hs2sphere.geodesics import InitialData, exact_solution
+from hs2sphere.geodesics import InitialData, exact_geodesic, exact_solution
 from hs2sphere.group import inverse, multiply
 from hs2sphere.integrator import IntegratorConfig, integrate
 from hs2sphere.verification import run_suite
@@ -300,11 +300,12 @@ def test_coefficients_are_prepared_once(monkeypatch):
     monkeypatch.setattr(fs, "_gather", counting_gather)
     g = PeriodicGrid(256)
     fs.invert_diffeo(_smooth_diffeo(g, amp=0.35))
-    assert calls["prepare"] == 1 and calls["gather"] > 2
+    assert calls == {"prepare": 1, "gather": 2}
 
     calls.update(prepare=0, gather=0)
     f = PeriodicFunction(g, np.sin(2 * np.pi * (g.x - 0.1)))
-    roots = fs.Interpolant(f, 1).roots([0.05, 0.55], [0.2, 0.7], [1.0, -1.0])
+    lo, hi = np.array([0.05, 0.55]), np.array([0.2, 0.7])
+    roots = fs.Interpolant(f, 1).roots(lo, hi, 0.5 * (lo + hi), [1.0, -1.0])
     assert np.max(np.abs(roots - [0.1, 0.6])) < 1e-12
     assert calls["prepare"] == 1 and calls["gather"] > 2
 
@@ -313,6 +314,108 @@ def test_coefficients_are_prepared_once(monkeypatch):
     for pts in ([0.1], np.linspace(0.0, 1.0, 7), g.x + 0.5 / g.n):
         evaluate(pts)
     assert calls == {"prepare": 1, "gather": 3}
+
+
+def _large_smooth_flow(seed):
+    """phi at t = 0.5 of global band-limited data at n = 4096: eight
+    decaying modes in u0x and rho0, rho0 kept positive."""
+    g = PeriodicGrid(4096)
+    rng = np.random.default_rng(seed)
+    k = np.arange(1, 9)
+    x = TWO_PI * np.outer(k, g.x)
+    a, b, c, d = rng.uniform(-1.0, 1.0, (4, 8)) * [[0.6], [0.6], [0.4], [0.4]] / k
+    u0 = (a / (TWO_PI * k)) @ np.sin(x) - (b / (TWO_PI * k)) @ (np.cos(x) - 1.0)
+    fluct = c @ np.cos(x) + d @ np.sin(x)
+    rho0 = 1.5 * (np.abs(c).sum() + np.abs(d).sum()) + 0.1 + fluct
+    data = InitialData(PeriodicFunction(g, u0), PeriodicFunction(g, rho0))
+    return exact_geodesic(data, 0.5).phi
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_large_smooth_inversion_takes_one_gather(seed, monkeypatch):
+    # The cubic Hermite start is within ROOT_TOL of every root, so the
+    # first Newton step is the last.
+    phi = _large_smooth_flow(seed)
+    calls = []
+    gather = fs._gather
+
+    def counting_gather(*args):
+        calls.append(len(args[1]))
+        return gather(*args)
+
+    monkeypatch.setattr(fs, "_gather", counting_gather)
+    inv = fs.invert_diffeo(phi)
+    assert calls == [4095]
+    round_trip = inv.values + fs.trig_interpolate(
+        PeriodicFunction(phi.grid, phi.values - phi.grid.x), inv.values
+    )
+    assert np.max(np.abs(round_trip - phi.grid.x)) < 1e-12
+
+
+def test_steep_lift_whose_start_leaves_its_bracket():
+    # phi_x = 1 - (1 - m) (F(x - x_3) - 1) / M, F the Fejer kernel of order
+    # M = 31 on n = 64 nodes: min phi_x = m = 1e-3 at the node x_3, where the
+    # Hermite start's slope 1 / m sends some starts far outside the bracket.
+    g = PeriodicGrid(64)
+    m, M = 1e-3, 31
+    k = np.arange(1, M + 1)
+    weight = -(1.0 - m) / M * 2.0 * (1.0 - k / (M + 1)) / (TWO_PI * k)
+    h = np.sin(TWO_PI * np.outer(g.x - 3 / 64, k)) @ weight
+    phi = PeriodicFunction(g, g.x + h - h[0])
+    phix = fs._check_increasing(phi)
+    assert abs(np.min(phix) - m) < 1e-12
+    periodic, x = phi.values - g.x, g.x[1:]
+    start = fs._inverse_start(phi.values, phix, x)[0]
+    lo, hi = x - np.max(periodic) - 1e-3, x - np.min(periodic) + 1e-3
+    assert np.max(np.maximum(lo - start, start - hi)) > 0.1
+    inv = fs.invert_diffeo(phi).values
+    assert np.all(np.diff(inv) > 0.0)
+    round_trip = inv + dense_trig_interpolate(periodic, inv)
+    assert np.max(np.abs(round_trip - g.x)) < 1e-11
+    smooth = _smooth_diffeo(g, amp=0.5)
+    stack = fs.invert_diffeo(PeriodicFunction(g, np.stack([smooth.values, phi.values])))
+    assert np.array_equal(stack.values[0], fs.invert_diffeo(smooth).values)
+    assert np.array_equal(stack.values[1], inv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([16, 64, 256]),
+    st.sampled_from([0, 1]),
+    st.floats(-1.0, 1.0),
+    st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=6
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_secant_start_finds_the_midpoint_start_roots(n, order, mean, modes, seed):
+    # Random brackets around the roots of the order-th derivative of random
+    # band-limited data, each holding one sign change on a dense scan.
+    g = PeriodicGrid(n)
+    a, b = np.array(modes).T
+    ph = TWO_PI * np.outer(g.x, np.arange(1, len(modes) + 1))
+    f = PeriodicFunction(g, mean + np.cos(ph) @ a + np.sin(ph) @ b)
+    p = fs.Interpolant(f, order + 1)
+    v = f.values if order == 0 else fs.derivative(f).values
+    j = np.nonzero(v * np.roll(v, -1) < 0.0)[0]
+    assume(j.size)
+    h = 1.0 / n
+    sign = np.sign(np.roll(v, -1)[j])
+    cells = p.roots(g.x[j], g.x[j] + h, g.x[j] + 0.5 * h, sign, order)
+    rng = np.random.default_rng(seed)
+    lo = cells - rng.uniform(1e-3, 1.0, j.size) * h
+    hi = cells + rng.uniform(1e-3, 1.0, j.size) * h
+    scan = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 65)
+    dense = fs._gather(p.fine[order : order + 1], scan.ravel())[0].reshape(scan.shape)
+    one = np.sum(dense[:, 1:] * dense[:, :-1] < 0.0, axis=1) == 1
+    one &= np.all(dense != 0.0, axis=1)
+    assume(one.any())
+    lo, hi, sign = lo[one], hi[one], sign[one]
+    v_lo, v_hi = dense[one, 0], dense[one, -1]
+    secant = lo + (hi - lo) * v_lo / (v_lo - v_hi)
+    got = p.roots(lo, hi, secant, sign, order)
+    want = p.roots(lo, hi, 0.5 * (lo + hi), sign, order)
+    assert np.max(np.abs(got - want)) <= fs.ROOT_TOL
 
 
 def test_trig_interpolate_memory_is_bounded():
