@@ -23,6 +23,7 @@ existence time, 10 finite-time blow-up detected.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -363,7 +364,13 @@ _DATA_KEYS = ("n", "outdir", "preset", "u0x_cos", "u0x_sin", "rho0_mean",
               "rho0_cos", "rho0_sin")
 
 
+@functools.lru_cache(maxsize=None)
 def make_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process.
+
+    ``parse_args`` returns a fresh namespace on every call and leaves the
+    parser as it was, so every call of :func:`main` can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="hs2sphere",
         description="Two-component Hunter-Saxton solver and geometry verifier",

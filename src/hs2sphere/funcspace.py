@@ -541,7 +541,7 @@ def _newton_bisect(residual, lo, hi, y, tol: float, sign=1.0) -> np.ndarray:
     return y
 
 
-def _inverse_start(lifts: np.ndarray, phix: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _inverse_start(lifts: np.ndarray, phix: np.ndarray, x: np.ndarray):
     """The cubic Hermite interpolant of the inverse of every row, at x.
 
     It passes through (phi(x_j), x_j), j = 0..n with phi(x_n) = 1, with
@@ -549,7 +549,8 @@ def _inverse_start(lifts: np.ndarray, phix: np.ndarray, x: np.ndarray) -> np.nda
     [phi(x_j), phi(x_j+1)] of width D gets the linear interpolant u / n
     plus t (1 - t) (a - t (a + b)), where a = D / phi_x(x_j) - 1/n and
     b = D / phi_x(x_j+1) - 1/n.  u is one np.interp per row, so a row of
-    a stack gets the bits of its own call.  Returns shape (S, points).
+    a stack gets the bits of its own call.  Returns the start and the
+    node cell [x_j, x_j+1] of every point, each of shape (S, points).
     """
     n = lifts.shape[-1]
     p = np.append(lifts.reshape(-1, n), np.ones((lifts.size // n, 1)), axis=-1)
@@ -560,9 +561,10 @@ def _inverse_start(lifts: np.ndarray, phix: np.ndarray, x: np.ndarray) -> np.nda
     u = np.stack([np.interp(x, row, cells) for row in p])
     j = np.minimum(u.astype(np.intp), n - 1)
     t = u - j
+    lo, hi = j / n, (j + 1) / n
     j += n * np.arange(len(p))[:, None]
     a, b = a.ravel()[j], b.ravel()[j]
-    return u / n + t * (1.0 - t) * (a - t * (a + b))
+    return u / n + t * (1.0 - t) * (a - t * (a + b)), lo, hi
 
 
 def invert_diffeo(phi: PeriodicFunction) -> PeriodicFunction:
@@ -575,11 +577,11 @@ def invert_diffeo(phi: PeriodicFunction) -> PeriodicFunction:
     1 / phi_x (:func:`_inverse_start`), whose error falls as n^-4: on
     smooth, well-resolved data it is within ROOT_TOL of the root, and
     one iteration is enough.  h and h' come from one gather per
-    iteration on a fine grid prepared once.  The bracket
-    [x - max(h), x - min(h)] over the nodes, widened by 1e-3, contains
-    the root unless the interpolant of h leaves its node range by more
-    than that.  The nodes of every row of a stack share one solve; each
-    node takes the iterations it takes alone.
+    iteration on a fine grid prepared once.  The bracket of a target x
+    is its node cell [x_j, x_j+1], where phi(x_j) <= x <= phi(x_j+1):
+    the interpolant passes through the samples, so the cell holds a root.
+    The nodes of every row of a stack share one solve; each node takes
+    the iterations it takes alone.
     """
     phi0 = np.max(np.abs(phi.values[..., 0]))
     if phi0 > 1e-9:
@@ -597,13 +599,8 @@ def invert_diffeo(phi: PeriodicFunction) -> PeriodicFunction:
         hv, dh = _gather(fine, y, None if rows is None else rows[idx])
         return y + hv - targets[idx], 1.0 + dh
 
-    y = _newton_bisect(
-        residual,
-        (x - (np.max(h, axis=-1, keepdims=True) + 1e-3)).ravel(),
-        (x - (np.min(h, axis=-1, keepdims=True) - 1e-3)).ravel(),
-        _inverse_start(phi.values, phix, x).ravel(),
-        ROOT_TOL,
-    )
+    start, lo, hi = _inverse_start(phi.values, phix, x)
+    y = _newton_bisect(residual, lo.ravel(), hi.ravel(), start.ravel(), ROOT_TOL)
     y = np.concatenate((np.zeros(lead + (1,)), y.reshape(lead + x.shape)), axis=-1)
     return PeriodicFunction(grid, y)
 

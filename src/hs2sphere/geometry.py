@@ -19,8 +19,8 @@ constructor is that projection: it is the only point where the two
 geometries differ.  The quotient connection is then the horizontal part
 of the full one (O'Neill).
 
-Every formula reads the x-derivatives a tangent vector carries from its
-construction (``u1x``, ``u2x``) and the slope ``phi_x`` a group element
+Every formula reads the x-derivatives a tangent vector keeps from their
+first read (``u1x``, ``u2x``) and the slope ``phi_x`` a group element
 carries; none differentiates an input again.  On stacks of S tangent
 vectors every scalar (metric, omega, curvature, residual) is an array of
 one value per sample.

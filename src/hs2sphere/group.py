@@ -42,11 +42,12 @@ class TangentVector:
     """Tangent vector (u1, u2): u1 vanishes at 0, both real.
 
     ``u1x`` and ``u2x`` are the read-only spectral x-derivatives of the
-    components, computed once here in one two-row transform; every formula
-    reads them instead of differentiating the components again.
+    components, each computed on its first read and kept; every formula
+    reads them instead of differentiating the components again, and a
+    vector whose derivatives nobody reads costs no transform.
     """
 
-    __slots__ = ("u1", "u2", "u1x", "u2x")
+    __slots__ = ("u1", "u2", "_u1x", "_u2x")
 
     def __init__(self, u1: PeriodicFunction, u2: PeriodicFunction):
         if u1.is_complex or u2.is_complex:
@@ -57,10 +58,26 @@ class TangentVector:
             raise ValueError(f"u1 must vanish at 0, got {u1.values[..., 0]!r}")
         self.u1 = u1
         self.u2 = u2
-        sp = u1.grid.spectral
-        derivs = sp.apply(np.stack([u1.values, u2.values]), sp.deriv)
-        derivs.flags.writeable = False
-        self.u1x, self.u2x = derivs
+        self._u1x = self._u2x = None
+
+    @staticmethod
+    def _deriv(f: PeriodicFunction) -> np.ndarray:
+        sp = f.grid.spectral
+        d = sp.apply(f.values, sp.deriv)
+        d.flags.writeable = False
+        return d
+
+    @property
+    def u1x(self) -> np.ndarray:
+        if self._u1x is None:
+            self._u1x = self._deriv(self.u1)
+        return self._u1x
+
+    @property
+    def u2x(self) -> np.ndarray:
+        if self._u2x is None:
+            self._u2x = self._deriv(self.u2)
+        return self._u2x
 
     @property
     def grid(self) -> PeriodicGrid:

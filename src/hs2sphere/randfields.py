@@ -43,7 +43,8 @@ def _spectrum(
     k = np.arange(1, max_mode + 1)
     a, b = rng.normal(size=(2, *shape, max_mode)) / k**DEFAULT_DECAY
     spec = np.zeros((*shape, n // 2 + 1), dtype=complex)
-    spec[..., 1 : max_mode + 1] = 0.5 * n * (a - 1j * b)
+    spec.real[..., 1 : max_mode + 1] = 0.5 * n * a
+    spec.imag[..., 1 : max_mode + 1] = -0.5 * n * b
     return spec
 
 

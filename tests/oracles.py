@@ -88,7 +88,8 @@ def dense_band_limited(
 def brentq_inverse(phi_values: np.ndarray, xtol: float = 1e-12) -> np.ndarray:
     """Inverse of an increasing lift at the grid nodes, one scalar brentq
     per node on the dense interpolant of the periodic part h = phi - x,
-    inside the bracket [x - max h - 1e-3, x - min h + 1e-3]."""
+    inside the bracket [x - B, x + B], B = sum |c_k| >= sup |h| over the
+    circle (the node range of h can miss the interpolant's extrema)."""
     n = phi_values.size
     x = np.arange(n) / n
     k, c_ext = _dense_coefficients(phi_values - x)
@@ -96,11 +97,10 @@ def brentq_inverse(phi_values: np.ndarray, xtol: float = 1e-12) -> np.ndarray:
     def lifted(y, target):
         return y + float(np.real(np.exp(2j * np.pi * k * y) @ c_ext)) - target
 
-    hmax = np.max(phi_values - x) + 1e-3
-    hmin = np.min(phi_values - x) - 1e-3
+    bound = np.sum(np.abs(c_ext))
     out = np.zeros(n)
     for j in range(1, n):
-        out[j] = brentq(lifted, x[j] - hmax, x[j] - hmin, args=(x[j],), xtol=xtol)
+        out[j] = brentq(lifted, x[j] - bound, x[j] + bound, args=(x[j],), xtol=xtol)
     return out
 
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,6 +315,27 @@ def test_verify_sign_injection_fails_exactly_one(tmp_path):
     report = json.loads((tmp_path / "verify_report.json").read_text())
     failed = [r["identity"] for r in report["results"] if not r["pass"]]
     assert failed == ["omega_compatibility"]
+
+
+def test_parser_is_shared_and_keeps_no_state(tmp_path):
+    assert make_parser() is make_parser()
+    verify = ["verify", "--samples", "2", "--seed", "4"]
+    injected = [*verify, "--inject-sign-error", "j_squared"]
+    assert main([*injected, "--outdir", str(tmp_path / "injected")]) == 1
+    assert main(["blowup", "--preset", "hs-blowup", "--outdir", str(tmp_path)]) == 10
+    assert main([*verify, "--outdir", str(tmp_path / "shared")]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "hs2sphere.cli", *verify, "--outdir", str(tmp_path / "fresh")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    report = "verify_report.json"
+    assert (tmp_path / "shared" / report).read_bytes() == (
+        tmp_path / "fresh" / report
+    ).read_bytes()
 
 
 def test_logmap_and_connect_cli(tmp_path):

@@ -365,8 +365,11 @@ def test_steep_lift_whose_start_leaves_its_bracket():
     phix = fs._check_increasing(phi)
     assert abs(np.min(phix) - m) < 1e-12
     periodic, x = phi.values - g.x, g.x[1:]
-    start = fs._inverse_start(phi.values, phix, x)[0]
-    lo, hi = x - np.max(periodic) - 1e-3, x - np.min(periodic) + 1e-3
+    start, lo, hi = fs._inverse_start(phi.values, phix, x)
+    nodes = np.append(phi.values, 1.0)  # the bracket is the node cell of x
+    j = np.rint(lo[0] * 64).astype(int)
+    assert np.array_equal(hi[0] - lo[0], np.full(x.size, 1 / 64))
+    assert np.all((nodes[j] <= x) & (x <= nodes[j + 1]))
     assert np.max(np.maximum(lo - start, start - hi)) > 0.1
     inv = fs.invert_diffeo(phi).values
     assert np.all(np.diff(inv) > 0.0)
@@ -457,8 +460,12 @@ def band_limited_lifts(draw):
         min_size=1, max_size=8,
     ))
     m = draw(st.sampled_from([1e-3, 0.1, 0.7]))
-    a, b = np.array(modes).T
-    k = np.arange(1, len(modes) + 1)
+    return _lift(n, *np.array(modes).T, m)
+
+
+def _lift(n, a, b, m):
+    """The lift x + H(x), H' = sum a_k cos + b_k sin scaled to min phi_x = m."""
+    k = np.arange(1, len(a) + 1)
 
     def hx(x):
         ph = 2.0 * np.pi * np.outer(x, k)
@@ -472,9 +479,7 @@ def band_limited_lifts(draw):
     return fs.antiderivative_from_zero(slope)
 
 
-@settings(max_examples=12, deadline=None)
-@given(band_limited_lifts())
-def test_invert_diffeo_properties(phi):
+def _assert_inverts(phi):
     inv = fs.invert_diffeo(phi).values
     x = phi.grid.x
     assert np.all(np.diff(inv) > 0.0)
@@ -482,6 +487,25 @@ def test_invert_diffeo_properties(phi):
     round_trip = inv + dense_trig_interpolate(periodic, inv)
     assert np.max(np.abs(round_trip - x)) < 1e-11
     assert np.max(np.abs(inv - brentq_inverse(phi.values))) < 1e-11
+
+
+@settings(max_examples=12, deadline=None)
+@given(band_limited_lifts())
+def test_invert_diffeo_properties(phi):
+    _assert_inverts(phi)
+
+
+def test_invert_diffeo_where_the_interpolant_overshoots_its_nodes():
+    # A steep n = 64 lift drawn as band_limited_lifts draws one, with
+    # min phi_x = 1e-3: between two nodes the interpolant of h = phi - x
+    # leaves the node range of h by more than 1e-3, far enough that a
+    # bracket from that range missed the root (round trip off by 3e-6).
+    rng = np.random.default_rng(6048)
+    phi = _lift(64, *rng.uniform(-1.0, 1.0, size=(2, rng.integers(1, 9))), 1e-3)
+    periodic = phi.values - phi.grid.x
+    dense = dense_trig_interpolate(periodic, np.arange(1024) / 1024)
+    assert max(dense.max() - periodic.max(), periodic.min() - dense.min()) > 1e-3
+    _assert_inverts(phi)
 
 
 def test_invert_diffeo_rejects_degenerate(grid):

@@ -316,6 +316,8 @@ def test_formulas_read_carried_derivatives(grid, rng, monkeypatch):
     u, v = rf.k_tangent(grid, rng), rf.k_tangent(grid, rng)
     U, V = rf.g_tangent(grid, rng), rf.g_tangent(grid, rng)
     a = rf.group_element(grid, rng)
+    for t in (u, v, U, V):  # derivatives are taken on first read
+        t.u1x, t.u2x
     calls = []
     rfft = fs.rfft
 

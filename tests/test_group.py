@@ -18,6 +18,7 @@ from hs2sphere.group import (
     wrap_mod_4pi,
 )
 from hs2sphere.sphere import SpherePoint
+from hs2sphere.verification import run_suite
 
 TWO_PI = 2.0 * np.pi
 
@@ -225,3 +226,46 @@ def test_group_element_json_round_trip(grid, rng):
     assert np.array_equal(back.phi.values, a.phi.values)
     assert np.array_equal(back.alpha.values, a.alpha.values)
     assert back.winding == a.winding
+
+
+
+def test_tangent_derivatives_are_taken_on_first_read(grid, rng, monkeypatch):
+    u1 = fs.antiderivative_from_zero(rf.band_limited(grid, rng))
+    u2 = rf.band_limited(grid, rng)
+    calls = []
+    rfft = fs.rfft
+
+    def counting_rfft(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(fs, "rfft", counting_rfft)
+    U = TangentVector(u1, u2)
+    U + U * 2.0 - (-U)  # vectors whose derivatives nobody reads
+    assert len(calls) == 0
+    first = U.u1x
+    assert len(calls) == 1
+    assert U.u1x is first
+    U.u2x
+    U.u2x
+    assert len(calls) == 2
+    for carried in (U.u1x, U.u2x):
+        with pytest.raises(ValueError):
+            carried[0] = 1.0
+    assert np.array_equal(U.u1x, fs.derivative(u1).values)
+    assert np.array_equal(U.u2x, fs.derivative(u2).values)
+
+
+def test_suite_differentiates_each_component_it_reads_once(monkeypatch):
+    # each transform is one component of a (samples, n) stack
+    calls = []
+    deriv = TangentVector._deriv
+
+    def counting(f):
+        calls.append(f.values.shape)
+        return deriv(f)
+
+    monkeypatch.setattr(TangentVector, "_deriv", staticmethod(counting))
+    run_suite(n=256, samples=10)
+    assert 0 < len(calls) <= 150
+    assert set(calls) == {(10, 256)}
