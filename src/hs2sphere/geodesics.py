@@ -38,6 +38,8 @@ from .group import GroupElement, inverse, multiply, wrap_mod_4pi
 BLOWUP_MARGIN = 1e-9
 NODE_ZERO_TOL = 1e-12
 TOUCH_ZERO_TOL = 1e-10
+# Relative slack on the slope bound of _clears_zero for the rfft's roundoff
+SLOPE_SLACK = 1e-6
 PHASE_TOL = 1e-8
 
 
@@ -151,16 +153,58 @@ def _nodes_and_extrema(p: fs.Interpolant):
     return points[order], values[order], order < f.grid.n
 
 
+def _clears_zero(rho0: PeriodicFunction) -> bool:
+    """Whether Bernstein's inequality shows rho0's interpolant has no zero.
+
+    With V = rfft(rho0), the interpolant is p(x) = (1/n) (V_0
+    + 2 sum_{k=1}^{n/2-1} Re(V_k e^{2 pi i k x}) + V_{n/2} cos(pi n x)),
+    its Nyquist mode split as cos(pi n x), as :class:`funcspace.Interpolant`
+    has it.  So |p'| <= M1 = (2 pi / n) (2 sum_{k=1}^{n/2-1} k |V_k|
+    + (n/2) |V_{n/2}|) everywhere, and every point lies within h/2 = 1/(2n)
+    of a node.  The check passes when min_j |rho0(x_j)| - M1 / (2n) exceeds
+    TOUCH_ZERO_TOL max |rho0|: then |p| stays above that margin on every
+    cell.  M1 carries a relative slack of SLOPE_SLACK for the rfft's
+    roundoff.  That roundoff moves M1 / (2n) by at most about
+    pi sqrt(n/6) 5 log2(n) u max |rho0| (Higham's bound on the FFT's
+    error, unit roundoff u), while a bound close enough to decide the test
+    is at least max |rho0| / (2n): p varies by no more than M1 / 2 over
+    the circle, and a sign change between neighbouring nodes fails the
+    test outright.  The ratio is below 5e-9 at n = 4096 and 4e-7 at
+    n = 2^16.
+    """
+    v = np.abs(rho0.values)
+    n = v.size
+    least, floor = float(np.min(v)), TOUCH_ZERO_TOL * float(np.max(v))
+    if least <= floor:
+        return False  # a node at zero fails the test whatever M1 is
+    weight = np.arange(0.0, n // 2 + 1) * 2.0
+    weight[-1] = 0.5 * n
+    coef = np.abs(fs.rfft(rho0.values))
+    slope = (1.0 + SLOPE_SLACK) * (2.0 * np.pi / n) * (weight @ coef)
+    return least - slope / (2 * n) > floor
+
+
 def _rho_roots(rho0: PeriodicFunction) -> list[float]:
     """All zeros of the trigonometric interpolant of rho0 in [0, 1).
 
-    Reads rho0 at the nodes and the extrema between them.  A zero is a
-    node below NODE_ZERO_TOL max |rho0| or an extremum below
+    No roots, without a search, when :func:`_clears_zero` certifies the
+    data: Bernstein's bound M1 on the interpolant's slope, read off rho0's
+    coefficients with the Nyquist mode as cos(pi n x), leaves a margin
+    min_j |rho0(x_j)| - M1 / (2n) above TOUCH_ZERO_TOL max |rho0|.  That
+    costs one rfft and prepares no interpolant.  The search would find no
+    root on such data either: every node clears NODE_ZERO_TOL, every
+    extremum TOUCH_ZERO_TOL, and no two neighbouring points differ in
+    sign.  All other data takes the search.
+
+    The search reads rho0 at the nodes and the extrema between them.  A
+    zero is a node below NODE_ZERO_TOL max |rho0| or an extremum below
     TOUCH_ZERO_TOL max |rho0|, in size; a zero node next to a zero
     extremum is that extremum's root.  Every other sign change between
     neighbouring points brackets one simple root, all in one solve that
     starts each from the root of the secant through its bracket's values.
     """
+    if _clears_zero(rho0):
+        return []
     p = fs.Interpolant(rho0, 2)
     points, vals, node = _nodes_and_extrema(p)
     tol = np.where(node, NODE_ZERO_TOL, TOUCH_ZERO_TOL) * rho0.max_abs()
@@ -196,9 +240,15 @@ def blowup_time(d: InitialData) -> BlowupReport:
     (max |u0x| + max |rho0|), every point competes.  The first-zero
     time increases with u0x, so the witness is the least value of u0x
     over the nodes and the extrema between them.  Otherwise each zero of
-    rho0 (:func:`_rho_roots`) contributes one witness.  The report is
-    computed once per :class:`InitialData` and returned on every later
-    call.
+    rho0 (:func:`_rho_roots`) contributes one witness.  Before searching
+    for them, Bernstein's inequality bounds the interpolant's slope by
+    M1 = (2 pi / n) (2 sum_{k=1}^{n/2-1} k |V_k| + (n/2) |V_{n/2}|),
+    V = rfft(rho0), the Nyquist mode taken as cos(pi n x) and M1 widened
+    by SLOPE_SLACK for roundoff; when min_j |rho0(x_j)| - M1 / (2n)
+    exceeds TOUCH_ZERO_TOL max |rho0|, the data is global without a
+    search, and otherwise the node-and-extrema search decides.  The
+    report is computed once per :class:`InitialData` and returned on
+    every later call.
     """
     if d._blowup is None:
         d._blowup = _blowup_report(d)

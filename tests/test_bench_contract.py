@@ -1,9 +1,13 @@
 """The benchmark tracer (perfbench/tracer.py) rebinds library names from
-outside; these tests fail when a refactor removes or reshapes one of them,
-which would otherwise only surface in ``perfbench/run.py --trace 1``.
+outside, and the benchmark's jobs (perfbench/workloads.py) call the library
+and check its outputs; these tests fail when a refactor removes or reshapes
+a name either reads, which would otherwise only surface in
+``perfbench/run.py``.
 """
 
 from pathlib import Path
+
+import pytest
 
 from hs2sphere import cli, funcspace, geodesics, integrator, verification
 
@@ -50,3 +54,23 @@ def test_tracer_rebinds_and_restores_library_names(monkeypatch):
     names = [r["identity"] for r in report["results"]]
     assert names == list(verification.IDENTITIES)
     assert all(calls[f"verification.{name}"] == 1 for name in names)
+
+
+@pytest.mark.parametrize("workload, index, kind", [
+    ("solve", 0, "global"),
+    ("verify", 0, None),
+    ("exact-large", 0, "global"),
+    ("exact-large", 1, "finite"),
+])
+def test_benchmark_jobs_pass_their_own_checks(workload, index, kind, tmp_path,
+                                              monkeypatch):
+    # the benchmark's jobs read the library by name (label, T_physical,
+    # global_existence, the CLI's reports); a change that breaks one fails
+    # here, through the job's own output check
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    job = workloads.make_job(workload, 1, index, tmp_path)
+    if kind is not None:
+        assert job.kind == kind
+    assert len(job.check(job.call())) == 64

@@ -29,6 +29,7 @@ from hs2sphere.geodesics import (
     speed,
 )
 from hs2sphere.group import GroupElement, multiply
+from hs2sphere.presets import make_preset
 
 from oracles import (
     dense_trig_interpolate,
@@ -473,6 +474,151 @@ def test_blowup_time_zero_rho_matches_scalar_oracle(n, modes):
     # the witness attains T by the dense interpolant
     v = dense_trig_interpolate(u0x, x)[0]
     assert abs(math.atan2(1.0, -v / (2.0 * c)) / c - t) <= 1e-12 * t
+
+
+# -- the zero-free certificate ----------------------------------------------
+
+
+def _dense_scan(values, factor=64):
+    """The interpolant of real samples at factor n equispaced points, by zero
+    padding the half spectrum; the Nyquist mode is split as cos(pi n x)."""
+    coef = np.fft.rfft(values)
+    coef[-1] *= 0.5
+    return np.fft.irfft(coef, factor * values.size) * factor
+
+
+def _slope_bound(values):
+    """Bernstein's M1 / (2n), without slack: the most the interpolant can
+    move within half a cell."""
+    n = values.size
+    k = np.arange(n // 2 + 1)
+    weight = np.where(k == n // 2, n / 2, 2 * k)
+    m1 = (TWO_PI / n) * (weight @ np.abs(np.fft.rfft(values)))
+    return m1 / (2 * n)
+
+
+def _spy_certificate(mp) -> list:
+    """Record each verdict of the certificate; returns the record."""
+    verdicts = []
+    clears = geo._clears_zero
+
+    def spy(rho0):
+        verdicts.append(clears(rho0))
+        return verdicts[-1]
+
+    mp.setattr(geo, "_clears_zero", spy)
+    return verdicts
+
+
+@st.composite
+def certificate_cases(draw):
+    """(n, u0x, rho0) on both sides of the certificate and of a zero.
+
+    rho0 is a shift plus either the top 1-3 modes, Nyquist included, with
+    random amplitudes and phases, or a Dirichlet-kernel dip inside one
+    cell.  The shift is random, within a few TOUCH_ZERO_TOL max |rho0| of
+    the dense scan touching zero, or within a few slacks of the
+    certificate's own threshold; the sign of rho0 is drawn too.
+    """
+    n = draw(st.sampled_from([8, 16, 32, 64, 256, 1024, 4096]))
+    x = PeriodicGrid(n).x
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 3))
+        k = np.arange(n // 2 - m + 1, n // 2 + 1)
+        amp = draw(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m))
+        phase = draw(st.lists(st.floats(0.0, TWO_PI), min_size=m, max_size=m))
+        fluct = np.array(amp) @ np.cos(TWO_PI * np.outer(k, x) + np.c_[phase])
+    else:
+        scale = draw(st.floats(0.5, 1.5))
+        fluct = -scale * _dirichlet(n, x - draw(st.floats(0.0, 1.0)) / n)
+    tau, top = geo.TOUCH_ZERO_TOL, np.max(fluct)
+    where = draw(st.sampled_from(["random", "touch", "threshold"]))
+    if where == "random":
+        shift = draw(st.floats(-2.0, 4.0)) * (top - np.min(fluct))
+    elif where == "touch":
+        touch = -np.min(_dense_scan(fluct))
+        shift = touch + draw(st.floats(-5.0, 5.0)) * tau * (touch + top)
+    else:
+        bound = _slope_bound(fluct)
+        edge = (bound - np.min(fluct) + tau * top) / (1.0 - tau)
+        width = geo.SLOPE_SLACK * bound + tau * (edge + top)
+        shift = edge + draw(st.floats(-3.0, 3.0)) * width
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    a, b = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    u0x = a * np.sin(TWO_PI * x) + b * np.cos(TWO_PI * x)
+    return n, u0x, sign * (shift + fluct)
+
+
+@settings(max_examples=100, deadline=None)
+@given(certificate_cases())
+def test_certificate_agrees_with_the_search(case):
+    # the oracle is blowup_time with the certificate declining; where the
+    # certificate fires, the dense scan stays above its margin
+    n, u0x, rho0 = case
+    assume(np.max(np.abs(rho0)) > 0.0)
+    grid = PeriodicGrid(n)
+    u0 = fs.antiderivative_from_zero(PeriodicFunction(grid, u0x))
+    with pytest.MonkeyPatch.context() as mp:
+        fired = _spy_certificate(mp)
+        rep = blowup_time(InitialData(u0, PeriodicFunction(grid, rho0)))
+        mp.setattr(geo, "_clears_zero", lambda r: False)
+        searched = blowup_time(InitialData(u0, PeriodicFunction(grid, rho0)))
+    assert rep.finite == searched.finite
+    assert rep.T == searched.T
+    assert rep.witnesses == searched.witnesses
+    if fired == [True]:
+        margin = np.min(np.abs(rho0)) - _slope_bound(rho0)
+        assert margin > geo.TOUCH_ZERO_TOL * np.max(np.abs(rho0))
+        assert np.min(np.abs(_dense_scan(rho0))) > margin
+
+
+def _large_global(n=4096, modes=8):
+    """Global data shaped like the benchmark's n = 4096 jobs: 8 decaying
+    modes in u0x and rho0, whose mean exceeds its coefficients' sum."""
+    grid = PeriodicGrid(n)
+    rng = np.random.default_rng(4096)
+    k = np.arange(1, modes + 1)
+    phases = TWO_PI * np.outer(k, grid.x)
+    cos, sin = np.cos(phases), np.sin(phases)
+    a, b, c, d = rng.uniform(-1.0, 1.0, (4, modes)) * np.c_[[0.6, 0.6, 0.4, 0.4]] / k
+    rho0 = 1.2 * (np.abs(c).sum() + np.abs(d).sum()) + c @ cos + d @ sin
+    u0 = fs.antiderivative_from_zero(PeriodicFunction(grid, a @ cos + b @ sin))
+    return InitialData(u0, PeriodicFunction(grid, rho0))
+
+
+def _count_fine_grids(monkeypatch) -> list:
+    calls = []
+    fine_grid = fs._fine_grid
+    monkeypatch.setattr(fs, "_fine_grid", lambda *a: calls.append(1) or fine_grid(*a))
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_preset("stationary", PeriodicGrid(256)),
+    lambda: make_preset("smooth-global", PeriodicGrid(256)),
+    _large_global,
+], ids=["stationary", "smooth-global", "large-global"])
+def test_certified_data_prepares_no_interpolant(make, monkeypatch):
+    d = make()
+    calls = _count_fine_grids(monkeypatch)
+    rep = blowup_time(d)
+    assert (rep.finite, rep.T, rep.witnesses) == (False, math.inf, ())
+    assert calls == []
+
+
+def test_zero_node_and_zero_rho_take_their_search(grid, monkeypatch):
+    # a zero node fails the certificate and prepares an interpolant; rho0 = 0
+    # never asks the certificate and prepares u0x's
+    verdicts = _spy_certificate(monkeypatch)
+    zero_node = InitialData.from_u0x(
+        grid, lambda x: np.sin(TWO_PI * x), lambda x: np.sin(TWO_PI * x)
+    )
+    calls = _count_fine_grids(monkeypatch)
+    assert blowup_time(zero_node).finite
+    assert verdicts == [False] and calls
+    calls.clear()
+    assert blowup_time(hs_blowup(grid)).finite
+    assert verdicts == [False] and calls
 
 
 def test_beyond_blowup_raises(grid):

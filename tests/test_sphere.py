@@ -4,6 +4,7 @@ import pytest
 import hs2sphere.randfields as rf
 from hs2sphere.errors import (
     AntipodalOrIdentityError,
+    NotTangentError,
     NotUnitNormError,
     ZeroTangentError,
 )
@@ -119,3 +120,14 @@ def test_tangent_projection(grid, rng):
     )
     X = project_to_tangent(f, raw)
     assert abs(np.mean((X.values * np.conj(f.values)).real)) < 1e-12
+
+
+def test_tangent_rejects_a_radial_component(grid, rng):
+    f = rf.nonvanishing_sphere_point(grid, rng)
+    with pytest.raises(NotTangentError, match="tangency defect"):
+        SphereTangent(f.f, f)
+    raw = PeriodicFunction(grid, rng.normal(size=grid.n) + 0j)
+    X = project_to_tangent(f, raw).values
+    SphereTangent(PeriodicFunction(grid, X), f)
+    with pytest.raises(NotTangentError):
+        SphereTangent(PeriodicFunction(grid, X + 1e-6 * f.values), f)
