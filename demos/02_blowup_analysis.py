@@ -52,6 +52,6 @@ cases = {
 }
 for label, rho_fn in cases.items():
     d = InitialData.from_u0x(grid, lambda x: np.sin(2 * np.pi * x), rho_fn)
-    cls = classify_existence(d)
-    extra = "" if cls.global_existence else f"  T = {cls.T_physical:.4f}"
-    print(f"  {label}: {cls.label}{extra}")
+    report = classify_existence(d)
+    extra = "" if report.global_existence else f"  T = {report.T:.4f}"
+    print(f"  {label}: {report.label}{extra}")

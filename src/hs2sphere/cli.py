@@ -35,9 +35,7 @@ from . import funcspace as fs
 from .errors import ConfigError, HS2Error, StepBlowupError
 from .funcspace import PeriodicFunction, PeriodicGrid
 from .geodesics import (
-    BLOWUP_MARGIN,
     InitialData,
-    blowup_time,
     classify_existence,
     connect,
     exact_solution,
@@ -214,8 +212,8 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     data = build_initial_data(cfg)
     outdir = _make_outdir(cfg)
 
-    report = blowup_time(data)
-    if report.finite and cfg.t_end >= report.T - BLOWUP_MARGIN:
+    report = classify_existence(data)
+    if report.reaches(cfg.t_end):
         print(json_dumps(report.to_json_obj()))
         print(
             f"requested t_end={fmt_float(cfg.t_end)} reaches the maximal "
@@ -265,14 +263,14 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 def cmd_blowup(cfg: RunConfig, args) -> int:
     data = build_initial_data(cfg)
     outdir = _make_outdir(cfg)
-    cls = classify_existence(data)
-    obj = cls.report.to_json_obj()
+    report = classify_existence(data)
+    obj = report.to_json_obj()
     obj["schema_version"] = 1
-    obj["classification"] = cls.label
-    obj["speed"] = cls.report.speed
+    obj["classification"] = report.label
+    obj["speed"] = report.speed
     json_dump(obj, outdir / "blowup.json")
     print(json_dumps(obj))
-    return 10 if cls.report.finite else 0
+    return 10 if report.finite else 0
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:

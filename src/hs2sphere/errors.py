@@ -57,7 +57,7 @@ class NonFiniteDataError(HS2Error, ValueError):
 class BeyondBlowupError(HS2Error, ValueError):
     """Evaluation time at or past the maximal existence time."""
 
-    def __init__(self, message, blowup_report=None):
+    def __init__(self, message, blowup_report):
         super().__init__(message)
         self.blowup_report = blowup_report
 
@@ -69,7 +69,7 @@ class StepBlowupError(HS2Error, RuntimeError):
     inspect the run up to the halt.
     """
 
-    def __init__(self, message, trajectory=None, halt_time=None):
+    def __init__(self, message, trajectory, halt_time):
         super().__init__(message)
         self.trajectory = trajectory
         self.halt_time = halt_time

@@ -55,7 +55,6 @@ import numpy as np
 
 from .errors import NonZeroMeanError, NotMonotoneError
 
-DEFAULT_N = 256
 MEAN_TOL = 1e-10
 ROOT_TOL = 1e-12
 # Off-grid kernel: exp(beta sqrt(1 - z^2)) over w fine points.  A point at
@@ -156,7 +155,7 @@ class PeriodicGrid:
 
     __slots__ = ("n", "x", "spectral")
 
-    def __init__(self, n: int = DEFAULT_N):
+    def __init__(self, n: int):
         n = int(n)
         if n < 8 or n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 8, got {n}")
@@ -343,7 +342,7 @@ def inverse_A_dx(f: PeriodicFunction) -> PeriodicFunction:
 # ---------------------------------------------------------------------------
 
 
-def _fine_grid(values: np.ndarray, orders=(0,)) -> np.ndarray:
+def _fine_grid(values: np.ndarray, orders) -> np.ndarray:
     """Prepare the interpolant of samples for :func:`_gather`.
 
     One row per derivative order p: irfft(rfft(values) * fine * ik**p, N)

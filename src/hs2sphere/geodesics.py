@@ -89,21 +89,38 @@ class InitialData:
 
 @dataclass(frozen=True)
 class BlowupReport:
-    """Maximal existence time and the grid locations responsible for it.
+    """The global/finite dichotomy: maximal existence time and witnesses.
 
-    ``T`` is physical time (math.inf when the solution is global); each
-    witness pairs a root x* of rho0 with the first time f(., x*) = 0.
-    Reports are shared, so the witnesses are a tuple.
+    ``T`` is physical time (math.inf when the solution is global), also
+    read as ``T_physical``; each witness pairs a root x* of rho0 with the
+    first time f(., x*) = 0.  Reports are shared, so the witnesses are a
+    tuple.
     """
 
     finite: bool
     T: float
-    witnesses: tuple = ()
-    speed: float = 0.0
+    witnesses: tuple
+    speed: float
+
+    @property
+    def global_existence(self) -> bool:
+        return not self.finite
+
+    @property
+    def label(self) -> str:
+        return "finite" if self.finite else "global"
+
+    @property
+    def T_physical(self) -> float:
+        return self.T
 
     @property
     def T_unit_speed(self) -> float:
         return self.T * self.speed if self.finite else math.inf
+
+    def reaches(self, t: float) -> bool:
+        """Whether t is at or past T - BLOWUP_MARGIN: no solution there."""
+        return self.finite and t >= self.T - BLOWUP_MARGIN
 
     def to_json_obj(self) -> dict:
         return {
@@ -188,13 +205,10 @@ def _rho_roots(rho0: PeriodicFunction) -> list[float]:
     """All zeros of the trigonometric interpolant of rho0 in [0, 1).
 
     No roots, without a search, when :func:`_clears_zero` certifies the
-    data: Bernstein's bound M1 on the interpolant's slope, read off rho0's
-    coefficients with the Nyquist mode as cos(pi n x), leaves a margin
-    min_j |rho0(x_j)| - M1 / (2n) above TOUCH_ZERO_TOL max |rho0|.  That
-    costs one rfft and prepares no interpolant.  The search would find no
-    root on such data either: every node clears NODE_ZERO_TOL, every
-    extremum TOUCH_ZERO_TOL, and no two neighbouring points differ in
-    sign.  All other data takes the search.
+    data; that costs one rfft and prepares no interpolant.  The search
+    would find no root on such data either: every node clears
+    NODE_ZERO_TOL, every extremum TOUCH_ZERO_TOL, and no two neighbouring
+    points differ in sign.  All other data takes the search.
 
     The search reads rho0 at the nodes and the extrema between them.  A
     zero is a node below NODE_ZERO_TOL max |rho0| or an extremum below
@@ -240,15 +254,10 @@ def blowup_time(d: InitialData) -> BlowupReport:
     (max |u0x| + max |rho0|), every point competes.  The first-zero
     time increases with u0x, so the witness is the least value of u0x
     over the nodes and the extrema between them.  Otherwise each zero of
-    rho0 (:func:`_rho_roots`) contributes one witness.  Before searching
-    for them, Bernstein's inequality bounds the interpolant's slope by
-    M1 = (2 pi / n) (2 sum_{k=1}^{n/2-1} k |V_k| + (n/2) |V_{n/2}|),
-    V = rfft(rho0), the Nyquist mode taken as cos(pi n x) and M1 widened
-    by SLOPE_SLACK for roundoff; when min_j |rho0(x_j)| - M1 / (2n)
-    exceeds TOUCH_ZERO_TOL max |rho0|, the data is global without a
-    search, and otherwise the node-and-extrema search decides.  The
-    report is computed once per :class:`InitialData` and returned on
-    every later call.
+    rho0 (:func:`_rho_roots`) contributes one witness; data that
+    Bernstein's inequality clears of zeros (:func:`_clears_zero`) is
+    global without a search.  The report is computed once per
+    :class:`InitialData` and returned on every later call.
     """
     if d._blowup is None:
         d._blowup = _blowup_report(d)
@@ -275,34 +284,21 @@ def _blowup_report(d: InitialData) -> BlowupReport:
     return BlowupReport(True, T, witnesses, c)
 
 
-@dataclass(frozen=True)
-class ExistenceClass:
-    """Outcome of the global/finite dichotomy with both clocks reported."""
+def classify_existence(d: InitialData) -> BlowupReport:
+    """Global iff rho0 is nowhere vanishing; finite T obeys T c < pi.
 
-    global_existence: bool
-    T_physical: float
-    T_unit_speed: float
-    report: BlowupReport
-
-    @property
-    def label(self) -> str:
-        return "global" if self.global_existence else "finite"
-
-
-def classify_existence(d: InitialData) -> ExistenceClass:
-    """Global iff rho0 is nowhere vanishing; finite T obeys T c < pi."""
-    rep = blowup_time(d)
-    return ExistenceClass(
-        not rep.finite, rep.T, rep.T_unit_speed, rep
-    )
+    The report is :func:`blowup_time`'s, the same object.
+    """
+    return blowup_time(d)
 
 
 def _great_circle(d: InitialData, t: float):
     """The great circle at time t on the half-period clock.
 
-    Refuses negative t and t within BLOWUP_MARGIN of a finite maximal time
-    (:class:`BeyondBlowupError`).  With ct = m pi + r, r in [0, pi), and
-    k = (u0x + i rho0) / (2c), f = (-1)^m g for
+    For finite data, refuses negative t and every t that the report
+    :meth:`~BlowupReport.reaches` (:class:`BeyondBlowupError`).  With
+    ct = m pi + r, r in [0, pi), and k = (u0x + i rho0) / (2c),
+    f = (-1)^m g for
 
         g = cos r + k sin r,  g_t = c (k cos r - sin r).
 
@@ -310,15 +306,14 @@ def _great_circle(d: InitialData, t: float):
     from 0.  The sign cancels from 2 f_t / f, |f|^2 and Re(conj(f) f_t).
     """
     rep = blowup_time(d)
-    if rep.finite:
-        if t < 0.0:
-            raise ValueError(
-                "negative times are not supported for finite-existence data"
-            )
-        if t >= rep.T - BLOWUP_MARGIN:
-            raise BeyondBlowupError(
-                f"t={t!r} is at or beyond the maximal time {rep.T!r}", rep
-            )
+    if rep.finite and t < 0.0:
+        raise ValueError(
+            "negative times are not supported for finite-existence data"
+        )
+    if rep.reaches(t):
+        raise BeyondBlowupError(
+            f"t={t!r} is at or beyond the maximal time {rep.T!r}", rep
+        )
     c = rep.speed
     k = d.u0x.values / (2.0 * c) + 1j * (d.rho0.values / (2.0 * c))
     m = math.floor(c * t / math.pi)

@@ -8,11 +8,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hs2sphere.cli as cli
 from hs2sphere.cli import RunConfig, build_config, main, make_parser
-from hs2sphere.errors import ConfigError, HS2Error
+from hs2sphere.errors import (
+    BeyondBlowupError,
+    ConfigError,
+    HS2Error,
+    NotMonotoneError,
+)
 from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
-from hs2sphere.geodesics import InitialData, exact_geodesic
+from hs2sphere.geodesics import (
+    BLOWUP_MARGIN,
+    InitialData,
+    blowup_time,
+    exact_geodesic,
+    exact_solution,
+)
 from hs2sphere.group import GroupElement, multiply
+from hs2sphere.presets import make_preset
 from hs2sphere.serialize import json_dump
 from hs2sphere.verification import run_suite
 from hs2sphere.serialize import json_dumps
@@ -100,6 +113,43 @@ def test_solve_beyond_blowup_exit_code(tmp_path, capsys):
     report = json.loads(out)
     assert report["finite"] is True
     assert abs(report["T_physical"] - 1.7408395027342) < 1e-9
+
+
+def test_solve_refuses_exactly_where_the_exact_solution_does(
+    tmp_path, capsys, monkeypatch
+):
+    # at T - BLOWUP_MARGIN and at its float neighbours, solve's pre-check and
+    # exact_solution draw the same line
+    class Integrated(Exception):
+        pass
+
+    def integrate(*args):
+        raise Integrated
+
+    monkeypatch.setattr(cli, "integrate", integrate)
+    data = make_preset("hs-blowup", PeriodicGrid(256))
+    rep = blowup_time(data)
+    edge = rep.T - BLOWUP_MARGIN
+    refused = []
+    for t in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)):
+        try:
+            exact_solution(data, float(t))
+            beyond = False
+        except BeyondBlowupError:
+            beyond = True
+        except NotMonotoneError:
+            # phi_x is at roundoff this close to T: evaluated, not refused
+            beyond = False
+        argv = ["solve", "--preset", "hs-blowup", "--t-end", repr(float(t)),
+                "--outdir", str(tmp_path)]
+        if beyond:
+            assert main(argv) == 3
+            assert json.loads(capsys.readouterr().out) == rep.to_json_obj()
+        else:
+            with pytest.raises(Integrated):
+                main(argv)
+        refused.append(beyond)
+    assert refused == [False, True, True]
 
 
 def test_blowup_exit_codes(tmp_path):

@@ -29,7 +29,7 @@ from hs2sphere.geodesics import (
     speed,
 )
 from hs2sphere.group import GroupElement, multiply
-from hs2sphere.presets import make_preset
+from hs2sphere.presets import PRESET_NAMES, make_preset
 
 from oracles import (
     dense_trig_interpolate,
@@ -313,10 +313,10 @@ def test_blowup_dip_below_zero_between_nodes(n):
         lambda x: 0.9 - _dirichlet(n, x - 0.5 / n),
     )
     assert np.min(d.rho0.values) > 0.2
-    cls = classify_existence(d)
-    assert cls.label == "finite"
-    assert len(cls.report.witnesses) == 2
-    for x, _ in cls.report.witnesses:
+    rep = classify_existence(d)
+    assert rep.label == "finite"
+    assert len(rep.witnesses) == 2
+    for x, _ in rep.witnesses:
         assert abs(dense_trig_interpolate(d.rho0.values, x)[0]) < 1e-12
 
 
@@ -632,8 +632,24 @@ def test_beyond_blowup_raises(grid):
     exact_geodesic(d, rep.T - 1e-6)
 
 
+def _assert_is_the_report(d):
+    rep = classify_existence(d)
+    assert rep is blowup_time(d)
+    assert rep.global_existence is not rep.finite
+    assert rep.label == ("finite" if rep.finite else "global")
+    assert rep.T_physical == rep.T
+    assert math.isfinite(rep.T) is rep.finite
+    return rep
+
+
 def test_classify_existence(grid, rng):
-    assert classify_existence(smooth_global(grid)).label == "global"
+    labels = {
+        name: _assert_is_the_report(make_preset(name, grid)).label
+        for name in PRESET_NAMES
+    }
+    assert labels == {
+        "stationary": "global", "smooth-global": "global", "hs-blowup": "finite"
+    }
     d = InitialData.from_u0x(
         grid, lambda x: np.sin(TWO_PI * x), lambda x: np.cos(TWO_PI * x)
     )
@@ -643,7 +659,7 @@ def test_classify_existence(grid, rng):
     for _ in range(10):
         want_global = bool(rng.uniform() < 0.5)
         data = rf.initial_data(grid, rng, global_existence=want_global)
-        assert classify_existence(data).global_existence == want_global
+        assert _assert_is_the_report(data).global_existence == want_global
 
 
 @pytest.mark.parametrize("u0x, rho0", [
@@ -683,11 +699,11 @@ def test_blowup_report_is_computed_once(grid, monkeypatch):
     d = InitialData.from_u0x(
         grid, lambda x: np.sin(TWO_PI * x), lambda x: np.cos(TWO_PI * x)
     )
-    cls = classify_existence(d)
-    exact_solution(d, 0.5 * cls.T_physical)
+    rep = classify_existence(d)
+    exact_solution(d, 0.5 * rep.T_physical)
     assert len(calls) == 1
-    assert blowup_time(d) is cls.report
-    assert isinstance(cls.report.witnesses, tuple)
+    assert blowup_time(d) is rep
+    assert isinstance(rep.witnesses, tuple)
 
 
 def test_exact_solution_composes_once(grid, monkeypatch):

@@ -1,11 +1,12 @@
-"""No dead public functions: every public top-level function or class of
-``src/hs2sphere`` is reached from the library, a demo or the benchmark.
+"""No dead public names: every public top-level function, class or
+UPPER_CASE constant of ``src/hs2sphere`` is reached from the library, a
+demo or the benchmark.
 
 A name counts as reached when a module other than ``__init__.py`` (whose
-imports only re-export) loads it: by name inside its own module, through
-``from ... import`` or as an attribute of an imported module elsewhere.
-Only the names below are reached from tests alone; each is kept as the
-reference of the test named next to it.
+imports only re-export) loads it: by name inside its own module, beyond
+its definition, through ``from ... import`` or as an attribute of an
+imported module elsewhere.  Only the names below are reached from tests
+alone; each is kept as the reference of the test named next to it.
 """
 
 import ast
@@ -73,6 +74,11 @@ def _public_definitions():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 if not node.name.startswith("_"):
                     yield path.stem, node.name
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    name = getattr(target, "id", "_")
+                    if name.isupper() and not name.startswith("_"):
+                        yield path.stem, name
 
 
 def test_every_public_function_is_reached_outside_tests():
