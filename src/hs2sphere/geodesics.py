@@ -21,6 +21,7 @@ exact flow itself is evaluated on the half-period clock r = ct - m pi.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import (
     AtIdentityOrAntipodeError,
     BeyondBlowupError,
     NonFiniteDataError,
+    NotMonotoneError,
     ZeroDataError,
 )
 from .funcspace import PeriodicFunction, PeriodicGrid
@@ -38,7 +40,7 @@ from .group import GroupElement, inverse, multiply, wrap_mod_4pi
 BLOWUP_MARGIN = 1e-9
 NODE_ZERO_TOL = 1e-12
 TOUCH_ZERO_TOL = 1e-10
-# Relative slack on the slope bound of _clears_zero for the rfft's roundoff
+# Relative slack on Bernstein's bounds (_bernstein) for the rfft's roundoff
 SLOPE_SLACK = 1e-6
 PHASE_TOL = 1e-8
 
@@ -148,18 +150,18 @@ def _first_zero_time(u0x_at_root: float, c: float) -> float:
     return math.atan2(1.0, -u0x_at_root / (2.0 * c)) / c
 
 
-def _nodes_and_extrema(p: fs.Interpolant):
+def _nodes_and_extrema(p: fs.Interpolant, d: np.ndarray):
     """The grid nodes and the extrema of p between them, in order.
 
-    p is prepared for two derivatives.  The extrema are the roots of p' in
-    the cells where p' has opposite signs at the two ends, in one
-    vectorised solve that starts each from the root of the secant through
-    p' at the cell's ends; two extrema in one cell are missed.  Returns
-    the points, in [0, 1], p there, and which points are nodes.
+    p is prepared for two derivatives, and d holds p' at the nodes.  The
+    extrema are the roots of p' in the cells where p' has opposite signs
+    at the two ends, in one vectorised solve that starts each from the
+    root of the secant through p' at the cell's ends; two extrema in one
+    cell are missed.  Returns the points, in [0, 1], p there, and which
+    points are nodes.
     """
     f = p.f
     x, h = f.grid.x, 1.0 / f.grid.n
-    d = fs.derivative(f).values
     d_next = np.roll(d, -1)
     j = np.nonzero(d * d_next < 0.0)[0]
     start = x[j] + h * d[j] / (d[j] - d_next[j])
@@ -170,65 +172,152 @@ def _nodes_and_extrema(p: fs.Interpolant):
     return points[order], values[order], order < f.grid.n
 
 
-def _clears_zero(rho0: PeriodicFunction) -> bool:
-    """Whether Bernstein's inequality shows rho0's interpolant has no zero.
+def _bernstein(coef: np.ndarray, power: int) -> float:
+    """Bernstein's bound on |p^(power)| from coef = |rfft(samples)|.
 
-    With V = rfft(rho0), the interpolant is p(x) = (1/n) (V_0
-    + 2 sum_{k=1}^{n/2-1} Re(V_k e^{2 pi i k x}) + V_{n/2} cos(pi n x)),
-    its Nyquist mode split as cos(pi n x), as :class:`funcspace.Interpolant`
-    has it.  So |p'| <= M1 = (2 pi / n) (2 sum_{k=1}^{n/2-1} k |V_k|
-    + (n/2) |V_{n/2}|) everywhere, and every point lies within h/2 = 1/(2n)
-    of a node.  The check passes when min_j |rho0(x_j)| - M1 / (2n) exceeds
-    TOUCH_ZERO_TOL max |rho0|: then |p| stays above that margin on every
-    cell.  M1 carries a relative slack of SLOPE_SLACK for the rfft's
-    roundoff.  That roundoff moves M1 / (2n) by at most about
-    pi sqrt(n/6) 5 log2(n) u max |rho0| (Higham's bound on the FFT's
-    error, unit roundoff u), while a bound close enough to decide the test
-    is at least max |rho0| / (2n): p varies by no more than M1 / 2 over
-    the circle, and a sign change between neighbouring nodes fails the
-    test outright.  The ratio is below 5e-9 at n = 4096 and 4e-7 at
-    n = 2^16.
+    The interpolant is p(x) = (1/n) (V_0 + 2 sum_{k=1}^{n/2-1}
+    Re(V_k e^{2 pi i k x}) + V_{n/2} cos(pi n x)), its Nyquist mode split as
+    cos(pi n x), as :class:`funcspace.Interpolant` has it, so
+    |p^(power)| <= ((2 pi)^power / n) (2 sum_{k=1}^{n/2-1} k^power |V_k|
+    + (n/2)^power |V_{n/2}|) everywhere.  The bound carries a relative
+    slack of SLOPE_SLACK for the rfft's roundoff.
     """
-    v = np.abs(rho0.values)
-    n = v.size
+    n = 2 * (coef.size - 1)
+    weight = np.arange(0.0, n // 2 + 1) ** power * 2.0
+    weight[-1] = (0.5 * n) ** power
+    return (1.0 + SLOPE_SLACK) * ((2.0 * np.pi) ** power / n) * (weight @ coef)
+
+
+def _clears_zero(values: np.ndarray, coef: np.ndarray) -> bool:
+    """Whether Bernstein's inequality shows the interpolant has no zero.
+
+    ``values`` are rho0's samples and ``coef`` = |rfft(values)|.  With
+    M1 = :func:`_bernstein` (coef, 1) >= |p'| and every point within
+    h/2 = 1/(2n) of a node, the check passes when min_j |rho0(x_j)|
+    - M1 / (2n) exceeds TOUCH_ZERO_TOL max |rho0|: then |p| stays above
+    that margin on every cell.  The rfft's roundoff moves M1 / (2n) by at
+    most about pi sqrt(n/6) 5 log2(n) u max |rho0| (Higham's bound on the
+    FFT's error, unit roundoff u), while a bound close enough to decide the
+    test is at least max |rho0| / (2n): p varies by no more than M1 / 2
+    over the circle, and a sign change between neighbouring nodes fails
+    the test outright.  The ratio is below 5e-9 at n = 4096 and 4e-7 at
+    n = 2^16, well inside SLOPE_SLACK.
+    """
+    v = np.abs(values)
     least, floor = float(np.min(v)), TOUCH_ZERO_TOL * float(np.max(v))
     if least <= floor:
         return False  # a node at zero fails the test whatever M1 is
-    weight = np.arange(0.0, n // 2 + 1) * 2.0
-    weight[-1] = 0.5 * n
-    coef = np.abs(fs.rfft(rho0.values))
-    slope = (1.0 + SLOPE_SLACK) * (2.0 * np.pi / n) * (weight @ coef)
-    return least - slope / (2 * n) > floor
+    return least - _bernstein(coef, 1) / (2 * v.size) > floor
+
+
+def _settled_signs(values: np.ndarray, d: np.ndarray, coef: np.ndarray):
+    """Settle every cell [x_j, x_j+1] of rho0's interpolant p, or None.
+
+    ``values`` are rho0's samples, d = p' at the nodes (the spectral
+    derivative drops the Nyquist mode, whose slope is zero at every node)
+    and coef = |rfft(values)|.  With h = 1/n, Bernstein's bounds
+    M1 >= |p'| and M2 >= |p''| (:func:`_bernstein`) settle a cell when:
+
+    * it is monotone: d_j d_j+1 > 0 and |d_j| + |d_j+1| > h M2.  p' is
+      M2-Lipschitz, so on the cell |p'| >= (|d_j| + |d_j+1| - h M2) / 2 > 0
+      and p' keeps the sign of d_j: at most one zero, a simple one;
+    * or it is zero-free: both nodes have the same nonzero sign, and the
+      cell is monotone or clears the half-cell test at both ends,
+      |rho0(x_j)| - |d_j| h/2 - M2 h^2/8 > TOUCH_ZERO_TOL max |rho0|.  By
+      Taylor's theorem that bounds |p| from below on the half cell next
+      to x_j.
+
+    A node is zero when below NODE_ZERO_TOL max |rho0|.  A cell whose
+    nodes change sign, or that touches a zero node, must be monotone; it
+    then holds exactly one simple root, or its zero node is its root.
+
+    Roundoff: M1 and M2 carry SLOPE_SLACK (see :func:`_clears_zero`), and
+    each d_j is trusted only to within e = SLOPE_SLACK M1, which widens
+    both tests.  The error of d_j, from two FFTs and a multiplier of size
+    up to pi n, is at most about 10 pi log2(n) u n^1.5 max |rho0| (unit
+    roundoff u): 1.1e-8 max |rho0| at n = 4096.  If p has a zero, it
+    climbs to max |p| and back within one period, so M1 >= 2 max |rho0|
+    and e >= 2e-6 max |rho0|.  If p has no zero, no two nodes differ in
+    sign and no verdict can add a root.  e h/2 also exceeds the error of
+    an off-grid read by orders of magnitude.  So on settled data the
+    search (:func:`_rho_roots`) finds no extremum below TOUCH_ZERO_TOL in
+    size and no sign change but those of the nodes: its roots are the zero
+    nodes and one root per sign-change cell, from the same brackets.
+
+    Returns the sign of every node, 0 at zero nodes, when every cell
+    settles; otherwise None.
+    """
+    h = 1.0 / values.size
+    size = np.abs(values)
+    top = float(np.max(size))
+    m2 = _bernstein(coef, 2)
+    slack = SLOPE_SLACK * _bernstein(coef, 1)
+    # cell j reads entries j and j + 1 of the copies wrapped by one node
+    v, dv = np.append(values, values[0]), np.append(d, d[0])
+    monotone = (dv[:-1] * dv[1:] > 0.0) & (
+        np.abs(dv[:-1] + dv[1:]) > h * m2 + 2.0 * slack
+    )
+    # a clear node also clears NODE_ZERO_TOL, so it is not a zero node
+    clear = np.abs(v) - (0.5 * h) * np.abs(dv) > (
+        m2 * (0.125 * h * h) + slack * (0.5 * h) + TOUCH_ZERO_TOL * top
+    )
+    zero_free = (v[:-1] * v[1:] > 0.0) & clear[:-1] & clear[1:]
+    if not np.all(monotone | zero_free):
+        return None
+    return np.where(size < NODE_ZERO_TOL * top, 0.0, np.sign(values))
+
+
+def _sign_change_roots(p: fs.Interpolant, points, vals, s) -> np.ndarray:
+    """One simple root per sign change of s between neighbouring points.
+
+    ``points`` are ascending in [0, 1] and wrap around the circle; each
+    bracket's solve starts from the root of the secant through its ends'
+    values, all in one :meth:`~funcspace.Interpolant.roots` call.
+    """
+    nxt = np.roll(s, -1)
+    i = np.nonzero(s * nxt < 0.0)[0]
+    lo, hi = points[i], np.append(points[1:], points[0] + 1.0)[i]
+    v_lo, v_hi = vals[i], np.roll(vals, -1)[i]
+    return p.roots(lo, hi, lo + (hi - lo) * v_lo / (v_lo - v_hi), nxt[i])
 
 
 def _rho_roots(rho0: PeriodicFunction) -> list[float]:
     """All zeros of the trigonometric interpolant of rho0 in [0, 1).
 
-    No roots, without a search, when :func:`_clears_zero` certifies the
-    data; that costs one rfft and prepares no interpolant.  The search
-    would find no root on such data either: every node clears
-    NODE_ZERO_TOL, every extremum TOUCH_ZERO_TOL, and no two neighbouring
-    points differ in sign.  All other data takes the search.
+    Three tiers, each on data already in hand, with one rfft of rho0:
 
-    The search reads rho0 at the nodes and the extrema between them.  A
-    zero is a node below NODE_ZERO_TOL max |rho0| or an extremum below
-    TOUCH_ZERO_TOL max |rho0|, in size; a zero node next to a zero
-    extremum is that extremum's root.  Every other sign change between
-    neighbouring points brackets one simple root, all in one solve that
-    starts each from the root of the secant through its bracket's values.
+    * No roots when :func:`_clears_zero` certifies the data; that prepares
+      no interpolant.
+    * When every cell settles (:func:`_settled_signs`, where the rules are
+      derived), the roots are the zero nodes and one root per sign-change
+      cell, solved on an interpolant with one derivative.
+    * All other data takes the search, which reads rho0 at the nodes and
+      the extrema between them.  A zero is a node below NODE_ZERO_TOL
+      max |rho0| or an extremum below TOUCH_ZERO_TOL max |rho0|, in size;
+      a zero node next to a zero extremum is that extremum's root.  Every
+      other sign change between neighbouring points brackets one simple
+      root.  It misses two extrema in one cell.
+
+    The first two tiers give the search's answer bit for bit: the same
+    brackets, secant starts and signs, so the same roots.
     """
-    if _clears_zero(rho0):
+    values = rho0.values
+    coef = fs.rfft(values)
+    size = np.abs(coef)
+    if _clears_zero(values, size):
         return []
+    x = rho0.grid.x
+    d = fs.irfft(coef * rho0.grid.spectral.deriv, x.size)
+    s = _settled_signs(values, d, size)
+    if s is not None:
+        simple = _sign_change_roots(fs.Interpolant(rho0, 1), x, values, s)
+        return _distinct_roots(np.concatenate([x[s == 0.0], simple]))
     p = fs.Interpolant(rho0, 2)
-    points, vals, node = _nodes_and_extrema(p)
+    points, vals, node = _nodes_and_extrema(p, d)
     tol = np.where(node, NODE_ZERO_TOL, TOUCH_ZERO_TOL) * rho0.max_abs()
     zero = np.abs(vals) < tol
     s = np.where(zero, 0.0, np.sign(vals))
-    nxt = np.roll(s, -1)
-    i = np.nonzero(s * nxt < 0.0)[0]
-    lo, hi = points[i], np.append(points[1:], points[0] + 1.0)[i]
-    v_lo, v_hi = vals[i], np.roll(vals, -1)[i]
-    simple = p.roots(lo, hi, lo + (hi - lo) * v_lo / (v_lo - v_hi), nxt[i])
+    simple = _sign_change_roots(p, points, vals, s)
     touch = zero & ~node
     zero &= ~(np.roll(touch, 1) | np.roll(touch, -1))
     return _distinct_roots(np.concatenate([points[zero], simple]))
@@ -254,9 +343,11 @@ def blowup_time(d: InitialData) -> BlowupReport:
     (max |u0x| + max |rho0|), every point competes.  The first-zero
     time increases with u0x, so the witness is the least value of u0x
     over the nodes and the extrema between them.  Otherwise each zero of
-    rho0 (:func:`_rho_roots`) contributes one witness; data that
-    Bernstein's inequality clears of zeros (:func:`_clears_zero`) is
-    global without a search.  The report is computed once per
+    rho0 (:func:`_rho_roots`) contributes one witness.  Bernstein's
+    inequality settles most data from rho0's coefficients without the
+    extremum search: no zero at all (:func:`_clears_zero`), or every grid
+    cell zero-free or holding one simple root (:func:`_settled_signs`,
+    where the rules are derived).  The report is computed once per
     :class:`InitialData` and returned on every later call.
     """
     if d._blowup is None:
@@ -268,7 +359,8 @@ def _blowup_report(d: InitialData) -> BlowupReport:
     c = speed(d)
     rho_max = d.rho0.max_abs()
     if rho_max < NODE_ZERO_TOL * (d.u0x.max_abs() + rho_max):
-        points, vals, _ = _nodes_and_extrema(fs.Interpolant(d.u0x, 2))
+        p = fs.Interpolant(d.u0x, 2)
+        points, vals, _ = _nodes_and_extrema(p, fs.derivative(d.u0x).values)
         k = int(np.argmin(vals))
         T = _first_zero_time(float(vals[k]), c)
         return BlowupReport(True, T, ((float(points[k] % 1.0), T),), c)
@@ -326,6 +418,26 @@ def _great_circle(d: InitialData, t: float):
     return m, g, gt, phi
 
 
+@contextmanager
+def _near_blowup(d: InitialData, t: float):
+    """Re-raise a :class:`NotMonotoneError` of finite data with t and T.
+
+    Within about 1e-6 of T, but before T - BLOWUP_MARGIN, phi_x = |f|^2
+    falls to roundoff at the blow-up point, and the flow is no longer a
+    diffeomorphism in floating point.
+    """
+    try:
+        yield
+    except NotMonotoneError as exc:
+        rep = blowup_time(d)
+        if not rep.finite:
+            raise
+        raise NotMonotoneError(
+            f"t={t!r} is {rep.T - t!r} before the maximal time T={rep.T!r},"
+            f" too close to evaluate: {exc}"
+        ) from exc
+
+
 def exact_geodesic(d: InitialData, t: float) -> GroupElement:
     """Group flow (phi, alpha) at time t, alpha continuous in t and x.
 
@@ -336,7 +448,8 @@ def exact_geodesic(d: InitialData, t: float) -> GroupElement:
     """
     m, g, _, phi = _great_circle(d, t)
     theta = np.sign(d.rho0.values) * (m * math.pi) + np.arctan2(g.imag, g.real)
-    return GroupElement(phi, PeriodicFunction(d.grid, 2.0 * theta), 0)
+    with _near_blowup(d, t):
+        return GroupElement(phi, PeriodicFunction(d.grid, 2.0 * theta), 0)
 
 
 def exact_solution(
@@ -346,14 +459,17 @@ def exact_solution(
 
     On the half-period clock f = (-1)^m g, and the sign drops out of
     w = 2 g_t / g = (u_x + i rho) o phi.  phi_t integrates 2 Re(conj(g) g_t),
-    so u + i rho = (phi_t + i Im w) o phi^{-1}, one composition.
+    so u + i rho = (phi_t + i Im w) o phi^{-1}, one composition.  Too
+    close to T for phi to invert, the :class:`NotMonotoneError` names t and
+    T.
     """
     _, g, gt, phi = _great_circle(d, t)
     phi_t = fs.antiderivative_from_zero(
         PeriodicFunction(d.grid, 2.0 * (np.conj(g) * gt).real)
     )
     field = PeriodicFunction(d.grid, phi_t.values + 1j * (2.0 * gt / g).imag)
-    w = fs.compose(field, fs.invert_diffeo(phi)).values
+    with _near_blowup(d, t):
+        w = fs.compose(field, fs.invert_diffeo(phi)).values
     return PeriodicFunction(d.grid, w.real), PeriodicFunction(d.grid, w.imag)
 
 

@@ -5,8 +5,9 @@ differences instead of spectral derivatives, cubic splines on refined
 grids instead of trigonometric interpolation, dense parameter scans
 instead of closed-form root finding, the dense phase matrix instead of
 the nonuniform FFT or an inverse FFT, dense DFT matrices instead of
-real-FFT multipliers, and scalar brentq and minimize_scalar calls instead
-of vectorised Newton.
+real-FFT multipliers, scalar brentq and minimize_scalar calls instead
+of vectorised Newton, and the eigenvalues of a companion matrix instead of
+bounds and brackets.
 """
 
 import numpy as np
@@ -83,6 +84,29 @@ def dense_band_limited(
     b = rng.normal(size=max_mode) / k**decay
     phases = 2.0 * np.pi * np.outer(k, np.arange(n) / n)
     return amplitude * (a @ np.cos(phases) + b @ np.sin(phases))
+
+
+def companion_zeros(values: np.ndarray, tol: float = 1e-7) -> np.ndarray:
+    """Real zeros in [0, 1) of the interpolant of real samples, ascending.
+
+    Boyd's Fourier companion matrix (J. Eng. Math. 2006): with
+    z = exp(2 pi i x), z^(n/2) p(x) is the polynomial sum_k c_k z^(k+n/2)
+    of degree n, the Nyquist term split between k = +-n/2, and p's real
+    zeros are its roots on the unit circle.  Leading coefficients below
+    1e-13 of the largest are dropped; the roots are the eigenvalues of the
+    companion matrix of what is left (numpy.linalg.eigvals), O(n^3), kept
+    when their modulus is within tol of 1.
+    """
+    _, c = _dense_coefficients(values)
+    keep = np.nonzero(np.abs(c) >= 1e-13 * np.max(np.abs(c)))[0]
+    c = c[: keep[-1] + 1]
+    degree = c.size - 1
+    companion = np.zeros((degree, degree), dtype=complex)
+    companion[1:, :-1] = np.eye(degree - 1)
+    companion[:, -1] = -c[:-1] / c[-1]
+    z = np.linalg.eigvals(companion)
+    z = z[np.abs(np.abs(z) - 1.0) < tol]
+    return np.sort(np.mod(np.angle(z) / (2.0 * np.pi), 1.0))
 
 
 def brentq_inverse(phi_values: np.ndarray, xtol: float = 1e-12) -> np.ndarray:

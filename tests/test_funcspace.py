@@ -129,6 +129,44 @@ def test_inverse_A_rejects_nonzero_mean(grid):
         fs.inverse_A(PeriodicFunction.constant(grid, 0.5))
 
 
+def test_inverse_A_judges_the_mean_relative_to_the_data(grid):
+    # a projected function scaled by 1e8 keeps a roundoff mean of about
+    # 2e-8, above the absolute 1e-10 but 1e-16 of the data; a row at scale
+    # 1e-6 with a true mean of 1e-15 (1e-9 of it) is still refused
+    f = fs.mean_projection(
+        PeriodicFunction.from_callable(grid, lambda x: np.exp(np.sin(TWO_PI * x)))
+    ) * 1e8
+    assert abs(np.mean(f.values)) > fs.MEAN_TOL
+    g = fs.inverse_A(f)
+    assert np.max(np.abs(-fs.derivative(fs.derivative(g)).values - f.values)) < 1e-2
+    small = 1e-6 * np.cos(TWO_PI * grid.x) + 1e-15
+    stack = PeriodicFunction(grid, np.stack([f.values, small]))
+    with pytest.raises(NonZeroMeanError) as err:
+        fs.inverse_A(stack)
+    mean = float(str(err.value).rsplit("|mean|=", 1)[1])  # a plain float
+    assert mean == pytest.approx(1e-15, rel=1e-6)
+
+
+def test_unit_interval_is_np_mod_bit_for_bit():
+    # y - floor(y) in place of np.mod(y, 1.0): the same bits on the edge
+    # cases and on random values of every size
+    edges = np.array([
+        -1e-20, -0.0, 0.0, -1.0, -3.0, 7.0, 1.0 - 2.0**-53, -(1.0 - 2.0**-53),
+        2.0**52 + 0.5, -(2.0**52 + 0.5), 1e300, -1e300, 5e-324, -5e-324,
+        np.inf, -np.inf, np.nan,
+    ])
+    rng = np.random.default_rng(0)
+    y = np.concatenate([
+        edges,
+        rng.uniform(-2.0, 2.0, 10_000),
+        rng.normal(size=10_000) * 10.0 ** rng.uniform(-30, 30, 10_000),
+        np.arange(-4096, 4097) / 4096.0,
+    ])
+    with np.errstate(invalid="ignore"):  # at the infinities
+        got, want = fs._unit_interval(y), np.mod(y, 1.0)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_mean_projection(grid, rng):
     assert np.max(np.abs(fs.mean_projection(PeriodicFunction.constant(grid, 3.0)).values)) == 0.0
     f = PeriodicFunction.from_callable(grid, lambda x: 2.0 + np.cos(TWO_PI * x))

@@ -13,6 +13,7 @@ from hs2sphere.errors import (
     AtIdentityOrAntipodeError,
     BeyondBlowupError,
     NonFiniteDataError,
+    NotMonotoneError,
     ZeroDataError,
 )
 from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
@@ -32,6 +33,7 @@ from hs2sphere.group import GroupElement, multiply
 from hs2sphere.presets import PRESET_NAMES, make_preset
 
 from oracles import (
+    companion_zeros,
     dense_trig_interpolate,
     distinct_roots_loop,
     first_zero_time_scan,
@@ -303,9 +305,10 @@ def _dirichlet(n, x):
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])
-def test_blowup_dip_below_zero_between_nodes(n):
+def test_blowup_dip_below_zero_between_nodes(n, monkeypatch):
     # every node of rho0 is above 0.22, but its interpolant dips to -0.1
-    # midway between the first two nodes
+    # midway between the first two nodes; no cell rule settles that cell,
+    # so the search finds the two roots
     grid = PeriodicGrid(n)
     d = InitialData.from_u0x(
         grid,
@@ -313,7 +316,9 @@ def test_blowup_dip_below_zero_between_nodes(n):
         lambda x: 0.9 - _dirichlet(n, x - 0.5 / n),
     )
     assert np.min(d.rho0.values) > 0.2
+    settled = _spy_certificate(monkeypatch, "_settled_signs")
     rep = classify_existence(d)
+    assert settled == [None]
     assert rep.label == "finite"
     assert len(rep.witnesses) == 2
     for x, _ in rep.witnesses:
@@ -497,16 +502,16 @@ def _slope_bound(values):
     return m1 / (2 * n)
 
 
-def _spy_certificate(mp) -> list:
-    """Record each verdict of the certificate; returns the record."""
+def _spy_certificate(mp, name="_clears_zero") -> list:
+    """Record each verdict of a certificate; returns the record."""
     verdicts = []
-    clears = geo._clears_zero
+    certify = getattr(geo, name)
 
-    def spy(rho0):
-        verdicts.append(clears(rho0))
+    def spy(*args):
+        verdicts.append(certify(*args))
         return verdicts[-1]
 
-    mp.setattr(geo, "_clears_zero", spy)
+    mp.setattr(geo, name, spy)
     return verdicts
 
 
@@ -561,7 +566,8 @@ def test_certificate_agrees_with_the_search(case):
     with pytest.MonkeyPatch.context() as mp:
         fired = _spy_certificate(mp)
         rep = blowup_time(InitialData(u0, PeriodicFunction(grid, rho0)))
-        mp.setattr(geo, "_clears_zero", lambda r: False)
+        mp.setattr(geo, "_clears_zero", lambda *a: False)
+        mp.setattr(geo, "_settled_signs", lambda *a: None)
         searched = blowup_time(InitialData(u0, PeriodicFunction(grid, rho0)))
     assert rep.finite == searched.finite
     assert rep.T == searched.T
@@ -572,18 +578,24 @@ def test_certificate_agrees_with_the_search(case):
         assert np.min(np.abs(_dense_scan(rho0))) > margin
 
 
-def _large_global(n=4096, modes=8):
-    """Global data shaped like the benchmark's n = 4096 jobs: 8 decaying
-    modes in u0x and rho0, whose mean exceeds its coefficients' sum."""
+def _large_modes(seed, n=4096, modes=8):
+    """u0x and a fluctuation of rho0 shaped like the benchmark's n = 4096
+    jobs, 8 decaying modes each, and the fluctuation's coefficient sum."""
     grid = PeriodicGrid(n)
-    rng = np.random.default_rng(4096)
+    rng = np.random.default_rng(seed)
     k = np.arange(1, modes + 1)
     phases = TWO_PI * np.outer(k, grid.x)
     cos, sin = np.cos(phases), np.sin(phases)
     a, b, c, d = rng.uniform(-1.0, 1.0, (4, modes)) * np.c_[[0.6, 0.6, 0.4, 0.4]] / k
-    rho0 = 1.2 * (np.abs(c).sum() + np.abs(d).sum()) + c @ cos + d @ sin
-    u0 = fs.antiderivative_from_zero(PeriodicFunction(grid, a @ cos + b @ sin))
-    return InitialData(u0, PeriodicFunction(grid, rho0))
+    return a @ cos + b @ sin, c @ cos + d @ sin, np.abs(c).sum() + np.abs(d).sum()
+
+
+def _large_global():
+    """Global data: rho0's mean exceeds its coefficients' sum."""
+    u0x, fluct, total = _large_modes(4096)
+    grid = PeriodicGrid(u0x.size)
+    u0 = fs.antiderivative_from_zero(PeriodicFunction(grid, u0x))
+    return InitialData(u0, PeriodicFunction(grid, 1.2 * total + fluct))
 
 
 def _count_fine_grids(monkeypatch) -> list:
@@ -606,19 +618,157 @@ def test_certified_data_prepares_no_interpolant(make, monkeypatch):
     assert calls == []
 
 
-def test_zero_node_and_zero_rho_take_their_search(grid, monkeypatch):
-    # a zero node fails the certificate and prepares an interpolant; rho0 = 0
-    # never asks the certificate and prepares u0x's
-    verdicts = _spy_certificate(monkeypatch)
-    zero_node = InitialData.from_u0x(
-        grid, lambda x: np.sin(TWO_PI * x), lambda x: np.sin(TWO_PI * x)
+def _count_searches(monkeypatch) -> list:
+    calls = []
+    search = geo._nodes_and_extrema
+    monkeypatch.setattr(
+        geo, "_nodes_and_extrema", lambda *a: calls.append(1) or search(*a)
     )
-    calls = _count_fine_grids(monkeypatch)
-    assert blowup_time(zero_node).finite
-    assert verdicts == [False] and calls
-    calls.clear()
+    return calls
+
+
+def test_zero_node_and_zero_rho_take_their_search(grid, monkeypatch):
+    # a double zero at a node fails both certificates and takes the search;
+    # rho0 = 0 asks neither certificate and searches u0x
+    verdicts = _spy_certificate(monkeypatch)
+    settled = _spy_certificate(monkeypatch, "_settled_signs")
+    zero_node = InitialData.from_u0x(
+        grid, lambda x: np.sin(TWO_PI * x), lambda x: 1.0 - np.cos(TWO_PI * x)
+    )
+    searches = _count_searches(monkeypatch)
+    rep = blowup_time(zero_node)
+    assert [x for (x, _) in rep.witnesses] == pytest.approx([0.0], abs=1e-12)
+    assert verdicts == [False] and settled == [None] and searches == [1]
+    searches.clear()
     assert blowup_time(hs_blowup(grid)).finite
-    assert verdicts == [False] and calls
+    assert verdicts == [False] and settled == [None] and searches == [1]
+
+
+# -- the cell certificate ---------------------------------------------------
+
+
+def _large_finite(seed):
+    """Finite data as the benchmark's: rho0 = 0 at the node where u0x is
+    least."""
+    u0x, fluct, _ = _large_modes(seed)
+    return u0x, fluct - fluct[np.argmin(u0x)]
+
+
+def _modes(draw, n):
+    """1-3 modes with random amplitudes and phases on the grid of size n: the
+    top ones, Nyquist included, the lowest, or the lowest and Nyquist."""
+    m = draw(st.integers(1, 3))
+    k = draw(st.sampled_from([
+        np.arange(n // 2 - m + 1, n // 2 + 1),
+        np.arange(1, m + 1),
+        np.append(np.arange(1, m), n // 2),
+    ]))
+    amp = draw(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m))
+    phase = draw(st.lists(st.floats(0.0, TWO_PI), min_size=m, max_size=m))
+    return np.array(amp) @ np.cos(TWO_PI * np.outer(k, PeriodicGrid(n).x) + np.c_[phase])
+
+
+@st.composite
+def cell_cases(draw):
+    """(n, u0x, rho0) in four families around the cell certificate's edges.
+
+    'large': the benchmark's finite shape at n = 4096.  'cross': 1-3 modes
+    (:func:`_modes`) at n = 8-256, shifted to cross zero.  'node': the
+    same modes, with rho0 = 0 at a random node.  'dip': the same modes,
+    shifted so that the dense scan's least value lies within a few
+    TOUCH_ZERO_TOL max |rho0| of zero, on either side.
+    """
+    family = draw(st.sampled_from(["large", "cross", "node", "dip"]))
+    if family == "large":
+        return (4096, *_large_finite(draw(st.integers(0, 2**32 - 1))))
+    n = draw(st.sampled_from([8, 16, 32, 64, 128, 256]))
+    fluct = _modes(draw, n)
+    if family == "cross":
+        lo, hi = np.min(fluct), np.max(fluct)
+        rho0 = fluct - (lo + draw(st.floats(0.01, 0.99)) * (hi - lo))
+    elif family == "node":
+        rho0 = fluct - fluct[draw(st.integers(0, n - 1))]
+    else:
+        touch = -np.min(_dense_scan(fluct))
+        top = touch + np.max(fluct)
+        rho0 = fluct + touch + draw(st.floats(-5.0, 5.0)) * geo.TOUCH_ZERO_TOL * top
+    x = PeriodicGrid(n).x
+    a, b = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    return n, a * np.sin(TWO_PI * x) + b * np.cos(TWO_PI * x), rho0
+
+
+def _scan_zero_count(values) -> int:
+    """Sign changes of the 64 n-point dense scan around the circle, exact
+    zeros skipped."""
+    scan = _dense_scan(values)
+    s = np.sign(scan[scan != 0.0])
+    return int(np.count_nonzero(s != np.roll(s, 1)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(cell_cases())
+def test_cell_certificate_agrees_with_the_search(case):
+    # the oracle is blowup_time with the cell certificate declining; where
+    # it settles the data, every zero is simple and the companion matrix
+    # (n <= 256) or the dense scan counts the same zeros.  Over 3,000 draws
+    # (668 settled at n <= 256) the counted roots lay within 1.8e-14 of the
+    # unit circle and the nearest other root 0.041 from it: companion_zeros'
+    # tol = 1e-7 is far from both.
+    n, u0x, rho0 = case
+    assume(np.max(np.abs(rho0)) > 0.0)
+    grid = PeriodicGrid(n)
+    u0 = fs.antiderivative_from_zero(PeriodicFunction(grid, u0x))
+    with pytest.MonkeyPatch.context() as mp:
+        settled = _spy_certificate(mp, "_settled_signs")
+        rep = blowup_time(InitialData(u0, PeriodicFunction(grid, rho0)))
+        mp.setattr(geo, "_settled_signs", lambda *a: None)
+        searched = blowup_time(InitialData(u0, PeriodicFunction(grid, rho0)))
+    assert (rep.finite, rep.T, rep.witnesses) == (
+        searched.finite, searched.T, searched.witnesses
+    )
+    if settled and settled[0] is not None:
+        count = len(companion_zeros(rho0)) if n <= 256 else _scan_zero_count(rho0)
+        assert len(rep.witnesses) == count
+
+
+@pytest.mark.parametrize("n, crossings", [(16, 4), (32, 6)])
+def test_cell_certificate_sees_the_wiggle_the_nodes_hide(n, crossings, monkeypatch):
+    # the Nyquist mode has zero slope at every node, so rho0's node values
+    # and slopes show 2 crossings where its interpolant has 4 or 6; M2 keeps
+    # those cells open (the search, which reads the same node slopes,
+    # reports 2)
+    x = PeriodicGrid(n).x
+    rho0 = 0.34 * np.cos(TWO_PI * x + 5.3) + 0.2 * np.cos(np.pi * n * x + 2.0) + 0.018
+    assert len(companion_zeros(rho0)) == crossings
+    assert np.count_nonzero(np.sign(rho0) != np.roll(np.sign(rho0), 1)) == 2
+    settled = _spy_certificate(monkeypatch, "_settled_signs")
+    d = InitialData.from_u0x(PeriodicGrid(n), lambda x: np.sin(TWO_PI * x), lambda x: rho0)
+    assert blowup_time(d).finite
+    assert settled == [None]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _large_finite(30),
+    lambda: (np.cos(TWO_PI * PeriodicGrid(256).x), np.sin(TWO_PI * PeriodicGrid(256).x)),
+], ids=["large-finite", "zero-nodes"])
+def test_settled_data_skips_the_extremum_search(make, monkeypatch):
+    # one fine grid with two orders for rho0's roots, one with one order
+    # for u0x at the witnesses, and no extremum search
+    u0x, rho0 = make()
+    grid = PeriodicGrid(rho0.size)
+    d = InitialData(
+        fs.antiderivative_from_zero(PeriodicFunction(grid, u0x)),
+        PeriodicFunction(grid, rho0),
+    )
+    searches = _count_searches(monkeypatch)
+    orders = []
+    fine_grid = fs._fine_grid
+    monkeypatch.setattr(
+        fs, "_fine_grid", lambda v, o: orders.append(len(o)) or fine_grid(v, o)
+    )
+    rep = blowup_time(d)
+    assert rep.finite and len(rep.witnesses) >= 2
+    assert searches == [] and orders == [2, 1]
 
 
 def test_beyond_blowup_raises(grid):
@@ -630,6 +780,22 @@ def test_beyond_blowup_raises(grid):
         exact_solution(d, rep.T + 0.5)
     # just below the maximal time is fine
     exact_geodesic(d, rep.T - 1e-6)
+
+
+def test_too_close_to_blowup_names_t_and_T():
+    # within about 1e-6 of T, but before T - BLOWUP_MARGIN, phi_x falls to
+    # roundoff: the error says how far t is from T
+    d = hs_blowup(PeriodicGrid(256))
+    T = blowup_time(d).T
+    t = T - 1e-7
+    assert not blowup_time(d).reaches(t)
+    for evaluate in (exact_solution, exact_geodesic):
+        with pytest.raises(NotMonotoneError) as err:
+            evaluate(d, t)
+        message = str(err.value)
+        assert f"t={t!r}" in message and f"T={T!r}" in message
+        assert repr(T - t) in message
+        assert isinstance(err.value.__cause__, NotMonotoneError)
 
 
 def _assert_is_the_report(d):
