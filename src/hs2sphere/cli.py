@@ -322,6 +322,11 @@ def cmd_connect(cfg: RunConfig, args) -> int:
     outdir = _make_outdir(cfg)
     a = _load_element(args.a)
     b = _load_element(args.b)
+    if a.grid != b.grid:
+        raise ConfigError(
+            f"--a {args.a!r} has n = {a.grid.n} but --b {args.b!r} has"
+            f" n = {b.grid.n}: both elements must live on one grid"
+        )
     result = connect(a, b)
     obj: dict = {"schema_version": 1, "kind": result.kind}
     if result.log is not None and result.log.kind != "empty":

@@ -42,6 +42,8 @@ NODE_ZERO_TOL = 1e-12
 TOUCH_ZERO_TOL = 1e-10
 # Relative slack on Bernstein's bounds (_bernstein) for the rfft's roundoff
 SLOPE_SLACK = 1e-6
+# Times _rho_roots bisects a grid cell before it reads the cell as tangential
+DEPTH_CAP = 10
 PHASE_TOL = 1e-8
 
 
@@ -150,26 +152,25 @@ def _first_zero_time(u0x_at_root: float, c: float) -> float:
     return math.atan2(1.0, -u0x_at_root / (2.0 * c)) / c
 
 
-def _nodes_and_extrema(p: fs.Interpolant, d: np.ndarray):
-    """The grid nodes and the extrema of p between them, in order.
+def _nodes_and_extrema(p: fs.Interpolant, points, values, slopes, eligible):
+    """The points and the extrema of p between neighbouring points, in order.
 
-    p is prepared for two derivatives, and d holds p' at the nodes.  The
-    extrema are the roots of p' in the cells where p' has opposite signs
-    at the two ends, in one vectorised solve that starts each from the
-    root of the secant through p' at the cell's ends; two extrema in one
-    cell are missed.  Returns the points, in [0, 1], p there, and which
-    points are nodes.
+    ``points`` ascend in [0, 1) and wrap around the circle; p, prepared for
+    two derivatives, takes ``values`` and ``slopes`` there.  The extrema
+    are the roots of p' in each gap after an ``eligible`` point (True: all)
+    whose ends' slopes differ in sign, solved together from the secants'
+    roots; two extrema in one gap are missed.  Returns the points, p there,
+    and each one's index in ``points``, the extrema numbered after them.
     """
-    f = p.f
-    x, h = f.grid.x, 1.0 / f.grid.n
-    d_next = np.roll(d, -1)
-    j = np.nonzero(d * d_next < 0.0)[0]
-    start = x[j] + h * d[j] / (d[j] - d_next[j])
-    ext = p.roots(x[j], x[j] + h, start, -np.sign(d[j]), order=1)
-    points = np.concatenate([x, ext])
-    values = np.concatenate([f.values, p(ext)])
+    wrap = np.append(slopes, slopes[0])
+    i = np.nonzero(eligible & (wrap[:-1] * wrap[1:] < 0.0))[0]
+    j = (i + 1) % points.size
+    lo, hi, d_lo, d_hi = points[i], points[j] + (j == 0), slopes[i], slopes[j]
+    start = lo + (hi - lo) * d_lo / (d_lo - d_hi)
+    ext = p.roots(lo, hi, start, -np.sign(d_lo), order=1)
+    points = np.concatenate([points, ext])
     order = np.argsort(points, kind="stable")
-    return points[order], values[order], order < f.grid.n
+    return points[order], np.concatenate([values, p(ext)])[order], order
 
 
 def _bernstein(coef: np.ndarray, power: int) -> float:
@@ -210,116 +211,117 @@ def _clears_zero(values: np.ndarray, coef: np.ndarray) -> bool:
     return least - _bernstein(coef, 1) / (2 * v.size) > floor
 
 
-def _settled_signs(values: np.ndarray, d: np.ndarray, coef: np.ndarray):
-    """Settle every cell [x_j, x_j+1] of rho0's interpolant p, or None.
+def _open_cells(v, dv, h, m2, slack, top) -> np.ndarray:
+    """Which cells between neighbouring points (last axis) stay open.
 
-    ``values`` are rho0's samples, d = p' at the nodes (the spectral
-    derivative drops the Nyquist mode, whose slope is zero at every node)
-    and coef = |rfft(values)|.  With h = 1/n, Bernstein's bounds
-    M1 >= |p'| and M2 >= |p''| (:func:`_bernstein`) settle a cell when:
+    v and dv hold rho0's interpolant p and p' at points h apart, m2 is
+    Bernstein's M2 >= |p''| (:func:`_bernstein`) and top = max |rho0|.  A
+    cell [a, b] settles when:
 
-    * it is monotone: d_j d_j+1 > 0 and |d_j| + |d_j+1| > h M2.  p' is
-      M2-Lipschitz, so on the cell |p'| >= (|d_j| + |d_j+1| - h M2) / 2 > 0
-      and p' keeps the sign of d_j: at most one zero, a simple one;
-    * or it is zero-free: both nodes have the same nonzero sign, and the
+    * it is monotone: p'(a) p'(b) > 0 and |p'(a)| + |p'(b)| > h M2.  p' is
+      M2-Lipschitz, so on the cell |p'| >= (|p'(a)| + |p'(b)| - h M2) / 2
+      > 0 and p' keeps the sign of p'(a): at most one zero, a simple one;
+    * or it is zero-free: both ends have the same nonzero sign, and the
       cell is monotone or clears the half-cell test at both ends,
-      |rho0(x_j)| - |d_j| h/2 - M2 h^2/8 > TOUCH_ZERO_TOL max |rho0|.  By
-      Taylor's theorem that bounds |p| from below on the half cell next
-      to x_j.
+      |p(a)| - |p'(a)| h/2 - M2 h^2/8 > TOUCH_ZERO_TOL top.  By Taylor's
+      theorem that bounds |p| from below on the half cell next to a.
 
-    A node is zero when below NODE_ZERO_TOL max |rho0|.  A cell whose
-    nodes change sign, or that touches a zero node, must be monotone; it
-    then holds exactly one simple root, or its zero node is its root.
+    A clear end also clears NODE_ZERO_TOL max |rho0|, so a cell whose ends
+    change sign, or that ends at a zero node, must be monotone; it then
+    holds exactly one simple root, or its zero node is its root.
 
     Roundoff: M1 and M2 carry SLOPE_SLACK (see :func:`_clears_zero`), and
-    each d_j is trusted only to within e = SLOPE_SLACK M1, which widens
-    both tests.  The error of d_j, from two FFTs and a multiplier of size
-    up to pi n, is at most about 10 pi log2(n) u n^1.5 max |rho0| (unit
-    roundoff u): 1.1e-8 max |rho0| at n = 4096.  If p has a zero, it
-    climbs to max |p| and back within one period, so M1 >= 2 max |rho0|
-    and e >= 2e-6 max |rho0|.  If p has no zero, no two nodes differ in
-    sign and no verdict can add a root.  e h/2 also exceeds the error of
-    an off-grid read by orders of magnitude.  So on settled data the
-    search (:func:`_rho_roots`) finds no extremum below TOUCH_ZERO_TOL in
-    size and no sign change but those of the nodes: its roots are the zero
-    nodes and one root per sign-change cell, from the same brackets.
-
-    Returns the sign of every node, 0 at zero nodes, when every cell
-    settles; otherwise None.
+    each slope is trusted only to within e = ``slack`` = SLOPE_SLACK M1,
+    which widens both tests.  The error of a node slope, from two FFTs and
+    a multiplier of size up to pi n, is at most about 10 pi log2(n) u n^1.5
+    max |rho0| (unit roundoff u): 1.1e-8 max |rho0| at n = 4096.  If p has
+    a zero, it climbs to max |p| and back within one period, so M1 >= 2 max
+    |rho0| and e >= 2e-6 max |rho0|; e h/2 also exceeds the error of a read
+    off the grid by orders of magnitude.  If p has no zero, no two points
+    differ in sign and no verdict can add a root.
     """
-    h = 1.0 / values.size
-    size = np.abs(values)
-    top = float(np.max(size))
-    m2 = _bernstein(coef, 2)
-    slack = SLOPE_SLACK * _bernstein(coef, 1)
-    # cell j reads entries j and j + 1 of the copies wrapped by one node
-    v, dv = np.append(values, values[0]), np.append(d, d[0])
-    monotone = (dv[:-1] * dv[1:] > 0.0) & (
-        np.abs(dv[:-1] + dv[1:]) > h * m2 + 2.0 * slack
+    monotone = (dv[..., :-1] * dv[..., 1:] > 0.0) & (
+        np.abs(dv[..., :-1] + dv[..., 1:]) > h * m2 + 2.0 * slack
     )
-    # a clear node also clears NODE_ZERO_TOL, so it is not a zero node
     clear = np.abs(v) - (0.5 * h) * np.abs(dv) > (
         m2 * (0.125 * h * h) + slack * (0.5 * h) + TOUCH_ZERO_TOL * top
     )
-    zero_free = (v[:-1] * v[1:] > 0.0) & clear[:-1] & clear[1:]
-    if not np.all(monotone | zero_free):
-        return None
-    return np.where(size < NODE_ZERO_TOL * top, 0.0, np.sign(values))
+    zero_free = (v[..., :-1] * v[..., 1:] > 0.0) & clear[..., :-1] & clear[..., 1:]
+    return ~(monotone | zero_free)
 
 
 def _sign_change_roots(p: fs.Interpolant, points, vals, s) -> np.ndarray:
     """One simple root per sign change of s between neighbouring points.
 
-    ``points`` are ascending in [0, 1] and wrap around the circle; each
-    bracket's solve starts from the root of the secant through its ends'
-    values, all in one :meth:`~funcspace.Interpolant.roots` call.
+    ``points`` ascend in [0, 1] and wrap around the circle; each bracket's
+    solve starts from its secant's root, all in one Interpolant.roots call.
     """
-    nxt = np.roll(s, -1)
-    i = np.nonzero(s * nxt < 0.0)[0]
-    lo, hi = points[i], np.append(points[1:], points[0] + 1.0)[i]
-    v_lo, v_hi = vals[i], np.roll(vals, -1)[i]
-    return p.roots(lo, hi, lo + (hi - lo) * v_lo / (v_lo - v_hi), nxt[i])
+    wrap = np.append(s, s[0])
+    i = np.nonzero(wrap[:-1] * wrap[1:] < 0.0)[0]
+    j = (i + 1) % s.size
+    lo, hi, v_lo, v_hi = points[i], points[j] + (j == 0), vals[i], vals[j]
+    return p.roots(lo, hi, lo + (hi - lo) * v_lo / (v_lo - v_hi), s[j])
 
 
 def _rho_roots(rho0: PeriodicFunction) -> list[float]:
-    """All zeros of the trigonometric interpolant of rho0 in [0, 1).
+    """All zeros of the trigonometric interpolant p of rho0 in [0, 1).
 
-    Three tiers, each on data already in hand, with one rfft of rho0:
+    No zero when :func:`_clears_zero` certifies the data from one rfft.
+    Otherwise the grid cells meet the rules of :func:`_open_cells` (where
+    they are derived) with the node values and spectral slopes, and each
+    further level, up to DEPTH_CAP, bisects the cells still open and reads
+    p and p' at the midpoints.  The zeros are then:
 
-    * No roots when :func:`_clears_zero` certifies the data; that prepares
-      no interpolant.
-    * When every cell settles (:func:`_settled_signs`, where the rules are
-      derived), the roots are the zero nodes and one root per sign-change
-      cell, solved on an interpolant with one derivative.
-    * All other data takes the search, which reads rho0 at the nodes and
-      the extrema between them.  A zero is a node below NODE_ZERO_TOL
-      max |rho0| or an extremum below TOUCH_ZERO_TOL max |rho0|, in size;
-      a zero node next to a zero extremum is that extremum's root.  Every
-      other sign change between neighbouring points brackets one simple
-      root.  It misses two extrema in one cell.
-
-    The first two tiers give the search's answer bit for bit: the same
-    brackets, secant starts and signs, so the same roots.
+    * the nodes below NODE_ZERO_TOL max |rho0|.  A midpoint never counts:
+      near a double root its value falls that low about 1e-6 away;
+    * one simple root per sign change between neighbouring points, with
+      their cell as the bracket and its secant root as the start;
+    * the extrema below TOUCH_ZERO_TOL max |rho0|, each standing for a zero
+      node next to it.  p' = 0 is solved only on the runs of adjacent cells
+      still open at the cap, their inner midpoints dropped, and only they
+      prepare p'' (:func:`_nodes_and_extrema`).
     """
-    values = rho0.values
+    values, x = rho0.values, rho0.grid.x
     coef = fs.rfft(values)
     size = np.abs(coef)
     if _clears_zero(values, size):
         return []
-    x = rho0.grid.x
     d = fs.irfft(coef * rho0.grid.spectral.deriv, x.size)
-    s = _settled_signs(values, d, size)
-    if s is not None:
-        simple = _sign_change_roots(fs.Interpolant(rho0, 1), x, values, s)
-        return _distinct_roots(np.concatenate([x[s == 0.0], simple]))
-    p = fs.Interpolant(rho0, 2)
-    points, vals, node = _nodes_and_extrema(p, d)
-    tol = np.where(node, NODE_ZERO_TOL, TOUCH_ZERO_TOL) * rho0.max_abs()
-    zero = np.abs(vals) < tol
-    s = np.where(zero, 0.0, np.sign(vals))
+    h, top = 1.0 / x.size, float(np.max(np.abs(values)))
+    bounds = _bernstein(size, 2), SLOPE_SLACK * _bernstein(size, 1), top
+    s = np.where(np.abs(values) < NODE_ZERO_TOL * top, 0.0, np.sign(values))
+    p = fs.Interpolant(rho0, 1)
+    # cell j reads entries j and j + 1 of the copies wrapped by one node
+    v, dv = np.append(values, values[0]), np.append(d, d[0])
+    j = np.nonzero(_open_cells(v, dv, h, *bounds))[0]
+    points, vals, zero = x, values, s == 0.0
+    if j.size:
+        # rows x, p, p'; one open cell per column, its two ends last
+        cells = np.stack([np.append(x, 1.0), v, dv])[:, np.c_[j, j + 1]]
+        mids = []
+        while cells.size and len(mids) < DEPTH_CAP:
+            mid = 0.5 * (cells[0, :, 0] + cells[0, :, 1])
+            mids.append(np.vstack([mid, fs._gather(p.fine, mid)]))
+            three = np.insert(cells, 1, mids[-1], axis=-1)
+            is_open = _open_cells(three[1], three[2], h * 0.5 ** len(mids), *bounds)
+            cells = np.stack([three[..., :-1], three[..., 1:]], axis=-1)[:, is_open]
+        pts = np.hstack([np.stack([x, values, d]), *mids])
+        order = np.argsort(pts[0], kind="stable")
+        pts, node = pts[:, order], order < x.size
+        runs = np.isin(pts[0], cells[0, :, 0])  # the points that open a capped cell
+        keep = node | ~(runs & np.roll(runs, 1))
+        points, vals, slopes = pts[:, keep]
+        runs, count, order = runs[keep], points.size, np.arange(points.size)
+        if runs.any():  # only capped runs prepare p''
+            q = fs.Interpolant(rho0, 2)
+            points, vals, order = _nodes_and_extrema(q, points, vals, slopes, runs)
+        # nodes, then kept midpoints (never zero), then extrema
+        tol = np.append(np.where(node[keep], NODE_ZERO_TOL, 0.0), TOUCH_ZERO_TOL)
+        zero = np.abs(vals) < tol[np.minimum(order, count)] * top
+        s = np.where(zero, 0.0, np.sign(vals))
+        touch = np.pad(zero & (order >= count), 1, mode="wrap")
+        zero &= ~(touch[:-2] | touch[2:])
     simple = _sign_change_roots(p, points, vals, s)
-    touch = zero & ~node
-    zero &= ~(np.roll(touch, 1) | np.roll(touch, -1))
     return _distinct_roots(np.concatenate([points[zero], simple]))
 
 
@@ -342,13 +344,10 @@ def blowup_time(d: InitialData) -> BlowupReport:
     When rho0 vanishes identically, max |rho0| below NODE_ZERO_TOL
     (max |u0x| + max |rho0|), every point competes.  The first-zero
     time increases with u0x, so the witness is the least value of u0x
-    over the nodes and the extrema between them.  Otherwise each zero of
-    rho0 (:func:`_rho_roots`) contributes one witness.  Bernstein's
-    inequality settles most data from rho0's coefficients without the
-    extremum search: no zero at all (:func:`_clears_zero`), or every grid
-    cell zero-free or holding one simple root (:func:`_settled_signs`,
-    where the rules are derived).  The report is computed once per
-    :class:`InitialData` and returned on every later call.
+    over the nodes and the extrema between them, found from the node
+    slopes: two extrema in one cell can hide a lower minimum.  Otherwise
+    each zero of rho0, certified cell by cell (:func:`_rho_roots`), gives
+    one witness.  The report is computed once per :class:`InitialData`.
     """
     if d._blowup is None:
         d._blowup = _blowup_report(d)
@@ -359,8 +358,8 @@ def _blowup_report(d: InitialData) -> BlowupReport:
     c = speed(d)
     rho_max = d.rho0.max_abs()
     if rho_max < NODE_ZERO_TOL * (d.u0x.max_abs() + rho_max):
-        p = fs.Interpolant(d.u0x, 2)
-        points, vals, _ = _nodes_and_extrema(p, fs.derivative(d.u0x).values)
+        p, slopes = fs.Interpolant(d.u0x, 2), fs.derivative(d.u0x).values
+        points, vals, _ = _nodes_and_extrema(p, d.grid.x, d.u0x.values, slopes, True)
         k = int(np.argmin(vals))
         T = _first_zero_time(float(vals[k]), c)
         return BlowupReport(True, T, ((float(points[k] % 1.0), T),), c)

@@ -86,8 +86,11 @@ def dense_band_limited(
     return amplitude * (a @ np.cos(phases) + b @ np.sin(phases))
 
 
-def companion_zeros(values: np.ndarray, tol: float = 1e-7) -> np.ndarray:
-    """Real zeros in [0, 1) of the interpolant of real samples, ascending.
+def companion_zeros(
+    values: np.ndarray, tol: float = 1e-7, order: int = 0
+) -> np.ndarray:
+    """Real zeros in [0, 1) of the order-th derivative p of the interpolant
+    of real samples, ascending.
 
     Boyd's Fourier companion matrix (J. Eng. Math. 2006): with
     z = exp(2 pi i x), z^(n/2) p(x) is the polynomial sum_k c_k z^(k+n/2)
@@ -97,7 +100,8 @@ def companion_zeros(values: np.ndarray, tol: float = 1e-7) -> np.ndarray:
     companion matrix of what is left (numpy.linalg.eigvals), O(n^3), kept
     when their modulus is within tol of 1.
     """
-    _, c = _dense_coefficients(values)
+    k, c = _dense_coefficients(values)
+    c = c * (2j * np.pi * k) ** order
     keep = np.nonzero(np.abs(c) >= 1e-13 * np.max(np.abs(c)))[0]
     c = c[: keep[-1] + 1]
     degree = c.size - 1

@@ -421,6 +421,18 @@ def test_logmap_and_connect_cli(tmp_path):
     assert res["kind"] == "antipodal_infinite"
 
 
+def test_connect_across_grid_sizes_is_config_error(tmp_path, capsys):
+    files = []
+    for n in (8, 16):
+        files.append(tmp_path / f"e{n}.json")
+        json_dump(GroupElement.identity(PeriodicGrid(n)).to_json_obj(), files[-1])
+    argv = ["connect", "--a", str(files[0]), "--b", str(files[1])]
+    assert main([*argv, "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "n = 8" in err and "n = 16" in err
+
+
 def test_logmap_identity_errors(tmp_path):
     grid = PeriodicGrid(64)
     ident = GroupElement.identity(grid)
