@@ -14,6 +14,10 @@ class ConfigError(HS2Error, ValueError):
     """Malformed configuration: a bad flag, config file line or input file."""
 
 
+class GridMismatchError(HS2Error, ValueError):
+    """Operands that must share one grid live on grids of different sizes."""
+
+
 class NonZeroMeanError(HS2Error, ValueError):
     """Input to the inverse Laplacian has a mean above tolerance."""
 

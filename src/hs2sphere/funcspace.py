@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonZeroMeanError, NotMonotoneError
+from .errors import GridMismatchError, NonZeroMeanError, NotMonotoneError
 
 MEAN_TOL = 1e-10
 ROOT_TOL = 1e-12
@@ -250,7 +250,9 @@ class PeriodicFunction:
     def _coerce(self, other):
         if isinstance(other, PeriodicFunction):
             if other.grid != self.grid:
-                raise ValueError("grids do not match")
+                raise GridMismatchError(
+                    f"grids do not match: n = {self.grid.n} and n = {other.grid.n}"
+                )
             return other.values
         if isinstance(other, np.ndarray) and other.ndim and (
             other.shape == self.values.shape[:-1]
@@ -509,6 +511,10 @@ def compose(
     only the periodic part of f is interpolated.  For stacks f and phi,
     ``slope`` may hold one slope per row.
     """
+    if f.grid != phi.grid:
+        raise GridMismatchError(
+            f"cannot compose f on n = {f.grid.n} with phi on n = {phi.grid.n}"
+        )
     _check_increasing(phi)
     if np.ndim(slope):
         slope = np.expand_dims(slope, -1)

@@ -30,6 +30,7 @@ from . import funcspace as fs
 from .errors import (
     AtIdentityOrAntipodeError,
     BeyondBlowupError,
+    GridMismatchError,
     NonFiniteDataError,
     NotMonotoneError,
     ZeroDataError,
@@ -61,7 +62,9 @@ class InitialData:
         if u0.is_complex or rho0.is_complex:
             raise ValueError("initial data must be real")
         if u0.grid != rho0.grid:
-            raise ValueError("components live on different grids")
+            raise GridMismatchError(
+                f"u0 on n = {u0.grid.n} and rho0 on n = {rho0.grid.n}"
+            )
         if abs(u0.values[0]) > 1e-10:
             raise ValueError(f"u0 must vanish at 0, got {u0.values[0]!r}")
         if u0.max_abs() == 0.0 and rho0.max_abs() == 0.0:
@@ -157,10 +160,10 @@ def _nodes_and_extrema(p: fs.Interpolant, points, values, slopes, eligible):
 
     ``points`` ascend in [0, 1) and wrap around the circle; p, prepared for
     two derivatives, takes ``values`` and ``slopes`` there.  The extrema
-    are the roots of p' in each gap after an ``eligible`` point (True: all)
-    whose ends' slopes differ in sign, solved together from the secants'
-    roots; two extrema in one gap are missed.  Returns the points, p there,
-    and each one's index in ``points``, the extrema numbered after them.
+    are the roots of p' in each gap after an ``eligible`` point (the mask of
+    capped runs) whose ends' slopes differ in sign, solved together from
+    the secants' roots; two extrema in one gap are missed.  Returns the
+    points, p there, and each one's index, the extrema numbered last.
     """
     wrap = np.append(slopes, slopes[0])
     i = np.nonzero(eligible & (wrap[:-1] * wrap[1:] < 0.0))[0]
@@ -309,7 +312,7 @@ def _rho_roots(rho0: PeriodicFunction) -> list[float]:
         order = np.argsort(pts[0], kind="stable")
         pts, node = pts[:, order], order < x.size
         runs = np.isin(pts[0], cells[0, :, 0])  # the points that open a capped cell
-        keep = node | ~(runs & np.roll(runs, 1))
+        keep = node | ~(runs & np.append(runs[-1], runs[:-1]))
         points, vals, slopes = pts[:, keep]
         runs, count, order = runs[keep], points.size, np.arange(points.size)
         if runs.any():  # only capped runs prepare p''
@@ -341,13 +344,13 @@ def _distinct_roots(r: np.ndarray) -> list[float]:
 def blowup_time(d: InitialData) -> BlowupReport:
     """Maximal existence time: infinite iff rho0 is nowhere zero.
 
-    When rho0 vanishes identically, max |rho0| below NODE_ZERO_TOL
-    (max |u0x| + max |rho0|), every point competes.  The first-zero
-    time increases with u0x, so the witness is the least value of u0x
-    over the nodes and the extrema between them, found from the node
-    slopes: two extrema in one cell can hide a lower minimum.  Otherwise
-    each zero of rho0, certified cell by cell (:func:`_rho_roots`), gives
-    one witness.  The report is computed once per :class:`InitialData`.
+    Each zero of rho0, certified cell by cell (:func:`_rho_roots`), gives
+    one witness.  When rho0 vanishes identically, max |rho0| below
+    NODE_ZERO_TOL (max |u0x| + max |rho0|), every point competes and the
+    first-zero time increases with u0x: the witness is u0x's least value
+    over the zeros of u0x' from the same search, exact as u0x has no
+    Nyquist mode.  u0x has mean zero and is not zero, so u0x' has zeros.
+    The report is computed once per :class:`InitialData`.
     """
     if d._blowup is None:
         d._blowup = _blowup_report(d)
@@ -357,20 +360,16 @@ def blowup_time(d: InitialData) -> BlowupReport:
 def _blowup_report(d: InitialData) -> BlowupReport:
     c = speed(d)
     rho_max = d.rho0.max_abs()
-    if rho_max < NODE_ZERO_TOL * (d.u0x.max_abs() + rho_max):
-        p, slopes = fs.Interpolant(d.u0x, 2), fs.derivative(d.u0x).values
-        points, vals, _ = _nodes_and_extrema(p, d.grid.x, d.u0x.values, slopes, True)
-        k = int(np.argmin(vals))
-        T = _first_zero_time(float(vals[k]), c)
-        return BlowupReport(True, T, ((float(points[k] % 1.0), T),), c)
-
-    roots = _rho_roots(d.rho0)
+    flat = rho_max < NODE_ZERO_TOL * (d.u0x.max_abs() + rho_max)
+    roots = _rho_roots(fs.derivative(d.u0x) if flat else d.rho0)
     if not roots:
         return BlowupReport(False, math.inf, (), c)
     witnesses = tuple(
         (r, _first_zero_time(float(v), c))
         for r, v in zip(roots, fs.trig_interpolate(d.u0x, roots))
     )
+    if flat:  # every point competes: keep the critical point of least time
+        witnesses = (min(witnesses, key=lambda w: w[1]),)
     T = min(t for (_, t) in witnesses)
     return BlowupReport(True, T, witnesses, c)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import funcspace as fs
-from .errors import UnwrapAmbiguityError, VanishingModulusError
+from .errors import GridMismatchError, UnwrapAmbiguityError, VanishingModulusError
 from .funcspace import PeriodicFunction, PeriodicGrid
 from .sphere import MODULUS_TOL, SpherePoint
 
@@ -53,7 +53,7 @@ class TangentVector:
         if u1.is_complex or u2.is_complex:
             raise ValueError("tangent components must be real")
         if u1.grid != u2.grid:
-            raise ValueError("components live on different grids")
+            raise GridMismatchError(f"u1 on n = {u1.grid.n} and u2 on n = {u2.grid.n}")
         if np.any(np.abs(u1.values[..., 0]) > 1e-10):
             raise ValueError(f"u1 must vanish at 0, got {u1.values[..., 0]!r}")
         self.u1 = u1
@@ -122,7 +122,9 @@ class GroupElement:
         if phi.is_complex or alpha.is_complex:
             raise ValueError("phi and alpha must be real")
         if phi.grid != alpha.grid:
-            raise ValueError("phi and alpha live on different grids")
+            raise GridMismatchError(
+                f"phi on n = {phi.grid.n} and alpha on n = {alpha.grid.n}"
+            )
         if np.any(np.abs(phi.values[..., 0]) > 1e-9):
             raise ValueError(f"phi must fix 0, got phi(0)={phi.values[..., 0]!r}")
         self.grid = phi.grid
@@ -141,6 +143,10 @@ class GroupElement:
 
     def distance(self, other: "GroupElement"):
         """Sup distance with the angle compared mod 4 pi."""
+        if other.grid != self.grid:
+            raise GridMismatchError(
+                f"elements on n = {self.grid.n} and n = {other.grid.n}"
+            )
         dphi = np.max(np.abs(self.phi.values - other.phi.values), axis=-1)
         dalpha = np.max(
             np.abs(wrap_mod_4pi(self.alpha.values - other.alpha.values)), axis=-1

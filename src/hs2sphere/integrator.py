@@ -58,10 +58,11 @@ class IntegratorConfig:
 
     @property
     def n_steps(self) -> int:
-        """Step count: t_end / dt rounded, or rounded up if that misses t_end."""
+        """Step count: t_end / dt rounded, or rounded up if that misses t_end;
+        at least one step."""
         n = int(round(self.t_end / self.dt))
         if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
-            n = int(math.ceil(self.t_end / self.dt - 1e-12))
+            n = max(1, int(math.ceil(self.t_end / self.dt - 1e-12)))
         return n
 
 

@@ -96,6 +96,14 @@ def test_solve_with_dealiasing_on(tmp_path):
     assert comparison["max_rel_l2_rho"] < 1e-9
 
 
+def test_solve_shorter_than_one_step(tmp_path):
+    # a t_end far below dt takes one step of length t_end
+    argv = ["solve", "--preset", "smooth-global", "--t-end", "1e-20"]
+    assert main([*argv, "--outdir", str(tmp_path)]) == 0
+    comparison = json.loads((tmp_path / "comparison.json").read_text())
+    assert comparison["t"] == [0.0, 1e-20] and comparison["max_rel_l2_u"] < 1e-12
+
+
 def test_solve_beyond_blowup_exit_code(tmp_path, capsys):
     code = main(
         [

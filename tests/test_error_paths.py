@@ -6,17 +6,31 @@ import pytest
 import hs2sphere.funcspace as fs
 import hs2sphere.hopf as hp
 import hs2sphere.randfields as rf
-from hs2sphere.errors import BaseMismatchError, ZeroAtBasePointError
+from hs2sphere.errors import BaseMismatchError, GridMismatchError, ZeroAtBasePointError
 from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
+from hs2sphere.geodesics import InitialData, connect
+from hs2sphere.group import GroupElement, TangentVector, multiply
 from hs2sphere.sphere import SpherePoint, exp_at_one
 
 
-def test_grid_mismatch_arithmetic(grid):
-    other = PeriodicGrid(128)
-    f = PeriodicFunction.zeros(grid)
-    g = PeriodicFunction.zeros(other)
-    with pytest.raises(ValueError):
-        f + g
+def test_grid_mismatch_arithmetic():
+    # every entry point that meets two grids names both sizes in one typed
+    # error, before numpy meets arrays of different lengths
+    small, large = PeriodicGrid(8), PeriodicGrid(16)
+    f, g = PeriodicFunction.zeros(small), PeriodicFunction.zeros(large)
+    a, b = GroupElement.identity(small), GroupElement.identity(large)
+    for mismatch in (
+        lambda: f + g,
+        lambda: InitialData(f, PeriodicFunction.constant(large, 1.0)),
+        lambda: TangentVector(f, g),
+        lambda: GroupElement(a.phi, b.alpha),
+        lambda: a.distance(b),
+        lambda: connect(a, b),
+        lambda: multiply(a, b),
+        lambda: fs.compose(f, b.phi),
+    ):
+        with pytest.raises(GridMismatchError, match="n = 8.*n = 16|n = 16.*n = 8"):
+            mismatch()
 
 
 def test_exp_requires_base_one(grid, rng):

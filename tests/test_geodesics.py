@@ -456,25 +456,47 @@ def test_distinct_roots_drop_near_repeats_across_the_wrap():
     assert geo._distinct_roots(np.array([])) == []
 
 
+@st.composite
+def zero_rho_cases(draw):
+    """(family, n, [(k, a, b), ...]) for u0x = sum a cos 2 pi k x + b sin 2 pi k x.
+
+    'low': modes k = 1..m, m <= 3, at n = 64-256, with a and b drawn in
+    [-1, 1] and divided by k^2.  'near-nyquist': mode 1 and the top 1-3
+    modes below Nyquist at n = 8-64, a and b in [-1, 1]; several critical
+    points of u0x can share a grid cell.
+    """
+    amp = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([64, 128, 256]))
+        modes = draw(st.lists(st.tuples(amp, amp), min_size=1, max_size=3))
+        return "low", n, [(k, a / k**2, b / k**2) for k, (a, b) in enumerate(modes, 1)]
+    n = draw(st.sampled_from([8, 16, 32, 64]))
+    top = range(max(2, n // 2 - draw(st.integers(1, 3))), n // 2)
+    return "near-nyquist", n, [(k, draw(amp), draw(amp)) for k in (1, *top)]
+
+
 @settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from([64, 128, 256]),
-    st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-             min_size=1, max_size=3),
-)
+@given(zero_rho_cases())
 # two nearly equal minima, the least node next to the higher one
-@example(64, [(0.0, 0.0), (0.0, 1.0 / 512), (0.0, 1.0)])
-def test_blowup_time_zero_rho_matches_scalar_oracle(n, modes):
-    # Worst over 6,000 seeded draws: T 1.0e-14 relative to the oracle, and
-    # the same for t*(witness); the tolerance is 100x above.  The witness
-    # is checked by the time it attains rather than by its distance to the
-    # oracle's minimizer (1.3e-8 at worst in those draws): at a degenerate
-    # minimum, u0x = cos 2 pi x + cos 4 pi x / 4, the two are 7e-6 apart.
+@example(("low", 64, [(1, 0.0, 0.0), (2, 0.0, 1.0 / 2048), (3, 0.0, 1.0 / 9)]))
+# the least value of u0x lies 0.007 past the least node, x = 3/4, in a cell
+# whose node slopes agree in sign
+@example(("near-nyquist", 8, [(1, -0.55, 0.69), (3, -0.16, -0.11)]))
+def test_blowup_time_zero_rho_matches_scalar_oracle(case):
+    # Worst over 6,000 seeded draws of each family: T 3.1e-15 ('low') and
+    # 1.8e-14 ('near-nyquist') relative to the oracle, and the same for
+    # t*(witness); the tolerance is 50x above.  The witness is checked by
+    # the time it attains rather than by its distance to the oracle's
+    # minimizer (8.3e-9 at worst in the 'low' draws): at a degenerate
+    # minimum, u0x = cos 2 pi x + cos 4 pi x / 4, they are up to 1.5e-5 apart.
+    # On the near-Nyquist family minimize_scalar stops early on flat minima
+    # (7.4e-13 relative in T at worst), so the oracle there is the least
+    # u0x over the companion matrix's zeros of u0x'.
+    family, n, modes = case
     grid = PeriodicGrid(n)
-    a, b = np.array(modes).T
-    k = np.arange(1, len(modes) + 1)
+    k, a, b = np.array(modes).T
     phases = TWO_PI * np.outer(k, grid.x)
-    u0x = (a / k**2) @ np.cos(phases) + (b / k**2) @ np.sin(phases)
+    u0x = a @ np.cos(phases) + b @ np.sin(phases)
     assume(np.max(np.abs(u0x)) > 1e-3)
     d = InitialData(
         fs.antiderivative_from_zero(PeriodicFunction(grid, u0x)),
@@ -483,7 +505,11 @@ def test_blowup_time_zero_rho_matches_scalar_oracle(n, modes):
     rep = blowup_time(d)
     c = speed(d)
     u0x = fs.derivative(d.u0).values
-    x_oracle, t_oracle = scalar_first_zero(u0x, c)
+    if family == "low":
+        t_oracle = scalar_first_zero(u0x, c)[1]
+    else:
+        least = np.min(dense_trig_interpolate(u0x, companion_zeros(u0x, order=1)))
+        t_oracle = math.atan2(1.0, -least / (2.0 * c)) / c
     assert rep.finite and len(rep.witnesses) == 1
     x, t = rep.witnesses[0]
     assert t == rep.T
@@ -644,7 +670,8 @@ def _count_searches(monkeypatch) -> list:
 def test_zero_node_and_zero_rho_take_their_search(grid, monkeypatch):
     # a double zero at a node fails the certificate, and its cells stay open
     # down to the depth cap, where the extremum search decides them; rho0 = 0
-    # asks no certificate and searches u0x
+    # certifies the zeros of u0x' instead, which settle at the nodes: zero
+    # nodes at 0 and 1/2, and no extremum search
     verdicts = _spy_certificate(monkeypatch)
     zero_node = InitialData.from_u0x(
         grid, lambda x: np.sin(TWO_PI * x), lambda x: 1.0 - np.cos(TWO_PI * x)
@@ -653,9 +680,18 @@ def test_zero_node_and_zero_rho_take_their_search(grid, monkeypatch):
     rep = blowup_time(zero_node)
     assert [x for (x, _) in rep.witnesses] == pytest.approx([0.0], abs=1e-12)
     assert verdicts == [False] and searches == [True]
-    searches.clear()
-    assert blowup_time(hs_blowup(grid)).finite
-    assert verdicts == [False] and searches == [True]
+    verdicts.clear(), searches.clear()
+    calls, rho_roots = [], geo._rho_roots
+    monkeypatch.setattr(
+        geo, "_rho_roots", lambda f: calls.append((f, rho_roots(f))) or calls[-1][1]
+    )
+    d = hs_blowup(grid)
+    rep = blowup_time(d)
+    assert rep.finite and [x for (x, _) in rep.witnesses] == [0.5]
+    [(searched, roots)] = calls
+    assert np.array_equal(searched.values, fs.derivative(d.u0x).values)
+    assert roots == [0.0, 0.5]
+    assert verdicts == [False] and searches == []
 
 
 # -- the cell certificate ---------------------------------------------------
@@ -811,13 +847,21 @@ def test_beyond_blowup_raises(grid):
     exact_geodesic(d, rep.T - 1e-6)
 
 
-def test_too_close_to_blowup_names_t_and_T():
+def test_too_close_to_blowup_names_t_and_T(monkeypatch):
     # within about 1e-6 of T, but before T - BLOWUP_MARGIN, phi_x falls to
-    # roundoff: the error says how far t is from T
+    # roundoff: the error says how far t is from T.  exact_solution's inverse
+    # refuses phi there; GroupElement refuses only phi_x <= 0, which at
+    # t = T - 1e-7 is the sign of roundoff on a least phi_x of about 4e-15,
+    # so a GroupElement that refuses stands in for exact_geodesic's
     d = hs_blowup(PeriodicGrid(256))
     T = blowup_time(d).T
     t = T - 1e-7
     assert not blowup_time(d).reaches(t)
+
+    def refuse(*args):
+        raise NotMonotoneError("phi_x is not positive")
+
+    monkeypatch.setattr(geo, "GroupElement", refuse)
     for evaluate in (exact_solution, exact_geodesic):
         with pytest.raises(NotMonotoneError) as err:
             evaluate(d, t)

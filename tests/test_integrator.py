@@ -113,6 +113,18 @@ def test_stationary_state_constant(grid):
     assert np.max(np.abs(rho.values - 2.0)) < 1e-12
 
 
+def test_a_run_shorter_than_one_step_takes_one(grid):
+    # below t_end / dt = 1e-12 the rounded-up count was 0, and integrate
+    # divided by it; every other count stays
+    counts = [
+        IntegratorConfig(dt=5e-4, t_end=t, dealias=False).n_steps
+        for t in (1e-20, 1e-4, 0.3, 1.0, 1.0 + 1e-4)
+    ]
+    assert counts == [1, 1, 600, 2000, 2001]
+    cfg = IntegratorConfig(dt=5e-4, t_end=1e-20, dealias=False)
+    assert integrate(smooth_global(grid), cfg).times.tolist() == [0.0, 1e-20]
+
+
 def test_matches_exact_solution(grid):
     d = smooth_global(grid)
     cfg = IntegratorConfig(dt=5e-4, t_end=1.0, dealias=False, record_every=500)
