@@ -348,26 +348,29 @@ def inverse_A_dx(f: PeriodicFunction) -> PeriodicFunction:
 # ---------------------------------------------------------------------------
 
 
-def _fine_grid(values: np.ndarray, orders) -> np.ndarray:
+def _fine_grid(values: np.ndarray, orders, coef=None) -> np.ndarray:
     """Prepare the interpolant of samples for :func:`_gather`.
 
     One row per derivative order p: irfft(rfft(values) * fine * ik**p, N)
     on the half spectrum k = 0..n/2, with ik = 2 pi i k, padded
     periodically by w/2 samples at each end.  ik**p keeps the Nyquist
     entry: it differentiates the interpolant, whose Nyquist term is
-    cos(pi n x).  Complex samples go through as real and imaginary rows
-    of the same transforms.  A stack of samples, shape (S, n), gives
-    shape (orders, S, N + w).
+    cos(pi n x).  A caller that holds rfft(values) of real samples passes
+    it as ``coef`` and saves the transform.  Complex samples go through as
+    real and imaginary rows of the same transforms.  A stack of samples,
+    shape (S, n), gives shape (orders, S, N + w).
     """
     n = values.shape[-1]
     size = _fine_size(n)
     ik = 2j * np.pi * np.arange(n // 2 + 1)
     is_complex = np.iscomplexobj(values)
-    parts = np.stack([values.real, values.imag]) if is_complex else values[None]
-    coeffs = rfft(parts) * _multipliers(n).fine
+    if coef is None:
+        coef = rfft(np.stack([values.real, values.imag]) if is_complex else values)
+    coeffs = coef * _multipliers(n).fine
     powers = np.reshape(orders, (-1,) + (1,) * coeffs.ndim)
     fine = irfft(coeffs * ik**powers, size)
-    fine = fine[:, 0] + 1j * fine[:, 1] if is_complex else fine[:, 0]
+    if is_complex:
+        fine = fine[:, 0] + 1j * fine[:, 1]
     pad = _W // 2
     return np.concatenate([fine[..., size - pad :], fine, fine[..., :pad]], axis=-1)
 
@@ -428,12 +431,14 @@ class Interpolant:
     and solving for roots of a derivative (:meth:`roots`) only gather from
     it.  Values at grid-coincident points snap to the exact samples, and
     real f gives real values.  For a stack f the points have shape
-    (S, P), row s evaluating the s-th function.
+    (S, P), row s evaluating the s-th function.  ``coef``, rfft(f.values)
+    of real f where the caller holds it, saves :func:`_fine_grid` that
+    transform.
     """
 
-    def __init__(self, f: PeriodicFunction, top: int = 0):
+    def __init__(self, f: PeriodicFunction, top: int = 0, coef=None):
         self.f = f
-        self.fine = _fine_grid(f.values, np.arange(top + 1))
+        self.fine = _fine_grid(f.values, np.arange(top + 1), coef)
 
     def __call__(self, points) -> np.ndarray:
         values, n = self.f.values, self.f.grid.n

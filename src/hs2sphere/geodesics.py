@@ -293,7 +293,7 @@ def _rho_roots(rho0: PeriodicFunction) -> list[float]:
     h, top = 1.0 / x.size, float(np.max(np.abs(values)))
     bounds = _bernstein(size, 2), SLOPE_SLACK * _bernstein(size, 1), top
     s = np.where(np.abs(values) < NODE_ZERO_TOL * top, 0.0, np.sign(values))
-    p = fs.Interpolant(rho0, 1)
+    p = fs.Interpolant(rho0, 1, coef)
     # cell j reads entries j and j + 1 of the copies wrapped by one node
     v, dv = np.append(values, values[0]), np.append(d, d[0])
     j = np.nonzero(_open_cells(v, dv, h, *bounds))[0]
@@ -316,7 +316,7 @@ def _rho_roots(rho0: PeriodicFunction) -> list[float]:
         points, vals, slopes = pts[:, keep]
         runs, count, order = runs[keep], points.size, np.arange(points.size)
         if runs.any():  # only capped runs prepare p''
-            q = fs.Interpolant(rho0, 2)
+            q = fs.Interpolant(rho0, 2, coef)
             points, vals, order = _nodes_and_extrema(q, points, vals, slopes, runs)
         # nodes, then kept midpoints (never zero), then extrema
         tol = np.append(np.where(node[keep], NODE_ZERO_TOL, 0.0), TOUCH_ZERO_TOL)

@@ -1,5 +1,7 @@
+import ctypes
 import json
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import fields
@@ -245,6 +247,7 @@ def test_config_error_exit_code(tmp_path):
         ["verify", "--samples", "0"],
         ["verify", "--seed", "-1"],
         ["verify", "--n", "abc"],
+        ["blowup", "--preset", "hs-blowup", "--n", "1000000000000"],
         ["solve", "--preset", "stationary", "--dealias", "maybe"],
     ],
     ids=" ".join,
@@ -459,13 +462,62 @@ def test_non_finite_energy_is_a_library_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "content", ["[1, 2]", '{"n": null, "phi": [], "alpha": [], "winding": 0}']
+    "content",
+    [
+        "[1, 2]",
+        '{"n": null, "phi": [], "alpha": [], "winding": 0}',
+        '{"n": 1000000000000, "phi": [], "alpha": [], "winding": 0}',
+        # two elements in one file: a stack, which log_map cannot take
+        json.dumps({"n": 8, "phi": [[k / 8 for k in range(8)]] * 2,
+                    "alpha": [[0.0] * 8] * 2, "winding": 0}),
+    ],
 )
 def test_malformed_element_file_is_config_error(tmp_path, capsys, content):
     f = tmp_path / "target.json"
     f.write_text(content)
     assert main(["logmap", "--target", str(f), "--outdir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_grid_size_bound_is_inclusive_and_documented(tmp_path):
+    argv = ["blowup", "--preset", "hs-blowup", "--outdir", str(tmp_path)]
+    assert build_config(make_parser().parse_args([*argv, "--n", str(cli.MAX_N)])).n == cli.MAX_N
+    with pytest.raises(ConfigError, match=f"<= {cli.MAX_N}"):
+        build_config(make_parser().parse_args([*argv, "--n", str(cli.MAX_N + 2)]))
+    assert str(cli.MAX_N) in cli._FIELDS["n"].metadata["help"]
+
+
+def _has_mallopt() -> bool:
+    try:
+        return platform.libc_ver()[0] == "glibc" and hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# The second of two runs in one process; where glibc's thresholds move
+# with the frees, a warm run took about 2,300 minor page faults.
+WARM_VERIFY_FAULTS = """
+import resource, sys
+from hs2sphere.cli import main
+argv = ["verify", "--n", "256", "--samples", "10", "--outdir", sys.argv[1]]
+main(argv)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+main(argv)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="needs glibc's mallopt")
+def test_warm_verify_reuses_freed_memory(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", WARM_VERIFY_FAULTS, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout.split()[-1]) <= 250
 
 
 def test_report_determinism_across_processes(tmp_path):

@@ -322,6 +322,28 @@ def test_one_fourier_convention(grid, rng, monkeypatch):
     integrate(smooth, IntegratorConfig(dt=1e-3, t_end=5e-3, dealias=True))
 
 
+@pytest.mark.parametrize("n", [8, 256, 4096])
+def test_fine_grid_from_the_callers_half_spectrum_is_bit_identical(n, rng):
+    for vals in (rng.normal(size=n), rng.normal(size=(3, n)), (-1.0) ** np.arange(n)):
+        for orders in ((0,), (0, 1), (0, 1, 2)):
+            got = fs._fine_grid(vals, orders, fs.rfft(vals))
+            assert np.array_equal(got, fs._fine_grid(vals, orders))
+            assert np.array_equal(got, _fine_grid_from_samples(vals, orders))
+
+
+def _fine_grid_from_samples(values, orders):
+    """_fine_grid as it read before it took a half spectrum: the samples'
+    own rfft, through a leading parts axis."""
+    n = values.shape[-1]
+    size = fs._fine_size(n)
+    coeffs = fs.rfft(values[None]) * fs._multipliers(n).fine
+    powers = np.reshape(orders, (-1,) + (1,) * coeffs.ndim)
+    ik = 2j * np.pi * np.arange(n // 2 + 1)
+    fine = fs.irfft(coeffs * ik**powers, size)[:, 0]
+    pad = fs._W // 2
+    return np.concatenate([fine[..., size - pad :], fine, fine[..., :pad]], axis=-1)
+
+
 def test_coefficients_are_prepared_once(monkeypatch):
     calls = {"prepare": 0, "gather": 0}
     fine_grid, gather = fs._fine_grid, fs._gather

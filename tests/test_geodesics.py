@@ -432,6 +432,24 @@ def test_rho_roots_find_double_roots_between_nodes(data):
     assert np.max(_circle_gaps(exact, ours)) <= EXACT_TOL
 
 
+@pytest.mark.parametrize("width", [0.3, 0.0])
+def test_rho_roots_transform_rho0_once(monkeypatch, width):
+    # the certificate's rfft of rho0 also prepares p, and p'' where a
+    # double root (width 0) leaves cells open at the cap
+    grid = PeriodicGrid(64)
+    rho0 = PeriodicFunction(grid, np.cos(TWO_PI * (grid.x - 0.23)) ** 2 - width)
+    prepared, transformed = [], []
+    fine_grid, rfft = fs._fine_grid, fs.rfft
+    monkeypatch.setattr(fs, "_fine_grid", lambda v, o, *c: prepared.append(
+        len(o)) or fine_grid(v, o, *c))
+    monkeypatch.setattr(fs, "rfft", lambda v, *a: transformed.append(
+        np.array(v)) or rfft(v, *a))
+    roots = _rho_roots(rho0)
+    assert len(roots) == (4 if width else 2)
+    assert prepared == ([2] if width else [2, 3])
+    assert [np.array_equal(v, rho0.values) for v in transformed] == [True]
+
+
 @pytest.mark.parametrize("n", [256, 1024])
 def test_distinct_roots_match_quadratic_loop(monkeypatch, n):
     # white noise has hundreds of roots; the sorted pass over the candidate
@@ -829,7 +847,7 @@ def test_settled_data_skips_the_extremum_search(make, monkeypatch):
     orders = []
     fine_grid = fs._fine_grid
     monkeypatch.setattr(
-        fs, "_fine_grid", lambda v, o: orders.append(len(o)) or fine_grid(v, o)
+        fs, "_fine_grid", lambda v, o, *c: orders.append(len(o)) or fine_grid(v, o, *c)
     )
     rep = blowup_time(d)
     assert rep.finite and len(rep.witnesses) >= 2
