@@ -166,6 +166,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     ):
         if not ok:
             raise ConfigError(f"{name} must be {rule}, got {getattr(cfg, name)!r}")
+    # on n nodes mode k > n/2 aliases to mode n - k; the sine of mode n/2
+    # vanishes there, and u0 = integral of u0x drops u0x's cosine of mode n/2
+    for name in ("u0x_cos", "u0x_sin", "rho0_cos", "rho0_sin"):
+        top = cfg.n // 2 - (name != "rho0_cos")
+        if len(getattr(cfg, name)) > top:
+            raise ConfigError(
+                f"{name} gives modes up to {len(getattr(cfg, name))}, but"
+                f" n = {cfg.n} carries {name} modes up to {top}"
+            )
     return cfg
 
 
@@ -317,7 +326,7 @@ def _load_element(path: str) -> GroupElement:
                 f"phi and alpha hold {element.phi.values.shape[:-1]} elements, not one"
             )
         return element
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"cannot load group element from {path!r}: {exc}") from exc
 
 

@@ -61,10 +61,6 @@ class NonFiniteDataError(HS2Error, ValueError):
 class BeyondBlowupError(HS2Error, ValueError):
     """Evaluation time at or past the maximal existence time."""
 
-    def __init__(self, message, blowup_report):
-        super().__init__(message)
-        self.blowup_report = blowup_report
-
 
 class StepBlowupError(HS2Error, RuntimeError):
     """Time stepping halted because the solution gradient exploded.

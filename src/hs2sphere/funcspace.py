@@ -499,7 +499,7 @@ def _check_increasing(phi: PeriodicFunction, tol: float = 1e-12) -> np.ndarray:
     """
     sp = phi.grid.spectral
     phix = 1.0 + sp.apply(_lift_parts(phi), sp.deriv)
-    if np.min(phix) <= tol:
+    if not np.min(phix) > tol:  # NaN fails too
         raise NotMonotoneError(
             f"diffeomorphism derivative has min {np.min(phix):.3e}"
         )

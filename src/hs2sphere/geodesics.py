@@ -155,27 +155,6 @@ def _first_zero_time(u0x_at_root: float, c: float) -> float:
     return math.atan2(1.0, -u0x_at_root / (2.0 * c)) / c
 
 
-def _nodes_and_extrema(p: fs.Interpolant, points, values, slopes, eligible):
-    """The points and the extrema of p between neighbouring points, in order.
-
-    ``points`` ascend in [0, 1) and wrap around the circle; p, prepared for
-    two derivatives, takes ``values`` and ``slopes`` there.  The extrema
-    are the roots of p' in each gap after an ``eligible`` point (the mask of
-    capped runs) whose ends' slopes differ in sign, solved together from
-    the secants' roots; two extrema in one gap are missed.  Returns the
-    points, p there, and each one's index, the extrema numbered last.
-    """
-    wrap = np.append(slopes, slopes[0])
-    i = np.nonzero(eligible & (wrap[:-1] * wrap[1:] < 0.0))[0]
-    j = (i + 1) % points.size
-    lo, hi, d_lo, d_hi = points[i], points[j] + (j == 0), slopes[i], slopes[j]
-    start = lo + (hi - lo) * d_lo / (d_lo - d_hi)
-    ext = p.roots(lo, hi, start, -np.sign(d_lo), order=1)
-    points = np.concatenate([points, ext])
-    order = np.argsort(points, kind="stable")
-    return points[order], np.concatenate([values, p(ext)])[order], order
-
-
 def _bernstein(coef: np.ndarray, power: int) -> float:
     """Bernstein's bound on |p^(power)| from coef = |rfft(samples)|.
 
@@ -253,17 +232,20 @@ def _open_cells(v, dv, h, m2, slack, top) -> np.ndarray:
     return ~(monotone | zero_free)
 
 
-def _sign_change_roots(p: fs.Interpolant, points, vals, s) -> np.ndarray:
-    """One simple root per sign change of s between neighbouring points.
+def _bracket_roots(p: fs.Interpolant, points, f, s, order=0, gaps=None):
+    """One root of p's order-th derivative per sign change of s in a gap.
 
-    ``points`` ascend in [0, 1] and wrap around the circle; each bracket's
-    solve starts from its secant's root, all in one Interpolant.roots call.
+    ``points`` ascend in [0, 1) and wrap around the circle; f holds that
+    derivative there and s its sign.  ``gaps``, if given, masks the points
+    whose gap to the next point counts.  Each bracket's solve starts from
+    its secant's root, all in one Interpolant.roots call.
     """
     wrap = np.append(s, s[0])
-    i = np.nonzero(wrap[:-1] * wrap[1:] < 0.0)[0]
+    change = wrap[:-1] * wrap[1:] < 0.0
+    i = np.nonzero(change if gaps is None else change & gaps)[0]
     j = (i + 1) % s.size
-    lo, hi, v_lo, v_hi = points[i], points[j] + (j == 0), vals[i], vals[j]
-    return p.roots(lo, hi, lo + (hi - lo) * v_lo / (v_lo - v_hi), s[j])
+    lo, hi, f_lo, f_hi = points[i], points[j] + (j == 0), f[i], f[j]
+    return p.roots(lo, hi, lo + (hi - lo) * f_lo / (f_lo - f_hi), s[j], order)
 
 
 def _rho_roots(rho0: PeriodicFunction) -> list[float]:
@@ -282,7 +264,8 @@ def _rho_roots(rho0: PeriodicFunction) -> list[float]:
     * the extrema below TOUCH_ZERO_TOL max |rho0|, each standing for a zero
       node next to it.  p' = 0 is solved only on the runs of adjacent cells
       still open at the cap, their inner midpoints dropped, and only they
-      prepare p'' (:func:`_nodes_and_extrema`).
+      prepare p''.  Once cells stay open, each point is a column of one
+      table: x, p, p' and its zero tolerance, 0 at the midpoints.
     """
     values, x = rho0.values, rho0.grid.x
     coef = fs.rfft(values)
@@ -304,27 +287,28 @@ def _rho_roots(rho0: PeriodicFunction) -> list[float]:
         mids = []
         while cells.size and len(mids) < DEPTH_CAP:
             mid = 0.5 * (cells[0, :, 0] + cells[0, :, 1])
-            mids.append(np.vstack([mid, fs._gather(p.fine, mid)]))
-            three = np.insert(cells, 1, mids[-1], axis=-1)
+            mids.append(np.vstack([mid, fs._gather(p.fine, mid), np.zeros(mid.size)]))
+            three = np.insert(cells, 1, mids[-1][:3], axis=-1)
             is_open = _open_cells(three[1], three[2], h * 0.5 ** len(mids), *bounds)
             cells = np.stack([three[..., :-1], three[..., 1:]], axis=-1)[:, is_open]
-        pts = np.hstack([np.stack([x, values, d]), *mids])
-        order = np.argsort(pts[0], kind="stable")
-        pts, node = pts[:, order], order < x.size
-        runs = np.isin(pts[0], cells[0, :, 0])  # the points that open a capped cell
-        keep = node | ~(runs & np.append(runs[-1], runs[:-1]))
-        points, vals, slopes = pts[:, keep]
-        runs, count, order = runs[keep], points.size, np.arange(points.size)
+        nodes = np.stack([x, values, d, np.full(x.size, NODE_ZERO_TOL)])
+        table = np.hstack([nodes, *mids])
+        order = np.argsort(table[0], kind="stable")
+        runs = np.isin(table[0, order], cells[0, :, 0])  # points opening capped cells
+        keep = (table[3, order] > 0.0) | ~(runs & np.append(runs[-1], runs[:-1]))
+        table, runs = table[:, order[keep]], runs[keep]
         if runs.any():  # only capped runs prepare p''
             q = fs.Interpolant(rho0, 2, coef)
-            points, vals, order = _nodes_and_extrema(q, points, vals, slopes, runs)
-        # nodes, then kept midpoints (never zero), then extrema
-        tol = np.append(np.where(node[keep], NODE_ZERO_TOL, 0.0), TOUCH_ZERO_TOL)
-        zero = np.abs(vals) < tol[np.minimum(order, count)] * top
+            ext = _bracket_roots(q, table[0], table[2], np.sign(table[2]), 1, runs)
+            zeros = np.zeros(ext.size)
+            table = np.hstack([table, [ext, q(ext), zeros, zeros + TOUCH_ZERO_TOL]])
+            table = table[:, np.argsort(table[0], kind="stable")]
+        points, vals, _, tol = table
+        zero = np.abs(vals) < tol * top
         s = np.where(zero, 0.0, np.sign(vals))
-        touch = np.pad(zero & (order >= count), 1, mode="wrap")
-        zero &= ~(touch[:-2] | touch[2:])
-    simple = _sign_change_roots(p, points, vals, s)
+        touch = zero & (tol == TOUCH_ZERO_TOL)
+        zero &= ~(np.roll(touch, 1) | np.roll(touch, -1))
+    simple = _bracket_roots(p, points, vals, s)
     return _distinct_roots(np.concatenate([points[zero], simple]))
 
 
@@ -401,9 +385,7 @@ def _great_circle(d: InitialData, t: float):
             "negative times are not supported for finite-existence data"
         )
     if rep.reaches(t):
-        raise BeyondBlowupError(
-            f"t={t!r} is at or beyond the maximal time {rep.T!r}", rep
-        )
+        raise BeyondBlowupError(f"t={t!r} is at or beyond the maximal time {rep.T!r}")
     c = rep.speed
     k = d.u0x.values / (2.0 * c) + 1j * (d.rho0.values / (2.0 * c))
     m = math.floor(c * t / math.pi)

@@ -166,11 +166,20 @@ class GroupElement:
 
     @classmethod
     def from_json_obj(cls, obj) -> "GroupElement":
-        grid = PeriodicGrid(int(obj["n"]))
+        """The element :meth:`to_json_obj` wrote.  n and the winding must be
+        integers and alpha finite (ValueError); phi is checked as always."""
+        n, winding = obj["n"], obj["winding"]
+        # int() itself refuses NaN (ValueError) and infinities (OverflowError)
+        if int(n) != n or int(winding) != winding:
+            raise ValueError(f"n and winding must be integers: {n!r}, {winding!r}")
+        alpha = np.asarray(obj["alpha"], dtype=float)
+        if not np.all(np.isfinite(alpha)):
+            raise ValueError("alpha must be finite")
+        grid = PeriodicGrid(int(n))
         return cls(
             PeriodicFunction(grid, np.asarray(obj["phi"], dtype=float)),
-            PeriodicFunction(grid, np.asarray(obj["alpha"], dtype=float)),
-            int(obj["winding"]),
+            PeriodicFunction(grid, alpha),
+            int(winding),
         )
 
 

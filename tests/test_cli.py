@@ -1,5 +1,6 @@
 import ctypes
 import json
+import math
 import os
 import platform
 import subprocess
@@ -25,8 +26,10 @@ from hs2sphere.geodesics import (
     blowup_time,
     exact_geodesic,
     exact_solution,
+    log_map,
+    speed,
 )
-from hs2sphere.group import GroupElement, multiply
+from hs2sphere.group import GroupElement, inverse, multiply
 from hs2sphere.presets import make_preset
 from hs2sphere.serialize import json_dump
 from hs2sphere.verification import run_suite
@@ -432,6 +435,37 @@ def test_logmap_and_connect_cli(tmp_path):
     assert res["kind"] == "antipodal_infinite"
 
 
+@pytest.mark.parametrize(
+    "rho0, t, kind",
+    [
+        # rho0 > 0: alpha / 2 stays off 0 mod 2 pi, a 2 pi family
+        (lambda x: 1.0 + 0.3 * np.cos(2 * np.pi * x), 1.0, "periodic_family"),
+        # rho0 has zeros, where alpha = 0 before blow-up: one short geodesic
+        (lambda x: np.cos(2 * np.pi * x), 0.2, "unique_short"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_connect_reports_the_geodesic(tmp_path, rho0, t, kind):
+    grid = PeriodicGrid(64)
+    d = InitialData.from_u0x(grid, lambda x: 0.4 * np.sin(2 * np.pi * x), rho0)
+    b = exact_geodesic(InitialData.from_u0x(
+        grid, lambda x: 0.2 * np.cos(2 * np.pi * x), lambda x: np.full_like(x, 0.1)
+    ), 0.5)
+    a = multiply(exact_geodesic(d, t), b)
+    files = []
+    for name, element in (("a", a), ("b", b)):
+        files += [f"--{name}", str(tmp_path / f"{name}.json")]
+        json_dump(element.to_json_obj(), tmp_path / f"{name}.json")
+    assert main(["connect", *files, "--outdir", str(tmp_path)]) == 0
+    res = json.loads((tmp_path / "connect.json").read_text())
+    a, b = (GroupElement.from_json_obj(json.loads(f.read_text()))
+            for f in (tmp_path / "a.json", tmp_path / "b.json"))
+    log = log_map(multiply(a, inverse(b)))
+    assert res["kind"] == kind
+    assert res["r0"] == log.r0 and res["period"] == log.period
+    assert log.r0 == pytest.approx(speed(d) * t, rel=1e-8)
+
+
 def test_connect_across_grid_sizes_is_config_error(tmp_path, capsys):
     files = []
     for n in (8, 16):
@@ -461,6 +495,12 @@ def test_non_finite_energy_is_a_library_error(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+def _element_json(**entries) -> str:
+    """An element file at n = 8: phi = x, alpha = 0.5, with ``entries``."""
+    obj = {"n": 8, "phi": [k / 8 for k in range(8)], "alpha": [0.5] * 8, "winding": 0}
+    return json.dumps({**obj, **entries})
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -470,13 +510,53 @@ def test_non_finite_energy_is_a_library_error(tmp_path, capsys, command):
         # two elements in one file: a stack, which log_map cannot take
         json.dumps({"n": 8, "phi": [[k / 8 for k in range(8)]] * 2,
                     "alpha": [[0.0] * 8] * 2, "winding": 0}),
+        # a winding past C long, NaN in phi, an infinite alpha, and n or a
+        # winding that are not integers
+        _element_json(winding=10**30),
+        _element_json(phi=[0.0, math.nan, *[k / 8 for k in range(2, 8)]]),
+        _element_json(alpha=[0.5, math.inf, *[0.5] * 6]),
+        _element_json(alpha=[0.5, -math.inf, *[0.5] * 6]),
+        _element_json(n=8.5),
+        _element_json(n=math.inf),
+        _element_json(winding=1.5),
     ],
 )
 def test_malformed_element_file_is_config_error(tmp_path, capsys, content):
     f = tmp_path / "target.json"
     f.write_text(content)
     assert main(["logmap", "--target", str(f), "--outdir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("configuration error:")
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(f) in err
+
+
+@pytest.mark.parametrize(
+    "argv, name, top",
+    [
+        # cos 16 pi x is 1 at 8 nodes: this rho0 read as 1.5, global
+        (["blowup", "--rho0-mean", "0.5", "--rho0-cos", "0,0,0,0,0,0,0,1"], "rho0_cos", 4),
+        # u0x's cosine of mode 4 = n/2: the antiderivative would drop it
+        (["blowup", "--rho0-mean", "1", "--u0x-cos", "0,0,0,1"], "u0x_cos", 3),
+        # the sine of mode n/2 vanishes at the nodes
+        (["blowup", "--rho0-mean", "1", "--u0x-sin", "0,0,0,1"], "u0x_sin", 3),
+        (["blowup", "--rho0-mean", "1", "--rho0-sin", "0,0,0,1"], "rho0_sin", 3),
+        (["solve", "--rho0-mean", "1", "--u0x-cos", "0,0,0,0,0,0,0,1", "--t-end", "0.1"],
+         "u0x_cos", 3),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_modes_past_the_grid_are_config_errors(tmp_path, capsys, argv, name, top):
+    assert main([*argv, "--n", "8", "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert name in err and "n = 8" in err and f"up to {top}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_modes_the_grid_carries_are_accepted(tmp_path):
+    # rho0's cosine of mode n/2 is the grid's Nyquist mode, (-1)^j at node j
+    argv = ["blowup", "--n", "8", "--rho0-mean", "0.5", "--rho0-cos", "0,0,0,1",
+            "--u0x-cos", "0,0,1", "--u0x-sin", "0,0,1", "--rho0-sin", "0,0,1"]
+    assert main([*argv, "--outdir", str(tmp_path)]) == 10
 
 
 def test_grid_size_bound_is_inclusive_and_documented(tmp_path):

@@ -675,13 +675,17 @@ def test_certified_data_prepares_no_interpolant(make, monkeypatch):
 
 
 def _count_searches(monkeypatch) -> list:
-    """Record, for each extremum search, whether any gap was eligible."""
+    """Record, for each extremum search (the bracketed solve of p' = 0),
+    whether any gap was eligible."""
     calls = []
-    search = geo._nodes_and_extrema
-    monkeypatch.setattr(
-        geo, "_nodes_and_extrema",
-        lambda *a: calls.append(bool(np.any(a[-1]))) or search(*a),
-    )
+    solve = geo._bracket_roots
+
+    def spy(p, points, f, s, order=0, gaps=None):
+        if order == 1:
+            calls.append(bool(np.any(gaps)))
+        return solve(p, points, f, s, order, gaps)
+
+    monkeypatch.setattr(geo, "_bracket_roots", spy)
     return calls
 
 
