@@ -207,12 +207,15 @@ def build_initial_data(cfg: RunConfig) -> InitialData:
         raise ConfigError(
             "no initial data: give --preset or Fourier coefficients"
         )
-    u0x = PeriodicFunction(grid, _fourier_sum(grid, cfg.u0x_cos, cfg.u0x_sin))
-    u0 = fs.antiderivative_from_zero(u0x)
-    rho0 = PeriodicFunction(
-        grid, cfg.rho0_mean + _fourier_sum(grid, cfg.rho0_cos, cfg.rho0_sin)
-    )
-    return InitialData(u0, rho0)
+    # coefficients near the float range overflow in the sums and transforms;
+    # InitialData refuses the non-finite energy that results
+    with np.errstate(over="ignore", invalid="ignore"):
+        u0x = PeriodicFunction(grid, _fourier_sum(grid, cfg.u0x_cos, cfg.u0x_sin))
+        u0 = fs.antiderivative_from_zero(u0x)
+        rho0 = PeriodicFunction(
+            grid, cfg.rho0_mean + _fourier_sum(grid, cfg.rho0_cos, cfg.rho0_sin)
+        )
+        return InitialData(u0, rho0)
 
 
 def _write_exact_trajectory(path, times, states) -> None:

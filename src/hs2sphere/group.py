@@ -167,7 +167,8 @@ class GroupElement:
     @classmethod
     def from_json_obj(cls, obj) -> "GroupElement":
         """The element :meth:`to_json_obj` wrote.  n and the winding must be
-        integers and alpha finite (ValueError); phi is checked as always."""
+        integers, alpha finite and phi within [0, 1) (ValueError); phi is
+        then checked as always."""
         n, winding = obj["n"], obj["winding"]
         # int() itself refuses NaN (ValueError) and infinities (OverflowError)
         if int(n) != n or int(winding) != winding:
@@ -175,11 +176,14 @@ class GroupElement:
         alpha = np.asarray(obj["alpha"], dtype=float)
         if not np.all(np.isfinite(alpha)):
             raise ValueError("alpha must be finite")
+        # an increasing lift fixing 0 maps [0, 1) into [0, 1): tested before
+        # any transform, so a huge or NaN sample never reaches the FFT
+        phi = np.asarray(obj["phi"], dtype=float)
+        if not np.all(np.abs(phi - 0.5) <= 0.5 + 1e-9):  # NaN fails too
+            raise ValueError("phi must lie in [0, 1)")
         grid = PeriodicGrid(int(n))
         return cls(
-            PeriodicFunction(grid, np.asarray(obj["phi"], dtype=float)),
-            PeriodicFunction(grid, alpha),
-            int(winding),
+            PeriodicFunction(grid, phi), PeriodicFunction(grid, alpha), int(winding)
         )
 
 

@@ -32,7 +32,7 @@ from hs2sphere.geodesics import (
 from hs2sphere.group import GroupElement, inverse, multiply
 from hs2sphere.presets import make_preset
 from hs2sphere.serialize import json_dump
-from hs2sphere.verification import run_suite
+from hs2sphere.verification import FLIPPABLE, run_suite
 from hs2sphere.serialize import json_dumps
 
 
@@ -361,7 +361,8 @@ def test_verify_cli_deterministic(tmp_path):
     assert b1 == b2
 
 
-def test_verify_sign_injection_fails_exactly_one(tmp_path):
+@pytest.mark.parametrize("name", FLIPPABLE)
+def test_verify_sign_injection_fails_exactly_one(tmp_path, name):
     code = main(
         [
             "verify",
@@ -370,7 +371,7 @@ def test_verify_sign_injection_fails_exactly_one(tmp_path):
             "--seed",
             "3",
             "--inject-sign-error",
-            "omega_compatibility",
+            name,
             "--outdir",
             str(tmp_path),
         ]
@@ -378,7 +379,15 @@ def test_verify_sign_injection_fails_exactly_one(tmp_path):
     assert code == 1
     report = json.loads((tmp_path / "verify_report.json").read_text())
     failed = [r["identity"] for r in report["results"] if not r["pass"]]
-    assert failed == ["omega_compatibility"]
+    assert failed == [name]
+
+
+def _cli_env() -> dict:
+    """The environment for a CLI subprocess that imports this checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def test_parser_is_shared_and_keeps_no_state(tmp_path):
@@ -388,12 +397,9 @@ def test_parser_is_shared_and_keeps_no_state(tmp_path):
     assert main([*injected, "--outdir", str(tmp_path / "injected")]) == 1
     assert main(["blowup", "--preset", "hs-blowup", "--outdir", str(tmp_path)]) == 10
     assert main([*verify, "--outdir", str(tmp_path / "shared")]) == 0
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     fresh = subprocess.run(
         [sys.executable, "-m", "hs2sphere.cli", *verify, "--outdir", str(tmp_path / "fresh")],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=_cli_env(), capture_output=True, text=True, timeout=300,
     )
     assert fresh.returncode == 0, fresh.stderr
     report = "verify_report.json"
@@ -529,6 +535,27 @@ def test_malformed_element_file_is_config_error(tmp_path, capsys, content):
     assert err.startswith("configuration error:") and str(f) in err
 
 
+def test_huge_data_prints_only_its_error(tmp_path):
+    # numpy's overflow and invalid-value warnings once reached stderr ahead
+    # of the error line: from the Fourier sums and transforms of the
+    # coefficients, and from the spectral slope of a huge phi sample
+    huge = tmp_path / "huge.json"
+    huge.write_text(_element_json(phi=[0.0, 0.125, 0.25, 1e308, 0.5, 0.625, 0.75, 0.875]))
+    cases = [
+        (["blowup", "--n", "8", "--rho0-mean", "1e308", "--u0x-sin", "1e308"], 1,
+         "error: initial energy nan is not finite\n"),
+        (["logmap", "--target", str(huge)], 2,
+         f"configuration error: cannot load group element from {str(huge)!r}: "
+         "phi must lie in [0, 1)\n"),
+    ]
+    for argv, code, err in cases:
+        run = subprocess.run(
+            [sys.executable, "-m", "hs2sphere.cli", *argv, "--outdir", str(tmp_path)],
+            env=_cli_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert (run.returncode, run.stderr) == (code, err)
+
+
 @pytest.mark.parametrize(
     "argv, name, top",
     [
@@ -589,12 +616,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(not _has_mallopt(), reason="needs glibc's mallopt")
 def test_warm_verify_reuses_freed_memory(tmp_path):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     run = subprocess.run(
         [sys.executable, "-c", WARM_VERIFY_FAULTS, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=_cli_env(), capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
     assert int(run.stdout.split()[-1]) <= 250

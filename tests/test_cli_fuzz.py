@@ -19,11 +19,15 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hs2sphere.cli import MAX_N, main
 from hs2sphere.presets import PRESET_NAMES
+
+# numpy's overflow and invalid-value warnings would reach the CLI's stderr
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 EXIT_CODES = {0, 1, 2, 3, 10}
 
