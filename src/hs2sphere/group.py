@@ -167,15 +167,17 @@ class GroupElement:
     @classmethod
     def from_json_obj(cls, obj) -> "GroupElement":
         """The element :meth:`to_json_obj` wrote.  n and the winding must be
-        integers, alpha finite and phi within [0, 1) (ValueError); phi is
-        then checked as always."""
+        integers, |alpha| < 2**26 (so finite) and phi within [0, 1)
+        (ValueError); phi is then checked as always."""
         n, winding = obj["n"], obj["winding"]
         # int() itself refuses NaN (ValueError) and infinities (OverflowError)
         if int(n) != n or int(winding) != winding:
             raise ValueError(f"n and winding must be integers: {n!r}, {winding!r}")
         alpha = np.asarray(obj["alpha"], dtype=float)
-        if not np.all(np.isfinite(alpha)):
-            raise ValueError("alpha must be finite")
+        # from 2**26 on, float spacing (2**-26) exceeds the 1e-8 phase
+        # tolerance that log_map reads alpha mod 4 pi with; NaN fails too
+        if not np.all(np.abs(alpha) < 2.0**26):
+            raise ValueError("alpha must be finite, with |alpha| < 2**26")
         # an increasing lift fixing 0 maps [0, 1) into [0, 1): tested before
         # any transform, so a huge or NaN sample never reaches the FFT
         phi = np.asarray(obj["phi"], dtype=float)

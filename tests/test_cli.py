@@ -535,6 +535,26 @@ def test_malformed_element_file_is_config_error(tmp_path, capsys, content):
     assert err.startswith("configuration error:") and str(f) in err
 
 
+@pytest.mark.parametrize("alpha3, code", [
+    (1e308, 2), (2.0**26, 2), (-(2.0**26), 2),
+    # the largest float below 2**26 still holds alpha mod 4 pi to 1e-8
+    (math.nextafter(2.0**26, 0.0), 0),
+])
+def test_alpha_too_large_for_its_phase_is_config_error(
+    tmp_path, capsys, alpha3, code
+):
+    # past 2**26 float spacing exceeds log_map's 1e-8 phase tolerance: the
+    # identity with alpha[3] = 1e308 once read as an ordinary element
+    f = tmp_path / "target.json"
+    f.write_text(_element_json(alpha=[0.0, 0.0, 0.0, alpha3, 0.0, 0.0, 0.0, 0.0]))
+    assert main(["logmap", "--target", str(f), "--outdir", str(tmp_path)]) == code
+    if code:
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot load group element from {str(f)!r}: "
+            "alpha must be finite, with |alpha| < 2**26\n"
+        )
+
+
 def test_huge_data_prints_only_its_error(tmp_path):
     # numpy's overflow and invalid-value warnings once reached stderr ahead
     # of the error line: from the Fourier sums and transforms of the

@@ -5,7 +5,8 @@ small (n <= 64, samples <= 3, at most 1,000 RK4 steps), next to odd, tiny,
 huge and non-integer grid sizes and the floats NaN, +-inf, 1e308 and -0.0.
 A valid huge n or sample count is never drawn: it would only allocate.
 The element commands draw files: random n, mismatched grids, non-monotone
-phi, alpha at +-2 pi, NaN or infinite entries, and odd n or windings.
+phi, alpha at +-2 pi or past 2**26, NaN or infinite entries, and odd n or
+windings.
 An exception that main lets through fails the test, as does a traceback
 on either stream.  The draws are derandomized, so the suite stays
 reproducible.
@@ -37,9 +38,9 @@ ODD_N = ("7", "9", "0", "2", "6", "-8", "8.5", "1e3", "abc", "", "nan", "inf",
          str(MAX_N + 1), str(MAX_N + 2), str(2**64), str(-(2**64)))
 
 
-def _check(argv: list) -> None:
+def _check(argv: list) -> int:
     """main ends in a documented exit code, argparse's included, and
-    prints no traceback on either stream."""
+    prints no traceback on either stream; returns the code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -49,6 +50,7 @@ def _check(argv: list) -> None:
     text = out.getvalue() + err.getvalue()
     assert code in EXIT_CODES, (argv, code, text)
     assert "Traceback" not in text, (argv, text)
+    return code
 
 
 def _fuzz(examples: int):
@@ -120,10 +122,14 @@ def test_settings_commands_end_in_an_exit_code(case):
 
 ODD_ENTRIES = (math.nan, math.inf, -math.inf, 1e308)
 ODD_INTEGERS = (7, 0, -8, 8.5, 1e30, 10**30, "8", None, math.nan, math.inf, MAX_N + 2)
+# finite angles too large for alpha mod 4 pi to hold the 1e-8 phase tolerance
+HUGE_ALPHA = (2.0**26, -(2.0**26), 1e8, 1e17, -1e17, 1e300)
+HOWS = ("none", "entry", "huge-alpha", "n", "winding", "missing", "length", "stack",
+        "text")
 
 
 @st.composite
-def element_text(draw, n=None):
+def element_text(draw, n=None, hows=HOWS):
     """The text of an element file: near-valid, or corrupted one way."""
     n = draw(st.sampled_from([8, 16, 32])) if n is None else n
     x = np.arange(n) / n
@@ -135,12 +141,12 @@ def element_text(draw, n=None):
     alpha = base + draw(st.floats(-1.0, 1.0)) * np.cos(2 * np.pi * x)
     obj = {"n": n, "phi": phi.tolist(), "alpha": alpha.tolist(),
            "winding": draw(st.integers(-2, 2))}
-    how = draw(st.sampled_from(
-        ["none", "entry", "n", "winding", "missing", "length", "stack", "text"]
-    ))
+    how = draw(st.sampled_from(hows))
     if how == "entry":
         key = draw(st.sampled_from(["phi", "alpha"]))
         obj[key][draw(st.integers(0, n - 1))] = draw(st.sampled_from(ODD_ENTRIES))
+    elif how == "huge-alpha":
+        obj["alpha"][draw(st.integers(0, n - 1))] = draw(st.sampled_from(HUGE_ALPHA))
     elif how in ("n", "winding"):
         obj[how] = draw(st.sampled_from(ODD_INTEGERS))
     elif how == "missing":
@@ -174,3 +180,20 @@ def test_element_commands_end_in_an_exit_code(case):
             (Path(tmp) / f"{flag}.json").write_text(text)
             argv = [*argv, f"--{flag}", str(Path(tmp) / f"{flag}.json")]
         _check([*argv, "--outdir", str(Path(tmp) / "out")])
+
+
+@_fuzz(20)
+@given(st.sampled_from([8, 16, 32]), st.data())
+def test_alpha_past_its_phase_precision_is_refused(n, data):
+    # an otherwise valid file with one angle at or past 2**26 is a
+    # configuration error, alone or as either end of connect
+    huge = data.draw(element_text(n, hows=("huge-alpha",)))
+    other = data.draw(element_text(n, hows=("none",)))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = [Path(tmp) / "huge.json", Path(tmp) / "other.json"]
+        for path, text in zip(files, (huge, other)):
+            path.write_text(text)
+        out = ["--outdir", str(Path(tmp) / "out")]
+        assert _check(["logmap", "--target", str(files[0]), *out]) == 2
+        for a, b in (files, files[::-1]):
+            assert _check(["connect", "--a", str(a), "--b", str(b), *out]) == 2

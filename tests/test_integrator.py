@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hs2sphere.funcspace as fs
 import hs2sphere.integrator as integrator
@@ -418,6 +420,84 @@ def test_integrate_reads_the_label_guard_in_blocks(grid, monkeypatch, data, c_is
     assert [t for b in blocks for t in b][:100] == [j * 1e-3 for j in range(100)]
     assert all(len(b) * grid.n <= 4096 for b in blocks)
     _assert_blocks_match(h, csq, blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([16, 64, 256]),
+    st.sampled_from(["global", "sign-changing", "near-zero"]),
+    st.floats(1.0, 6.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_label_bound_holds_for_all_time(n, rho_kind, half_periods, seed):
+    # |Re w| <= B = 2 (c^2 + |h|^2) / |Im h| at every label whose B is
+    # finite, read over several half-periods pi / c of the great circle
+    g, rng = PeriodicGrid(n), np.random.default_rng(seed)
+    ph = TWO_PI * np.outer(g.x, np.arange(1, 4))
+    modes = np.hstack([np.cos(ph), np.sin(ph)])
+    u0x, wave = modes @ rng.uniform(-2.0, 2.0, 6), modes @ rng.uniform(-1.0, 1.0, 6)
+    rho0 = {
+        "global": np.abs(wave).max() * rng.uniform(1.01, 3.0) + wave,
+        "sign-changing": rng.uniform(-0.5, 0.5) + wave,
+        "near-zero": 10.0 ** -rng.uniform(4.0, 12.0) * wave,
+    }[rho_kind]
+    h = 0.5 * (u0x + 1j * rho0)
+    csq = float(np.mean(h.real * h.real + h.imag * h.imag))
+    bound = integrator._label_bounds(h, csq)
+    finite = np.isfinite(bound)
+    span = half_periods * math.pi / math.sqrt(csq)
+    times = [span * j / 500 for j in range(501)]
+    # each label's sup over the times: a (labels, times, 1) broadcast
+    sups = integrator._label_sups(h[finite, None, None], csq, times)[:, 0]
+    assert np.all(sups <= bound[finite])
+
+
+def _record_label_reads(monkeypatch):
+    """Patch ``_label_sups`` to log the times of each block it evaluates."""
+    blocks, label_sups = [], integrator._label_sups
+
+    def recording(h, csq, times):
+        blocks.append(list(times))
+        return label_sups(h, csq, times)
+
+    monkeypatch.setattr(integrator, "_label_sups", recording)
+    return blocks
+
+
+def _uncertified(monkeypatch):
+    monkeypatch.setattr(
+        integrator, "_label_bounds", lambda h, csq: np.full(h.shape, np.inf)
+    )
+
+
+@pytest.mark.parametrize("dealias", [False, True])
+def test_certified_run_skips_the_label_reading(grid, monkeypatch, dealias):
+    # smooth-global's rho0 > 0 bounds w for all time: no block is read, and
+    # the trajectory is bit-identical to a run that reads every block
+    d = make_preset("smooth-global", grid)
+    cfg = IntegratorConfig(dt=5e-4, t_end=0.2, dealias=dealias, record_every=40)
+    blocks = _record_label_reads(monkeypatch)
+    skipped = integrate(d, cfg)
+    assert blocks == []
+    _uncertified(monkeypatch)
+    read = integrate(d, cfg)
+    assert len(blocks) == math.ceil(cfg.n_steps / (4096 // grid.n))
+    for name in ("times", "u", "rho", "energy_times", "energy", "rho_mean"):
+        assert np.array_equal(getattr(skipped, name), getattr(read, name)), name
+
+
+def test_uncertified_run_reads_every_block(grid, monkeypatch):
+    # hs-blowup's rho0 vanishes: its bound is infinite at those labels, and
+    # the run reads the same blocks as one whose certificate is forced off
+    d = make_preset("hs-blowup", grid)
+    assert not np.all(np.isfinite(integrator._label_bounds(*_label_h_csq(d))))
+    cfg = IntegratorConfig(dt=5e-4, t_end=0.2, dealias=True, record_every=40)
+    blocks = _record_label_reads(monkeypatch)
+    integrate(d, cfg)
+    own, blocks[:] = list(blocks), []
+    _uncertified(monkeypatch)
+    integrate(d, cfg)
+    assert own == blocks and len(own) == math.ceil(cfg.n_steps / (4096 // grid.n))
 
 
 # tracemalloc peaks of a 4-step integrate that records only its last state,
