@@ -15,10 +15,13 @@ samples or lift samples; operations that expect a lift say so.
 A :class:`PeriodicFunction` holds one function, values of shape (n,), or a
 stack of S of them, shape (S, n).  Every transform acts on the last axis,
 and numpy's batched real FFTs and last-axis means give each row the bits
-of its own call, so a stack is S functions computed at once.  Reductions
-(:func:`row_mean`, :func:`row_max`, ...) return a float for one function
-and an (S,) array for a stack; an (S,) array in arithmetic scales each
-row by its own value.  Validations check every row and raise if any fails.
+of its own call, so a stack is S functions computed at once.  The row
+reductions :func:`row_mean`, :func:`row_max` and :func:`row_min`, the
+package's only ones, return a float for one function and an (S,) array
+for a stack, with np.mean's bits and no numpy Python wrapper; an (S,)
+array in arithmetic scales each row by its own value.  Validations check
+every row (:func:`any_row`) and raise if any fails.  The library wraps
+the arrays it has just made without a copy (``PeriodicFunction._own``).
 
 Every Fourier multiplier is a real-FFT (half-spectrum) multiplier in one
 cache, :class:`SpectralMultipliers`, built once per grid size and shared
@@ -138,7 +141,7 @@ class SpectralMultipliers:
     def apply(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
         """irfft(rfft(values) * mult, n) along the last axis, so each row of a
         stack is bit-identical to its own call; complex values part by part."""
-        if np.iscomplexobj(values):
+        if values.dtype.kind == "c":
             apply = SpectralMultipliers.apply
             return apply(values.real, mult) + 1j * apply(values.imag, mult)
         return irfft(rfft(values) * mult, values.shape[-1])
@@ -180,23 +183,37 @@ def per_row(x):
     return x.item() if np.ndim(x) == 0 else x
 
 
-def row_mean(values: np.ndarray):
+def row_mean(values: np.ndarray, keepdims: bool = False):
     """Mean over the last axis: a float for one function, (S,) for a stack."""
-    return per_row(np.mean(values, axis=-1))
+    mean = np.add.reduce(values, -1, keepdims=keepdims) / values.shape[-1]
+    return mean if keepdims else per_row(mean)
 
 
-def row_max(values: np.ndarray):
+def row_max(values: np.ndarray, keepdims: bool = False):
     """Maximum over the last axis: a float for one function, (S,) for a stack."""
-    return per_row(np.max(values, axis=-1))
+    peak = np.maximum.reduce(values, -1, keepdims=keepdims)
+    return peak if keepdims else per_row(peak)
+
+
+def row_min(values: np.ndarray):
+    """Minimum over the last axis: a float for one function, (S,) for a stack."""
+    return per_row(np.minimum.reduce(values, -1))
+
+
+def any_row(flags) -> bool:
+    """Whether a test holds anywhere, in any row; a bool for one function."""
+    return bool(np.asarray(flags).any())
 
 
 class PeriodicFunction:
     """Sampled real or complex function on a :class:`PeriodicGrid`.
 
     ``values`` has shape (n,), or (S, n) for a stack of S functions.
-    Values are immutable after construction.  Arithmetic operators combine
-    samples pointwise and require matching grids; an array with one entry
-    per row of a stack acts on each row as a scalar.
+    Values are immutable after construction; the constructor copies them,
+    and only the library's own fresh arrays skip the copy (:meth:`_own`).
+    Arithmetic operators combine samples pointwise and require matching
+    grids; an array with one entry per row of a stack acts on each row as
+    a scalar.
     """
 
     __slots__ = ("grid", "values")
@@ -207,13 +224,19 @@ class PeriodicFunction:
             raise ValueError(
                 f"expected {grid.n} samples, got shape {values.shape}"
             )
-        if np.iscomplexobj(values):
-            values = values.astype(np.complex128, copy=True)
-        else:
-            values = values.astype(np.float64, copy=True)
+        values = values.astype(np.complex128 if values.dtype.kind == "c" else float)
         values.flags.writeable = False
         self.grid = grid
         self.values = values
+
+    @classmethod
+    def _own(cls, grid: PeriodicGrid, values: np.ndarray) -> "PeriodicFunction":
+        """Wrap float64 or complex128 samples no caller holds (a fresh array, or
+        another function's values) as they are, made read-only in place."""
+        values.flags.writeable = False
+        f = object.__new__(cls)
+        f.grid, f.values = grid, values
+        return f
 
     # -- constructors -------------------------------------------------
 
@@ -233,13 +256,13 @@ class PeriodicFunction:
 
     @property
     def is_complex(self) -> bool:
-        return np.iscomplexobj(self.values)
+        return self.values.dtype.kind == "c"
 
     def max_abs(self):
         return row_max(np.abs(self.values))
 
     def l2_norm(self):
-        return per_row(np.sqrt(np.mean(np.abs(self.values) ** 2, axis=-1)))
+        return per_row(np.sqrt(row_mean(np.abs(self.values) ** 2)))
 
     def __repr__(self):
         kind = "complex" if self.is_complex else "real"
@@ -261,26 +284,26 @@ class PeriodicFunction:
         return other
 
     def __add__(self, other):
-        return PeriodicFunction(self.grid, self.values + self._coerce(other))
+        return PeriodicFunction._own(self.grid, self.values + self._coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return PeriodicFunction(self.grid, self.values - self._coerce(other))
+        return PeriodicFunction._own(self.grid, self.values - self._coerce(other))
 
     def __rsub__(self, other):
-        return PeriodicFunction(self.grid, self._coerce(other) - self.values)
+        return PeriodicFunction._own(self.grid, self._coerce(other) - self.values)
 
     def __mul__(self, other):
-        return PeriodicFunction(self.grid, self.values * self._coerce(other))
+        return PeriodicFunction._own(self.grid, self.values * self._coerce(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return PeriodicFunction(self.grid, self.values / self._coerce(other))
+        return PeriodicFunction._own(self.grid, self.values / self._coerce(other))
 
     def __neg__(self):
-        return PeriodicFunction(self.grid, -self.values)
+        return PeriodicFunction._own(self.grid, -self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +318,7 @@ def derivative(f: PeriodicFunction) -> PeriodicFunction:
     derivative of a real function real.
     """
     sp = f.grid.spectral
-    return PeriodicFunction(f.grid, sp.apply(f.values, sp.deriv))
+    return PeriodicFunction._own(f.grid, sp.apply(f.values, sp.deriv))
 
 
 def antiderivative_from_zero(f: PeriodicFunction) -> PeriodicFunction:
@@ -306,14 +329,14 @@ def antiderivative_from_zero(f: PeriodicFunction) -> PeriodicFunction:
     """
     sp = f.grid.spectral
     p = sp.apply(f.values, sp.antideriv)
-    mean = np.mean(f.values, axis=-1, keepdims=True)
-    return PeriodicFunction(f.grid, p - p[..., :1] + mean * f.grid.x)
+    mean = row_mean(f.values, keepdims=True)
+    return PeriodicFunction._own(f.grid, p - p[..., :1] + mean * f.grid.x)
 
 
 def mean_projection(f: PeriodicFunction) -> PeriodicFunction:
     """Project onto zero-mean functions: f - integral(f).  Idempotent."""
-    mean = np.mean(f.values, axis=-1, keepdims=True)
-    return PeriodicFunction(f.grid, f.values - mean)
+    mean = row_mean(f.values, keepdims=True)
+    return PeriodicFunction._own(f.grid, f.values - mean)
 
 
 def inverse_A(f: PeriodicFunction) -> PeriodicFunction:
@@ -323,14 +346,14 @@ def inverse_A(f: PeriodicFunction) -> PeriodicFunction:
     max |f| in any row: the test is relative, so it passes roundoff at
     every scale of the data.
     """
-    mean = np.abs(np.mean(f.values, axis=-1))
-    over = mean - MEAN_TOL * np.max(np.abs(f.values), axis=-1)
-    if np.max(over) > 0.0:
-        worst = float(mean.flat[np.argmax(over)])
+    mean = np.abs(row_mean(f.values, keepdims=True))
+    over = mean - MEAN_TOL * row_max(np.abs(f.values), keepdims=True)
+    if over.max() > 0.0:
+        worst = float(mean.flat[over.argmax()])
         raise NonZeroMeanError(f"inverse_A needs zero-mean input, |mean|={worst!r}")
     sp = f.grid.spectral
     g = sp.apply(f.values, sp.inv_a)
-    return PeriodicFunction(f.grid, g - g[..., :1])
+    return PeriodicFunction._own(f.grid, g - g[..., :1])
 
 
 def inverse_A_dx(f: PeriodicFunction) -> PeriodicFunction:
@@ -340,7 +363,7 @@ def inverse_A_dx(f: PeriodicFunction) -> PeriodicFunction:
     """
     sp = f.grid.spectral
     g = sp.apply(f.values, sp.ainv_dx)
-    return PeriodicFunction(f.grid, g - g[..., :1])
+    return PeriodicFunction._own(f.grid, g - g[..., :1])
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +386,7 @@ def _fine_grid(values: np.ndarray, orders, coef=None) -> np.ndarray:
     n = values.shape[-1]
     size = _fine_size(n)
     ik = 2j * np.pi * np.arange(n // 2 + 1)
-    is_complex = np.iscomplexobj(values)
+    is_complex = values.dtype.kind == "c"
     if coef is None:
         coef = rfft(np.stack([values.real, values.imag]) if is_complex else values)
     coeffs = coef * _multipliers(n).fine
@@ -413,7 +436,7 @@ def _gather(fine: np.ndarray, points: np.ndarray, rows=None) -> np.ndarray:
         # numpy sums the w terms of a lone point pairwise, and those of
         # several points in order: a row's points sum as in its own call.
         alone = np.bincount(rows)[rows] == 1
-        if alone.any():
+        if any_row(alone):
             lone = np.moveaxis(terms[:, :, alone], 1, -1)
             out[:, alone] = np.ascontiguousarray(lone).sum(axis=-1)
     return out
@@ -449,7 +472,7 @@ class Interpolant:
         grid_pos = _unit_interval(points) * n
         idx = np.rint(grid_pos)
         on_grid = np.abs(grid_pos - idx) < 1e-12
-        if np.any(on_grid):
+        if any_row(on_grid):
             hit = np.nonzero(on_grid)
             out[hit] = values[hit[:-1] + (idx[hit].astype(np.intp) % n,)]
         return out
@@ -499,10 +522,9 @@ def _check_increasing(phi: PeriodicFunction, tol: float = 1e-12) -> np.ndarray:
     """
     sp = phi.grid.spectral
     phix = 1.0 + sp.apply(_lift_parts(phi), sp.deriv)
-    if not np.min(phix) > tol:  # NaN fails too
-        raise NotMonotoneError(
-            f"diffeomorphism derivative has min {np.min(phix):.3e}"
-        )
+    least = phix.min()
+    if not least > tol:  # NaN fails too
+        raise NotMonotoneError(f"diffeomorphism derivative has min {least:.3e}")
     return phix
 
 
@@ -523,9 +545,9 @@ def compose(
     _check_increasing(phi)
     if np.ndim(slope):
         slope = np.expand_dims(slope, -1)
-    p = PeriodicFunction(f.grid, f.values - slope * f.grid.x)
+    p = PeriodicFunction._own(f.grid, f.values - slope * f.grid.x)
     vals = slope * phi.values + trig_interpolate(p, phi.values)
-    return PeriodicFunction(f.grid, vals)
+    return PeriodicFunction._own(f.grid, vals)
 
 
 def _newton_bisect(residual, lo, hi, y, tol: float, sign=1.0) -> np.ndarray:
@@ -607,7 +629,7 @@ def invert_diffeo(phi: PeriodicFunction) -> PeriodicFunction:
     The nodes of every row of a stack share one solve; each node takes
     the iterations it takes alone.
     """
-    phi0 = np.max(np.abs(phi.values[..., 0]))
+    phi0 = np.abs(phi.values[..., 0]).max()
     if phi0 > 1e-9:
         raise ValueError(f"diffeomorphism must fix 0, |phi(0)|={phi0!r}")
     phix = _check_increasing(phi)
@@ -626,7 +648,7 @@ def invert_diffeo(phi: PeriodicFunction) -> PeriodicFunction:
     start, lo, hi = _inverse_start(phi.values, phix, x)
     y = _newton_bisect(residual, lo.ravel(), hi.ravel(), start.ravel(), ROOT_TOL)
     y = np.concatenate((np.zeros(lead + (1,)), y.reshape(lead + x.shape)), axis=-1)
-    return PeriodicFunction(grid, y)
+    return PeriodicFunction._own(grid, y)
 
 
 def __getattr__(name: str):

@@ -73,7 +73,7 @@ class InitialData:
         self.rho0 = rho0
         self.u0x = fs.derivative(u0)
         with np.errstate(over="ignore", invalid="ignore"):
-            self._csq = 0.25 * float(np.mean(self.u0x.values**2 + rho0.values**2))
+            self._csq = 0.25 * fs.row_mean(self.u0x.values**2 + rho0.values**2)
         if not math.isfinite(self._csq):
             raise NonFiniteDataError(f"initial energy {self._csq!r} is not finite")
         self._blowup = None
@@ -187,7 +187,7 @@ def _clears_zero(values: np.ndarray, coef: np.ndarray) -> bool:
     n = 2^16, well inside SLOPE_SLACK.
     """
     v = np.abs(values)
-    least, floor = float(np.min(v)), TOUCH_ZERO_TOL * float(np.max(v))
+    least, floor = fs.row_min(v), TOUCH_ZERO_TOL * fs.row_max(v)
     if least <= floor:
         return False  # a node at zero fails the test whatever M1 is
     return least - _bernstein(coef, 1) / (2 * v.size) > floor
@@ -273,7 +273,7 @@ def _rho_roots(rho0: PeriodicFunction) -> list[float]:
     if _clears_zero(values, size):
         return []
     d = fs.irfft(coef * rho0.grid.spectral.deriv, x.size)
-    h, top = 1.0 / x.size, float(np.max(np.abs(values)))
+    h, top = 1.0 / x.size, fs.row_max(np.abs(values))
     bounds = _bernstein(size, 2), SLOPE_SLACK * _bernstein(size, 1), top
     s = np.where(np.abs(values) < NODE_ZERO_TOL * top, 0.0, np.sign(values))
     p = fs.Interpolant(rho0, 1, coef)
@@ -297,7 +297,7 @@ def _rho_roots(rho0: PeriodicFunction) -> list[float]:
         runs = np.isin(table[0, order], cells[0, :, 0])  # points opening capped cells
         keep = (table[3, order] > 0.0) | ~(runs & np.append(runs[-1], runs[:-1]))
         table, runs = table[:, order[keep]], runs[keep]
-        if runs.any():  # only capped runs prepare p''
+        if fs.any_row(runs):  # only capped runs prepare p''
             q = fs.Interpolant(rho0, 2, coef)
             ext = _bracket_roots(q, table[0], table[2], np.sign(table[2]), 1, runs)
             zeros = np.zeros(ext.size)
@@ -393,7 +393,7 @@ def _great_circle(d: InitialData, t: float):
     g = np.cos(r) + k * np.sin(r)
     gt = c * (k * np.cos(r) - np.sin(r))
     phi = fs.antiderivative_from_zero(
-        PeriodicFunction(d.grid, g.real**2 + g.imag**2)
+        PeriodicFunction._own(d.grid, g.real**2 + g.imag**2)
     )
     return m, g, gt, phi
 
@@ -429,7 +429,7 @@ def exact_geodesic(d: InitialData, t: float) -> GroupElement:
     m, g, _, phi = _great_circle(d, t)
     theta = np.sign(d.rho0.values) * (m * math.pi) + np.arctan2(g.imag, g.real)
     with _near_blowup(d, t):
-        return GroupElement(phi, PeriodicFunction(d.grid, 2.0 * theta), 0)
+        return GroupElement(phi, PeriodicFunction._own(d.grid, 2.0 * theta), 0)
 
 
 def exact_solution(
@@ -445,12 +445,12 @@ def exact_solution(
     """
     _, g, gt, phi = _great_circle(d, t)
     phi_t = fs.antiderivative_from_zero(
-        PeriodicFunction(d.grid, 2.0 * (np.conj(g) * gt).real)
+        PeriodicFunction._own(d.grid, 2.0 * (np.conj(g) * gt).real)
     )
-    field = PeriodicFunction(d.grid, phi_t.values + 1j * (2.0 * gt / g).imag)
+    field = PeriodicFunction._own(d.grid, phi_t.values + 1j * (2.0 * gt / g).imag)
     with _near_blowup(d, t):
         w = fs.compose(field, fs.invert_diffeo(phi)).values
-    return PeriodicFunction(d.grid, w.real), PeriodicFunction(d.grid, w.imag)
+    return PeriodicFunction._own(d.grid, w.real), PeriodicFunction._own(d.grid, w.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -507,26 +507,26 @@ def log_map(target: GroupElement) -> LogMapResult:
 
     alpha = target.alpha.values
     at_minus_one = np.abs(wrap_mod_4pi(alpha - 2.0 * math.pi)) < PHASE_TOL
-    if bool(np.any(at_minus_one)):
+    if fs.any_row(at_minus_one):
         return LogMapResult("empty")
 
     sqrt_phix = np.sqrt(target.phi_x.values)
     re_f = sqrt_phix * np.cos(0.5 * alpha)
     im_f = sqrt_phix * np.sin(0.5 * alpha)
-    mu0 = float(np.mean(re_f))
+    mu0 = fs.row_mean(re_f)
     if 1.0 - mu0 * mu0 < 1e-14:
         raise AtIdentityOrAntipodeError("target is numerically at +-1")
     denom = math.sqrt(1.0 - mu0 * mu0)
     r0 = math.acos(mu0)
 
     u0 = fs.antiderivative_from_zero(
-        PeriodicFunction(grid, 2.0 * (re_f - mu0) / denom)
+        PeriodicFunction._own(grid, 2.0 * (re_f - mu0) / denom)
     )
-    rho0 = PeriodicFunction(grid, 2.0 * im_f / denom)
+    rho0 = PeriodicFunction._own(grid, 2.0 * im_f / denom)
     direction = InitialData(u0, rho0)
 
     at_plus_one = np.abs(wrap_mod_4pi(alpha)) < PHASE_TOL
-    if bool(np.any(at_plus_one)):
+    if fs.any_row(at_plus_one):
         return LogMapResult("single", r0, direction, None)
     return LogMapResult("family", r0, direction, 2.0 * math.pi)
 

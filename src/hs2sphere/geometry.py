@@ -50,7 +50,7 @@ class KTangent(TangentVector):
 
 def _pi(vals: np.ndarray, phix=1.0) -> np.ndarray:
     """Fibre projection pi(W) = W - integral(W phi_x), one per sample."""
-    return vals - np.mean(vals * phix, axis=-1, keepdims=True)
+    return vals - fs.row_mean(vals * phix, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +92,9 @@ def christoffel(u, v):
     """Gamma(u, v) = -(1/2)(A^{-1} d/dx(u1x v1x + u2 v2), u1x v2 + v1x u2)."""
     grid = u.grid
     first = fs.inverse_A_dx(
-        PeriodicFunction(grid, u.u1x * v.u1x + u.u2.values * v.u2.values)
+        PeriodicFunction._own(grid, u.u1x * v.u1x + u.u2.values * v.u2.values)
     ) * (-0.5)
-    second = PeriodicFunction(
+    second = PeriodicFunction._own(
         grid, -0.5 * (u.u1x * v.u2.values + v.u1x * u.u2.values)
     )
     return type(u)(first, second)
@@ -115,9 +115,9 @@ def kahler_J(U, at: GroupElement | None = None):
     """
     phix = 1.0 if at is None else at.phi_x.values
     first = -1.0 * fs.antiderivative_from_zero(
-        PeriodicFunction(U.grid, _pi(U.u2.values, phix) * phix)
+        PeriodicFunction._own(U.grid, _pi(U.u2.values, phix) * phix)
     )
-    return type(U)(first, PeriodicFunction(U.grid, U.u1x / phix))
+    return type(U)(first, PeriodicFunction._own(U.grid, U.u1x / phix))
 
 
 def dJ_direction(u: KTangent, v: KTangent) -> KTangent:
@@ -126,8 +126,8 @@ def dJ_direction(u: KTangent, v: KTangent) -> KTangent:
     (DJ . u)(v) = (A^{-1} d/dx(v2 u1x), -[v1x u1x]).
     """
     grid = u.grid
-    first = fs.inverse_A_dx(PeriodicFunction(grid, v.u2.values * u.u1x))
-    second = PeriodicFunction(grid, -v.u1x * u.u1x)
+    first = fs.inverse_A_dx(PeriodicFunction._own(grid, v.u2.values * u.u1x))
+    second = PeriodicFunction._own(grid, -v.u1x * u.u1x)
     return KTangent(first, second)
 
 
@@ -147,8 +147,8 @@ def nabla_J_residual(u: KTangent, v: KTangent):
 def bracket_K(u: KTangent, v: KTangent) -> KTangent:
     """Bracket of right-invariant fields: (v1x u1 - u1x v1, [v2x u1 - u2x v1])."""
     grid = u.grid
-    first = PeriodicFunction(grid, v.u1x * u.u1.values - u.u1x * v.u1.values)
-    second = PeriodicFunction(grid, v.u2x * u.u1.values - u.u2x * v.u1.values)
+    first = PeriodicFunction._own(grid, v.u1x * u.u1.values - u.u1x * v.u1.values)
+    second = PeriodicFunction._own(grid, v.u2x * u.u1.values - u.u2x * v.u1.values)
     return KTangent(first, second)
 
 
@@ -192,7 +192,7 @@ def _mul_pair(w, a: np.ndarray):
     """(w1x a, w2x a): ingredient of the local curvature expression."""
     grid = w.grid
     return type(w)(
-        PeriodicFunction(grid, w.u1x * a), PeriodicFunction(grid, w.u2x * a)
+        PeriodicFunction._own(grid, w.u1x * a), PeriodicFunction._own(grid, w.u2x * a)
     )
 
 
@@ -224,7 +224,7 @@ def curvature_local(u, v):
 def sectional_curvature(u: KTangent, v: KTangent):
     """sec(u, v) in [1, 4]; equals 4 exactly on J-invariant planes."""
     gram = curvature_G(u, v)
-    if np.any(gram < 1e-12):
+    if fs.any_row(gram < 1e-12):
         raise DegeneratePlaneError("u, v do not span a plane")
     return curvature_K_closed(u, v) / gram
 
@@ -308,4 +308,4 @@ def jacobi_residual(u: KTangent, v: KTangent, w: KTangent):
     ]
     first_dx = sum(p[0] for p in pieces)
     second = sum(p[1] for p in pieces)
-    return fs.per_row(np.sqrt(0.25 * np.mean(first_dx**2 + _pi(second) ** 2, axis=-1)))
+    return fs.per_row(np.sqrt(0.25 * fs.row_mean(first_dx**2 + _pi(second) ** 2)))

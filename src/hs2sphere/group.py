@@ -54,7 +54,7 @@ class TangentVector:
             raise ValueError("tangent components must be real")
         if u1.grid != u2.grid:
             raise GridMismatchError(f"u1 on n = {u1.grid.n} and u2 on n = {u2.grid.n}")
-        if np.any(np.abs(u1.values[..., 0]) > 1e-10):
+        if fs.any_row(np.abs(u1.values[..., 0]) > 1e-10):
             raise ValueError(f"u1 must vanish at 0, got {u1.values[..., 0]!r}")
         self.u1 = u1
         self.u2 = u2
@@ -125,7 +125,7 @@ class GroupElement:
             raise GridMismatchError(
                 f"phi on n = {phi.grid.n} and alpha on n = {alpha.grid.n}"
             )
-        if np.any(np.abs(phi.values[..., 0]) > 1e-9):
+        if fs.any_row(np.abs(phi.values[..., 0]) > 1e-9):
             raise ValueError(f"phi must fix 0, got phi(0)={phi.values[..., 0]!r}")
         self.grid = phi.grid
         self.phi = phi
@@ -133,13 +133,13 @@ class GroupElement:
         lead = phi.values.shape[:-1]
         winding = np.broadcast_to(np.asarray(winding).astype(int), lead)
         self.winding = winding if lead else int(winding)
-        self.phi_x = PeriodicFunction(self.grid, fs._check_increasing(phi, tol=0.0))
+        self.phi_x = PeriodicFunction._own(phi.grid, fs._check_increasing(phi, 0.0))
 
     @classmethod
     def identity(cls, grid: PeriodicGrid, stack: tuple = ()) -> "GroupElement":
         """The identity; ``stack`` = (S,) gives a stack of S copies."""
         x = PeriodicFunction(grid, np.broadcast_to(grid.x, stack + (grid.n,)))
-        return cls(x, PeriodicFunction(grid, np.zeros_like(x.values)), 0)
+        return cls(x, PeriodicFunction._own(grid, np.zeros_like(x.values)), 0)
 
     def distance(self, other: "GroupElement"):
         """Sup distance with the angle compared mod 4 pi."""
@@ -147,11 +147,9 @@ class GroupElement:
             raise GridMismatchError(
                 f"elements on n = {self.grid.n} and n = {other.grid.n}"
             )
-        dphi = np.max(np.abs(self.phi.values - other.phi.values), axis=-1)
-        dalpha = np.max(
-            np.abs(wrap_mod_4pi(self.alpha.values - other.alpha.values)), axis=-1
-        )
-        return fs.per_row(np.maximum(dphi, dalpha))
+        dphi = np.abs(self.phi.values - other.phi.values)
+        dalpha = np.abs(wrap_mod_4pi(self.alpha.values - other.alpha.values))
+        return fs.row_max(np.maximum(dphi, dalpha))
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.grid.n}, winding={self.winding})"
@@ -195,9 +193,9 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     phi and alpha are composed with psi together, as the complex lift
     phi + i alpha of slope 1 + 4 pi i w.
     """
-    lift = PeriodicFunction(a.grid, a.phi.values + 1j * a.alpha.values)
+    lift = PeriodicFunction._own(a.grid, a.phi.values + 1j * a.alpha.values)
     comp = fs.compose(lift, b.phi, 1.0 + 1j * (FOUR_PI * a.winding)).values
-    phi = PeriodicFunction(a.grid, comp.real)
+    phi = PeriodicFunction._own(a.grid, comp.real)
     alpha = b.alpha + comp.imag
     return GroupElement(phi, alpha, a.winding + b.winding)
 
@@ -220,7 +218,7 @@ def phi_map(a: GroupElement) -> SpherePoint:
     """The isometry Phi(phi, alpha) = sqrt(phi_x) exp(i alpha / 2)."""
     phix = a.phi_x.values
     vals = np.sqrt(phix) * np.exp(0.5j * a.alpha.values)
-    return SpherePoint(PeriodicFunction(a.grid, vals))
+    return SpherePoint(PeriodicFunction._own(a.grid, vals))
 
 
 def phi_inverse(f: SpherePoint) -> GroupElement:
@@ -232,13 +230,14 @@ def phi_inverse(f: SpherePoint) -> GroupElement:
     cannot resolve the phase and is rejected.
     """
     vals = f.values
-    if np.min(np.abs(vals)) <= MODULUS_TOL:
+    least = np.abs(vals).min()
+    if least <= MODULUS_TOL:
         raise VanishingModulusError(
-            f"phi_inverse needs |f| > {MODULUS_TOL}, min={np.min(np.abs(vals))!r}"
+            f"phi_inverse needs |f| > {MODULUS_TOL}, min={least!r}"
         )
     ratios = np.roll(vals, -1, axis=-1) / vals
     jumps = np.angle(ratios)
-    if np.max(np.abs(jumps)) > PHASE_JUMP_TOL:
+    if np.abs(jumps).max() > PHASE_JUMP_TOL:
         raise UnwrapAmbiguityError(
             "adjacent-node phase jump exceeds pi/2; refine the grid"
         )
@@ -247,9 +246,9 @@ def phi_inverse(f: SpherePoint) -> GroupElement:
     theta = theta0 + np.concatenate((np.zeros_like(theta0), steps), axis=-1)
     winding = np.rint(np.sum(jumps, axis=-1) / (2.0 * np.pi))
     grid = f.grid
-    modsq = PeriodicFunction(grid, np.abs(vals) ** 2)
+    modsq = PeriodicFunction._own(grid, np.abs(vals) ** 2)
     phi = fs.antiderivative_from_zero(modsq)
-    alpha = PeriodicFunction(grid, 2.0 * theta)
+    alpha = PeriodicFunction._own(grid, 2.0 * theta)
     return GroupElement(phi, alpha, winding)
 
 
@@ -261,4 +260,4 @@ def tangent_phi(at: GroupElement, U: TangentVector) -> PeriodicFunction:
         * np.exp(0.5j * at.alpha.values)
         / (2.0 * np.sqrt(phix))
     )
-    return PeriodicFunction(at.grid, vals)
+    return PeriodicFunction._own(at.grid, vals)

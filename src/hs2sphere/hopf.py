@@ -36,7 +36,7 @@ from .sphere import SpherePoint, SphereTangent
 
 def project_p(a: GroupElement) -> GroupElement:
     """Quotient by constant phase shifts: pin the lift at alpha(0) = 0."""
-    alpha = PeriodicFunction(a.grid, a.alpha.values - a.alpha.values[..., :1])
+    alpha = PeriodicFunction._own(a.grid, a.alpha.values - a.alpha.values[..., :1])
     return GroupElement(a.phi, alpha, a.winding)
 
 
@@ -44,10 +44,10 @@ def project_q(f: SpherePoint) -> SpherePoint:
     """Projective canonicalization by the phase gauge at x = 0."""
     z = f.values[..., :1]
     modulus = np.abs(z)
-    if np.any(modulus < 1e-10):
+    if fs.any_row(modulus < 1e-10):
         raise ZeroAtBasePointError("representative vanishes at the base point")
     gauge = np.conj(z) / modulus
-    return SpherePoint(PeriodicFunction(f.grid, f.values * gauge))
+    return SpherePoint(PeriodicFunction._own(f.grid, f.values * gauge))
 
 
 def psi_map(a: GroupElement) -> SpherePoint:
@@ -70,25 +70,25 @@ def check_diagram(a: GroupElement):
 def vertical_sphere(X: SphereTangent) -> SphereTangent:
     """Component along the fiber direction i g."""
     g = X.base.values
-    coeff = np.mean((g * np.conj(X.values)).imag, axis=-1, keepdims=True)
+    coeff = fs.row_mean((g * np.conj(X.values)).imag, keepdims=True)
     vals = -1j * g * coeff
-    return SphereTangent(PeriodicFunction(X.base.grid, vals), X.base)
+    return SphereTangent(PeriodicFunction._own(X.base.grid, vals), X.base)
 
 
 def horizontal_sphere(X: SphereTangent) -> SphereTangent:
     """Orthogonal projection onto the horizontal space: X minus its vertical part."""
     vals = X.values - vertical_sphere(X).values
-    return SphereTangent(PeriodicFunction(X.base.grid, vals), X.base)
+    return SphereTangent(PeriodicFunction._own(X.base.grid, vals), X.base)
 
 
 def vertical_G(U: TangentVector, at: GroupElement) -> TangentVector:
     """Fiber component (0, integral(U2 phi_x)): a constant second slot."""
     phix = at.phi_x.values
-    c = np.mean(U.u2.values * phix, axis=-1, keepdims=True)
+    c = fs.row_mean(U.u2.values * phix, keepdims=True)
     shape = U.u2.values.shape
     return TangentVector(
-        PeriodicFunction(at.grid, np.zeros(shape)),
-        PeriodicFunction(at.grid, np.broadcast_to(c, shape)),
+        PeriodicFunction._own(at.grid, np.zeros(shape)),
+        PeriodicFunction._own(at.grid, np.broadcast_to(c, shape)),
     )
 
 
@@ -99,7 +99,7 @@ def horizontal_G(U: TangentVector, at: GroupElement) -> TangentVector:
 
 def fubini_study(X: SphereTangent, Y: SphereTangent):
     """Quotient metric of the pushforwards: pairing of horizontal parts."""
-    if np.any(X.base.l2_distance(Y.base) > 1e-10):
+    if fs.any_row(X.base.l2_distance(Y.base) > 1e-10):
         raise BaseMismatchError("tangents are based at different points")
     Xh = horizontal_sphere(X)
     Yh = horizontal_sphere(Y)

@@ -138,7 +138,7 @@ def rhs(
     rule.  One coefficient-space stage between an rfft and an irfft."""
     y = fs.rfft(np.stack([rho.values, u.values]))
     rhot, ut = fs.irfft(_Stage(u.grid, dealias)(y, y), u.grid.n)
-    return PeriodicFunction(u.grid, ut), PeriodicFunction(u.grid, rhot)
+    return PeriodicFunction._own(u.grid, ut), PeriodicFunction._own(u.grid, rhot)
 
 
 def _label_sups(h: np.ndarray, csq: float, times) -> np.ndarray:
@@ -152,7 +152,7 @@ def _label_sups(h: np.ndarray, csq: float, times) -> np.ndarray:
         w, den = 2.0 * (h * cos_ct - csq * s), h * s
         den += cos_ct
         w /= den
-    return np.max(np.abs(w.real), axis=1)
+    return fs.row_max(np.abs(w.real))
 
 
 def _label_bounds(h: np.ndarray, csq: float) -> np.ndarray:
@@ -216,7 +216,7 @@ def integrate(
     # f = cos(ct) + h sin(ct) / c, h = w0 / 2, c^2 = mean |h|^2; t at c = 0
     h, csq = 0.5 * (d.u0x.values + 1j * d.rho0.values), d._csq
     limit = 0.5 * min(ux_limit, 2.0 / dt)
-    certified = csq > 0.0 and bool(np.max(_label_bounds(h, csq)) < limit)
+    certified = csq > 0.0 and bool(fs.row_max(_label_bounds(h, csq)) < limit)
     block = max(1, 4096 // n)  # steps per label evaluation, <= 4,096 values
     stage, abs_ux = _Stage(d.grid, cfg.dealias), np.empty(n)
     Y = fs.rfft(np.stack([d.rho0.values, d.u0.values]))
@@ -285,13 +285,13 @@ def compare_states(
     scale) is measured against the state scale instead, so identically
     zero components compare as zero rather than as 0/0 noise.
     """
-    nu = float(np.sqrt(np.mean(u_b.values**2)))
-    nr = float(np.sqrt(np.mean(rho_b.values**2)))
+    nu = float(np.sqrt(fs.row_mean(u_b.values**2)))
+    nr = float(np.sqrt(fs.row_mean(rho_b.values**2)))
     scale = max(nu, nr, 1e-30)
 
     def rel(a, b, comp_norm):
         denom = comp_norm if comp_norm >= 1e-8 * scale else scale
-        return float(np.sqrt(np.mean((a - b) ** 2)) / denom)
+        return float(np.sqrt(fs.row_mean((a - b) ** 2)) / denom)
 
     return (
         rel(u_a.values, u_b.values, nu),

@@ -50,7 +50,7 @@ def _spectrum(
 
 def _field(grid: PeriodicGrid, spec: np.ndarray, amplitude: float = 1.0):
     """Samples of one spectrum, or of a stack of them in one inverse FFT."""
-    return PeriodicFunction(grid, amplitude * fs.irfft(spec, grid.n))
+    return PeriodicFunction._own(grid, amplitude * fs.irfft(spec, grid.n))
 
 
 def band_limited(
@@ -104,7 +104,7 @@ def _build_group(grid, w, alpha, shift):
     w = _field(grid, w)
     scale = DIFFEO_AMPLITUDE / np.maximum(w.max_abs(), 1e-12)
     h = fs.antiderivative_from_zero(w * scale)
-    phi = PeriodicFunction(grid, grid.x + h.values)
+    phi = PeriodicFunction._own(grid, grid.x + h.values)
     return GroupElement(phi, _field(grid, alpha, PHASE_AMPLITUDE) + shift, 0)
 
 
@@ -114,7 +114,7 @@ def _build_sphere_point(grid, *parts):
 
 def _build_complex(grid, re, im):
     vals = _field(grid, re).values + 1j * _field(grid, im).values
-    return PeriodicFunction(grid, vals)
+    return PeriodicFunction._own(grid, vals)
 
 
 def g_tangent(grid: PeriodicGrid, rng: np.random.Generator) -> TangentVector:
@@ -196,7 +196,7 @@ def initial_data(
         # center so the range straddles zero with a genuine sign change
         rho = fs.mean_projection(rho)
         if rho.max_abs() < 1e-8:
-            rho = PeriodicFunction(
+            rho = PeriodicFunction._own(
                 grid, np.cos(2.0 * np.pi * grid.x) * (1.0 + rng.uniform())
             )
     d = InitialData(u0, rho)

@@ -42,11 +42,11 @@ class SpherePoint:
 
     def __init__(self, f: PeriodicFunction):
         vals = np.asarray(f.values, dtype=np.complex128)
-        norm = np.sqrt(np.mean(np.abs(vals) ** 2, axis=-1, keepdims=True))
-        if np.any(np.abs(norm - 1.0) > NORM_REJECT_TOL):
+        norm = np.sqrt(fs.row_mean(np.abs(vals) ** 2, keepdims=True))
+        if fs.any_row(np.abs(norm - 1.0) > NORM_REJECT_TOL):
             norm = fs.per_row(norm[..., 0])
             raise NotUnitNormError(f"L2 norm {norm!r} too far from 1")
-        self.f = PeriodicFunction(f.grid, vals / norm)
+        self.f = PeriodicFunction._own(f.grid, vals / norm)
 
     @classmethod
     def constant_one(cls, grid: PeriodicGrid) -> "SpherePoint":
@@ -66,7 +66,7 @@ class SpherePoint:
 
     def l2_distance(self, other: "SpherePoint"):
         diff = np.abs(self.values - other.values) ** 2
-        return fs.per_row(np.sqrt(np.mean(diff, axis=-1)))
+        return fs.per_row(np.sqrt(fs.row_mean(diff)))
 
     def __repr__(self):
         return f"SpherePoint(n={self.grid.n})"
@@ -81,7 +81,7 @@ class SphereTangent:
 
     def __post_init__(self):
         pairing = fs.row_mean((self.X.values * np.conj(self.base.values)).real)
-        if np.any(np.abs(pairing) > TANGENT_TOL):
+        if fs.any_row(np.abs(pairing) > TANGENT_TOL):
             raise NotTangentError(
                 f"tangency defect {pairing!r} exceeds {TANGENT_TOL}"
             )
@@ -96,13 +96,13 @@ class SphereTangent:
 
 def project_to_tangent(base: SpherePoint, X: PeriodicFunction) -> SphereTangent:
     """Orthogonal projection of X onto the tangent space at ``base``."""
-    pairing = np.mean((X.values * np.conj(base.values)).real, axis=-1, keepdims=True)
+    pairing = fs.row_mean((X.values * np.conj(base.values)).real, keepdims=True)
     vals = X.values - pairing * base.values
-    return SphereTangent(PeriodicFunction(base.grid, vals), base)
+    return SphereTangent(PeriodicFunction._own(base.grid, vals), base)
 
 
 def _require_base_one(X: SphereTangent) -> None:
-    dev = float(np.max(np.abs(X.base.values - 1.0)))
+    dev = np.abs(X.base.values - 1.0).max()
     if dev > 1e-9:
         raise ValueError("tangent must be based at the constant function 1")
 
@@ -119,7 +119,7 @@ def exp_at_one(X: SphereTangent) -> SpherePoint:
         raise ZeroTangentError("exponential of a zero tangent vector")
     unit = X.values / r
     vals = np.cos(r) + np.sin(r) * unit
-    return SpherePoint(PeriodicFunction(X.base.grid, vals))
+    return SpherePoint(PeriodicFunction._own(X.base.grid, vals))
 
 
 def log_at_one(f: SpherePoint) -> tuple[float, SphereTangent]:
@@ -130,8 +130,8 @@ def log_at_one(f: SpherePoint) -> tuple[float, SphereTangent]:
     """
     grid = f.grid
     one = np.ones(grid.n)
-    d_plus = float(np.sqrt(np.mean(np.abs(f.values - one) ** 2)))
-    d_minus = float(np.sqrt(np.mean(np.abs(f.values + one) ** 2)))
+    d_plus = float(np.sqrt(fs.row_mean(np.abs(f.values - one) ** 2)))
+    d_minus = float(np.sqrt(fs.row_mean(np.abs(f.values + one) ** 2)))
     if min(d_plus, d_minus) < POLE_TOL:
         raise AntipodalOrIdentityError(
             "log at +-1 has infinitely many preimages"
@@ -141,6 +141,6 @@ def log_at_one(f: SpherePoint) -> tuple[float, SphereTangent]:
     denom = np.sqrt(1.0 - mu * mu)
     X0_vals = (f.values - mu) / denom
     X0 = SphereTangent(
-        PeriodicFunction(grid, X0_vals), SpherePoint.constant_one(grid)
+        PeriodicFunction._own(grid, X0_vals), SpherePoint.constant_one(grid)
     )
     return r0, X0

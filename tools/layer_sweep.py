@@ -1,0 +1,140 @@
+"""Per-layer n-sweep: the wall time and memory peak of each library layer.
+
+    python3 tools/layer_sweep.py [--n 256 1024 4096] [--repeat 7]
+
+Runs in process on the package under ``src/`` next to this script.  For
+every grid size n and every layer it times ``--repeat`` calls on
+prepared inputs and keeps the least wall time, then runs one more call
+under ``tracemalloc`` and records the peak of what that call allocates.
+It prints one JSON object:
+
+    {"n": [...], "repeat": k, "env": {...},
+     "layers": {layer: {n: {"best_s": ..., "peak_kib": ...}}}}
+
+The layers, with S = 10 rows wherever a stack is taken:
+
+- ``arithmetic``: (f * g + f) / 2 - g on (S, n) stacks, four operators
+- ``derivative``: ``funcspace.derivative`` of an (S, n) stack
+- ``compose``: ``funcspace.compose`` of a stack with a stack of lifts
+- ``multiply`` and ``inverse``: ``group.multiply`` and ``group.inverse``
+  on stacks of S group elements
+- ``exact_solution`` and ``blowup_time``: the ``hs-blowup`` preset at
+  t = T / 2, each call on fresh ``InitialData`` so that no cached
+  ``BlowupReport`` is reused
+- ``rhs``: ``integrator.rhs`` on that preset, dealiased
+- ``run_suite_block``: ``verification.run_suite`` of one block
+  (``verification.BLOCK`` samples)
+
+The inputs are drawn from fixed seeds.  The sweep first sets glibc's
+allocator thresholds as the command line tool does
+(``cli._keep_freed_memory``): under glibc's dynamic mmap threshold a
+layer's time depends on what the process allocated before it (at
+n = 1024 a stacked ``multiply`` read 1.9 ms in one tree and 3.4 ms in
+another, and 1.9 ms in both once the thresholds were set).  Wall times
+are machine-dependent; compare two trees on one machine, run after run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from hs2sphere import funcspace as fs  # noqa: E402
+from hs2sphere import randfields as rf  # noqa: E402
+from hs2sphere import verification  # noqa: E402
+from hs2sphere.cli import _keep_freed_memory  # noqa: E402
+from hs2sphere.funcspace import PeriodicGrid  # noqa: E402
+from hs2sphere.geodesics import InitialData, blowup_time, exact_solution  # noqa: E402
+from hs2sphere.group import inverse, multiply  # noqa: E402
+from hs2sphere.integrator import rhs  # noqa: E402
+from hs2sphere.presets import make_preset  # noqa: E402
+
+ROWS = 10
+
+
+def layers(n: int) -> dict:
+    """Layer name -> (prepare, call): ``call(prepare())`` is one measured call."""
+    grid = PeriodicGrid(n)
+    rng = np.random.default_rng(n)
+    draws = rf.g_tangent, rf.group_element, rf.group_element
+    U, a, b = rf.stacks(grid, rng, ROWS, *draws)
+    f, g = U.u1, U.u2
+    d = make_preset("hs-blowup", grid)
+    t = 0.5 * blowup_time(d).T
+
+    def fresh():
+        return InitialData(d.u0, d.rho0)
+
+    def same():  # the inputs above serve every call
+        return None
+
+    return {
+        "arithmetic": (same, lambda _: (f * g + f) / 2.0 - g),
+        "derivative": (same, lambda _: fs.derivative(f)),
+        "compose": (same, lambda _: fs.compose(f, a.phi)),
+        "multiply": (same, lambda _: multiply(a, b)),
+        "inverse": (same, lambda _: inverse(a)),
+        "exact_solution": (fresh, lambda data: exact_solution(data, t)),
+        "blowup_time": (fresh, blowup_time),
+        "rhs": (same, lambda _: rhs(d.u0, d.rho0, dealias=True)),
+        "run_suite_block": (
+            same, lambda _: verification.run_suite(n, verification.BLOCK, seed=n)
+        ),
+    }
+
+
+def measure(prepare, call, repeat: int) -> dict:
+    """Least wall time of ``repeat`` calls, and one call's tracemalloc peak."""
+    best = float("inf")
+    for _ in range(repeat):
+        arg = prepare()
+        start = time.perf_counter()
+        call(arg)
+        best = min(best, time.perf_counter() - start)
+    arg = prepare()
+    tracemalloc.start()
+    try:
+        call(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"best_s": best, "peak_kib": peak / 1024.0}
+
+
+def sweep(sizes: list[int], repeat: int) -> dict:
+    table: dict[str, dict] = {}
+    for n in sizes:
+        for name, (prepare, call) in layers(n).items():
+            table.setdefault(name, {})[str(n)] = measure(prepare, call, repeat)
+    return {
+        "n": sizes,
+        "repeat": repeat,
+        "env": {"python": platform.python_version(), "numpy": np.__version__,
+                "platform": platform.platform()},
+        "layers": table,
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--n", type=int, nargs="+", default=[256, 1024, 4096])
+    p.add_argument("--repeat", type=int, default=7, help="timed calls per layer")
+    args = p.parse_args(argv)
+    if args.repeat < 1:
+        p.error("--repeat must be at least 1")
+    _keep_freed_memory()
+    print(json.dumps(sweep(args.n, args.repeat), indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
