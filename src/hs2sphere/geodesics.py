@@ -1,11 +1,13 @@
 """Exact solutions of the two-component Hunter-Saxton system.
 
-Initial data (u0, rho0) at the identity determines the great circle
+Initial data (u0, rho0) is a tangent vector at the identity, and it
+determines the great circle
 
     f(t) = cos(ct) + (u0x + i rho0) sin(ct) / (2c),
-    c^2 = (1/4) integral(u0x^2 + rho0^2),
+    c^2 = <(u0, rho0), (u0, rho0)> = (1/4) integral(u0x^2 + rho0^2),
 
-on the unit sphere; pulling back through the group isometry yields the
+on the unit sphere, its speed c the norm of the data in the metric at
+the identity; pulling back through the group isometry yields the
 flow (phi(t), alpha(t)) and the solution (u, rho) = (phi_t o phi^{-1},
 alpha_t o phi^{-1}) in closed form.  The solution persists until f first
 acquires a zero, which happens iff rho0 vanishes somewhere; at a root x*
@@ -27,16 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funcspace as fs
+from . import geometry
 from .errors import (
     AtIdentityOrAntipodeError,
     BeyondBlowupError,
-    GridMismatchError,
     NonFiniteDataError,
     NotMonotoneError,
     ZeroDataError,
 )
 from .funcspace import PeriodicFunction, PeriodicGrid
-from .group import GroupElement, inverse, multiply, wrap_mod_4pi
+from .group import GroupElement, TangentVector, inverse, multiply, wrap_mod_4pi
 
 BLOWUP_MARGIN = 1e-9
 NODE_ZERO_TOL = 1e-12
@@ -48,39 +50,35 @@ DEPTH_CAP = 10
 PHASE_TOL = 1e-8
 
 
-class InitialData:
-    """Initial state (u0, rho0): u0 real with u0(0) = 0, rho0 real.
+class InitialData(TangentVector):
+    """Initial state (u0, rho0) = (u1, u2): a tangent vector at the identity.
 
-    ``u0x`` and the energy c^2, which must be finite, are computed once
-    here; the speed, the blow-up time and the great circle read them.  The
-    :class:`BlowupReport` is computed on first request and kept.
+    It holds one vector, not a stack, and not zero.  ``u0x`` is computed
+    once here and carried as ``u1x``; the energy c^2 = <d, d> of the
+    metric at the identity must be finite.  The speed, the blow-up time
+    and the great circle read them.  The :class:`BlowupReport` is computed
+    on first request and kept.  Arithmetic and every formula that builds
+    ``type(u)`` return ``InitialData`` on initial data, so a zero result,
+    such as ``d - d``, raises :class:`ZeroDataError`.
     """
 
-    __slots__ = ("u0", "rho0", "u0x", "_csq", "_blowup")
+    __slots__ = ("u0x", "_csq", "_blowup")
+    u0, rho0 = TangentVector.u1, TangentVector.u2  # the slots under their names
 
     def __init__(self, u0: PeriodicFunction, rho0: PeriodicFunction):
-        if u0.is_complex or rho0.is_complex:
-            raise ValueError("initial data must be real")
-        if u0.grid != rho0.grid:
-            raise GridMismatchError(
-                f"u0 on n = {u0.grid.n} and rho0 on n = {rho0.grid.n}"
-            )
-        if abs(u0.values[0]) > 1e-10:
-            raise ValueError(f"u0 must vanish at 0, got {u0.values[0]!r}")
+        if u0.values.ndim != 1 or rho0.values.ndim != 1:
+            shapes = u0.values.shape, rho0.values.shape
+            raise ValueError(f"initial data holds one vector, got shapes {shapes}")
+        super().__init__(u0, rho0)
         if u0.max_abs() == 0.0 and rho0.max_abs() == 0.0:
             raise ZeroDataError("initial data is identically zero")
-        self.u0 = u0
-        self.rho0 = rho0
         self.u0x = fs.derivative(u0)
+        self._u1x = self.u0x.values
         with np.errstate(over="ignore", invalid="ignore"):
-            self._csq = 0.25 * fs.row_mean(self.u0x.values**2 + rho0.values**2)
+            self._csq = geometry.metric(self, self)
         if not math.isfinite(self._csq):
             raise NonFiniteDataError(f"initial energy {self._csq!r} is not finite")
         self._blowup = None
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.u0.grid
 
     @classmethod
     def from_u0x(cls, grid, u0x_fn, rho0_fn) -> "InitialData":
@@ -89,9 +87,6 @@ class InitialData:
         u0 = fs.antiderivative_from_zero(fs.mean_projection(w))
         rho0 = PeriodicFunction.from_callable(grid, rho0_fn)
         return cls(u0, rho0)
-
-    def __repr__(self):
-        return f"InitialData(n={self.grid.n})"
 
 
 @dataclass(frozen=True)
@@ -139,7 +134,7 @@ class BlowupReport:
 
 
 def speed(d: InitialData) -> float:
-    """Geodesic speed c with c^2 = (1/4) integral(u0x^2 + rho0^2)."""
+    """Geodesic speed c = |d|, c^2 = <d, d> = (1/4) integral(u0x^2 + rho0^2)."""
     csq = d._csq
     if csq == 0.0:
         raise ZeroDataError("zero-energy data defines no geodesic")
@@ -477,9 +472,7 @@ class LogMapResult:
         """Initial data r0 * direction reaching the target at time 1."""
         if self.kind == "empty":
             raise ValueError("no geodesic exists for this target")
-        return InitialData(
-            self.direction.u0 * self.r0, self.direction.rho0 * self.r0
-        )
+        return self.direction * self.r0
 
 
 def _antipode(grid: PeriodicGrid) -> GroupElement:

@@ -131,7 +131,8 @@ class GroupElement:
         self.phi = phi
         self.alpha = alpha
         lead = phi.values.shape[:-1]
-        winding = np.broadcast_to(np.asarray(winding).astype(int), lead)
+        winding = np.full(lead, winding, dtype=int)
+        winding.flags.writeable = False
         self.winding = winding if lead else int(winding)
         self.phi_x = PeriodicFunction._own(phi.grid, fs._check_increasing(phi, 0.0))
 

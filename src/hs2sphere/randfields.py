@@ -202,4 +202,4 @@ def initial_data(
     d = InitialData(u0, rho)
     c = speed(d)
     target = float(rng.uniform(*speed_range))
-    return InitialData(u0 * (target / c), rho * (target / c))
+    return d * (target / c)

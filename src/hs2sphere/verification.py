@@ -25,6 +25,7 @@ a harness self-test, proving the suite fails when the mathematics is wrong.
 
 from __future__ import annotations
 
+import functools
 import zlib
 
 import numpy as np
@@ -53,9 +54,9 @@ FLIPPABLE = ("omega_compatibility", "j_squared", "oneill_closed")
 BLOCK = 20
 
 
-def _worst(*residuals) -> np.ndarray:
+def _worst(first, *rest) -> np.ndarray:
     """Largest residual of each sample; NaN if any is NaN, so that it fails."""
-    return np.max(np.broadcast_arrays(*residuals), axis=0)
+    return functools.reduce(np.maximum, rest, first)
 
 
 def _identity_like(a: GroupElement) -> GroupElement:
@@ -260,7 +261,7 @@ def run_suite(
             residual_of(grid, rng, flip, min(BLOCK, samples - done))
             for done in range(0, samples, BLOCK)
         ]
-        residual = float(_worst(0.0, *np.concatenate(blocks)))
+        residual = float(np.maximum.reduce(np.concatenate(blocks), initial=0.0))
         results.append(
             {
                 "identity": name,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import hs2sphere.funcspace as fs
 import hs2sphere.geodesics as geo
+import hs2sphere.geometry as gm
 import hs2sphere.randfields as rf
 from hs2sphere.errors import (
     AtIdentityOrAntipodeError,
@@ -29,7 +30,7 @@ from hs2sphere.geodesics import (
     log_map,
     speed,
 )
-from hs2sphere.group import GroupElement, multiply
+from hs2sphere.group import GroupElement, TangentVector, multiply
 from hs2sphere.presets import PRESET_NAMES, make_preset
 
 from oracles import (
@@ -91,6 +92,91 @@ def test_initial_data_rejects_non_finite_energy(n, make):
         for u0, rho0 in cases:
             with pytest.raises(NonFiniteDataError):
                 InitialData(u0, rho0)
+
+
+# -- initial data is a tangent vector at the identity -------------------------
+
+
+def _drawn_data(n):
+    """The three presets and six random draws on n nodes."""
+    grid = PeriodicGrid(n)
+    rng = np.random.default_rng(n)
+    draws = [
+        rf.initial_data(grid, rng, global_existence=kind)
+        for kind in (True, False, None) * 2
+    ]
+    return [make_preset(name, grid) for name in PRESET_NAMES] + draws
+
+
+@pytest.mark.parametrize("n", [8, 64, 256, 4096])
+def test_energy_is_the_metric_at_the_identity(n):
+    for d in _drawn_data(n):
+        assert isinstance(d, TangentVector)
+        assert d.u0 is d.u1 and d.rho0 is d.u2
+        # the metric gives the energy's former formula bit for bit
+        spelled = 0.25 * fs.row_mean(d.u0x.values**2 + d.rho0.values**2)
+        assert gm.metric(d, d) == d._csq == spelled
+        assert gm.norm(d) == speed(d)
+
+
+def test_u0x_is_carried_as_u1x(grid, monkeypatch):
+    d = smooth_global(grid)
+    calls = []
+    rfft = fs.rfft
+
+    def counting_rfft(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(fs, "rfft", counting_rfft)
+    assert d.u1x is d.u0x.values
+    assert calls == []
+    d.u2x  # the spy sees a transform that runs
+    assert len(calls) == 1
+
+
+def test_arithmetic_keeps_initial_data(grid):
+    d = smooth_global(grid)
+    csq = speed(d) ** 2
+    for s in (0.3, -2.5):
+        for scaled in (d * s, s * d):
+            assert type(scaled) is InitialData
+            assert scaled._csq == pytest.approx(s * s * csq, rel=1e-14)
+    twice = d + d
+    assert type(twice) is InitialData and type(-d) is InitialData
+    assert twice._csq == 4.0 * csq  # doubling is exact in floating point
+    assert blowup_time(twice) is not blowup_time(d)
+    with pytest.raises(ZeroDataError):
+        d - d
+
+
+def test_principal_data_scales_the_direction():
+    grid = PeriodicGrid(64)
+    rng = np.random.default_rng(39)
+    reached = 0
+    for _ in range(20):
+        res = log_map(rf.group_element(grid, rng))
+        if res.kind == "empty":
+            continue
+        reached += 1
+        got = res.principal_data()
+        assert type(got) is InitialData
+        rebuilt = InitialData(res.direction.u0 * res.r0, res.direction.rho0 * res.r0)
+        for want in (rebuilt, res.direction * res.r0):
+            for a, b in ((got.u0, want.u0), (got.rho0, want.rho0), (got.u0x, want.u0x)):
+                assert a.values.tobytes() == b.values.tobytes()
+            assert got._csq == want._csq
+    assert reached > 10
+
+
+def test_initial_data_refuses_a_stack(grid):
+    d = smooth_global(grid)
+    u0 = PeriodicFunction(grid, np.stack([d.u0.values] * 3))
+    rho0 = PeriodicFunction(grid, np.stack([d.rho0.values] * 3))
+    with pytest.raises(ValueError, match=r"one vector.*\(3, 256\)"):
+        InitialData(u0, rho0)
+    with pytest.raises(ValueError, match=r"\(3, 256\)"):
+        InitialData(d.u0, rho0)
 
 
 # -- exact flow --------------------------------------------------------------

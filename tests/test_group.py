@@ -30,6 +30,17 @@ def test_neutral_element(grid, rng):
     assert multiply(ident, a).distance(a) < 1e-12
 
 
+def test_winding_of_a_stack_is_a_read_only_int_array(grid):
+    stack = GroupElement.identity(grid, (3,))
+    w = GroupElement(stack.phi, stack.alpha, np.array([1.0, -2.0, 0.0])).winding
+    assert w.dtype == int and w.tolist() == [1, -2, 0]
+    assert not w.flags.writeable and not stack.winding.flags.writeable
+    assert type(GroupElement.identity(grid).winding) is int
+    for e in (GroupElement.identity(grid), stack):
+        with pytest.raises(OverflowError):  # a winding must fit an int
+            GroupElement(e.phi, e.alpha, 10**30)
+
+
 def test_inverse_round_trip(grid, rng):
     ident = GroupElement.identity(grid)
     for _ in range(5):

@@ -12,6 +12,7 @@ _spec.loader.exec_module(layer_sweep)
 LAYERS = {
     "arithmetic", "derivative", "compose", "multiply", "inverse",
     "exact_solution", "blowup_time", "rhs", "run_suite_block",
+    "interpolant", "rk4_step", "rk4_step_dealiased",
 }
 
 

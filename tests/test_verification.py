@@ -7,7 +7,16 @@ import pytest
 import hs2sphere.geometry as gm
 import hs2sphere.randfields as rf
 from hs2sphere.funcspace import PeriodicGrid
-from hs2sphere.verification import BLOCK, FLIPPABLE, IDENTITIES, run_suite
+from hs2sphere.verification import BLOCK, FLIPPABLE, IDENTITIES, _worst, run_suite
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_worst_is_the_largest_residual_and_keeps_nan(at):
+    residuals = [0.0, np.array([1e-9, 3.0, -1.0]), np.array([2e-9, 1.0, 5.0])]
+    assert _worst(*residuals).tolist() == [2e-9, 3.0, 5.0]
+    residuals[at] = np.where([False, True, False], math.nan, residuals[at])
+    worst = _worst(*residuals)
+    assert math.isnan(worst[1]) and worst[0] == 2e-9 and worst[2] == 5.0
 
 
 def test_nan_sample_fails_its_identity(monkeypatch):

@@ -16,12 +16,17 @@ The layers, with S = 10 rows wherever a stack is taken:
 - ``arithmetic``: (f * g + f) / 2 - g on (S, n) stacks, four operators
 - ``derivative``: ``funcspace.derivative`` of an (S, n) stack
 - ``compose``: ``funcspace.compose`` of a stack with a stack of lifts
+- ``interpolant``: prepare ``funcspace.Interpolant`` of an (S, n) stack
+  and evaluate it at n uniform random points per row, off the grid
 - ``multiply`` and ``inverse``: ``group.multiply`` and ``group.inverse``
   on stacks of S group elements
 - ``exact_solution`` and ``blowup_time``: the ``hs-blowup`` preset at
   t = T / 2, each call on fresh ``InitialData`` so that no cached
   ``BlowupReport`` is reused
 - ``rhs``: ``integrator.rhs`` on that preset, dealiased
+- ``rk4_step`` and ``rk4_step_dealiased``: ``integrator.integrate`` of one
+  step, dt = 5e-4, on the ``smooth-global`` preset, with ``dealias`` off
+  and on; the call includes the run's setup and its recorded states
 - ``run_suite_block``: ``verification.run_suite`` of one block
   (``verification.BLOCK`` samples)
 
@@ -55,7 +60,7 @@ from hs2sphere.cli import _keep_freed_memory  # noqa: E402
 from hs2sphere.funcspace import PeriodicGrid  # noqa: E402
 from hs2sphere.geodesics import InitialData, blowup_time, exact_solution  # noqa: E402
 from hs2sphere.group import inverse, multiply  # noqa: E402
-from hs2sphere.integrator import rhs  # noqa: E402
+from hs2sphere.integrator import IntegratorConfig, integrate, rhs  # noqa: E402
 from hs2sphere.presets import make_preset  # noqa: E402
 
 ROWS = 10
@@ -68,8 +73,14 @@ def layers(n: int) -> dict:
     draws = rf.g_tangent, rf.group_element, rf.group_element
     U, a, b = rf.stacks(grid, rng, ROWS, *draws)
     f, g = U.u1, U.u2
+    points = rng.uniform(size=(ROWS, n))
     d = make_preset("hs-blowup", grid)
     t = 0.5 * blowup_time(d).T
+    smooth = make_preset("smooth-global", grid)
+    steps = {
+        dealias: IntegratorConfig(dt=5e-4, t_end=5e-4, dealias=dealias)
+        for dealias in (False, True)
+    }
 
     def fresh():
         return InitialData(d.u0, d.rho0)
@@ -81,11 +92,14 @@ def layers(n: int) -> dict:
         "arithmetic": (same, lambda _: (f * g + f) / 2.0 - g),
         "derivative": (same, lambda _: fs.derivative(f)),
         "compose": (same, lambda _: fs.compose(f, a.phi)),
+        "interpolant": (same, lambda _: fs.Interpolant(f)(points)),
         "multiply": (same, lambda _: multiply(a, b)),
         "inverse": (same, lambda _: inverse(a)),
         "exact_solution": (fresh, lambda data: exact_solution(data, t)),
         "blowup_time": (fresh, blowup_time),
         "rhs": (same, lambda _: rhs(d.u0, d.rho0, dealias=True)),
+        "rk4_step": (same, lambda _: integrate(smooth, steps[False])),
+        "rk4_step_dealiased": (same, lambda _: integrate(smooth, steps[True])),
         "run_suite_block": (
             same, lambda _: verification.run_suite(n, verification.BLOCK, seed=n)
         ),
