@@ -13,6 +13,7 @@ import numpy as np
 from hs2sphere import (
     InitialData,
     IntegratorConfig,
+    PeriodicFunction,
     PeriodicGrid,
     exact_solution,
     integrate_pde,
@@ -36,11 +37,14 @@ print(f"arc-length period 2 pi corresponds to t = {2*np.pi/c:.6f}\n")
 cfg = IntegratorConfig(dt=5e-4, t_end=1.0, dealias=False, record_every=400)
 traj = integrate_pde(data, cfg)
 
+# one call evaluates the closed form at every recorded time: (S, n) stacks
+u_ex, rho_ex = exact_solution(data, traj.times)
+
 print("time      rel L2 error u   rel L2 error rho")
 for i, t in enumerate(traj.times):
-    u_ex, rho_ex = exact_solution(data, float(t))
     u_num, rho_num = traj.state(i)
-    eu, er = compare_states(u_num, rho_num, u_ex, rho_ex)
+    exact = (PeriodicFunction(grid, f.values[i]) for f in (u_ex, rho_ex))
+    eu, er = compare_states(u_num, rho_num, *exact)
     print(f"{t:6.3f}    {eu:12.3e}    {er:12.3e}")
 
 drift = np.max(np.abs(traj.energy - traj.energy[0])) / traj.energy[0]

@@ -218,15 +218,9 @@ def build_initial_data(cfg: RunConfig) -> InitialData:
         return InitialData(u0, rho0)
 
 
-def _write_exact_trajectory(path, times, states) -> None:
-    """Write the exact states (u, rho) at ``times`` as a t,x,u,rho CSV."""
-    write_trajectory_csv(
-        path,
-        times,
-        states[0][0].grid.x,
-        [u.values for u, _ in states],
-        [rho.values for _, rho in states],
-    )
+def _write_exact_trajectory(path, times, u, rho) -> None:
+    """Write the exact stacks u and rho at ``times`` as a t,x,u,rho CSV."""
+    write_trajectory_csv(path, times, u.grid.x, u.values, rho.values)
 
 
 def cmd_solve(cfg: RunConfig, args) -> int:
@@ -252,13 +246,14 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         return 3
 
     traj.to_csv(outdir / "integrator_trajectory.csv")
-    times = [float(t) for t in traj.times]
-    exact = [exact_solution(data, t) for t in times]
-    _write_exact_trajectory(outdir / "exact_trajectory.csv", times, exact)
+    times = traj.times.tolist()
+    u, rho = exact_solution(data, traj.times)
+    _write_exact_trajectory(outdir / "exact_trajectory.csv", times, u, rho)
 
     rel_u, rel_rho = [], []
-    for i, (ue, rhoe) in enumerate(exact):
-        eu, er = compare_states(*traj.state(i), ue, rhoe)
+    for i in range(len(times)):
+        exact_i = [PeriodicFunction._own(u.grid, f.values[i]) for f in (u, rho)]
+        eu, er = compare_states(*traj.state(i), *exact_i)
         rel_u.append(eu)
         rel_rho.append(er)
     comparison = {

@@ -18,6 +18,7 @@ all time, computed once per run, certifies that no reading can trip.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -267,7 +268,7 @@ def integrate(
             k1 += k
         Y += np.multiply(k1, dt / 6.0, out=k1)
         Y[1, 0] = -2.0 * np.add.reduce(Y[1, 1:-1].real) - Y[1, -1].real  # u(0) = 0
-        if not np.isfinite(np.add.reduce(Y, axis=None)) and not np.isfinite(Y).all():
+        if not cmath.isfinite(np.add.reduce(Y, axis=None)) and not np.isfinite(Y).all():
             message = f"state became non-finite between t = {t!r} and t = "
             raise halt(message + repr((step + 1) * dt), step)
 

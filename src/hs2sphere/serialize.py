@@ -73,10 +73,16 @@ def write_trajectory_csv(path, times, x, u, rho) -> None:
     """Long-format CSV with columns t, x, u, rho: row j of state i holds
 
     times[i], x[j], u[i][j] and rho[i][j] in :func:`fmt_float`'s .17g format.
+    Each state is one ``%`` operation on a bytes template: its time, then
+    ``b",%s,%.17g,%.17g\\n"`` once per point.  Bytes formatting renders a
+    float as str formatting does, and the file takes the bytes unencoded.
     """
-    xs = [fmt_float(v) for v in x]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,x,u,rho\n")
+    xs = [fmt_float(v).encode() for v in x]
+    fields = [None] * (3 * len(xs))
+    fields[::3] = xs
+    with open(path, "wb") as fh:
+        fh.write(b"t,x,u,rho\n")
         for t, u_row, rho_row in zip(times, u, rho):
-            ts, rows = fmt_float(float(t)), zip(xs, u_row.tolist(), rho_row.tolist())
-            fh.write("".join([f"{ts},{xj},{a:.17g},{b:.17g}\n" for xj, a, b in rows]))
+            fields[1::3], fields[2::3] = u_row.tolist(), rho_row.tolist()
+            template = (fmt_float(float(t)) + ",%s,%.17g,%.17g\n").encode() * len(xs)
+            fh.write(template % tuple(fields))

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -977,6 +979,12 @@ def test_too_close_to_blowup_names_t_and_T(monkeypatch):
         assert f"t={t!r}" in message and f"T={T!r}" in message
         assert repr(T - t) in message
         assert isinstance(err.value.__cause__, NotMonotoneError)
+    # a stack raises the error of its first time too close to T
+    with pytest.raises(NotMonotoneError) as alone:
+        exact_solution(d, t)
+    with pytest.raises(NotMonotoneError) as stacked:
+        exact_solution(d, np.array([0.5 * T, t, t + 1e-8]))
+    assert str(stacked.value) == str(alone.value)
 
 
 def _assert_is_the_report(d):
@@ -1070,6 +1078,115 @@ def test_exact_solution_composes_once(grid, monkeypatch):
     u, rho = exact_solution(d, 0.5)
     assert len(calls) == 2
     assert not u.is_complex and not rho.is_complex
+
+
+@st.composite
+def stacked_cases(draw, finite=None):
+    """(d, times): global or finite data at n in {16, 64, 256} and a stack
+    of admissible times, its count on either side of a block boundary.
+
+    ``finite`` restricts the data to one existence class.  Finite data
+    takes times in [0, T/2], global data in [-3, 3].
+    """
+    n = draw(st.sampled_from([16, 64, 256]))
+    grid = PeriodicGrid(n)
+    sources = {None: ["smooth-global", "hs-blowup", "random"],
+               True: ["hs-blowup", "random"]}[finite]
+    source = draw(st.sampled_from(sources))
+    if source == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        wanted = False if finite else draw(st.sampled_from([True, False, None]))
+        d = rf.initial_data(grid, rng, global_existence=wanted)
+    else:
+        d = make_preset(source, grid)
+    rep = blowup_time(d)
+    lo, hi = (0.0, 0.5 * rep.T) if rep.finite else (-3.0, 3.0)
+    rows = max(1, geo.STACK_POINTS // n)
+    count = draw(st.sampled_from([1, rows - 1, rows, rows + 1, 2 * rows + 1]))
+    times = draw(st.lists(st.floats(lo, hi), min_size=count, max_size=count))
+    return d, np.array(times)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacked_cases())
+def test_stacked_exact_solution_rows_are_their_own_calls(case):
+    # every row carries the bits of its scalar call; where a scalar call is
+    # too close to T for the flow to invert, the stack raises its error
+    d, times = case
+    try:
+        rows = [exact_solution(d, t) for t in times.tolist()]
+    except NotMonotoneError as exc:
+        with pytest.raises(NotMonotoneError) as err:
+            exact_solution(d, times)
+        assert str(err.value) == str(exc)
+        return
+    u, rho = exact_solution(d, times)
+    assert u.values.shape == rho.values.shape == (times.size, d.grid.n)
+    assert not u.is_complex and not rho.is_complex
+    for i, (ui, rhoi) in enumerate(rows):
+        assert u.values[i].tobytes() == ui.values.tobytes()
+        assert rho.values[i].tobytes() == rhoi.values.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(stacked_cases(finite=True), st.data())
+def test_stacked_exact_solution_refuses_as_its_calls_do(case, data):
+    # one time past T - BLOWUP_MARGIN, or below 0, anywhere in the stack
+    d, times = case
+    T = blowup_time(d).T
+    beyond = data.draw(st.booleans())
+    if beyond:
+        past = data.draw(st.sampled_from([0.0, 1e-9, 0.5, 10.0]))
+        bad = T - geo.BLOWUP_MARGIN + past
+    else:
+        bad = -data.draw(st.floats(1e-300, 10.0))
+    at = data.draw(st.integers(0, times.size))
+    times = np.insert(times, at, bad)
+    if beyond:
+        with pytest.raises(BeyondBlowupError, match=re.escape(f"t={bad!r} is at")):
+            exact_solution(d, times)
+    else:
+        with pytest.raises(ValueError, match="negative times"):
+            exact_solution(d, times)
+
+
+def test_stacked_exact_solution_refuses_non_finite_times(grid):
+    d = make_preset("smooth-global", grid)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            exact_solution(d, np.array([0.5, bad]))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        exact_solution(d, np.zeros((2, 3)))
+    u, rho = exact_solution(d, np.array([]))
+    assert u.values.shape == rho.values.shape == (0, grid.n)
+
+
+@pytest.mark.parametrize("preset", ["smooth-global", "hs-blowup"])
+def test_one_row_blocks_are_their_own_calls(grid, preset, monkeypatch):
+    # from n = STACK_POINTS up, each block is one time, evaluated as its call
+    monkeypatch.setattr(geo, "STACK_POINTS", grid.n)
+    d = make_preset(preset, grid)
+    times = np.array([0.0, 0.3, 0.1])
+    u, rho = exact_solution(d, times)
+    for i, t in enumerate(times.tolist()):
+        ui, rhoi = exact_solution(d, t)
+        assert u.values[i].tobytes() == ui.values.tobytes()
+        assert rho.values[i].tobytes() == rhoi.values.tobytes()
+
+
+def test_stacked_exact_solution_memory_is_bounded_in_the_stack(grid):
+    # one state per step of a 2,000-step run: beyond its output, the call
+    # holds one block's gathers, not those of 2,001 x 255 points at once
+    d = make_preset("smooth-global", grid)
+    blowup_time(d)
+    times = np.arange(2001) * 5e-4
+    tracemalloc.start()
+    try:
+        u, rho = exact_solution(d, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - u.values.nbytes - rho.values.nbytes < 2**20
 
 
 # -- exponential map and its inverse ----------------------------------------

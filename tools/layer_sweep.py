@@ -23,6 +23,9 @@ The layers, with S = 10 rows wherever a stack is taken:
 - ``exact_solution`` and ``blowup_time``: the ``hs-blowup`` preset at
   t = T / 2, each call on fresh ``InitialData`` so that no cached
   ``BlowupReport`` is reused
+- ``exact_solution_stack``: ``exact_solution`` of that preset, on fresh
+  ``InitialData``, at the 11 times a default ``solve`` run records
+  (t = 0, 0.1, ..., 1 from 2,000 steps of 5e-4) in one call
 - ``rhs``: ``integrator.rhs`` on that preset, dealiased
 - ``rk4_step`` and ``rk4_step_dealiased``: ``integrator.integrate`` of one
   step, dt = 5e-4, on the ``smooth-global`` preset, with ``dealias`` off
@@ -76,6 +79,7 @@ def layers(n: int) -> dict:
     points = rng.uniform(size=(ROWS, n))
     d = make_preset("hs-blowup", grid)
     t = 0.5 * blowup_time(d).T
+    recorded = np.arange(0, 2001, 200) * 5e-4
     smooth = make_preset("smooth-global", grid)
     steps = {
         dealias: IntegratorConfig(dt=5e-4, t_end=5e-4, dealias=dealias)
@@ -96,6 +100,7 @@ def layers(n: int) -> dict:
         "multiply": (same, lambda _: multiply(a, b)),
         "inverse": (same, lambda _: inverse(a)),
         "exact_solution": (fresh, lambda data: exact_solution(data, t)),
+        "exact_solution_stack": (fresh, lambda data: exact_solution(data, recorded)),
         "blowup_time": (fresh, blowup_time),
         "rhs": (same, lambda _: rhs(d.u0, d.rho0, dealias=True)),
         "rk4_step": (same, lambda _: integrate(smooth, steps[False])),
