@@ -47,7 +47,8 @@ class ZeroTangentError(HS2Error, ValueError):
 
 
 class AntipodalOrIdentityError(HS2Error, ValueError):
-    """Log map at the sphere base point has no unique preimage at +-1."""
+    """A log map has no unique preimage: at +-1 on the sphere, which the
+    isometry Phi maps (id, 0) and (id, 2pi) of the group to."""
 
 
 class ZeroDataError(HS2Error, ValueError):
@@ -73,10 +74,6 @@ class StepBlowupError(HS2Error, RuntimeError):
         super().__init__(message)
         self.trajectory = trajectory
         self.halt_time = halt_time
-
-
-class AtIdentityOrAntipodeError(HS2Error, ValueError):
-    """Group log map at (id, 0) or (id, 2pi): infinitely many directions."""
 
 
 class DegeneratePlaneError(HS2Error, ValueError):

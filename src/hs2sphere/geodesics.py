@@ -12,7 +12,8 @@ flow (phi(t), alpha(t)) and the solution (u, rho) = (phi_t o phi^{-1},
 alpha_t o phi^{-1}) in closed form.  The solution persists until f first
 acquires a zero, which happens iff rho0 vanishes somewhere; at a root x*
 of rho0 the first zero time solves cot(ct) = -u0x(x*) / (2c), so the
-maximal time always satisfies T < pi / c when finite.
+maximal time always satisfies T < pi / c when finite.  The circle's
+closed forms, its first zero and the log at 1 live in :mod:`sphere`.
 
 Two clocks are used throughout: physical time t and the unit-speed (arc
 length) parameter s = c t.  Period and upper-bound statements (period
@@ -29,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funcspace as fs
-from . import geometry
+from . import geometry, sphere
 from .errors import (
-    AtIdentityOrAntipodeError,
+    AntipodalOrIdentityError,
     BeyondBlowupError,
     NonFiniteDataError,
     NotMonotoneError,
@@ -143,15 +144,6 @@ def speed(d: InitialData) -> float:
     if csq == 0.0:
         raise ZeroDataError("zero-energy data defines no geodesic")
     return math.sqrt(csq)
-
-
-def _first_zero_time(u0x_at_root: float, c: float) -> float:
-    """First t > 0 with cos(ct) + u0x sin(ct)/(2c) = 0.
-
-    The root satisfies cot(ct) = -u0x/(2c) with ct in (0, pi); atan2(1, z)
-    is the arccotangent on that branch.
-    """
-    return math.atan2(1.0, -u0x_at_root / (2.0 * c)) / c
 
 
 def _bernstein(coef: np.ndarray, power: int) -> float:
@@ -348,7 +340,7 @@ def _blowup_report(d: InitialData) -> BlowupReport:
     if not roots:
         return BlowupReport(False, math.inf, (), c)
     witnesses = tuple(
-        (r, _first_zero_time(float(v), c))
+        (r, sphere.first_zero(float(v) / (2.0 * c)) / c)
         for r, v in zip(roots, fs.trig_interpolate(d.u0x, roots))
     )
     if flat:  # every point competes: keep the critical point of least time
@@ -382,13 +374,11 @@ def _admitted(d: InitialData, t: float) -> BlowupReport:
 def _great_circle(d: InitialData, c: float, t):
     """The great circle at time t on the half-period clock, c the speed.
 
-    With ct = m pi + r, r in [0, pi), and k = (u0x + i rho0) / (2c),
-    f = (-1)^m g for
-
-        g = cos r + k sin r,  g_t = c (k cos r - sin r).
-
-    Returns m, the grid values of g and g_t, and phi = integral of |g|^2
-    from 0.  The sign cancels from 2 f_t / f, |f|^2 and Re(conj(f) f_t).
+    With ct = m pi + r, r in [0, pi), f = (-1)^m g, where g is
+    :func:`sphere.great_circle` with k = (u0x + i rho0) / (2c) at r and g_t
+    is c times its velocity.  Returns m, the grid values of g and g_t, and
+    phi = integral of |g|^2 from 0.  The sign cancels from 2 f_t / f,
+    |f|^2 and Re(conj(f) f_t).
     t is a float, or an (S, 1) array of times for stacks of S rows, each
     row with the bits of its own time's call.
     """
@@ -396,13 +386,11 @@ def _great_circle(d: InitialData, c: float, t):
     ct = c * t
     floor = np.floor if isinstance(t, np.ndarray) else math.floor
     m = floor(ct / math.pi)
-    r = ct - m * math.pi
-    g = np.cos(r) + k * np.sin(r)
-    gt = c * (k * np.cos(r) - np.sin(r))
+    g, v = sphere.great_circle(k, ct - m * math.pi)
     phi = fs.antiderivative_from_zero(
         PeriodicFunction._own(d.grid, g.real**2 + g.imag**2)
     )
-    return m, g, gt, phi
+    return m, g, c * v, phi
 
 
 @contextmanager
@@ -545,7 +533,7 @@ def log_map(target: GroupElement) -> LogMapResult:
     grid = target.grid
     ident = GroupElement.identity(grid)
     if target.distance(ident) < 1e-9 or target.distance(_antipode(grid)) < 1e-9:
-        raise AtIdentityOrAntipodeError(
+        raise AntipodalOrIdentityError(
             "log map at (id, 0) or (id, 2 pi): infinitely many directions"
         )
 
@@ -555,19 +543,11 @@ def log_map(target: GroupElement) -> LogMapResult:
         return LogMapResult("empty")
 
     sqrt_phix = np.sqrt(target.phi_x.values)
-    re_f = sqrt_phix * np.cos(0.5 * alpha)
-    im_f = sqrt_phix * np.sin(0.5 * alpha)
-    mu0 = fs.row_mean(re_f)
-    if 1.0 - mu0 * mu0 < 1e-14:
-        raise AtIdentityOrAntipodeError("target is numerically at +-1")
-    denom = math.sqrt(1.0 - mu0 * mu0)
-    r0 = math.acos(mu0)
-
-    u0 = fs.antiderivative_from_zero(
-        PeriodicFunction._own(grid, 2.0 * (re_f - mu0) / denom)
+    r0, x_re, x_im = sphere.log_at_one_parts(
+        sqrt_phix * np.cos(0.5 * alpha), sqrt_phix * np.sin(0.5 * alpha)
     )
-    rho0 = PeriodicFunction._own(grid, 2.0 * im_f / denom)
-    direction = InitialData(u0, rho0)
+    u0 = fs.antiderivative_from_zero(PeriodicFunction._own(grid, 2.0 * x_re))
+    direction = InitialData(u0, PeriodicFunction._own(grid, 2.0 * x_im))
 
     at_plus_one = np.abs(wrap_mod_4pi(alpha)) < PHASE_TOL
     if fs.any_row(at_plus_one):

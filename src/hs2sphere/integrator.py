@@ -198,7 +198,8 @@ def integrate(
     before a step with 0.5 dt sup|Re w| >= 1, which could reach the pole.
 
     Where rho0 has no zero at the nodes, w stays bounded for all t.  With
-    h = w0 / 2, f = cos ct + h sin(ct) / c and f_t = -c sin ct + h cos ct.
+    h = w0 / 2, f = cos ct + h sin(ct) / c, :func:`sphere.great_circle`
+    with k = h / c at r = ct, and f_t = -c sin ct + h cos ct.
     Cauchy-Schwarz gives |f_t|^2 <= c^2 + |h|^2.  |f|^2 is the quadratic
     form of (cos ct, sin ct) with matrix [[1, Re h / c], [Re h / c,
     |h|^2 / c^2]], whose least eigenvalue is at least det / trace =

@@ -2,15 +2,17 @@
 
 Points are complex functions of unit L2 norm.  The real inner product
 Re integral(X conj(Y)) makes the sphere a (weak) Riemannian manifold; its
-geodesics are great circles, written down explicitly at the north pole,
-the constant function 1.  The nowhere-vanishing subset U is the target of
-the group isometry.  Points and tangents may be stacks of samples
-(funcspace); norms and pairings are then one value per sample.  The
-exponential and logarithm take one point.
+geodesics are great circles.  The great circle from the north pole (the
+constant function 1), its first zero and its log at 1 live here, and the
+exact solutions of :mod:`geodesics` read them.  The nowhere-vanishing
+subset U is the target of the group isometry.  Points and tangents may be
+stacks of samples (funcspace); norms and pairings are then one value per
+sample.  The exponential and logarithm take one point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,6 @@ from .funcspace import PeriodicFunction, PeriodicGrid
 
 NORM_REJECT_TOL = 1e-6
 MODULUS_TOL = 1e-8
-POLE_TOL = 1e-8
 TANGENT_TOL = 1e-10
 
 
@@ -59,10 +60,6 @@ class SpherePoint:
     @property
     def values(self) -> np.ndarray:
         return self.f.values
-
-    def height(self):
-        """Component along the constant function 1: Re integral(f)."""
-        return fs.row_mean(self.values.real)
 
     def l2_distance(self, other: "SpherePoint"):
         diff = np.abs(self.values - other.values) ** 2
@@ -107,18 +104,40 @@ def _require_base_one(X: SphereTangent) -> None:
         raise ValueError("tangent must be based at the constant function 1")
 
 
+def great_circle(k, r):
+    """Point cos r + k sin r and velocity k cos r - sin r of the great circle
+    from 1 with unit velocity k, at arc length r: a float, or (S, 1) rows."""
+    cos, sin = np.cos(r), np.sin(r)
+    return cos + k * sin, k * cos - sin
+
+
+def first_zero(k: float) -> float:
+    """First s > 0 with cos s + k sin s = 0, k real: cot s = -k, s in (0, pi)."""
+    return math.atan2(1.0, -k)
+
+
+def log_at_one_parts(re: np.ndarray, im: np.ndarray):
+    """Log at 1 of one point f = re + i im: r0 = arccos(mu) in (0, pi) for
+    mu = integral(re), and the parts of the unit direction (f - mu) /
+    sqrt(1 - mu^2).  At +-1, 1 - mu^2 < 1e-14: AntipodalOrIdentityError."""
+    mu = fs.row_mean(re)
+    if 1.0 - mu * mu < 1e-14:
+        raise AntipodalOrIdentityError("target is numerically at +-1")
+    denom = math.sqrt(1.0 - mu * mu)
+    return math.acos(mu), (re - mu) / denom, im / denom
+
+
 def exp_at_one(X: SphereTangent) -> SpherePoint:
     """Riemannian exponential at the constant function 1.
 
-    exp_1(X) = cos(r) + sin(r) X/r with r = ||X||; the geodesic segment
-    traversed has length exactly r.
+    exp_1(X) = cos(r) + sin(r) X/r with r = ||X|| (:func:`great_circle`);
+    the geodesic segment traversed has length exactly r.
     """
     _require_base_one(X)
     r = X.norm()
     if r < 1e-14:
         raise ZeroTangentError("exponential of a zero tangent vector")
-    unit = X.values / r
-    vals = np.cos(r) + np.sin(r) * unit
+    vals, _ = great_circle(X.values / r, r)
     return SpherePoint(PeriodicFunction._own(X.base.grid, vals))
 
 
@@ -129,18 +148,8 @@ def log_at_one(f: SpherePoint) -> tuple[float, SphereTangent]:
     tangent works and :class:`AntipodalOrIdentityError` is raised.
     """
     grid = f.grid
-    one = np.ones(grid.n)
-    d_plus = float(np.sqrt(fs.row_mean(np.abs(f.values - one) ** 2)))
-    d_minus = float(np.sqrt(fs.row_mean(np.abs(f.values + one) ** 2)))
-    if min(d_plus, d_minus) < POLE_TOL:
-        raise AntipodalOrIdentityError(
-            "log at +-1 has infinitely many preimages"
-        )
-    mu = f.height()
-    r0 = float(np.arccos(np.clip(mu, -1.0, 1.0)))
-    denom = np.sqrt(1.0 - mu * mu)
-    X0_vals = (f.values - mu) / denom
+    r0, x_re, x_im = log_at_one_parts(f.values.real, f.values.imag)
     X0 = SphereTangent(
-        PeriodicFunction._own(grid, X0_vals), SpherePoint.constant_one(grid)
+        PeriodicFunction._own(grid, x_re + 1j * x_im), SpherePoint.constant_one(grid)
     )
     return r0, X0

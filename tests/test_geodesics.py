@@ -13,7 +13,7 @@ import hs2sphere.geodesics as geo
 import hs2sphere.geometry as gm
 import hs2sphere.randfields as rf
 from hs2sphere.errors import (
-    AtIdentityOrAntipodeError,
+    AntipodalOrIdentityError,
     BeyondBlowupError,
     NonFiniteDataError,
     NotMonotoneError,
@@ -1230,14 +1230,14 @@ def test_log_obstruction_empty(grid):
 
 
 def test_log_rejects_identity_and_antipode(grid):
-    with pytest.raises(AtIdentityOrAntipodeError):
+    with pytest.raises(AntipodalOrIdentityError):
         log_map(GroupElement.identity(grid))
     anti = GroupElement(
         PeriodicFunction(grid, grid.x),
         PeriodicFunction.constant(grid, TWO_PI),
         0,
     )
-    with pytest.raises(AtIdentityOrAntipodeError):
+    with pytest.raises(AntipodalOrIdentityError):
         log_map(anti)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hs2sphere.randfields as rf
 from hs2sphere.errors import (
@@ -8,12 +10,15 @@ from hs2sphere.errors import (
     NotUnitNormError,
     ZeroTangentError,
 )
-from hs2sphere.funcspace import PeriodicFunction
+from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
 from hs2sphere.sphere import (
     SpherePoint,
     SphereTangent,
     exp_at_one,
+    first_zero,
+    great_circle,
     log_at_one,
+    log_at_one_parts,
     project_to_tangent,
 )
 
@@ -93,24 +98,54 @@ def test_log_rejects_poles(grid):
         log_at_one(SpherePoint(PeriodicFunction.constant(grid, -1.0 + 0j)))
 
 
+# -- the great circle from 1 ---------------------------------------------------
+
+_CIRCLE = dict(
+    n=st.sampled_from([16, 64, 256]),
+    seed=st.integers(0, 2**32 - 1),
+    r=st.floats(1e-3, np.pi - 1e-3),
+)
 
 
+def _unit_k(n, seed):
+    return _unit_tangent_at_one(PeriodicGrid(n), np.random.default_rng(seed)).values
 
 
+@settings(max_examples=60, deadline=None)
+@given(**_CIRCLE)
+def test_log_at_one_inverts_the_great_circle(n, seed, r):
+    k = _unit_k(n, seed)
+    g, _ = great_circle(k, r)
+    r0, x_re, x_im = log_at_one_parts(g.real, g.imag)
+    assert abs(r0 - r) <= 1e-12
+    # sqrt(1 - mu^2) carries mu's roundoff over sin(r)^2: 1.9e-10 at r = 1e-3
+    cancel = 8.0 * np.finfo(float).eps * np.max(np.abs(k)) / np.sin(r) ** 2
+    assert np.max(np.abs(x_re + 1j * x_im - k)) <= 1e-10 + cancel
 
 
+@settings(max_examples=60, deadline=None)
+@given(**_CIRCLE)
+def test_great_circle_velocity_is_the_unit_tangent_derivative(n, seed, r):
+    k, h = _unit_k(n, seed), 1e-5
+    g, v = great_circle(k, r)
+    central = (great_circle(k, r + h)[0] - great_circle(k, r - h)[0]) / (2.0 * h)
+    assert np.max(np.abs(v - central)) <= 1e-8
+    assert abs(np.mean((v * np.conj(g)).real)) <= 1e-12
+    assert abs(np.sqrt(np.mean(np.abs(v) ** 2)) - 1.0) <= 1e-12
 
 
-
-
-
-
-
-
-
-
-
-
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.floats(1e-8, 1e6),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_first_zero_is_the_first_zero_of_a_real_circle(size, sign):
+    k = sign * size
+    s = first_zero(k)
+    assert 0.0 < s < np.pi
+    assert abs(np.cos(s) + k * np.sin(s)) <= 1e-14 * max(1.0, abs(k))
+    scan = s * np.arange(1, 1000) / 1000.0
+    assert np.all(np.cos(scan) + k * np.sin(scan) > 0.0)
 
 
 def test_tangent_projection(grid, rng):
