@@ -30,10 +30,12 @@ its inverse on zero-mean functions, A^{-1}, A^{-1} d/dx, the 2/3
 dealiasing mask and the off-grid kernel's deconvolution.  Every transform
 is :func:`rfft` or :func:`irfft`, numpy's pocketfft ufuncs without its
 Python wrapper; complex samples go through as real and imaginary parts.
-``apply`` is the on-grid transform of the spectral calculus.  Only the
-RK4 integrator keeps coefficients between transforms, stepping them with
-these same multipliers.  The odd-order operators (d/dx, its inverse,
-A^{-1} d/dx) drop the Nyquist mode, which keeps them real on real input.
+``apply`` is the on-grid transform of the spectral calculus;
+``apply_each`` gives several multipliers of one input from one forward
+transform.  Only the RK4 integrator keeps coefficients between
+transforms, stepping them with these same multipliers.  The odd-order
+operators (d/dx, its inverse, A^{-1} d/dx) drop the Nyquist mode, which
+keeps them real on real input.
 
 Off-grid evaluation of trigonometric interpolants is a type-2 nonuniform
 FFT with the "exponential of semicircle" kernel of width w = 16 (Barnett,
@@ -95,11 +97,14 @@ class SpectralMultipliers:
 
     ``deriv`` is 2 pi i k, ``antideriv`` 1 / (2 pi i k), ``inv_a``
     1 / (4 pi^2 k^2) and ``ainv_dx`` i / (2 pi k), each zero at the mean
-    mode; the odd-order ones are also zero at the Nyquist mode.  ``mask``
-    keeps the modes k <= n // 3.  ``fine`` is 1 / (n psi_hat(k)), the
-    deconvolution of the off-grid kernel psi (:func:`_fine_grid`), with
-    the Nyquist entry halved because the interpolant splits that mode
-    between k = -n/2 and k = n/2.
+    mode; the odd-order ones are also zero at the Nyquist mode.  ``band``
+    is 1 on the modes 0 < k < n/2 that the odd-order ones keep, and 0 at
+    the mean and Nyquist modes: d/dx after ``antideriv`` (or minus d/dx
+    after ``ainv_dx``), with no rounding.  ``mask`` keeps the modes
+    k <= n // 3.  ``fine`` is 1 / (n psi_hat(k)), the deconvolution of the
+    off-grid kernel psi (:func:`_fine_grid`), with the Nyquist entry
+    halved because the interpolant splits that mode between k = -n/2 and
+    k = n/2.
 
     psi(x) = phi(2 N x / w) is the kernel phi(z) = exp(beta sqrt(1 - z^2)),
     |z| <= 1, on the fine grid of N points, so psi_hat(k) = (w / N) times
@@ -110,7 +115,7 @@ class SpectralMultipliers:
     it and its derivatives are exp(-beta) smaller at pi/2 than at 0.
     """
 
-    __slots__ = ("deriv", "antideriv", "inv_a", "ainv_dx", "mask", "fine")
+    __slots__ = ("deriv", "antideriv", "inv_a", "ainv_dx", "band", "mask", "fine")
 
     def __init__(self, n: int):
         k = np.arange(n // 2 + 1, dtype=float)
@@ -121,7 +126,8 @@ class SpectralMultipliers:
         self.antideriv = -1j * inv
         self.inv_a = inv * inv
         self.ainv_dx = 1j * inv
-        for odd in (self.deriv, self.antideriv, self.ainv_dx):
+        self.band = (inv > 0.0).astype(float)
+        for odd in (self.deriv, self.antideriv, self.ainv_dx, self.band):
             odd[-1] = 0.0
         self.mask = (k <= n // 3).astype(float)
         size = _fine_size(n)
@@ -145,6 +151,13 @@ class SpectralMultipliers:
             apply = SpectralMultipliers.apply
             return apply(values.real, mult) + 1j * apply(values.imag, mult)
         return irfft(rfft(values) * mult, values.shape[-1])
+
+    @staticmethod
+    def apply_each(values: np.ndarray, mults) -> np.ndarray:
+        """``apply(values, m)`` of real values for each m of ``mults``, bit for
+        bit, stacked on a new first axis: one rfft, one batched irfft."""
+        coef = rfft(values)
+        return irfft(np.stack([coef * m for m in mults]), values.shape[-1])
 
 
 @lru_cache(maxsize=None)
@@ -333,6 +346,16 @@ def antiderivative_from_zero(f: PeriodicFunction) -> PeriodicFunction:
     return PeriodicFunction._own(f.grid, p - p[..., :1] + mean * f.grid.x)
 
 
+def _antiderivative_carrying(f: PeriodicFunction):
+    """:func:`antiderivative_from_zero` of real f, bit for bit, and its
+    x-derivative: f without its Nyquist mode, from the same rfft."""
+    sp = f.grid.spectral
+    p, px = sp.apply_each(f.values, (sp.antideriv, sp.band))
+    mean = row_mean(f.values, keepdims=True)
+    F = PeriodicFunction._own(f.grid, p - p[..., :1] + mean * f.grid.x)
+    return F, px + mean
+
+
 def mean_projection(f: PeriodicFunction) -> PeriodicFunction:
     """Project onto zero-mean functions: f - integral(f).  Idempotent."""
     mean = row_mean(f.values, keepdims=True)
@@ -356,14 +379,15 @@ def inverse_A(f: PeriodicFunction) -> PeriodicFunction:
     return PeriodicFunction._own(f.grid, g - g[..., :1])
 
 
-def inverse_A_dx(f: PeriodicFunction) -> PeriodicFunction:
-    """A^{-1} d/dx f with g(0) = 0, for any f (d/dx kills the mean).
+def _inverse_A_dx_carrying(f: PeriodicFunction):
+    """A^{-1} d/dx f with g(0) = 0, for any real f (d/dx kills the mean), and
+    its x-derivative: minus f without its mean and Nyquist modes.
 
-    Equals ``inverse_A(derivative(f))`` in one transform.
+    g equals ``inverse_A(derivative(f))``; both come from one rfft.
     """
     sp = f.grid.spectral
-    g = sp.apply(f.values, sp.ainv_dx)
-    return PeriodicFunction._own(f.grid, g - g[..., :1])
+    g, gx = sp.apply_each(f.values, (sp.ainv_dx, sp.band))
+    return PeriodicFunction._own(f.grid, g - g[..., :1]), -gx
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +545,11 @@ def _check_increasing(phi: PeriodicFunction, tol: float = 1e-12) -> np.ndarray:
     ``tol=0.0`` to admit steep but strictly monotone maps.
     """
     sp = phi.grid.spectral
-    phix = 1.0 + sp.apply(_lift_parts(phi), sp.deriv)
+    return _check_slope(1.0 + sp.apply(_lift_parts(phi), sp.deriv), tol)
+
+
+def _check_slope(phix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """The test of :func:`_check_increasing` on a slope phi_x already held."""
     least = phix.min()
     if not least > tol:  # NaN fails too
         raise NotMonotoneError(f"diffeomorphism derivative has min {least:.3e}")
@@ -529,20 +557,28 @@ def _check_increasing(phi: PeriodicFunction, tol: float = 1e-12) -> np.ndarray:
 
 
 def compose(
-    f: PeriodicFunction, phi: PeriodicFunction, slope: complex = 0.0
+    f: PeriodicFunction,
+    phi: PeriodicFunction,
+    slope: complex = 0.0,
+    phi_x: np.ndarray | None = None,
 ) -> PeriodicFunction:
     """Samples of f(phi(x)) for a diffeomorphism lift phi.
 
     f is periodic, or a lift with f(x+1) = f(x) + slope (complex for a
     complex lift).  The linear part slope * phi(x) is carried exactly;
     only the periodic part of f is interpolated.  For stacks f and phi,
-    ``slope`` may hold one slope per row.
+    ``slope`` may hold one slope per row.  A caller that holds the slope
+    of phi (a group element's ``phi_x``) passes it as ``phi_x``, and the
+    monotonicity test reads it instead of differentiating phi again.
     """
     if f.grid != phi.grid:
         raise GridMismatchError(
             f"cannot compose f on n = {f.grid.n} with phi on n = {phi.grid.n}"
         )
-    _check_increasing(phi)
+    if phi_x is None:
+        _check_increasing(phi)
+    else:
+        _check_slope(phi_x)
     if np.ndim(slope):
         slope = np.expand_dims(slope, -1)
     p = PeriodicFunction._own(f.grid, f.values - slope * f.grid.x)
@@ -613,7 +649,9 @@ def _inverse_start(lifts: np.ndarray, phix: np.ndarray, x: np.ndarray):
     return u / n + t * (1.0 - t) * (a - t * (a + b)), lo, hi
 
 
-def invert_diffeo(phi: PeriodicFunction) -> PeriodicFunction:
+def invert_diffeo(
+    phi: PeriodicFunction, phi_x: np.ndarray | None = None
+) -> PeriodicFunction:
     """Invert an increasing lift with phi(0) = 0, phi(1) = 1.
 
     Solves y + h(y) = x_j to ROOT_TOL for all nodes at once, h the
@@ -627,12 +665,13 @@ def invert_diffeo(phi: PeriodicFunction) -> PeriodicFunction:
     is its node cell [x_j, x_j+1], where phi(x_j) <= x <= phi(x_j+1):
     the interpolant passes through the samples, so the cell holds a root.
     The nodes of every row of a stack share one solve; each node takes
-    the iterations it takes alone.
+    the iterations it takes alone.  ``phi_x``, the slope of phi where the
+    caller holds it, is tested and read as :func:`compose` reads it.
     """
     phi0 = np.abs(phi.values[..., 0]).max()
     if phi0 > 1e-9:
         raise ValueError(f"diffeomorphism must fix 0, |phi(0)|={phi0!r}")
-    phix = _check_increasing(phi)
+    phix = _check_increasing(phi) if phi_x is None else _check_slope(phi_x)
     grid = phi.grid
     h = _lift_parts(phi)
     lead = h.shape[:-1]

@@ -58,27 +58,29 @@ STACK_POINTS = 512
 class InitialData(TangentVector):
     """Initial state (u0, rho0) = (u1, u2): a tangent vector at the identity.
 
-    It holds one vector, not a stack, and not zero.  ``u0x`` is computed
-    once here and carried as ``u1x``; the energy c^2 = <d, d> of the
-    metric at the identity must be finite.  The speed, the blow-up time
-    and the great circle read them.  The :class:`BlowupReport` is computed
-    on first request and kept.  Arithmetic and every formula that builds
-    ``type(u)`` return ``InitialData`` on initial data, so a zero result,
-    such as ``d - d``, raises :class:`ZeroDataError`.
+    It holds one vector, not a stack, and not zero.  ``u0x`` is the
+    carried ``u1x``, computed here unless its producer passed it; the
+    energy c^2 = <d, d> of the metric at the identity must be finite.
+    The speed, the blow-up time and the great circle read them.  The
+    :class:`BlowupReport` is computed on first request and kept.
+    Arithmetic and every formula that builds ``type(u)`` return
+    ``InitialData`` on initial data, so a zero result, such as ``d - d``,
+    raises :class:`ZeroDataError`.
     """
 
     __slots__ = ("u0x", "_csq", "_blowup")
     u0, rho0 = TangentVector.u1, TangentVector.u2  # the slots under their names
 
-    def __init__(self, u0: PeriodicFunction, rho0: PeriodicFunction):
+    def __init__(self, u0: PeriodicFunction, rho0: PeriodicFunction, **carried):
         if u0.values.ndim != 1 or rho0.values.ndim != 1:
             shapes = u0.values.shape, rho0.values.shape
             raise ValueError(f"initial data holds one vector, got shapes {shapes}")
-        super().__init__(u0, rho0)
+        if carried.get("_u1x") is None:
+            carried["_u1x"] = fs.derivative(u0).values
+        super().__init__(u0, rho0, **carried)
         if u0.max_abs() == 0.0 and rho0.max_abs() == 0.0:
             raise ZeroDataError("initial data is identically zero")
-        self.u0x = fs.derivative(u0)
-        self._u1x = self.u0x.values
+        self.u0x = PeriodicFunction._own(u0.grid, self._u1x)
         with np.errstate(over="ignore", invalid="ignore"):
             self._csq = geometry.metric(self, self)
         if not math.isfinite(self._csq):

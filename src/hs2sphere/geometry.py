@@ -21,9 +21,13 @@ of the full one (O'Neill).
 
 Every formula reads the x-derivatives a tangent vector keeps from their
 first read (``u1x``, ``u2x``) and the slope ``phi_x`` a group element
-carries; none differentiates an input again.  On stacks of S tangent
-vectors every scalar (metric, omega, curvature, residual) is an array of
-one value per sample.
+carries; none differentiates an input again.  The first slots of
+:func:`christoffel`, :func:`kahler_J` and :func:`dJ_direction` are born
+with their derivatives, read from the coefficients the slot was
+transformed with, so that the Nyquist mode the slot drops is dropped
+from its derivative too.  On stacks of S tangent vectors every scalar
+(metric, omega, curvature, residual) is an array of one value per
+sample.
 """
 
 from __future__ import annotations
@@ -39,13 +43,13 @@ from .group import GroupElement, TangentVector
 class KTangent(TangentVector):
     """Tangent class (u1, [u2]) stored by its zero-mean representative.
 
-    ``u2x`` is the derivative of that representative.
+    ``u2x`` is the derivative of that representative, and of u2.
     """
 
     __slots__ = ()
 
-    def __init__(self, u1: PeriodicFunction, u2: PeriodicFunction):
-        super().__init__(u1, fs.mean_projection(u2))
+    def __init__(self, u1: PeriodicFunction, u2: PeriodicFunction, **carried):
+        super().__init__(u1, fs.mean_projection(u2), **carried)
 
 
 def _pi(vals: np.ndarray, phix=1.0) -> np.ndarray:
@@ -89,15 +93,18 @@ def symplectic_omega(u, v):
 
 
 def christoffel(u, v):
-    """Gamma(u, v) = -(1/2)(A^{-1} d/dx(u1x v1x + u2 v2), u1x v2 + v1x u2)."""
+    """Gamma(u, v) = -(1/2)(A^{-1} d/dx(u1x v1x + u2 v2), u1x v2 + v1x u2).
+
+    The first slot's derivative is (1/2)(g - integral(g)), g = u1x v1x + u2 v2,
+    without its Nyquist mode.
+    """
     grid = u.grid
-    first = fs.inverse_A_dx(
-        PeriodicFunction._own(grid, u.u1x * v.u1x + u.u2.values * v.u2.values)
-    ) * (-0.5)
+    g = PeriodicFunction._own(grid, u.u1x * v.u1x + u.u2.values * v.u2.values)
+    first, first_x = fs._inverse_A_dx_carrying(g)
     second = PeriodicFunction._own(
         grid, -0.5 * (u.u1x * v.u2.values + v.u1x * u.u2.values)
     )
-    return type(u)(first, second)
+    return type(u)(first * (-0.5), second, _u1x=-0.5 * first_x)
 
 
 # ---------------------------------------------------------------------------
@@ -111,24 +118,29 @@ def kahler_J(U, at: GroupElement | None = None):
     pi(U2) = U2 - integral(U2 phi_x); with ``at`` omitted the base is the
     identity, phi_x = 1.  The result has the type of U: a canonical
     :class:`KTangent`, or a raw :class:`TangentVector` representative whose
-    second slot is only defined up to a constant.
+    second slot is only defined up to a constant.  The first slot's
+    derivative is its integrand, without its Nyquist mode.
     """
     phix = 1.0 if at is None else at.phi_x.values
-    first = -1.0 * fs.antiderivative_from_zero(
+    first, first_x = fs._antiderivative_carrying(
         PeriodicFunction._own(U.grid, _pi(U.u2.values, phix) * phix)
     )
-    return type(U)(first, PeriodicFunction._own(U.grid, U.u1x / phix))
+    second = PeriodicFunction._own(U.grid, U.u1x / phix)
+    return type(U)(-1.0 * first, second, _u1x=-first_x)
 
 
 def dJ_direction(u: KTangent, v: KTangent) -> KTangent:
     """Chart derivative of J at the identity along u, applied to v.
 
-    (DJ . u)(v) = (A^{-1} d/dx(v2 u1x), -[v1x u1x]).
+    (DJ . u)(v) = (A^{-1} d/dx(v2 u1x), -[v1x u1x]); the first slot's
+    derivative is -(v2 u1x - integral(v2 u1x)), without its Nyquist mode.
     """
     grid = u.grid
-    first = fs.inverse_A_dx(PeriodicFunction._own(grid, v.u2.values * u.u1x))
+    first, first_x = fs._inverse_A_dx_carrying(
+        PeriodicFunction._own(grid, v.u2.values * u.u1x)
+    )
     second = PeriodicFunction._own(grid, -v.u1x * u.u1x)
-    return KTangent(first, second)
+    return KTangent(first, second, _u1x=first_x)
 
 
 def nabla_J_residual(u: KTangent, v: KTangent):

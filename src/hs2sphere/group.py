@@ -38,18 +38,35 @@ def wrap_mod_4pi(delta):
     return np.mod(np.asarray(delta) + 2.0 * np.pi, FOUR_PI) - 2.0 * np.pi
 
 
+def _read_only(a: np.ndarray | None) -> np.ndarray | None:
+    if a is not None:
+        a.flags.writeable = False
+    return a
+
+
 class TangentVector:
     """Tangent vector (u1, u2): u1 vanishes at 0, both real.
 
     ``u1x`` and ``u2x`` are the read-only spectral x-derivatives of the
-    components, each computed on its first read and kept; every formula
-    reads them instead of differentiating the components again, and a
-    vector whose derivatives nobody reads costs no transform.
+    components.  A vector is born carrying those its producer already
+    holds: a sampler that drew the component's spectrum, or a formula
+    that has the derivative in closed form, passes it as ``_u1x`` or
+    ``_u2x`` (trusted, made read-only, the library's own path).  Any
+    other is computed on its first read and kept.  Every formula reads
+    them instead of differentiating the components again, and a vector
+    whose derivatives nobody reads costs no transform.
     """
 
     __slots__ = ("u1", "u2", "_u1x", "_u2x")
 
-    def __init__(self, u1: PeriodicFunction, u2: PeriodicFunction):
+    def __init__(
+        self,
+        u1: PeriodicFunction,
+        u2: PeriodicFunction,
+        *,
+        _u1x: np.ndarray | None = None,
+        _u2x: np.ndarray | None = None,
+    ):
         if u1.is_complex or u2.is_complex:
             raise ValueError("tangent components must be real")
         if u1.grid != u2.grid:
@@ -58,7 +75,8 @@ class TangentVector:
             raise ValueError(f"u1 must vanish at 0, got {u1.values[..., 0]!r}")
         self.u1 = u1
         self.u2 = u2
-        self._u1x = self._u2x = None
+        self._u1x = _read_only(_u1x)
+        self._u2x = _read_only(_u2x)
 
     @staticmethod
     def _deriv(f: PeriodicFunction) -> np.ndarray:
@@ -108,7 +126,8 @@ class GroupElement:
     convention) and ``alpha`` holds continuous lift samples of the angle
     field, whose winding number w gives alpha(x+1) = alpha(x) + 4 pi w.
     ``phi_x`` is the spectral slope of phi, computed once here by the
-    monotonicity check.
+    monotonicity check, or passed in as ``_phi_x`` by a producer that
+    holds it (the library's own path), and then checked alike.
     """
 
     __slots__ = ("grid", "phi", "alpha", "winding", "phi_x")
@@ -118,6 +137,8 @@ class GroupElement:
         phi: PeriodicFunction,
         alpha: PeriodicFunction,
         winding: int = 0,
+        *,
+        _phi_x: np.ndarray | None = None,
     ):
         if phi.is_complex or alpha.is_complex:
             raise ValueError("phi and alpha must be real")
@@ -134,13 +155,18 @@ class GroupElement:
         winding = np.full(lead, winding, dtype=int)
         winding.flags.writeable = False
         self.winding = winding if lead else int(winding)
-        self.phi_x = PeriodicFunction._own(phi.grid, fs._check_increasing(phi, 0.0))
+        if _phi_x is None:
+            _phi_x = fs._check_increasing(phi, 0.0)
+        else:
+            fs._check_slope(_phi_x, 0.0)
+        self.phi_x = PeriodicFunction._own(phi.grid, _phi_x)
 
     @classmethod
     def identity(cls, grid: PeriodicGrid, stack: tuple = ()) -> "GroupElement":
-        """The identity; ``stack`` = (S,) gives a stack of S copies."""
+        """The identity, slope 1; ``stack`` = (S,) gives a stack of S copies."""
         x = PeriodicFunction(grid, np.broadcast_to(grid.x, stack + (grid.n,)))
-        return cls(x, PeriodicFunction._own(grid, np.zeros_like(x.values)), 0)
+        zeros = np.zeros_like(x.values)
+        return cls(x, PeriodicFunction._own(grid, zeros), 0, _phi_x=zeros + 1.0)
 
     def distance(self, other: "GroupElement"):
         """Sup distance with the angle compared mod 4 pi."""
@@ -195,7 +221,8 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     phi + i alpha of slope 1 + 4 pi i w.
     """
     lift = PeriodicFunction._own(a.grid, a.phi.values + 1j * a.alpha.values)
-    comp = fs.compose(lift, b.phi, 1.0 + 1j * (FOUR_PI * a.winding)).values
+    slope = 1.0 + 1j * (FOUR_PI * a.winding)
+    comp = fs.compose(lift, b.phi, slope, b.phi_x.values).values
     phi = PeriodicFunction._own(a.grid, comp.real)
     alpha = b.alpha + comp.imag
     return GroupElement(phi, alpha, a.winding + b.winding)
@@ -203,9 +230,10 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
 
 def inverse(a: GroupElement) -> GroupElement:
     """(phi, alpha)^{-1} = (phi^{-1}, -alpha o phi^{-1})."""
-    phi_inv = fs.invert_diffeo(a.phi)
-    alpha = -fs.compose(a.alpha, phi_inv, FOUR_PI * a.winding)
-    return GroupElement(phi_inv, alpha, -a.winding)
+    phi_inv = fs.invert_diffeo(a.phi, a.phi_x.values)
+    phix = fs._check_increasing(phi_inv)
+    alpha = -fs.compose(a.alpha, phi_inv, FOUR_PI * a.winding, phix)
+    return GroupElement(phi_inv, alpha, -a.winding, _phi_x=phix)
 
 
 def metric(at: GroupElement, U: TangentVector, V: TangentVector):

@@ -37,7 +37,7 @@ from .sphere import SpherePoint, SphereTangent
 def project_p(a: GroupElement) -> GroupElement:
     """Quotient by constant phase shifts: pin the lift at alpha(0) = 0."""
     alpha = PeriodicFunction._own(a.grid, a.alpha.values - a.alpha.values[..., :1])
-    return GroupElement(a.phi, alpha, a.winding)
+    return GroupElement(a.phi, alpha, a.winding, _phi_x=a.phi_x.values)
 
 
 def project_q(f: SpherePoint) -> SpherePoint:
@@ -125,8 +125,8 @@ def oneill_check(u: KTangent, v: KTangent, g_route: str = "closed") -> tuple:
     five-term Christoffel expression for the total-space term.  Returns
     (lhs, rhs, relative residual).
     """
-    uh = TangentVector(u.u1, u.u2)
-    vh = TangentVector(v.u1, v.u2)
+    uh = TangentVector(u.u1, u.u2, _u1x=u.u1x, _u2x=u.u2x)
+    vh = TangentVector(v.u1, v.u2, _u1x=v.u1x, _u2x=v.u2x)
     if g_route == "closed":
         g_term = curvature_G(uh, vh)
     elif g_route == "local":

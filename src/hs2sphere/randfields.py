@@ -48,9 +48,10 @@ def _spectrum(
     return spec
 
 
-def _field(grid: PeriodicGrid, spec: np.ndarray, amplitude: float = 1.0):
-    """Samples of one spectrum, or of a stack of them in one inverse FFT."""
-    return PeriodicFunction._own(grid, amplitude * fs.irfft(spec, grid.n))
+def _rows(grid: PeriodicGrid, *spectra) -> np.ndarray:
+    """Samples of spectra of one shape (one each, or stacks of them), in one
+    batched inverse FFT; a row gets the bits of its own transform."""
+    return fs.irfft(np.stack(spectra), grid.n)
 
 
 def band_limited(
@@ -65,13 +66,16 @@ def band_limited(
     max_mode < n/2, are one inverse real FFT of the spectrum
     (n/2)(a_k - i b_k).
     """
-    return _field(grid, _spectrum(grid, rng, max_mode), amplitude)
+    vals = amplitude * fs.irfft(_spectrum(grid, rng, max_mode), grid.n)
+    return PeriodicFunction._own(grid, vals)
 
 
 # Every sampler below is build(grid, *draw(grid, rng)): ``draw`` makes all
 # of its generator calls and returns spectra and scalars, ``build`` turns
 # them into fields.  ``shape=(S,)`` draws S samples of each part at once,
-# and :func:`stacks` builds them as one stack.
+# and :func:`stacks` builds them as one stack.  A build samples, integrates
+# and differentiates its spectra in one batched inverse FFT, and its
+# tangent vectors and group elements are born carrying the derivatives.
 
 
 def _draw_g(grid, rng, shape=()):
@@ -79,10 +83,17 @@ def _draw_g(grid, rng, shape=()):
     return u2, rng.normal(size=shape), _spectrum(grid, rng, shape=shape)
 
 
+def _tangent(cls, grid, u1, u2, mean=0.0):
+    """u1 integrates the zero-mean field of its spectrum from 0 (so u1x is
+    that field); u2 is the field of its spectrum plus ``mean``."""
+    sp = grid.spectral
+    p, u1x, u2, u2x = _rows(grid, u1 * sp.antideriv, u1, u2, u2 * sp.deriv)
+    u1 = PeriodicFunction._own(grid, p - p[..., :1])
+    return cls(u1, PeriodicFunction._own(grid, u2) + mean, _u1x=u1x, _u2x=u2x)
+
+
 def _build_g(grid, u2, mean, u1):
-    # u1 integrates a band-limited field, so u1(0) = 0 exactly
-    u1 = fs.antiderivative_from_zero(_field(grid, u1))
-    return TangentVector(u1, _field(grid, u2) + mean)
+    return _tangent(TangentVector, grid, u1, u2, mean)
 
 
 def _draw_k(grid, rng, shape=()):
@@ -90,7 +101,7 @@ def _draw_k(grid, rng, shape=()):
 
 
 def _build_k(grid, u1, u2):
-    return KTangent(fs.antiderivative_from_zero(_field(grid, u1)), _field(grid, u2))
+    return _tangent(KTangent, grid, u1, u2)
 
 
 def _draw_group(grid, rng, shape=()):
@@ -101,11 +112,13 @@ def _draw_group(grid, rng, shape=()):
 
 
 def _build_group(grid, w, alpha, shift):
-    w = _field(grid, w)
-    scale = DIFFEO_AMPLITUDE / np.maximum(w.max_abs(), 1e-12)
-    h = fs.antiderivative_from_zero(w * scale)
-    phi = PeriodicFunction._own(grid, grid.x + h.values)
-    return GroupElement(phi, _field(grid, alpha, PHASE_AMPLITUDE) + shift, 0)
+    # phi = x + scale * integral(w) from 0, so phi_x = 1 + scale * w
+    w, p, alpha = _rows(grid, w, w * grid.spectral.antideriv, alpha)
+    peak = fs.row_max(np.abs(w), keepdims=True)
+    scale = DIFFEO_AMPLITUDE / np.maximum(peak, 1e-12)
+    phi = PeriodicFunction._own(grid, grid.x + scale * (p - p[..., :1]))
+    alpha = PeriodicFunction._own(grid, PHASE_AMPLITUDE * alpha) + shift
+    return GroupElement(phi, alpha, 0, _phi_x=1.0 + scale * w)
 
 
 def _build_sphere_point(grid, *parts):
@@ -113,8 +126,8 @@ def _build_sphere_point(grid, *parts):
 
 
 def _build_complex(grid, re, im):
-    vals = _field(grid, re).values + 1j * _field(grid, im).values
-    return PeriodicFunction._own(grid, vals)
+    re, im = _rows(grid, re, im)
+    return PeriodicFunction._own(grid, re + 1j * im)
 
 
 def g_tangent(grid: PeriodicGrid, rng: np.random.Generator) -> TangentVector:
@@ -166,7 +179,7 @@ def stacks(grid: PeriodicGrid, rng: np.random.Generator, samples: int, *samplers
     ``samplers`` are one-sample constructors of this module.  Each input,
     in the order given, draws its ``samples`` samples with one generator
     call per spectrum and per scalar, and is built as one stack of shape
-    (samples, n) with one batched inverse FFT per field.  Row s depends
+    (samples, n) with one batched inverse FFT per input.  Row s depends
     only on the s-th row of those draws.
     """
     return [

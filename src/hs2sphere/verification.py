@@ -16,7 +16,7 @@ seed, sample count and ``BLOCK`` give the same bytes.
 The tolerances hold for the default fields from n = 64 up.  Below that the
 suite fails by truncation, not by a wrong identity: a composition of
 band-limited draws is not band-limited, and at n = 32 ``group_axioms``
-reads 5.1e-8 against its 1e-9.
+reads 1.8e-7 against its 1e-9 (seed 0, 100 samples).
 
 A deliberate sign error can be injected into selected identities (see
 ``FLIPPABLE``; the wrapper passes ``flip`` to their checks alone); that is
@@ -74,8 +74,11 @@ def _group_axioms(a, b, c):
 
 
 def _metric_right_invariance(a, U, V):
-    Ut = TangentVector(fs.compose(U.u1, a.phi), fs.compose(U.u2, a.phi))
-    Vt = TangentVector(fs.compose(V.u1, a.phi), fs.compose(V.u2, a.phi))
+    def translate(w):  # w o phi, composed with the slope a holds
+        return fs.compose(w, a.phi, 0.0, a.phi_x.values)
+
+    Ut = TangentVector(translate(U.u1), translate(U.u2))
+    Vt = TangentVector(translate(V.u1), translate(V.u2))
     return abs(metric(_identity_like(a), U, V) - metric(a, Ut, Vt))
 
 

@@ -41,8 +41,9 @@ def test_christoffel_symmetry(grid, rng):
 
 def test_christoffel_K_reduces_to_G_for_zero_mean(grid, rng):
     uk, vk = rf.k_tangent(grid, rng), rf.k_tangent(grid, rng)
-    ug = TangentVector(uk.u1, uk.u2)
-    vg = TangentVector(vk.u1, vk.u2)
+    # the same input through both formulas: slots and carried derivatives
+    ug = TangentVector(uk.u1, uk.u2, _u1x=uk.u1x, _u2x=uk.u2x)
+    vg = TangentVector(vk.u1, vk.u2, _u1x=vk.u1x, _u2x=vk.u2x)
     a = gm.christoffel(uk, vk)
     b = gm.christoffel(ug, vg)
     assert np.max(np.abs(a.u1.values - b.u1.values)) < 1e-15

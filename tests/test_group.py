@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 import hs2sphere.funcspace as fs
+import hs2sphere.hopf as hopf
 import hs2sphere.randfields as rf
-from hs2sphere.errors import UnwrapAmbiguityError, VanishingModulusError
+from hs2sphere.errors import (
+    NotMonotoneError,
+    UnwrapAmbiguityError,
+    VanishingModulusError,
+)
 from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
 from hs2sphere.group import (
     FOUR_PI,
@@ -280,3 +285,52 @@ def test_suite_differentiates_each_component_it_reads_once(monkeypatch):
     run_suite(n=256, samples=10)
     assert 0 < len(calls) <= 150
     assert set(calls) == {(10, 256)}
+
+
+def test_held_slopes_are_read_and_tested_alike(grid, rng, monkeypatch):
+    a, b = rf.group_element(grid, rng), rf.group_element(grid, rng)
+    f = rf.band_limited(grid, rng)
+    # with the slope it computes itself, reading the held slope changes no
+    # bit of compose or invert_diffeo
+    a = GroupElement(a.phi, a.alpha)
+    held = a.phi_x.values
+    for got, want in (
+        (fs.compose(f, a.phi, 0.0, held), fs.compose(f, a.phi)),
+        (fs.invert_diffeo(a.phi, held), fs.invert_diffeo(a.phi)),
+    ):
+        assert got.values.tobytes() == want.values.tobytes()
+    # a held slope gets the test of the one computed: > 1e-12 in compose and
+    # invert_diffeo, > 0 in the constructor
+    touching, folding = (
+        PeriodicFunction(grid, grid.x + c * np.sin(TWO_PI * grid.x) / TWO_PI)
+        for c in (1.0, 1.2)
+    )
+    slope, folded = (fs._check_increasing(p, tol=-1.0) for p in (touching, folding))
+    for call in (
+        lambda: fs.compose(f, touching, 0.0, slope),
+        lambda: fs.invert_diffeo(touching, slope),
+        lambda: GroupElement(folding, f, _phi_x=folded),
+    ):
+        with pytest.raises(NotMonotoneError):
+            call()
+    # multiply and inverse differentiate only the phi they make
+    calls = []
+    check = fs._check_increasing
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(fs, "_check_increasing", counting)
+    multiply(a, b)
+    inverse(a)
+    assert len(calls) == 2
+
+
+def test_identity_and_quotient_carry_their_slopes(grid, rng):
+    a = rf.group_element(grid, rng)
+    ident = GroupElement.identity(grid, (3,))
+    computed = fs._check_increasing(ident.phi, 0.0)
+    assert ident.phi_x.values.tobytes() == computed.tobytes()
+    assert hopf.project_p(a).phi_x is not None
+    assert hopf.project_p(a).phi_x.values is a.phi_x.values

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hs2sphere.funcspace as fs
 import hs2sphere.geometry as gm
 import hs2sphere.randfields as rf
 from hs2sphere.funcspace import PeriodicGrid
@@ -91,3 +92,20 @@ def test_suite_memory_is_bounded_in_samples():
     assert BLOCK >= 10
     one_block = _peak_bytes(BLOCK)
     assert _peak_bytes(4 * BLOCK) <= 1.1 * one_block
+
+
+def test_suite_transform_budget(monkeypatch):
+    # every rfft and irfft of a small run: tangent vectors carry the
+    # derivatives their producers hold and group elements their slopes, so
+    # a re-differentiation that creeps back raises the count (730 without)
+    calls = []
+    for name in ("rfft", "irfft"):
+        transform = getattr(fs, name)
+
+        def counting(*args, _transform=transform, **kwargs):
+            calls.append(1)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(fs, name, counting)
+    run_suite(n=64, samples=2, seed=0)
+    assert len(calls) == 303

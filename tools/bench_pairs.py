@@ -33,8 +33,9 @@ script writes.  Do not read these numbers as measurements:
 - a traced ``exact-large`` job reuses the ``BlowupReport`` cached on its
   ``InitialData`` by the untraced call, so the trace never runs the
   blow-up analysis
-- the ``funcspace.spectral`` layer misses ``inverse_A_dx`` and the slope
-  transform behind ``phi_x`` and the monotonicity check
+- the ``funcspace.spectral`` layer misses the transforms that carry a
+  derivative (``geometry``, ``randfields``) and the slope transform
+  behind ``phi_x`` and the monotonicity check
 - ``funcspace.trig_interpolate.dense_mib``, ``funcspace.root_evals``,
   ``geodesics.root_solver.calls`` and ``import.scipy_s`` read 0
 - ``perfbench/README.md`` gives stale call counts and a CLI defect that

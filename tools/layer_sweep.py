@@ -20,6 +20,9 @@ The layers, with S = 10 rows wherever a stack is taken:
   and evaluate it at n uniform random points per row, off the grid
 - ``multiply`` and ``inverse``: ``group.multiply`` and ``group.inverse``
   on stacks of S group elements
+- ``kahler_J`` and ``christoffel``: ``geometry.kahler_J`` of a stack of S
+  quotient tangents and ``geometry.christoffel`` of two, each with the
+  result's ``u1x`` read, as every formula that takes the result reads it
 - ``exact_solution`` and ``blowup_time``: the ``hs-blowup`` preset at
   t = T / 2, each call on fresh ``InitialData`` so that no cached
   ``BlowupReport`` is reused
@@ -57,6 +60,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hs2sphere import funcspace as fs  # noqa: E402
+from hs2sphere import geometry as gm  # noqa: E402
 from hs2sphere import randfields as rf  # noqa: E402
 from hs2sphere import verification  # noqa: E402
 from hs2sphere.cli import _keep_freed_memory  # noqa: E402
@@ -73,8 +77,9 @@ def layers(n: int) -> dict:
     """Layer name -> (prepare, call): ``call(prepare())`` is one measured call."""
     grid = PeriodicGrid(n)
     rng = np.random.default_rng(n)
-    draws = rf.g_tangent, rf.group_element, rf.group_element
-    U, a, b = rf.stacks(grid, rng, ROWS, *draws)
+    draws = (rf.g_tangent, rf.group_element, rf.group_element,
+             rf.k_tangent, rf.k_tangent)
+    U, a, b, u, v = rf.stacks(grid, rng, ROWS, *draws)
     f, g = U.u1, U.u2
     points = rng.uniform(size=(ROWS, n))
     d = make_preset("hs-blowup", grid)
@@ -99,6 +104,8 @@ def layers(n: int) -> dict:
         "interpolant": (same, lambda _: fs.Interpolant(f)(points)),
         "multiply": (same, lambda _: multiply(a, b)),
         "inverse": (same, lambda _: inverse(a)),
+        "kahler_J": (same, lambda _: gm.kahler_J(u).u1x),
+        "christoffel": (same, lambda _: gm.christoffel(u, v).u1x),
         "exact_solution": (fresh, lambda data: exact_solution(data, t)),
         "exact_solution_stack": (fresh, lambda data: exact_solution(data, recorded)),
         "blowup_time": (fresh, blowup_time),
