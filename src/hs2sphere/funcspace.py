@@ -432,7 +432,9 @@ def _unit_interval(y: np.ndarray) -> np.ndarray:
     return y - np.floor(y)
 
 
-def _gather(fine: np.ndarray, points: np.ndarray, rows=None) -> np.ndarray:
+def _gather(
+    fine: np.ndarray, points: np.ndarray, rows=None, lone: bool = True
+) -> np.ndarray:
     """Evaluate prepared rows at arbitrary points, shape (orders, points).
 
     A point y sits at t = N (y - floor(y)) on the fine grid.  Its value is the
@@ -440,29 +442,38 @@ def _gather(fine: np.ndarray, points: np.ndarray, rows=None) -> np.ndarray:
     the kernel at 2 (t - l) / w: O(w) work per point and row, no BLAS.
     For a stack, ``fine`` has shape (orders, S, N + w), ``points`` is flat
     and ``rows`` gives the stack row of each point; all points share one
-    ``take`` from the flattened stack.
+    ``take`` from the flattened stack.  The stack-row offset is added to
+    each point's first index, in place, before that index is broadcast
+    over the w taps.  ``lone=False`` tells that no row holds a single
+    point (every row holds the same number of points, at least two), and
+    skips the count that finds such rows.
     """
     size = fine.shape[-1] - _W
     t = _unit_interval(points) * size
     base = np.floor(t)
-    idx = base.astype(np.intp) % size + _OFFSETS
+    idx = base.astype(np.intp)
+    idx %= size
     if rows is not None:
         idx += rows * fine.shape[-1]
+    idx = idx + _OFFSETS
     terms = np.take(fine.reshape(len(fine), -1), idx, axis=1)
     del idx  # the kernel weights reuse its memory
-    z = (2.0 * _BETA / _W) * (t - base) + _SHIFTS
+    t -= base
+    t *= 2.0 * _BETA / _W
+    z = t + _SHIFTS
+    del t, base  # nor are they alive while the terms are summed
     z *= z
     np.subtract(_BETA * _BETA, z, out=z)
     np.sqrt(z, out=z)
     terms *= np.exp(z, out=z)
     out = terms.sum(axis=1)
-    if rows is not None:
+    if rows is not None and lone:
         # numpy sums the w terms of a lone point pairwise, and those of
         # several points in order: a row's points sum as in its own call.
         alone = np.bincount(rows)[rows] == 1
         if any_row(alone):
-            lone = np.moveaxis(terms[:, :, alone], 1, -1)
-            out[:, alone] = np.ascontiguousarray(lone).sum(axis=-1)
+            single = np.moveaxis(terms[:, :, alone], 1, -1)
+            out[:, alone] = np.ascontiguousarray(single).sum(axis=-1)
     return out
 
 
@@ -492,7 +503,10 @@ class Interpolant:
         lead = values.shape[:-1]
         points = np.asarray(points, dtype=float).reshape(lead + (-1,))
         rows = _row_index(lead, points.shape[-1])
-        out = _gather(self.fine[:1], points.ravel(), rows)[0].reshape(points.shape)
+        # every row holds points.shape[-1] points: none is alone from two up
+        lone = points.shape[-1] < 2
+        out = _gather(self.fine[:1], points.ravel(), rows, lone)
+        out = out[0].reshape(points.shape)
         grid_pos = _unit_interval(points) * n
         idx = np.rint(grid_pos)
         on_grid = np.abs(grid_pos - idx) < 1e-12

@@ -9,10 +9,17 @@ tolerances.
 :func:`stacks` draws S samples of each of several inputs with one
 generator call per spectrum and per scalar of that input, and builds each
 input as one stack of S samples, so its rows depend on S as well as on
-the generator.
+the generator.  Each input has one buffer of half spectra: its draw
+writes the spectra straight into their rows of it, its build fills the
+integral and derivative rows in place and samples the whole buffer in
+one batched inverse FFT, whose rows become the input's fields in place.
+No spectrum is copied into a stack, and the decay weights are computed
+once per mode count.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -28,30 +35,47 @@ DIFFEO_AMPLITUDE = 0.4
 PHASE_AMPLITUDE = 0.75
 
 
+@functools.cache
+def _decay(max_mode: int) -> np.ndarray:
+    """The decay weights k**DEFAULT_DECAY, k = 1 .. max_mode; read-only."""
+    weights = np.arange(1, max_mode + 1) ** DEFAULT_DECAY
+    weights.flags.writeable = False
+    return weights
+
+
 def _spectrum(
     grid: PeriodicGrid,
     rng: np.random.Generator,
     max_mode: int | None = None,
     shape: tuple = (),
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Draw ``shape`` half spectra of :func:`band_limited`: one normal call."""
+    """Draw ``shape`` half spectra of :func:`band_limited`: one normal call.
+
+    They are written into ``out``, zeros of shape (*shape, n/2 + 1), where
+    the caller gives it.
+    """
     n = grid.n
     if max_mode is None:
         max_mode = n // 4 - 1
     if max_mode >= n / 2:
         raise ValueError(f"max_mode {max_mode} must lie below n/2 = {n / 2}")
-    k = np.arange(1, max_mode + 1)
-    a, b = rng.normal(size=(2, *shape, max_mode)) / k**DEFAULT_DECAY
-    spec = np.zeros((*shape, n // 2 + 1), dtype=complex)
-    spec.real[..., 1 : max_mode + 1] = 0.5 * n * a
-    spec.imag[..., 1 : max_mode + 1] = -0.5 * n * b
+    if out is None:
+        out = np.zeros((*shape, n // 2 + 1), dtype=complex)
+    ab = rng.normal(size=(2, *shape, max_mode))
+    ab /= _decay(max_mode)
+    np.multiply(ab[0], 0.5 * n, out=out.real[..., 1 : max_mode + 1])
+    np.multiply(ab[1], -0.5 * n, out=out.imag[..., 1 : max_mode + 1])
+    return out
+
+
+def _spectra(grid, rng, shape, rows, drawn, max_mode=None) -> np.ndarray:
+    """A zero buffer of ``rows`` half spectra, shape (rows, *shape, n/2 + 1),
+    with spectra drawn into the rows ``drawn``, in that order."""
+    spec = np.zeros((rows, *shape, grid.n // 2 + 1), dtype=complex)
+    for row in drawn:
+        _spectrum(grid, rng, max_mode, shape, spec[row])
     return spec
-
-
-def _rows(grid: PeriodicGrid, *spectra) -> np.ndarray:
-    """Samples of spectra of one shape (one each, or stacks of them), in one
-    batched inverse FFT; a row gets the bits of its own transform."""
-    return fs.irfft(np.stack(spectra), grid.n)
 
 
 def band_limited(
@@ -73,60 +97,84 @@ def band_limited(
 # Every sampler below is build(grid, *draw(grid, rng)): ``draw`` makes all
 # of its generator calls and returns spectra and scalars, ``build`` turns
 # them into fields.  ``shape=(S,)`` draws S samples of each part at once,
-# and :func:`stacks` builds them as one stack.  A build samples, integrates
-# and differentiates its spectra in one batched inverse FFT, and its
-# tangent vectors and group elements are born carrying the derivatives.
+# and :func:`stacks` builds them as one stack.  A draw writes its spectra
+# into the one buffer of half spectra (:func:`_spectra`) that its build
+# completes in place (the integral and derivative rows) and samples,
+# integrates and differentiates in one batched inverse FFT; the build
+# turns the sampled rows into the fields in place, and its tangent vectors
+# and group elements are born carrying the derivatives, views of the same
+# array.  Every part a draw returns holds its samples on the leading axis,
+# so that part[s] of each part is the draw of sample s: a buffer of shape
+# (rows, S, n/2 + 1) is returned as its (S, rows, n/2 + 1) view, which the
+# build swaps back.
 
 
 def _draw_g(grid, rng, shape=()):
-    u2 = _spectrum(grid, rng, shape=shape)
-    return u2, rng.normal(size=shape), _spectrum(grid, rng, shape=shape)
+    spec = _spectra(grid, rng, shape, 4, (2,))  # u2 first, then its mean
+    mean = rng.normal(size=shape)
+    _spectrum(grid, rng, shape=shape, out=spec[1])
+    return spec.swapaxes(0, -2), mean
 
 
-def _tangent(cls, grid, u1, u2, mean=0.0):
-    """u1 integrates the zero-mean field of its spectrum from 0 (so u1x is
-    that field); u2 is the field of its spectrum plus ``mean``."""
+def _tangent(cls, grid, spec, mean=0.0):
+    """The spectra of u1x and u2 in rows 1 and 2 of ``spec``: u1 integrates
+    the zero-mean field u1x from 0, and u2 is its field plus ``mean``."""
     sp = grid.spectral
-    p, u1x, u2, u2x = _rows(grid, u1 * sp.antideriv, u1, u2, u2 * sp.deriv)
-    u1 = PeriodicFunction._own(grid, p - p[..., :1])
-    return cls(u1, PeriodicFunction._own(grid, u2) + mean, _u1x=u1x, _u2x=u2x)
+    spec = spec.swapaxes(0, -2)
+    np.multiply(spec[1], sp.antideriv, out=spec[0])
+    np.multiply(spec[2], sp.deriv, out=spec[3])
+    u1, u1x, u2, u2x = fs.irfft(spec, grid.n)
+    u1 -= u1[..., :1]
+    u2 += np.asarray(mean)[..., None]
+    own = PeriodicFunction._own
+    return cls(own(grid, u1), own(grid, u2), _u1x=u1x, _u2x=u2x)
 
 
-def _build_g(grid, u2, mean, u1):
-    return _tangent(TangentVector, grid, u1, u2, mean)
+def _build_g(grid, spec, mean):
+    return _tangent(TangentVector, grid, spec, mean)
 
 
 def _draw_k(grid, rng, shape=()):
-    return _spectrum(grid, rng, shape=shape), _spectrum(grid, rng, shape=shape)
+    return (_spectra(grid, rng, shape, 4, (1, 2)).swapaxes(0, -2),)
 
 
-def _build_k(grid, u1, u2):
-    return _tangent(KTangent, grid, u1, u2)
+def _build_k(grid, spec):
+    return _tangent(KTangent, grid, spec)
 
 
 def _draw_group(grid, rng, shape=()):
-    eighth = grid.n // 8
-    w = _spectrum(grid, rng, eighth, shape)
-    alpha = _spectrum(grid, rng, eighth, shape)
-    return w, alpha, rng.uniform(0.0, 4.0 * np.pi, size=shape)
+    spec = _spectra(grid, rng, shape, 3, (0, 2), grid.n // 8)  # w, then alpha
+    return spec.swapaxes(0, -2), rng.uniform(0.0, 4.0 * np.pi, size=shape)
 
 
-def _build_group(grid, w, alpha, shift):
+def _build_group(grid, spec, shift):
     # phi = x + scale * integral(w) from 0, so phi_x = 1 + scale * w
-    w, p, alpha = _rows(grid, w, w * grid.spectral.antideriv, alpha)
+    spec = spec.swapaxes(0, -2)
+    np.multiply(spec[0], grid.spectral.antideriv, out=spec[1])
+    w, phi, alpha = fs.irfft(spec, grid.n)
     peak = fs.row_max(np.abs(w), keepdims=True)
     scale = DIFFEO_AMPLITUDE / np.maximum(peak, 1e-12)
-    phi = PeriodicFunction._own(grid, grid.x + scale * (p - p[..., :1]))
-    alpha = PeriodicFunction._own(grid, PHASE_AMPLITUDE * alpha) + shift
-    return GroupElement(phi, alpha, 0, _phi_x=1.0 + scale * w)
+    phi -= phi[..., :1]
+    phi *= scale
+    phi += grid.x
+    alpha *= PHASE_AMPLITUDE
+    alpha += np.asarray(shift)[..., None]
+    w *= scale
+    w += 1.0
+    own = PeriodicFunction._own
+    return GroupElement(own(grid, phi), own(grid, alpha), 0, _phi_x=w)
 
 
 def _build_sphere_point(grid, *parts):
     return phi_map(_build_group(grid, *parts))
 
 
-def _build_complex(grid, re, im):
-    re, im = _rows(grid, re, im)
+def _draw_complex(grid, rng, shape=()):
+    return (_spectra(grid, rng, shape, 2, (0, 1)).swapaxes(0, -2),)
+
+
+def _build_complex(grid, spec):
+    re, im = fs.irfft(spec.swapaxes(0, -2), grid.n)
     return PeriodicFunction._own(grid, re + 1j * im)
 
 
@@ -157,7 +205,7 @@ def nonvanishing_sphere_point(
 
 def complex_field(grid: PeriodicGrid, rng: np.random.Generator) -> PeriodicFunction:
     """Random complex field: two band-limited fields, real part first."""
-    return _build_complex(grid, *_draw_k(grid, rng))
+    return _build_complex(grid, *_draw_complex(grid, rng))
 
 
 def sphere_tangent(base: SpherePoint, rng: np.random.Generator) -> SphereTangent:
@@ -169,7 +217,7 @@ _SAMPLERS = {
     k_tangent: (_draw_k, _build_k),
     group_element: (_draw_group, _build_group),
     nonvanishing_sphere_point: (_draw_group, _build_sphere_point),
-    complex_field: (_draw_k, _build_complex),
+    complex_field: (_draw_complex, _build_complex),
 }
 
 

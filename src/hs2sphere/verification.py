@@ -34,7 +34,7 @@ from . import funcspace as fs
 from . import geometry as gm
 from . import hopf
 from . import randfields as rf
-from .funcspace import PeriodicGrid
+from .funcspace import PeriodicFunction, PeriodicGrid
 from .group import (
     GroupElement,
     TangentVector,
@@ -73,12 +73,21 @@ def _group_axioms(a, b, c):
     )
 
 
-def _metric_right_invariance(a, U, V):
-    def translate(w):  # w o phi, composed with the slope a holds
-        return fs.compose(w, a.phi, 0.0, a.phi_x.values)
+def _right_translate(a, U):
+    """U o phi, the right translate of U to a, composed with the slope a
+    holds.  u1 and u2 go through :func:`fs.compose` as the one complex lift
+    u1 + i u2, as :func:`multiply` composes phi + i alpha: its real and
+    imaginary parts are the two real compositions, bit for bit."""
+    own = PeriodicFunction._own
+    lift = np.empty(U.u1.values.shape, dtype=complex)
+    lift.real, lift.imag = U.u1.values, U.u2.values
+    moved = fs.compose(own(a.grid, lift), a.phi, 0.0, a.phi_x.values).values
+    return TangentVector(own(a.grid, moved.real), own(a.grid, moved.imag))
 
-    Ut = TangentVector(translate(U.u1), translate(U.u2))
-    Vt = TangentVector(translate(V.u1), translate(V.u2))
+
+def _metric_right_invariance(a, U, V):
+    """<U, V> at the identity against <U o phi, V o phi> at a = (phi, alpha)."""
+    Ut, Vt = _right_translate(a, U), _right_translate(a, V)
     return abs(metric(_identity_like(a), U, V) - metric(a, Ut, Vt))
 
 

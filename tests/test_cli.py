@@ -361,6 +361,27 @@ def test_verify_cli_deterministic(tmp_path):
     assert b1 == b2
 
 
+def test_small_n_verify_failure_names_the_truncation_floor(tmp_path, capsys):
+    # below n = 64 the default fields are truncated: the run says so on
+    # stderr, and its stdout, exit code and report are those of the suite
+    argv = ["verify", "--n", "32", "--samples", "3", "--outdir", str(tmp_path)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL group_axioms" in out and "n >= 64" not in out
+    assert err.count("\n") == 1 and "truncation floor n >= 64" in err
+    json_dump(run_suite(n=32, samples=3, seed=0), tmp_path / "suite.json")
+    assert (tmp_path / "verify_report.json").read_bytes() == (
+        tmp_path / "suite.json"
+    ).read_bytes()
+
+
+def test_verify_at_the_floor_passes_without_the_note(tmp_path, capsys):
+    argv = ["verify", "--n", "64", "--samples", "2", "--outdir", str(tmp_path)]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "truncation" not in out
+
+
 @pytest.mark.parametrize("name", FLIPPABLE)
 def test_verify_sign_injection_fails_exactly_one(tmp_path, name):
     code = main(

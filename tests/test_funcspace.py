@@ -11,9 +11,9 @@ import hs2sphere.randfields as rf
 from hs2sphere.errors import NonZeroMeanError, NotMonotoneError
 from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
 from hs2sphere.geodesics import InitialData, exact_geodesic, exact_solution
-from hs2sphere.group import inverse, multiply
+from hs2sphere.group import GroupElement, inverse, multiply
 from hs2sphere.integrator import IntegratorConfig, integrate
-from hs2sphere.verification import run_suite
+from hs2sphere.verification import _right_translate, run_suite
 
 from oracles import (
     brentq_inverse,
@@ -723,6 +723,42 @@ def test_gather_sums_a_lone_point_as_its_own_call():
     got = fs._gather(fine, points, rows)
     assert np.array_equal(got[:, :4], fs._gather(fine[:, 0], points[:4]))
     assert np.array_equal(got[:, 4:], fs._gather(fine[:, 1], points[4:]))
+
+
+@pytest.mark.parametrize("counts", [(2, 2), (5, 2, 9), (3, 3, 3, 3), (17, 4)])
+def test_gather_without_the_lone_row_count_matches_the_counted_path(counts):
+    # where every row holds at least two points no row is alone, and the
+    # count that looks for one may be skipped
+    rng = np.random.default_rng(sum(counts))
+    vals = rng.normal(size=(len(counts), 64))
+    fine = fs._fine_grid(vals, (0, 1))
+    rows = np.repeat(np.arange(len(counts)), counts)
+    points = rng.uniform(-2.0, 2.0, size=rows.size)
+    counted = fs._gather(fine, points, rows)
+    skipped = fs._gather(fine, points, rows, lone=False)
+    assert skipped.view(np.int64).tobytes() == counted.view(np.int64).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([64, 256, 1024]),
+    st.integers(1, 10),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_one_lift_translation_is_the_two_real_compositions(n, rows, at_identity, seed):
+    # composing u1 + i u2 with phi gives u1 o phi and u2 o phi bit for bit,
+    # signed zeros included; at the identity every point is on the grid
+    # and takes the snap path
+    grid = PeriodicGrid(n)
+    rng = np.random.default_rng(seed)
+    a, U = rf.stacks(grid, rng, rows, rf.group_element, rf.g_tangent)
+    if at_identity:
+        a = GroupElement.identity(grid, (rows,))
+    moved = _right_translate(a, U)
+    for got, part in ((moved.u1, U.u1), (moved.u2, U.u2)):
+        want = fs.compose(part, a.phi, 0.0, a.phi_x.values).values
+        assert np.array_equal(got.values.view(np.int64), want.view(np.int64))
 
 
 def test_stack_with_one_decreasing_row_is_rejected():

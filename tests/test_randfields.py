@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hs2sphere.randfields as rf
 from hs2sphere.funcspace import PeriodicGrid
 from hs2sphere.randfields import (
     DEFAULT_DECAY,
@@ -63,3 +64,70 @@ def test_stacks_draw_each_spectrum_in_one_call(n, samples):
     u2 -= np.mean(u2, axis=-1, keepdims=True)
     assert u.u2.values.tobytes() == u2.tobytes()
     assert rng.normal() == ref_rng.normal()
+
+
+class _Recorder:
+    """A generator that records the method and size of every call."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def call(*args, size=None):
+            self.calls.append((name, size))
+            return method(*args, size=size)
+
+        return call
+
+
+# n = 64: a spectrum of the modes 1..15 (group elements: 1..8) is one
+# normal call of size (2, *shape, modes); a stack of S has shape (S,)
+_N, _S = 64, 3
+
+
+def _spectrum_call(shape, modes=15):
+    return ("normal", (2, *shape, modes))
+
+
+_DRAWS = {
+    rf.g_tangent: lambda *s: [_spectrum_call(s), ("normal", s), _spectrum_call(s)],
+    rf.k_tangent: lambda *s: [_spectrum_call(s), _spectrum_call(s)],
+    rf.group_element: lambda *s: [
+        _spectrum_call(s, 8), _spectrum_call(s, 8), ("uniform", s)
+    ],
+    rf.nonvanishing_sphere_point: lambda *s: [
+        _spectrum_call(s, 8), _spectrum_call(s, 8), ("uniform", s)
+    ],
+    rf.complex_field: lambda *s: [_spectrum_call(s), _spectrum_call(s)],
+}
+
+
+@pytest.mark.parametrize("sampler", list(_DRAWS), ids=lambda f: f.__name__)
+def test_every_sampler_draws_in_its_pinned_order(sampler):
+    # the generator calls of each sampler, method and size, in order: one
+    # sample, and a stack of _S built by ``stacks``
+    grid = PeriodicGrid(_N)
+    rng = _Recorder(3)
+    sampler(grid, rng)
+    assert rng.calls == _DRAWS[sampler]()
+    rng = _Recorder(3)
+    stacks(grid, rng, _S, sampler)
+    assert rng.calls == _DRAWS[sampler](_S)
+
+
+def test_other_samplers_draw_in_their_pinned_order():
+    grid = PeriodicGrid(_N)
+    rng = _Recorder(5)
+    band_limited(grid, rng)
+    band_limited(grid, rng, max_mode=4)
+    assert rng.calls == [("normal", (2, 15)), ("normal", (2, 4))]
+    base = rf.nonvanishing_sphere_point(grid, np.random.default_rng(5))
+    rng = _Recorder(5)
+    rf.sphere_tangent(base, rng)
+    assert rng.calls == [("normal", (2, 15)), ("normal", (2, 15))]
+    # several inputs draw one after another, in the order given
+    rng = _Recorder(5)
+    stacks(grid, rng, _S, rf.k_tangent, rf.group_element)
+    assert rng.calls == _DRAWS[rf.k_tangent](_S) + _DRAWS[rf.group_element](_S)

@@ -20,6 +20,10 @@ The layers, with S = 10 rows wherever a stack is taken:
   and evaluate it at n uniform random points per row, off the grid
 - ``multiply`` and ``inverse``: ``group.multiply`` and ``group.inverse``
   on stacks of S group elements
+- ``draw_inputs``: ``randfields.stacks`` of one quotient tangent, one
+  tangent and one group element, S samples each, from a fresh generator
+- ``translate``: the right translation of ``metric_right_invariance``,
+  two stacked tangents composed with one stack of group elements
 - ``kahler_J`` and ``christoffel``: ``geometry.kahler_J`` of a stack of S
   quotient tangents and ``geometry.christoffel`` of two, each with the
   result's ``u1x`` read, as every formula that takes the result reads it
@@ -81,7 +85,10 @@ def layers(n: int) -> dict:
              rf.k_tangent, rf.k_tangent)
     U, a, b, u, v = rf.stacks(grid, rng, ROWS, *draws)
     f, g = U.u1, U.u2
+    inputs = (rf.k_tangent, rf.g_tangent, rf.group_element)
+    translate = verification._right_translate
     points = rng.uniform(size=(ROWS, n))
+    (V,) = rf.stacks(grid, rng, ROWS, rf.g_tangent)
     d = make_preset("hs-blowup", grid)
     t = 0.5 * blowup_time(d).T
     recorded = np.arange(0, 2001, 200) * 5e-4
@@ -104,6 +111,11 @@ def layers(n: int) -> dict:
         "interpolant": (same, lambda _: fs.Interpolant(f)(points)),
         "multiply": (same, lambda _: multiply(a, b)),
         "inverse": (same, lambda _: inverse(a)),
+        "draw_inputs": (
+            lambda: np.random.default_rng(n),
+            lambda gen: rf.stacks(grid, gen, ROWS, *inputs),
+        ),
+        "translate": (same, lambda _: [translate(a, w) for w in (U, V)]),
         "kahler_J": (same, lambda _: gm.kahler_J(u).u1x),
         "christoffel": (same, lambda _: gm.christoffel(u, v).u1x),
         "exact_solution": (fresh, lambda data: exact_solution(data, t)),
