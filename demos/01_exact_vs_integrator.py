@@ -40,11 +40,12 @@ traj = integrate_pde(data, cfg)
 # one call evaluates the closed form at every recorded time: (S, n) stacks
 u_ex, rho_ex = exact_solution(data, traj.times)
 
+# and one call compares the stacks: one error per recorded time
+num = (PeriodicFunction(grid, f) for f in (traj.u, traj.rho))
+errs_u, errs_rho = compare_states(*num, u_ex, rho_ex)
+
 print("time      rel L2 error u   rel L2 error rho")
-for i, t in enumerate(traj.times):
-    u_num, rho_num = traj.state(i)
-    exact = (PeriodicFunction(grid, f.values[i]) for f in (u_ex, rho_ex))
-    eu, er = compare_states(u_num, rho_num, *exact)
+for t, eu, er in zip(traj.times, errs_u, errs_rho):
     print(f"{t:6.3f}    {eu:12.3e}    {er:12.3e}")
 
 drift = np.max(np.abs(traj.energy - traj.energy[0])) / traj.energy[0]

@@ -252,12 +252,8 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     u, rho = exact_solution(data, traj.times)
     _write_exact_trajectory(outdir / "exact_trajectory.csv", times, u, rho)
 
-    rel_u, rel_rho = [], []
-    for i in range(len(times)):
-        exact_i = [PeriodicFunction._own(u.grid, f.values[i]) for f in (u, rho)]
-        eu, er = compare_states(*traj.state(i), *exact_i)
-        rel_u.append(eu)
-        rel_rho.append(er)
+    num = (PeriodicFunction(traj.grid, f) for f in (traj.u, traj.rho))
+    rel_u, rel_rho = (e.tolist() for e in compare_states(*num, u, rho))
     comparison = {
         "schema_version": 1,
         "n": cfg.n,

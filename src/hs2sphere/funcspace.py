@@ -433,7 +433,7 @@ def _unit_interval(y: np.ndarray) -> np.ndarray:
 
 
 def _gather(
-    fine: np.ndarray, points: np.ndarray, rows=None, lone: bool = True
+    fine: np.ndarray, points: np.ndarray, rows=None, *, lone: bool = True
 ) -> np.ndarray:
     """Evaluate prepared rows at arbitrary points, shape (orders, points).
 
@@ -505,7 +505,7 @@ class Interpolant:
         rows = _row_index(lead, points.shape[-1])
         # every row holds points.shape[-1] points: none is alone from two up
         lone = points.shape[-1] < 2
-        out = _gather(self.fine[:1], points.ravel(), rows, lone)
+        out = _gather(self.fine[:1], points.ravel(), rows, lone=lone)
         out = out[0].reshape(points.shape)
         grid_pos = _unit_interval(points) * n
         idx = np.rint(grid_pos)
@@ -533,7 +533,7 @@ class Interpolant:
         def residual(idx, y):
             return _gather(fine, y)
 
-        return _newton_bisect(residual, lo, hi, start, ROOT_TOL, sign)
+        return _newton_bisect(residual, lo, hi, start, sign)
 
 
 def trig_interpolate(f: PeriodicFunction, points) -> np.ndarray:
@@ -600,7 +600,7 @@ def compose(
     return PeriodicFunction._own(f.grid, vals)
 
 
-def _newton_bisect(residual, lo, hi, y, tol: float, sign=1.0) -> np.ndarray:
+def _newton_bisect(residual, lo, hi, y, sign=1.0) -> np.ndarray:
     """Roots of monotone functions, one per entry, in brackets [lo, hi].
 
     ``residual(idx, y)`` returns the values and derivatives of the
@@ -611,9 +611,9 @@ def _newton_bisect(residual, lo, hi, y, tol: float, sign=1.0) -> np.ndarray:
     Newton step is taken when it lands in the closed bracket and is no
     longer than a budget that starts at half the bracket and halves every
     iteration; otherwise the entry bisects.  Newton steps fall below
-    ``tol`` once the budget does, and a bisection halves the bracket, so
-    every entry finishes within about 2 log2(width / tol) iterations.  An
-    entry is done when its step or its bracket is at most ``tol``.
+    ROOT_TOL once the budget does, and a bisection halves the bracket, so
+    every entry finishes within about 2 log2(width / ROOT_TOL) iterations.
+    An entry is done when its step or its bracket is at most ROOT_TOL.
     """
     lo, hi = lo.copy(), hi.copy()
     y = np.clip(y, lo, hi)
@@ -632,7 +632,7 @@ def _newton_bisect(residual, lo, hi, y, tol: float, sign=1.0) -> np.ndarray:
         take = (lt <= newton) & (newton <= ht) & (np.abs(step) <= bt)
         y[todo] = np.where(take, newton, 0.5 * (lt + ht))
         lo[todo], hi[todo], budget[todo] = lt, ht, 0.5 * bt
-        done = (take & (np.abs(step) <= tol)) | (ht - lt <= tol)
+        done = (take & (np.abs(step) <= ROOT_TOL)) | (ht - lt <= ROOT_TOL)
         todo = todo[~done]
     return y
 
@@ -699,7 +699,7 @@ def invert_diffeo(
         return y + hv - targets[idx], 1.0 + dh
 
     start, lo, hi = _inverse_start(phi.values, phix, x)
-    y = _newton_bisect(residual, lo.ravel(), hi.ravel(), start.ravel(), ROOT_TOL)
+    y = _newton_bisect(residual, lo.ravel(), hi.ravel(), start.ravel())
     y = np.concatenate((np.zeros(lead + (1,)), y.reshape(lead + x.shape)), axis=-1)
     return PeriodicFunction._own(grid, y)
 

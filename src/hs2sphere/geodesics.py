@@ -362,7 +362,7 @@ def classify_existence(d: InitialData) -> BlowupReport:
 def _admitted(d: InitialData, t: float) -> BlowupReport:
     """The report of d, once t passes: for finite data, refuses negative t
     and every t that the report :meth:`~BlowupReport.reaches`
-    (:class:`BeyondBlowupError`)."""
+    (:class:`BeyondBlowupError`); then refuses a t that is not finite."""
     rep = blowup_time(d)
     if rep.finite and t < 0.0:
         raise ValueError(
@@ -370,6 +370,8 @@ def _admitted(d: InitialData, t: float) -> BlowupReport:
         )
     if rep.reaches(t):
         raise BeyondBlowupError(f"t={t!r} is at or beyond the maximal time {rep.T!r}")
+    if not math.isfinite(t):
+        raise ValueError(f"t={t!r} is not finite")
     return rep
 
 
@@ -382,12 +384,11 @@ def _great_circle(d: InitialData, c: float, t):
     phi = integral of |g|^2 from 0.  The sign cancels from 2 f_t / f,
     |f|^2 and Re(conj(f) f_t).
     t is a float, or an (S, 1) array of times for stacks of S rows, each
-    row with the bits of its own time's call.
+    row with the bits of its own time's call; np.floor serves both.
     """
     k = d.u0x.values / (2.0 * c) + 1j * (d.rho0.values / (2.0 * c))
     ct = c * t
-    floor = np.floor if isinstance(t, np.ndarray) else math.floor
-    m = floor(ct / math.pi)
+    m = np.floor(ct / math.pi)
     g, v = sphere.great_circle(k, ct - m * math.pi)
     phi = fs.antiderivative_from_zero(
         PeriodicFunction._own(d.grid, g.real**2 + g.imag**2)
@@ -440,20 +441,43 @@ def exact_solution(
     close to T for phi to invert, the :class:`NotMonotoneError` names t and
     T.
 
-    For an array of S times, u and rho are (S, n) stacks whose row i is
-    bit for bit ``exact_solution(d, t[i])``.  The times are checked first,
-    in order, as their own calls check them, and a non-finite time raises
-    ValueError.  The rows are evaluated in blocks of at most
-    max(1, STACK_POINTS // n) times, so that the memory a call takes
-    beyond its output does not grow with S; a block of one time takes the
-    scalar path, which is cheaper than a one-row stack.
+    A single t is an array of one time, whose u and rho are one function
+    each.  For S times, u and rho are (S, n) stacks whose row i is bit for
+    bit ``exact_solution(d, t[i])``.  Every time is checked first, in
+    order, by :func:`_admitted`.  The times are evaluated in blocks of at
+    most max(1, STACK_POINTS // n), so that the memory a call takes beyond
+    its output does not grow with S.  A block of one time takes the
+    unstacked great circle, cheaper than a one-row stack; a larger block
+    whose flow does not invert is replayed one time at a time.
     """
-    if isinstance(t, np.ndarray) and t.ndim:
-        return _exact_solution_stack(d, t)
-    c = _admitted(d, t).speed
-    with _near_blowup(d, t):
-        w = _solution_values(d, *_great_circle(d, c, t)[1:])
-    return PeriodicFunction._own(d.grid, w.real), PeriodicFunction._own(d.grid, w.imag)
+    if np.ndim(t) > 1:
+        raise ValueError(f"times must be one-dimensional, got shape {np.shape(t)}")
+    times = np.asarray(t, dtype=float).ravel().tolist()
+    for ti in times:
+        _admitted(d, ti)
+    c, grid, rows = speed(d), d.grid, max(1, STACK_POINTS // d.grid.n)
+
+    def one(ti: float) -> np.ndarray:
+        with _near_blowup(d, ti):
+            return _solution_values(d, *_great_circle(d, c, ti)[1:])
+
+    u, rho = np.empty((2, len(times), grid.n))
+    for i in range(0, len(times), rows):
+        block = times[i : i + rows]
+        if len(block) == 1:
+            w = one(block[0])
+        else:
+            at = np.array(block)[:, None]
+            try:
+                w = _solution_values(d, *_great_circle(d, c, at)[1:])
+            except NotMonotoneError:
+                for ti in block:  # raises with the first time too close to T
+                    one(ti)
+                raise
+        u[i : i + rows], rho[i : i + rows] = w.real, w.imag
+    if np.ndim(t) == 0:
+        u, rho = u[0], rho[0]
+    return PeriodicFunction._own(grid, u), PeriodicFunction._own(grid, rho)
 
 
 def _solution_values(d: InitialData, g, gt, phi) -> np.ndarray:
@@ -463,30 +487,6 @@ def _solution_values(d: InitialData, g, gt, phi) -> np.ndarray:
     )
     field = PeriodicFunction._own(d.grid, phi_t.values + 1j * (2.0 * gt / g).imag)
     return fs.compose(field, fs.invert_diffeo(phi)).values
-
-
-def _exact_solution_stack(d: InitialData, times: np.ndarray):
-    """:func:`exact_solution` at a 1-D array of times, block by block."""
-    if times.ndim != 1:
-        raise ValueError(f"times must be one-dimensional, got shape {times.shape}")
-    times = times.astype(float)
-    for t in times.tolist():
-        _admitted(d, t)
-        if not math.isfinite(t):
-            raise ValueError(f"t={t!r} is not finite")
-    c, grid, rows = speed(d), d.grid, max(1, STACK_POINTS // d.grid.n)
-    u, rho = np.empty((2, times.size, grid.n))
-    for i in range(0, times.size, rows):
-        block = times[i : i + rows]
-        at = block[:, None] if rows > 1 else block.item()  # one row: as its call
-        try:
-            w = _solution_values(d, *_great_circle(d, c, at)[1:])
-        except NotMonotoneError:
-            for t in block.tolist():  # raises with the first time too close to T
-                exact_solution(d, t)
-            raise
-        u[i : i + rows], rho[i : i + rows] = w.real, w.imag
-    return PeriodicFunction._own(grid, u), PeriodicFunction._own(grid, rho)
 
 
 # ---------------------------------------------------------------------------

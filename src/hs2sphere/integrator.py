@@ -285,15 +285,17 @@ def compare_states(
     Each component is measured against its own norm; a component that is
     negligible within the reference state (norm below 1e-8 of the state
     scale) is measured against the state scale instead, so identically
-    zero components compare as zero rather than as 0/0 noise.
+    zero components compare as zero rather than as 0/0 noise.  One state
+    gives two floats; (S, n) stacks give one error per row, each row with
+    its own scale and the bits of the one-state call on that row.
     """
-    nu = float(np.sqrt(fs.row_mean(u_b.values**2)))
-    nr = float(np.sqrt(fs.row_mean(rho_b.values**2)))
-    scale = max(nu, nr, 1e-30)
+    nu = np.sqrt(fs.row_mean(u_b.values**2))
+    nr = np.sqrt(fs.row_mean(rho_b.values**2))
+    scale = np.maximum(np.maximum(nu, nr), 1e-30)
 
     def rel(a, b, comp_norm):
-        denom = comp_norm if comp_norm >= 1e-8 * scale else scale
-        return float(np.sqrt(fs.row_mean((a - b) ** 2)) / denom)
+        denom = np.where(comp_norm >= 1e-8 * scale, comp_norm, scale)
+        return fs.per_row(np.sqrt(fs.row_mean((a - b) ** 2)) / denom)
 
     return (
         rel(u_a.values, u_b.values, nu),

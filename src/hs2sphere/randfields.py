@@ -82,7 +82,6 @@ def band_limited(
     grid: PeriodicGrid,
     rng: np.random.Generator,
     max_mode: int | None = None,
-    amplitude: float = 1.0,
 ) -> PeriodicFunction:
     """Zero-mean random trigonometric polynomial with decaying coefficients.
 
@@ -90,7 +89,7 @@ def band_limited(
     max_mode < n/2, are one inverse real FFT of the spectrum
     (n/2)(a_k - i b_k).
     """
-    vals = amplitude * fs.irfft(_spectrum(grid, rng, max_mode), grid.n)
+    vals = fs.irfft(_spectrum(grid, rng, max_mode), grid.n)
     return PeriodicFunction._own(grid, vals)
 
 

@@ -59,12 +59,8 @@ def _worst(first, *rest) -> np.ndarray:
     return functools.reduce(np.maximum, rest, first)
 
 
-def _identity_like(a: GroupElement) -> GroupElement:
-    return GroupElement.identity(a.grid, a.phi.values.shape[:-1])
-
-
 def _group_axioms(a, b, c):
-    ident = _identity_like(a)
+    ident = GroupElement.identity(a.grid, a.phi.values.shape[:-1])
     return _worst(
         multiply(multiply(a, b), c).distance(multiply(a, multiply(b, c))),
         multiply(a, inverse(a)).distance(ident),
@@ -86,9 +82,10 @@ def _right_translate(a, U):
 
 
 def _metric_right_invariance(a, U, V):
-    """<U, V> at the identity against <U o phi, V o phi> at a = (phi, alpha)."""
+    """<U, V> at the identity, where phi_x = 1 and geometry's metric is the
+    group's bit for bit, against <U o phi, V o phi> at a = (phi, alpha)."""
     Ut, Vt = _right_translate(a, U), _right_translate(a, V)
-    return abs(metric(_identity_like(a), U, V) - metric(a, Ut, Vt))
+    return abs(gm.metric(U, V) - metric(a, Ut, Vt))
 
 
 def _isometry(a, U, V):

@@ -348,13 +348,13 @@ def test_coefficients_are_prepared_once(monkeypatch):
     calls = {"prepare": 0, "gather": 0}
     fine_grid, gather = fs._fine_grid, fs._gather
 
-    def counting_fine_grid(*args):
+    def counting_fine_grid(*args, **kwargs):
         calls["prepare"] += 1
-        return fine_grid(*args)
+        return fine_grid(*args, **kwargs)
 
-    def counting_gather(*args):
+    def counting_gather(*args, **kwargs):
         calls["gather"] += 1
-        return gather(*args)
+        return gather(*args, **kwargs)
 
     monkeypatch.setattr(fs, "_fine_grid", counting_fine_grid)
     monkeypatch.setattr(fs, "_gather", counting_gather)
@@ -399,9 +399,9 @@ def test_large_smooth_inversion_takes_one_gather(seed, monkeypatch):
     calls = []
     gather = fs._gather
 
-    def counting_gather(*args):
+    def counting_gather(*args, **kwargs):
         calls.append(len(args[1]))
-        return gather(*args)
+        return gather(*args, **kwargs)
 
     monkeypatch.setattr(fs, "_gather", counting_gather)
     inv = fs.invert_diffeo(phi)
@@ -506,7 +506,7 @@ def test_newton_bisect_safeguard_and_iteration_bound():
         return np.arctan(d), 1.0 / (1.0 + d * d)
 
     lo, hi = np.full(25, -10.0), np.full(25, 10.0)
-    y = fs._newton_bisect(residual, lo, hi, roots + 5.0, 1e-12)
+    y = fs._newton_bisect(residual, lo, hi, roots + 5.0)
     assert np.max(np.abs(y - roots)) <= 1e-12
     assert len(calls) <= 2 * math.ceil(math.log2(20.0 / 1e-12)) + 2
 

@@ -1151,10 +1151,15 @@ def test_stacked_exact_solution_refuses_as_its_calls_do(case, data):
 
 
 def test_stacked_exact_solution_refuses_non_finite_times(grid):
+    # a single time is checked as a stack's times are, and so is the flow's
     d = make_preset("smooth-global", grid)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="not finite"):
             exact_solution(d, np.array([0.5, bad]))
+        with pytest.raises(ValueError, match="not finite"):
+            exact_solution(d, bad)
+        with pytest.raises(ValueError, match="not finite"):
+            exact_geodesic(d, bad)
     with pytest.raises(ValueError, match="one-dimensional"):
         exact_solution(d, np.zeros((2, 3)))
     u, rho = exact_solution(d, np.array([]))

@@ -187,8 +187,8 @@ def test_transform_budget_and_energy_reuse(grid, monkeypatch, dealias):
 )
 def test_integrate_steps_with_the_public_right_side(grid, rng, dealias):
     # modes up to 100 > n/3, so the 2/3 mask changes the products
-    w = rf.band_limited(grid, rng, max_mode=100, amplitude=0.5)
-    rho0 = rf.band_limited(grid, rng, max_mode=100, amplitude=0.5) + 1.0
+    w = 0.5 * rf.band_limited(grid, rng, max_mode=100)
+    rho0 = 0.5 * rf.band_limited(grid, rng, max_mode=100) + 1.0
     d = InitialData(fs.antiderivative_from_zero(w), rho0)
     dt = 1e-2
     cfg = IntegratorConfig(dt=dt, t_end=2 * dt, dealias=dealias, record_every=1)
@@ -237,6 +237,22 @@ def test_non_finite_state_halts(grid, monkeypatch):
     assert err.trajectory.times[-1] <= err.halt_time
     assert np.all(np.isfinite(err.trajectory.u))
     assert np.all(np.isfinite(err.trajectory.rho))
+
+
+def test_compare_states_rows_are_their_one_state_calls(grid, rng):
+    # row 1's reference rho is identically zero, so its rho error is read
+    # against that row's own scale; row 2 is 1e-9 the size of row 0
+    parts = rng.normal(size=(4, 3, grid.n))
+    parts[3, 1] = 0.0
+    parts[:, 2] *= 1e-9
+    eu, er = compare_states(*(PeriodicFunction(grid, p) for p in parts))
+    assert eu.shape == er.shape == (3,)
+    for i in range(3):
+        one = compare_states(*(PeriodicFunction(grid, p[i]) for p in parts))
+        assert [type(e) for e in one] == [float, float]
+        assert np.array(one).tobytes() == np.array([eu[i], er[i]]).tobytes()
+    rms = np.sqrt(np.mean(parts[:, 1] ** 2, axis=-1))
+    assert er[1] == pytest.approx(rms[1] / rms[2])
 
 
 def test_fourth_order_convergence(grid):

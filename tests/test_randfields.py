@@ -20,7 +20,7 @@ def test_band_limited_matches_dense_formula(n, eighth):
     max_mode = n // 8 if eighth else None
     modes = n // 8 if eighth else n // 4 - 1
     fast_rng, dense_rng = np.random.default_rng(7), np.random.default_rng(7)
-    f = band_limited(PeriodicGrid(n), fast_rng, max_mode=max_mode, amplitude=0.8)
+    f = 0.8 * band_limited(PeriodicGrid(n), fast_rng, max_mode=max_mode)
     ref = dense_band_limited(n, dense_rng, modes, amplitude=0.8)
     assert np.max(np.abs(f.values - ref)) < 1e-14
     # same draws from the generator, in the same order

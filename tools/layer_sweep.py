@@ -47,6 +47,13 @@ layer's time depends on what the process allocated before it (at
 n = 1024 a stacked ``multiply`` read 1.9 ms in one tree and 3.4 ms in
 another, and 1.9 ms in both once the thresholds were set).  Wall times
 are machine-dependent; compare two trees on one machine, run after run.
+
+One sweep resolves only large changes.  On a shared 2-vCPU host, three
+alternating ``--repeat 7`` rounds of two trees moved layers that neither
+tree changed by as much as changed ones: ``kahler_J`` at n = 256 by 32%,
+``rk4_step`` by 26%.  Read a per-layer difference below about 30% as
+noise, and make speed claims with the paired end-to-end runs of
+``tools/bench_pairs.py``.
 """
 
 from __future__ import annotations
