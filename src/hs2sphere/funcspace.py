@@ -705,10 +705,10 @@ def invert_diffeo(
 
 
 def __getattr__(name: str):
-    # ``brentq`` is read only by perfbench/tracer.py, which rebinds it to
-    # count objective evaluations; importing scipy here, on first read,
-    # keeps it out of the runtime.  The benchmark rework of ROADMAP item 3
-    # replaces that counter and retires this hook.
+    # Only the frozen perfbench/tracer.py reads ``brentq``: it rebinds it
+    # to count objective evaluations, and tests/test_bench_contract.py
+    # checks that it can.  Importing scipy here, on first read, keeps it
+    # out of the runtime.
     if name == "brentq":
         from scipy.optimize import brentq
 

@@ -228,27 +228,27 @@ def _open_cells(v, dv, h, m2, slack, top) -> np.ndarray:
 def _bracket_roots(p: fs.Interpolant, points, f, s, order=0, gaps=None):
     """One root of p's order-th derivative per sign change of s in a gap.
 
-    ``points`` ascend in [0, 1) and wrap around the circle; f holds that
-    derivative there and s its sign.  ``gaps``, if given, masks the points
-    whose gap to the next point counts.  Each bracket's solve starts from
-    its secant's root, all in one Interpolant.roots call.
+    ``points`` ascend from 0 and close the circle at 1, the gap after point
+    i ending at point i + 1; f holds that derivative there and s its sign.
+    ``gaps``, if given, masks the points whose gap counts.  Each bracket's
+    solve starts from its secant's root, all in one Interpolant.roots call.
     """
-    wrap = np.append(s, s[0])
-    change = wrap[:-1] * wrap[1:] < 0.0
+    change = s[:-1] * s[1:] < 0.0
     i = np.nonzero(change if gaps is None else change & gaps)[0]
-    j = (i + 1) % s.size
-    lo, hi, f_lo, f_hi = points[i], points[j] + (j == 0), f[i], f[j]
-    return p.roots(lo, hi, lo + (hi - lo) * f_lo / (f_lo - f_hi), s[j], order)
+    lo, hi, f_lo, f_hi = points[i], points[i + 1], f[i], f[i + 1]
+    return p.roots(lo, hi, lo + (hi - lo) * f_lo / (f_lo - f_hi), s[i + 1], order)
 
 
 def _rho_roots(rho0: PeriodicFunction) -> list[float]:
     """All zeros of the trigonometric interpolant p of rho0 in [0, 1).
 
     No zero when :func:`_clears_zero` certifies the data from one rfft.
-    Otherwise the grid cells meet the rules of :func:`_open_cells` (where
-    they are derived) with the node values and spectral slopes, and each
-    further level, up to DEPTH_CAP, bisects the cells still open and reads
-    p and p' at the midpoints.  The zeros are then:
+    Otherwise one table holds the points: rows x, p, p' and the zero
+    tolerance, columns in circle order and closed by node 0 again at x = 1,
+    so cell i spans columns i and i + 1.  Level 0 judges the grid cells by
+    the rules of :func:`_open_cells` (where they are derived); each further
+    level, up to DEPTH_CAP, puts the midpoints of the open cells, with p
+    and p', after their left ends and judges the two halves.  The zeros are:
 
     * the nodes below NODE_ZERO_TOL max |rho0|.  A midpoint never counts:
       near a double root its value falls that low about 1e-6 away;
@@ -257,8 +257,7 @@ def _rho_roots(rho0: PeriodicFunction) -> list[float]:
     * the extrema below TOUCH_ZERO_TOL max |rho0|, each standing for a zero
       node next to it.  p' = 0 is solved only on the runs of adjacent cells
       still open at the cap, their inner midpoints dropped, and only they
-      prepare p''.  Once cells stay open, each point is a column of one
-      table: x, p, p' and its zero tolerance, 0 at the midpoints.
+      prepare p''.  An extremum goes in after the points below it.
     """
     values, x = rho0.values, rho0.grid.x
     coef = fs.rfft(values)
@@ -268,41 +267,41 @@ def _rho_roots(rho0: PeriodicFunction) -> list[float]:
     d = fs.irfft(coef * rho0.grid.spectral.deriv, x.size)
     h, top = 1.0 / x.size, fs.row_max(np.abs(values))
     bounds = _bernstein(size, 2), SLOPE_SLACK * _bernstein(size, 1), top
-    s = np.where(np.abs(values) < NODE_ZERO_TOL * top, 0.0, np.sign(values))
     p = fs.Interpolant(rho0, 1, coef)
-    # cell j reads entries j and j + 1 of the copies wrapped by one node
-    v, dv = np.append(values, values[0]), np.append(d, d[0])
-    j = np.nonzero(_open_cells(v, dv, h, *bounds))[0]
-    points, vals, zero = x, values, s == 0.0
-    if j.size:
-        # rows x, p, p'; one open cell per column, its two ends last
-        cells = np.stack([np.append(x, 1.0), v, dv])[:, np.c_[j, j + 1]]
-        mids = []
-        while cells.size and len(mids) < DEPTH_CAP:
-            mid = 0.5 * (cells[0, :, 0] + cells[0, :, 1])
-            mids.append(np.vstack([mid, fs._gather(p.fine, mid), np.zeros(mid.size)]))
-            three = np.insert(cells, 1, mids[-1][:3], axis=-1)
-            is_open = _open_cells(three[1], three[2], h * 0.5 ** len(mids), *bounds)
-            cells = np.stack([three[..., :-1], three[..., 1:]], axis=-1)[:, is_open]
-        nodes = np.stack([x, values, d, np.full(x.size, NODE_ZERO_TOL)])
-        table = np.hstack([nodes, *mids])
-        order = np.argsort(table[0], kind="stable")
-        runs = np.isin(table[0, order], cells[0, :, 0])  # points opening capped cells
-        keep = (table[3, order] > 0.0) | ~(runs & np.append(runs[-1], runs[:-1]))
-        table, runs = table[:, order[keep]], runs[keep]
-        if fs.any_row(runs):  # only capped runs prepare p''
-            q = fs.Interpolant(rho0, 2, coef)
-            ext = _bracket_roots(q, table[0], table[2], np.sign(table[2]), 1, runs)
-            zeros = np.zeros(ext.size)
-            table = np.hstack([table, [ext, q(ext), zeros, zeros + TOUCH_ZERO_TOL]])
-            table = table[:, np.argsort(table[0], kind="stable")]
-        points, vals, _, tol = table
-        zero = np.abs(vals) < tol * top
-        s = np.where(zero, 0.0, np.sign(vals))
-        touch = zero & (tol == TOUCH_ZERO_TOL)
-        zero &= ~(np.roll(touch, 1) | np.roll(touch, -1))
-    simple = _bracket_roots(p, points, vals, s)
-    return _distinct_roots(np.concatenate([points[zero], simple]))
+    table = np.empty((4, x.size + 1))
+    table[:3, :-1] = x, values, d
+    table[:3, -1] = 1.0, values[0], d[0]  # node 0 again closes the circle
+    table[3] = NODE_ZERO_TOL
+    is_open = _open_cells(table[1], table[2], h, *bounds)
+    for _ in range(DEPTH_CAP):
+        j = np.nonzero(is_open)[0]
+        if j.size == 0:
+            break
+        mid = 0.5 * (table[0, j] + table[0, j + 1])
+        # each open cell's left end is repeated; its copy becomes the midpoint
+        at = j + np.arange(1, j.size + 1)
+        source = np.repeat(np.arange(table.shape[1]), np.append(is_open, False) + 1)
+        table = table.take(source, axis=1)
+        table[:, at] = np.vstack([mid, fs._gather(p.fine, mid), np.zeros(mid.size)])
+        h *= 0.5  # each split cell's two halves: left end, midpoint, right end
+        halves = _open_cells(*table[1:3, at[:, None] + (-1, 0, 1)], h, *bounds)
+        is_open = np.repeat(is_open, is_open + 1)  # an open cell splits in two
+        is_open[is_open] = halves.ravel()
+    if fs.any_row(is_open):  # only cells open at the cap prepare p''
+        drop = np.nonzero(is_open[:-1] & is_open[1:] & (table[3, 1:-1] == 0.0))[0] + 1
+        table, runs = np.delete(table, drop, axis=1), np.delete(is_open, drop)
+        q = fs.Interpolant(rho0, 2, coef)
+        ext = _bracket_roots(q, table[0], table[2], np.sign(table[2]), 1, runs)
+        at = np.searchsorted(table[0, :-1], ext, side="right")
+        zeros = np.zeros(ext.size)
+        table = np.insert(table, at, [ext, q(ext), zeros, zeros + TOUCH_ZERO_TOL], axis=1)
+    points, vals, _, tol = table
+    zero = np.abs(vals) < tol * top
+    simple = _bracket_roots(p, points, vals, np.where(zero, 0.0, np.sign(vals)))
+    touch = zero & (tol == TOUCH_ZERO_TOL)
+    zero[1:-1] &= ~(touch[:-2] | touch[2:])
+    zero[0] &= ~(touch[-2] | touch[1])  # node 0 also neighbours the last point
+    return _distinct_roots(np.concatenate([points[:-1][zero[:-1]], simple]))
 
 
 def _distinct_roots(r: np.ndarray) -> list[float]:
@@ -583,11 +582,10 @@ def connect(a: GroupElement, b: GroupElement) -> ConnectResult:
 
 
 def __getattr__(name: str):
-    # ``brentq`` and ``minimize_scalar`` are read only by
-    # perfbench/tracer.py, which rebinds them to count root-solver calls;
-    # importing scipy here, on first read, keeps it out of the runtime.
-    # The benchmark rework of ROADMAP item 3 replaces that counter and
-    # retires this hook.
+    # Only the frozen perfbench/tracer.py reads ``brentq`` and
+    # ``minimize_scalar``: it rebinds them to count root-solver calls, and
+    # tests/test_bench_contract.py checks that it can.  Importing scipy
+    # here, on first read, keeps it out of the runtime.
     if name in ("brentq", "minimize_scalar"):
         import scipy.optimize
 

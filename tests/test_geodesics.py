@@ -374,17 +374,18 @@ def test_blowup_tangential_zero_witness(grid):
 
 
 def test_zero_node_next_to_a_touch_is_that_touch(grid):
-    # rho0 touches zero 1e-7 past node 0, where it is 1e-13 max |rho0|: the
-    # node is a zero by NODE_ZERO_TOL, and the touch stands for it
-    delta = 1e-7
-    d = InitialData.from_u0x(
-        grid,
-        lambda x: np.sin(TWO_PI * x),
-        lambda x: 1.0 - np.cos(TWO_PI * (x - delta)),
-    )
-    assert 0.0 < d.rho0.values[0] < NODE_ZERO_TOL * d.rho0.max_abs()
-    rep = blowup_time(d)
-    assert [x for (x, _) in rep.witnesses] == pytest.approx([delta], abs=1e-12)
+    # rho0 touches zero 1e-7 past node 0, or 1e-7 before it in the last
+    # cell, where it is 1e-13 max |rho0|: the node is a zero by
+    # NODE_ZERO_TOL, and the touch stands for it
+    for delta in (1e-7, -1e-7):
+        d = InitialData.from_u0x(
+            grid,
+            lambda x: np.sin(TWO_PI * x),
+            lambda x: 1.0 - np.cos(TWO_PI * (x - delta)),
+        )
+        assert 0.0 < d.rho0.values[0] < NODE_ZERO_TOL * d.rho0.max_abs()
+        witnesses = [x for (x, _) in blowup_time(d).witnesses]
+        assert witnesses == pytest.approx([delta % 1.0], abs=1e-12)
 
 
 def test_blowup_two_roots_in_one_cell(grid):
@@ -553,6 +554,38 @@ def test_distinct_roots_match_quadratic_loop(monkeypatch, n):
     ours = _rho_roots(rho0)
     assert len(candidates) == 1 and len(ours) > n // 2
     assert ours == distinct_roots_loop(candidates[0])
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 256, 1024])
+@pytest.mark.parametrize("offset, double", [
+    (0.0, True), (-0.5, False), (-0.37, True), (0.29, True),
+], ids=["double-at-node-0", "simple-in-last-cell", "double-in-last-cell",
+        "double-in-first-cell"])
+def test_rho_roots_at_the_wrap_are_reported_once(offset, double, n):
+    # roots at node 0 and in the cells on either side of it, where the
+    # circle closes: 1 - cos 2 pi (x - c) has a double root at c, and
+    # sin 2 pi (x - c) simple roots at c and c - 1/2
+    c = (offset / n) % 1.0
+    grid = PeriodicGrid(n)
+    phase = TWO_PI * (grid.x - c)
+    rho0 = 1.0 - np.cos(phase) if double else np.sin(phase)
+    ours = np.array(_rho_roots(PeriodicFunction(grid, rho0)))
+    exact = np.array([c] if double else [c, c - 0.5])
+    assert len(ours) == len(exact)
+    assert np.all((ours >= 0.0) & (ours < 1.0))
+    assert np.max(_circle_gaps(exact, ours)) <= EXACT_TOL
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_rho_roots_report_a_flat_root_once(n):
+    # a fourth-order zero leaves runs of adjacent cells open at the cap; the
+    # extremum search sees each run as one gap, not one gap per cell
+    grid = PeriodicGrid(n)
+    for c in (0.1, 0.3 + 0.37 / n, 1.0 - 0.2 / n):
+        rho0 = (1.0 - np.cos(TWO_PI * (grid.x - c))) ** 2
+        ours = np.array(_rho_roots(PeriodicFunction(grid, rho0)))
+        assert len(ours) == 1
+        assert _circle_gaps(ours, np.array([c]))[0] <= 2e-5  # 7.7e-6 measured
 
 
 def test_distinct_roots_drop_near_repeats_across_the_wrap():

@@ -13,7 +13,7 @@ LAYERS = {
     "arithmetic", "derivative", "compose", "multiply", "inverse",
     "kahler_J", "christoffel", "draw_inputs", "translate",
     "exact_solution", "exact_solution_stack", "blowup_time", "rhs", "run_suite_block",
-    "interpolant", "rk4_step", "rk4_step_dealiased",
+    "interpolant", "rk4_step", "rk4_step_dealiased", "rho_roots",
 }
 
 

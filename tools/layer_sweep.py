@@ -39,6 +39,9 @@ The layers, with S = 10 rows wherever a stack is taken:
   and on; the call includes the run's setup and its recorded states
 - ``run_suite_block``: ``verification.run_suite`` of one block
   (``verification.BLOCK`` samples)
+- ``rho_roots``: ``geodesics._rho_roots`` of white noise,
+  ``np.random.default_rng(1).normal(size=n)``: every node cell starts
+  open, and the search bisects 7 to 10 levels deep at n = 64 to 4096
 
 The inputs are drawn from fixed seeds.  The sweep first sets glibc's
 allocator thresholds as the command line tool does
@@ -75,8 +78,13 @@ from hs2sphere import geometry as gm  # noqa: E402
 from hs2sphere import randfields as rf  # noqa: E402
 from hs2sphere import verification  # noqa: E402
 from hs2sphere.cli import _keep_freed_memory  # noqa: E402
-from hs2sphere.funcspace import PeriodicGrid  # noqa: E402
-from hs2sphere.geodesics import InitialData, blowup_time, exact_solution  # noqa: E402
+from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid  # noqa: E402
+from hs2sphere.geodesics import (  # noqa: E402
+    InitialData,
+    _rho_roots,
+    blowup_time,
+    exact_solution,
+)
 from hs2sphere.group import inverse, multiply  # noqa: E402
 from hs2sphere.integrator import IntegratorConfig, integrate, rhs  # noqa: E402
 from hs2sphere.presets import make_preset  # noqa: E402
@@ -98,6 +106,7 @@ def layers(n: int) -> dict:
     (V,) = rf.stacks(grid, rng, ROWS, rf.g_tangent)
     d = make_preset("hs-blowup", grid)
     t = 0.5 * blowup_time(d).T
+    noise = PeriodicFunction(grid, np.random.default_rng(1).normal(size=n))
     recorded = np.arange(0, 2001, 200) * 5e-4
     smooth = make_preset("smooth-global", grid)
     steps = {
@@ -128,6 +137,7 @@ def layers(n: int) -> dict:
         "exact_solution": (fresh, lambda data: exact_solution(data, t)),
         "exact_solution_stack": (fresh, lambda data: exact_solution(data, recorded)),
         "blowup_time": (fresh, blowup_time),
+        "rho_roots": (same, lambda _: _rho_roots(noise)),
         "rhs": (same, lambda _: rhs(d.u0, d.rho0, dealias=True)),
         "rk4_step": (same, lambda _: integrate(smooth, steps[False])),
         "rk4_step_dealiased": (same, lambda _: integrate(smooth, steps[True])),

@@ -111,6 +111,19 @@ def commands(inputs: Path) -> list[tuple[str, list[str]]]:
         runs.append((f"blowup-{preset}", ["blowup", "--preset", preset]))
     runs.append(("blowup-coefficients",
                  ["blowup", "--u0x-cos", "0.5", "--rho0-mean", "0.2", "--rho0-cos", "0.3"]))
+    # runs whose rho0 leaves grid cells open, so that _rho_roots subdivides
+    double_at_node = ["blowup", "--rho0-mean", "0.5", "--rho0-cos", "0.5", "--u0x-sin", "0.3"]
+    runs += [
+        ("blowup-double-root-at-node", double_at_node),
+        ("blowup-double-root-at-node-n4096", [*double_at_node, "--n", "4096"]),
+        ("blowup-double-root-between-nodes",
+         ["blowup", "--rho0-mean", "0.5", "--rho0-cos=0,-0.4087924065757918",
+          "--rho0-sin=0,0.2879040957089227", "--u0x-cos", "0.2"]),
+        ("blowup-near-touch-global",
+         ["blowup", "--rho0-mean", "1", "--rho0-cos=-0.999999999", "--u0x-sin", "0.5"]),
+        ("blowup-nyquist-double-roots",
+         ["blowup", "--n", "16", "--rho0-mean", "1", "--rho0-cos", "0,0,0,0,0,0,0,1"]),
+    ]
     runs.append(("verify", ["verify", "--seed", "0", "--samples", "100"]))
     for n in SIZES:
         for name in ELEMENTS:
