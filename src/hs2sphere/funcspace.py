@@ -515,25 +515,26 @@ class Interpolant:
             out[hit] = values[hit[:-1] + (idx[hit].astype(np.intp) % n,)]
         return out
 
-    def roots(self, lo, hi, start, sign, order: int = 0) -> np.ndarray:
+    def roots(self, points, f, s, order: int = 0, gaps=None) -> np.ndarray:
         """Roots of the order-th derivative, order < top, of real f.
 
-        One root per bracket [lo, hi], to ROOT_TOL; ``sign`` is +1 where
-        that derivative increases through its bracket and -1 where it
-        decreases.  All brackets share one :func:`_newton_bisect` solve
-        from the caller's ``start`` points, which gathers the derivative
-        and the next one; a start near the root, such as the root of the
-        secant through values already known at the bracket ends, saves
-        iterations.
+        ``points`` ascend, the gap after point i ending at point i + 1; f
+        holds that derivative there and s its sign, 0 where taken as zero.
+        ``gaps``, if given, masks the points whose gap counts.  Each eligible
+        gap across which s changes sign brackets one root, found to ROOT_TOL.
+        All share one :func:`_newton_bisect` solve, which gathers the
+        derivative and the next one, from the roots of the secants through f.
         """
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
+        change = s[:-1] * s[1:] < 0.0
+        i = np.nonzero(change if gaps is None else change & gaps)[0]
+        lo, hi, f_lo, f_hi = points[i], points[i + 1], f[i], f[i + 1]
         fine = self.fine[order : order + 2]
 
         def residual(idx, y):
             return _gather(fine, y)
 
-        return _newton_bisect(residual, lo, hi, start, sign)
+        start = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+        return _newton_bisect(residual, lo, hi, start, s[i + 1])
 
 
 def trig_interpolate(f: PeriodicFunction, points) -> np.ndarray:
@@ -680,16 +681,19 @@ def invert_diffeo(
     the interpolant passes through the samples, so the cell holds a root.
     The nodes of every row of a stack share one solve; each node takes
     the iterations it takes alone.  ``phi_x``, the slope of phi where the
-    caller holds it, is tested and read as :func:`compose` reads it.
+    caller holds it, is tested and read as :func:`compose` reads it;
+    otherwise the one rfft of h that prepares the fine grid also gives it.
     """
     phi0 = np.abs(phi.values[..., 0]).max()
     if phi0 > 1e-9:
         raise ValueError(f"diffeomorphism must fix 0, |phi(0)|={phi0!r}")
-    phix = _check_increasing(phi) if phi_x is None else _check_slope(phi_x)
-    grid = phi.grid
-    h = _lift_parts(phi)
+    grid, h = phi.grid, _lift_parts(phi)
+    coef = rfft(h)
+    if phi_x is None:
+        phi_x = 1.0 + irfft(coef * grid.spectral.deriv, grid.n)
+    phix = _check_slope(phi_x)
     lead = h.shape[:-1]
-    fine = _fine_grid(h, (0, 1))
+    fine = _fine_grid(h, (0, 1), coef)
     x = grid.x[1:]
     targets = np.broadcast_to(x, lead + x.shape).ravel()
     rows = _row_index(lead, x.size)

@@ -46,7 +46,7 @@ NODE_ZERO_TOL = 1e-12
 TOUCH_ZERO_TOL = 1e-10
 # Relative slack on Bernstein's bounds (_bernstein) for the rfft's roundoff
 SLOPE_SLACK = 1e-6
-# Times _rho_roots bisects a grid cell before it reads the cell as tangential
+# Times _zeros bisects a grid cell before it reads the cell as tangential
 DEPTH_CAP = 10
 PHASE_TOL = 1e-8
 # Grid points per block of a stacked exact_solution: max(1, STACK_POINTS // n)
@@ -225,24 +225,12 @@ def _open_cells(v, dv, h, m2, slack, top) -> np.ndarray:
     return ~(monotone | zero_free)
 
 
-def _bracket_roots(p: fs.Interpolant, points, f, s, order=0, gaps=None):
-    """One root of p's order-th derivative per sign change of s in a gap.
+def _zeros(f: PeriodicFunction, order: int = 0) -> list[float]:
+    """All zeros in [0, 1) of the trigonometric interpolant p of v, the
+    samples of f differentiated ``order`` times by ``fs.derivative``.  For
+    order 1, p is f's interpolant's derivative when f has no Nyquist mode.
 
-    ``points`` ascend from 0 and close the circle at 1, the gap after point
-    i ending at point i + 1; f holds that derivative there and s its sign.
-    ``gaps``, if given, masks the points whose gap counts.  Each bracket's
-    solve starts from its secant's root, all in one Interpolant.roots call.
-    """
-    change = s[:-1] * s[1:] < 0.0
-    i = np.nonzero(change if gaps is None else change & gaps)[0]
-    lo, hi, f_lo, f_hi = points[i], points[i + 1], f[i], f[i + 1]
-    return p.roots(lo, hi, lo + (hi - lo) * f_lo / (f_lo - f_hi), s[i + 1], order)
-
-
-def _rho_roots(rho0: PeriodicFunction) -> list[float]:
-    """All zeros of the trigonometric interpolant p of rho0 in [0, 1).
-
-    No zero when :func:`_clears_zero` certifies the data from one rfft.
+    No zero when :func:`_clears_zero` certifies the samples from one rfft.
     Otherwise one table holds the points: rows x, p, p' and the zero
     tolerance, columns in circle order and closed by node 0 again at x = 1,
     so cell i spans columns i and i + 1.  Level 0 judges the grid cells by
@@ -250,24 +238,27 @@ def _rho_roots(rho0: PeriodicFunction) -> list[float]:
     level, up to DEPTH_CAP, puts the midpoints of the open cells, with p
     and p', after their left ends and judges the two halves.  The zeros are:
 
-    * the nodes below NODE_ZERO_TOL max |rho0|.  A midpoint never counts:
+    * the nodes below NODE_ZERO_TOL max |v|.  A midpoint never counts:
       near a double root its value falls that low about 1e-6 away;
     * one simple root per sign change between neighbouring points, with
-      their cell as the bracket and its secant root as the start;
-    * the extrema below TOUCH_ZERO_TOL max |rho0|, each standing for a zero
-      node next to it.  p' = 0 is solved only on the runs of adjacent cells
-      still open at the cap, their inner midpoints dropped, and only they
-      prepare p''.  An extremum goes in after the points below it.
+      their cell as the bracket: one :meth:`funcspace.Interpolant.roots` call;
+    * the extrema below TOUCH_ZERO_TOL max |v|, each standing for a zero
+      node next to it.  p' = 0 is solved, by a second such call, only on the
+      runs of adjacent cells still open at the cap, their inner midpoints
+      dropped, and only they prepare p''.  An extremum goes in after the
+      points below it.
     """
-    values, x = rho0.values, rho0.grid.x
+    for _ in range(order):
+        f = fs.derivative(f)
+    values, x = f.values, f.grid.x
     coef = fs.rfft(values)
     size = np.abs(coef)
     if _clears_zero(values, size):
         return []
-    d = fs.irfft(coef * rho0.grid.spectral.deriv, x.size)
+    d = fs.irfft(coef * f.grid.spectral.deriv, x.size)
     h, top = 1.0 / x.size, fs.row_max(np.abs(values))
     bounds = _bernstein(size, 2), SLOPE_SLACK * _bernstein(size, 1), top
-    p = fs.Interpolant(rho0, 1, coef)
+    p = fs.Interpolant(f, 1, coef)
     table = np.empty((4, x.size + 1))
     table[:3, :-1] = x, values, d
     table[:3, -1] = 1.0, values[0], d[0]  # node 0 again closes the circle
@@ -290,14 +281,14 @@ def _rho_roots(rho0: PeriodicFunction) -> list[float]:
     if fs.any_row(is_open):  # only cells open at the cap prepare p''
         drop = np.nonzero(is_open[:-1] & is_open[1:] & (table[3, 1:-1] == 0.0))[0] + 1
         table, runs = np.delete(table, drop, axis=1), np.delete(is_open, drop)
-        q = fs.Interpolant(rho0, 2, coef)
-        ext = _bracket_roots(q, table[0], table[2], np.sign(table[2]), 1, runs)
+        q = fs.Interpolant(f, 2, coef)
+        ext = q.roots(table[0], table[2], np.sign(table[2]), 1, runs)
         at = np.searchsorted(table[0, :-1], ext, side="right")
         zeros = np.zeros(ext.size)
         table = np.insert(table, at, [ext, q(ext), zeros, zeros + TOUCH_ZERO_TOL], axis=1)
     points, vals, _, tol = table
     zero = np.abs(vals) < tol * top
-    simple = _bracket_roots(p, points, vals, np.where(zero, 0.0, np.sign(vals)))
+    simple = p.roots(points, vals, np.where(zero, 0.0, np.sign(vals)))
     touch = zero & (tol == TOUCH_ZERO_TOL)
     zero[1:-1] &= ~(touch[:-2] | touch[2:])
     zero[0] &= ~(touch[-2] | touch[1])  # node 0 also neighbours the last point
@@ -320,7 +311,7 @@ def _distinct_roots(r: np.ndarray) -> list[float]:
 def blowup_time(d: InitialData) -> BlowupReport:
     """Maximal existence time: infinite iff rho0 is nowhere zero.
 
-    Each zero of rho0, certified cell by cell (:func:`_rho_roots`), gives
+    Each zero of rho0, certified cell by cell (:func:`_zeros`), gives
     one witness.  When rho0 vanishes identically, max |rho0| below
     NODE_ZERO_TOL (max |u0x| + max |rho0|), every point competes and the
     first-zero time increases with u0x: the witness is u0x's least value
@@ -334,10 +325,12 @@ def blowup_time(d: InitialData) -> BlowupReport:
 
 
 def _blowup_report(d: InitialData) -> BlowupReport:
+    """:func:`blowup_time`'s report, from one search: the zeros of rho0,
+    ``_zeros(d.rho0)``, or when rho0 is flat those of u0x', ``_zeros(d.u0x, 1)``."""
     c = speed(d)
     rho_max = d.rho0.max_abs()
     flat = rho_max < NODE_ZERO_TOL * (d.u0x.max_abs() + rho_max)
-    roots = _rho_roots(fs.derivative(d.u0x) if flat else d.rho0)
+    roots = _zeros(d.u0x, 1) if flat else _zeros(d.rho0)
     if not roots:
         return BlowupReport(False, math.inf, (), c)
     witnesses = tuple(
@@ -527,9 +520,11 @@ def _antipode(grid: PeriodicGrid) -> GroupElement:
 def log_map(target: GroupElement) -> LogMapResult:
     """Invert the exponential map at the identity.
 
-    The target is unreachable iff exp(i alpha/2) = -1 somewhere; reachable
-    by a unique short geodesic iff exp(i alpha/2) = 1 somewhere; otherwise
-    a 2 pi periodic family of preimages shares one unit direction.
+    The target is unreachable iff exp(i alpha/2) = -1 somewhere, as it is
+    between nodes when alpha winds (a winding w != 0 turns exp(i alpha/2)
+    w times round the circle); reachable by a unique short geodesic iff
+    exp(i alpha/2) = 1 somewhere; otherwise a 2 pi periodic family of
+    preimages shares one unit direction.
     """
     grid = target.grid
     ident = GroupElement.identity(grid)
@@ -540,7 +535,7 @@ def log_map(target: GroupElement) -> LogMapResult:
 
     alpha = target.alpha.values
     at_minus_one = np.abs(wrap_mod_4pi(alpha - 2.0 * math.pi)) < PHASE_TOL
-    if fs.any_row(at_minus_one):
+    if fs.any_row(target.winding != 0) or fs.any_row(at_minus_one):
         return LogMapResult("empty")
 
     sqrt_phix = np.sqrt(target.phi_x.values)

@@ -364,8 +364,9 @@ def test_coefficients_are_prepared_once(monkeypatch):
 
     calls.update(prepare=0, gather=0)
     f = PeriodicFunction(g, np.sin(2 * np.pi * (g.x - 0.1)))
-    lo, hi = np.array([0.05, 0.55]), np.array([0.2, 0.7])
-    roots = fs.Interpolant(f, 1).roots(lo, hi, 0.5 * (lo + hi), [1.0, -1.0])
+    points = np.array([0.05, 0.2, 0.55, 0.7])
+    v = np.sin(2 * np.pi * (points - 0.1))
+    roots = fs.Interpolant(f, 1).roots(points, v, np.sign(v))
     assert np.max(np.abs(roots - [0.1, 0.6])) < 1e-12
     assert calls["prepare"] == 1 and calls["gather"] > 2
 
@@ -460,24 +461,29 @@ def test_secant_start_finds_the_midpoint_start_roots(n, order, mean, modes, seed
     f = PeriodicFunction(g, mean + np.cos(ph) @ a + np.sin(ph) @ b)
     p = fs.Interpolant(f, order + 1)
     v = f.values if order == 0 else fs.derivative(f).values
-    j = np.nonzero(v * np.roll(v, -1) < 0.0)[0]
-    assume(j.size)
+    v = np.append(v, v[0])  # the node cells, the circle closed at x = 1
+    cells = p.roots(np.append(g.x, 1.0), v, np.sign(v), order)
+    assume(cells.size)
     h = 1.0 / n
-    sign = np.sign(np.roll(v, -1)[j])
-    cells = p.roots(g.x[j], g.x[j] + h, g.x[j] + 0.5 * h, sign, order)
     rng = np.random.default_rng(seed)
-    lo = cells - rng.uniform(1e-3, 1.0, j.size) * h
-    hi = cells + rng.uniform(1e-3, 1.0, j.size) * h
+    lo = cells - rng.uniform(1e-3, 1.0, cells.size) * h
+    hi = cells + rng.uniform(1e-3, 1.0, cells.size) * h
     scan = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 65)
     dense = fs._gather(p.fine[order : order + 1], scan.ravel())[0].reshape(scan.shape)
     one = np.sum(dense[:, 1:] * dense[:, :-1] < 0.0, axis=1) == 1
     one &= np.all(dense != 0.0, axis=1)
     assume(one.any())
-    lo, hi, sign = lo[one], hi[one], sign[one]
-    v_lo, v_hi = dense[one, 0], dense[one, -1]
-    secant = lo + (hi - lo) * v_lo / (v_lo - v_hi)
-    got = p.roots(lo, hi, secant, sign, order)
-    want = p.roots(lo, hi, 0.5 * (lo + hi), sign, order)
+    lo, hi, v_hi = lo[one], hi[one], dense[one, -1]
+    # each bracket is a gap lo -> hi of one table; the gaps hi -> lo are masked
+    ends = np.ravel([lo, hi], order="F")
+    vals = np.ravel([dense[one, 0], v_hi], order="F")
+    got = p.roots(ends, vals, np.sign(vals), order, np.arange(ends.size - 1) % 2 == 0)
+    # the same solve from the midpoints: same brackets, same gather, and the
+    # direction roots reads, the sign at each bracket's right end
+    fine = p.fine[order : order + 2]
+    want = fs._newton_bisect(
+        lambda idx, y: fs._gather(fine, y), lo, hi, 0.5 * (lo + hi), np.sign(v_hi)
+    )
     assert np.max(np.abs(got - want)) <= fs.ROOT_TOL
 
 

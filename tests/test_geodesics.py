@@ -23,7 +23,7 @@ from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid
 from hs2sphere.geodesics import (
     NODE_ZERO_TOL,
     InitialData,
-    _rho_roots,
+    _zeros,
     blowup_time,
     classify_existence,
     connect,
@@ -500,7 +500,7 @@ def test_rho_roots_match_scalar_oracle(kind, data):
         cell = np.floor(exact * n).astype(int)
         near = np.minimum(np.abs(vals[cell % n]), np.abs(vals[(cell + 1) % n]))
         assume(np.all(near <= 1e-3 * np.max(np.abs(vals))))
-    ours = np.array(_rho_roots(rho0))
+    ours = np.array(_zeros(rho0))
     oracle = np.array(scalar_rho_roots(vals))
     assert len(ours) == len(oracle) == len(exact)
     assert np.max(_circle_gaps(ours, oracle)) <= ORACLE_TOL[kind]
@@ -516,7 +516,7 @@ def test_rho_roots_match_scalar_oracle(kind, data):
 def test_rho_roots_find_double_roots_between_nodes(data):
     # no node need be small next to a double root
     rho0, exact = data.draw(rho_with_roots("double"))
-    ours = np.array(_rho_roots(rho0))
+    ours = np.array(_zeros(rho0))
     assert len(ours) == len(exact)
     assert np.max(_circle_gaps(exact, ours)) <= EXACT_TOL
 
@@ -533,7 +533,7 @@ def test_rho_roots_transform_rho0_once(monkeypatch, width):
         len(o)) or fine_grid(v, o, *c))
     monkeypatch.setattr(fs, "rfft", lambda v, *a: transformed.append(
         np.array(v)) or rfft(v, *a))
-    roots = _rho_roots(rho0)
+    roots = _zeros(rho0)
     assert len(roots) == (4 if width else 2)
     assert prepared == ([2] if width else [2, 3])
     assert [np.array_equal(v, rho0.values) for v in transformed] == [True]
@@ -551,7 +551,7 @@ def test_distinct_roots_match_quadratic_loop(monkeypatch, n):
     rho0 = PeriodicFunction(
         PeriodicGrid(n), np.random.default_rng(1).normal(size=n)
     )
-    ours = _rho_roots(rho0)
+    ours = _zeros(rho0)
     assert len(candidates) == 1 and len(ours) > n // 2
     assert ours == distinct_roots_loop(candidates[0])
 
@@ -569,7 +569,7 @@ def test_rho_roots_at_the_wrap_are_reported_once(offset, double, n):
     grid = PeriodicGrid(n)
     phase = TWO_PI * (grid.x - c)
     rho0 = 1.0 - np.cos(phase) if double else np.sin(phase)
-    ours = np.array(_rho_roots(PeriodicFunction(grid, rho0)))
+    ours = np.array(_zeros(PeriodicFunction(grid, rho0)))
     exact = np.array([c] if double else [c, c - 0.5])
     assert len(ours) == len(exact)
     assert np.all((ours >= 0.0) & (ours < 1.0))
@@ -583,7 +583,7 @@ def test_rho_roots_report_a_flat_root_once(n):
     grid = PeriodicGrid(n)
     for c in (0.1, 0.3 + 0.37 / n, 1.0 - 0.2 / n):
         rho0 = (1.0 - np.cos(TWO_PI * (grid.x - c))) ** 2
-        ours = np.array(_rho_roots(PeriodicFunction(grid, rho0)))
+        ours = np.array(_zeros(PeriodicFunction(grid, rho0)))
         assert len(ours) == 1
         assert _circle_gaps(ours, np.array([c]))[0] <= 2e-5  # 7.7e-6 measured
 
@@ -799,14 +799,14 @@ def _count_searches(monkeypatch) -> list:
     """Record, for each extremum search (the bracketed solve of p' = 0),
     whether any gap was eligible."""
     calls = []
-    solve = geo._bracket_roots
+    solve = fs.Interpolant.roots
 
     def spy(p, points, f, s, order=0, gaps=None):
         if order == 1:
             calls.append(bool(np.any(gaps)))
         return solve(p, points, f, s, order, gaps)
 
-    monkeypatch.setattr(geo, "_bracket_roots", spy)
+    monkeypatch.setattr(fs.Interpolant, "roots", spy)
     return calls
 
 
@@ -824,15 +824,16 @@ def test_zero_node_and_zero_rho_take_their_search(grid, monkeypatch):
     assert [x for (x, _) in rep.witnesses] == pytest.approx([0.0], abs=1e-12)
     assert verdicts == [False] and searches == [True]
     verdicts.clear(), searches.clear()
-    calls, rho_roots = [], geo._rho_roots
+    calls, zeros = [], geo._zeros
     monkeypatch.setattr(
-        geo, "_rho_roots", lambda f: calls.append((f, rho_roots(f))) or calls[-1][1]
+        geo, "_zeros", lambda f, order=0: calls.append((f, order, zeros(f, order)))
+        or calls[-1][2]
     )
     d = hs_blowup(grid)
     rep = blowup_time(d)
     assert rep.finite and [x for (x, _) in rep.witnesses] == [0.5]
-    [(searched, roots)] = calls
-    assert np.array_equal(searched.values, fs.derivative(d.u0x).values)
+    [(searched, order, roots)] = calls
+    assert searched is d.u0x and order == 1
     assert roots == [0.0, 0.5]
     assert verdicts == [False] and searches == []
 
@@ -934,9 +935,68 @@ def test_near_nyquist_root_counts_match_the_companion_matrix(n, data):
     fluct = _modes(data.draw, n, top=True)
     scan = _dense_scan(fluct)
     rho0 = fluct - (np.min(scan) + data.draw(st.floats(0.01, 0.99)) * np.ptp(scan))
-    assert len(_rho_roots(PeriodicFunction(PeriodicGrid(n), rho0))) == len(
+    assert len(_zeros(PeriodicFunction(PeriodicGrid(n), rho0))) == len(
         companion_zeros(rho0)
     )
+
+
+RECORD_FAMILIES = ("simple", "node", "dip", "band")
+
+
+def record_input(n: int, seed: int):
+    """(samples, Nyquist-free) of the standing root record, from one seed.
+
+    'simple' and 'node' are :func:`rho_with_roots`' families: 2 or 4
+    simple roots, r_0 a node for 'node', times p = 2 + two modes.  'dip'
+    and 'band' are :func:`_modes`' top modes (Nyquist included) and 1-3
+    lowest modes, shifted by a random fraction of the dense scan's range
+    so that they cross zero.
+    """
+    rng = np.random.default_rng([n, seed])
+    family = RECORD_FAMILIES[seed % 4]
+    x = PeriodicGrid(n).x
+    if family in ("simple", "node"):
+        count = rng.choice([2, 4])
+        w = rng.uniform(1.0, 2.0, count)
+        start = rng.integers(0, n) / n if family == "node" else rng.uniform()
+        roots = start + np.concatenate([[0.0], np.cumsum(w / w.sum())[:-1]])
+        k = np.arange(1, 3)
+        a, b = rng.uniform(-0.5, 0.5, (2, 2)) / k**2
+        p = 2.0 + a @ np.cos(TWO_PI * np.outer(k, x)) + b @ np.sin(TWO_PI * np.outer(k, x))
+        vals = p * np.prod(np.sin(np.pi * (x - roots[:, None])), axis=0)
+        return vals, count // 2 + 2 < n // 2
+    m = rng.integers(1, 4)
+    k = np.arange(n // 2 - m + 1, n // 2 + 1) if family == "dip" else np.arange(1, m + 1)
+    phase = rng.uniform(0.0, TWO_PI, (m, 1))
+    fluct = rng.uniform(0.1, 1.0, m) @ np.cos(TWO_PI * np.outer(k, x) + phase)
+    scan = _dense_scan(fluct)
+    return fluct - (np.min(scan) + rng.uniform(0.01, 0.99) * np.ptp(scan)), family == "band"
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_standing_root_record(n):
+    # 256 seeded inputs per size, 1,024 in all, against the companion matrix:
+    # over seeds 0-999 at each size (6,759 checks) the worst root lay 8.4e-15
+    # from the oracle's.  The search on order 1 reads fs.derivative's
+    # samples, which drop the Nyquist mode, so only Nyquist-free inputs
+    # check it.  As in test_cell_certificate_agrees_with_the_search, a check
+    # is skipped where an extremum lies within 5 TOUCH_ZERO_TOL max |v| of
+    # zero, where the companion matrix counts a double root 0 or 2 times.
+    grid = PeriodicGrid(n)
+    checked = 0
+    for seed in range(256):
+        vals, nyquist_free = record_input(n, seed)
+        f = PeriodicFunction(grid, vals)
+        for order in (0, 1) if nyquist_free else (0,):
+            v = vals if order == 0 else fs.derivative(f).values
+            extrema = dense_trig_interpolate(v, companion_zeros(v, order=1))
+            if np.min(np.abs(extrema)) <= 5 * geo.TOUCH_ZERO_TOL * np.max(np.abs(v)):
+                continue
+            ours, oracle = np.array(_zeros(f, order)), companion_zeros(vals, order=order)
+            assert ours.size == oracle.size > 0, (seed, order)
+            assert np.max(_circle_gaps(ours, oracle)) <= 1e-12, (seed, order)
+            checked += 1
+    assert checked >= 320
 
 
 @pytest.mark.parametrize("n, crossings", [(16, 4), (32, 6)])
@@ -1079,11 +1139,11 @@ def test_existence_is_scale_free(grid, u0x, rho0):
 def test_blowup_report_is_computed_once(grid, monkeypatch):
     calls = []
 
-    def counting_rho_roots(rho0):
+    def counting_zeros(f, order=0):
         calls.append(1)
-        return _rho_roots(rho0)
+        return _zeros(f, order)
 
-    monkeypatch.setattr(geo, "_rho_roots", counting_rho_roots)
+    monkeypatch.setattr(geo, "_zeros", counting_zeros)
     d = InitialData.from_u0x(
         grid, lambda x: np.sin(TWO_PI * x), lambda x: np.cos(TWO_PI * x)
     )
@@ -1111,6 +1171,27 @@ def test_exact_solution_composes_once(grid, monkeypatch):
     u, rho = exact_solution(d, 0.5)
     assert len(calls) == 2
     assert not u.is_complex and not rho.is_complex
+
+
+@pytest.mark.parametrize("preset", ["smooth-global", "hs-blowup"])
+def test_exact_solution_transform_budget(preset, monkeypatch):
+    # every rfft and irfft of one call, its report already made: the inverse
+    # reads its slope test and its fine grid off one rfft of phi - x (12
+    # with a transform for each)
+    calls = []
+    for name in ("rfft", "irfft"):
+        transform = getattr(fs, name)
+
+        def counting(*args, _transform=transform, **kwargs):
+            calls.append(1)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(fs, name, counting)
+    d = make_preset(preset, PeriodicGrid(256))
+    rep = blowup_time(d)
+    calls.clear()
+    exact_solution(d, 0.5 * rep.T if rep.finite else 0.5)
+    assert len(calls) == 11
 
 
 @st.composite
@@ -1265,6 +1346,36 @@ def test_log_obstruction_empty(grid):
         0,
     )
     assert log_map(target).kind == "empty"
+
+
+def _wound(grid, w):
+    """(x, 4 pi w x + 0.3): exp(i alpha / 2) turns w times round the circle,
+    through -1 between nodes, so no geodesic from the identity reaches it."""
+    alpha = PeriodicFunction(grid, 2.0 * TWO_PI * w * grid.x + 0.3)
+    return GroupElement(PeriodicFunction(grid, grid.x), alpha, w)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("w", [1, -1, 2])
+def test_log_of_a_winding_target_is_empty(n, w):
+    # the phase misses -1 at every node by PHASE_TOL and more, and without
+    # the winding rule these read "family" with r0 = pi/2
+    target = _wound(PeriodicGrid(n), w)
+    assert log_map(target).kind == "empty"
+    ident = GroupElement.identity(target.grid)
+    assert connect(target, ident).kind == connect(ident, target).kind == "none"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([16, 64, 256]), st.sampled_from([1, -1, 2]),
+    st.integers(0, 2**32 - 1),
+)
+def test_winding_zero_factor_keeps_a_winding_target_empty(n, w, seed):
+    grid = PeriodicGrid(n)
+    g = rf.group_element(grid, np.random.default_rng(seed))
+    assert g.winding == 0
+    assert log_map(multiply(_wound(grid, w), g)).kind == "empty"
 
 
 def test_log_rejects_identity_and_antipode(grid):

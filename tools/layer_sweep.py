@@ -39,7 +39,7 @@ The layers, with S = 10 rows wherever a stack is taken:
   and on; the call includes the run's setup and its recorded states
 - ``run_suite_block``: ``verification.run_suite`` of one block
   (``verification.BLOCK`` samples)
-- ``rho_roots``: ``geodesics._rho_roots`` of white noise,
+- ``rho_roots``: ``geodesics._zeros`` of white noise,
   ``np.random.default_rng(1).normal(size=n)``: every node cell starts
   open, and the search bisects 7 to 10 levels deep at n = 64 to 4096
 
@@ -81,7 +81,7 @@ from hs2sphere.cli import _keep_freed_memory  # noqa: E402
 from hs2sphere.funcspace import PeriodicFunction, PeriodicGrid  # noqa: E402
 from hs2sphere.geodesics import (  # noqa: E402
     InitialData,
-    _rho_roots,
+    _zeros,
     blowup_time,
     exact_solution,
 )
@@ -137,7 +137,7 @@ def layers(n: int) -> dict:
         "exact_solution": (fresh, lambda data: exact_solution(data, t)),
         "exact_solution_stack": (fresh, lambda data: exact_solution(data, recorded)),
         "blowup_time": (fresh, blowup_time),
-        "rho_roots": (same, lambda _: _rho_roots(noise)),
+        "rho_roots": (same, lambda _: _zeros(noise)),
         "rhs": (same, lambda _: rhs(d.u0, d.rho0, dealias=True)),
         "rk4_step": (same, lambda _: integrate(smooth, steps[False])),
         "rk4_step_dealiased": (same, lambda _: integrate(smooth, steps[True])),

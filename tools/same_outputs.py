@@ -33,7 +33,8 @@ SIZES = (8, 64, 256)
 RANDOM_SEEDS = range(5)
 # the elements write_elements writes at each size
 ELEMENTS = ("identity", "antipode", "offgrid-zero", "empty", "single", "near-one",
-            *(f"random{s}" for s in RANDOM_SEEDS), "random0-turned")
+            *(f"random{s}" for s in RANDOM_SEEDS), "random0-turned",
+            "winding+1", "winding-1")
 MASK = "<outdir>"
 
 
@@ -51,8 +52,9 @@ def write_elements(inputs: Path) -> None:
         grid = PeriodicGrid(n)
         x = grid.x
 
-        def at(alpha):  # phi = x
-            return GroupElement(PeriodicFunction(grid, x), PeriodicFunction(grid, alpha), 0)
+        def at(alpha, winding=0):  # phi = x
+            alpha = PeriodicFunction(grid, alpha)
+            return GroupElement(PeriodicFunction(grid, x), alpha, winding)
 
         antipode = at(np.full(n, 2.0 * np.pi))
         elements = {
@@ -69,6 +71,9 @@ def write_elements(inputs: Path) -> None:
             elements[f"random{seed}"] = rf.group_element(grid, np.random.default_rng(seed))
         # random0 (id, -2 pi): random0 times its inverse is the antipode
         elements["random0-turned"] = multiply(elements["random0"], inverse(antipode))
+        # alpha winds once either way: exp(i alpha / 2) passes -1 between nodes
+        for w, sign in ((1, "+"), (-1, "-")):
+            elements[f"winding{sign}1"] = at(4.0 * np.pi * w * x + 0.3, w)
         assert tuple(elements) == ELEMENTS
         for name, element in elements.items():
             json_dump(element.to_json_obj(), inputs / f"{name}-n{n}.json")
@@ -79,6 +84,8 @@ CONNECT_PAIRS = (
     ("random4", "identity"), ("identity", "random4"), ("random0", "random0-turned"),
     ("offgrid-zero", "identity"), ("identity", "offgrid-zero"), ("empty", "identity"),
     ("single", "identity"), ("near-one", "identity"),
+    ("winding+1", "identity"), ("identity", "winding+1"),
+    ("winding-1", "identity"), ("identity", "winding-1"),
 )
 
 
@@ -111,7 +118,7 @@ def commands(inputs: Path) -> list[tuple[str, list[str]]]:
         runs.append((f"blowup-{preset}", ["blowup", "--preset", preset]))
     runs.append(("blowup-coefficients",
                  ["blowup", "--u0x-cos", "0.5", "--rho0-mean", "0.2", "--rho0-cos", "0.3"]))
-    # runs whose rho0 leaves grid cells open, so that _rho_roots subdivides
+    # runs whose rho0 leaves grid cells open, so that _zeros subdivides
     double_at_node = ["blowup", "--rho0-mean", "0.5", "--rho0-cos", "0.5", "--u0x-sin", "0.3"]
     runs += [
         ("blowup-double-root-at-node", double_at_node),
